@@ -16,7 +16,7 @@ from scipy.linalg import eigvals
 from .constrained import compress
 from .errors import TrivialNullspaceError
 from .problems import get_problem
-from .quality import quality_report
+from .quality import DEFAULT_ZERO_FLOOR, quality_report
 
 __all__ = [
     "MatchResult",
@@ -139,7 +139,7 @@ def k_quality_sweep(
     k_max: int = 10,
     *,
     null_tol: float = 1e-10,
-    zero_floor: float = 1e-13,
+    zero_floor: float = DEFAULT_ZERO_FLOOR,
 ) -> list[KQualityRow]:
     """Full per-mode quality grid across stack depths 1 .. k_max.
 

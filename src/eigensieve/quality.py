@@ -6,10 +6,16 @@ score is the norm of the first implicit-constraint violation
 real spans of the lifted eigenvector and of its image under the drift.
 Well-resolved eigenmodes make both tiny; discretization artifacts do
 not, which is what makes the scores usable as a screen.
+
+Scores are bit-for-bit reproducible for a fixed BLAS build and thread
+count.  The thread count changes how products round, and the arccos
+floor of the angle (about 1.5e-8) can turn that into different
+near-zero scores and mode order; see the README.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +91,45 @@ def derivative_violation(
         raise GeneralizedUnsupportedError(
             "derivative score needs dz/dt = A z; not defined with a mass operator"
         )
-    return float(np.linalg.norm(sys.c @ (sys.a @ (comp.m @ np.asarray(v)))))
+    ((_, s_norm, _, _),) = _score_modes(sys, comp, [np.asarray(v)], None)
+    return s_norm
+
+
+def _promoted(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # the cast numpy's matmul makes of a mixed-dtype operand on every call
+    dtype = np.result_type(op, x)
+    return op if op.dtype == dtype else op.astype(dtype, order="C")
+
+
+def _score_modes(
+    sys: ConstrainedSystem,
+    comp: CompressedSystem,
+    vs: list[np.ndarray],
+    zero_floor: float | None,
+) -> Iterator[tuple[np.ndarray, float | None, float | None, bool | None]]:
+    """Yield ``(w, s_norm, theta, zero_mode)`` for compressed vectors of one dtype.
+
+    A real operator times a complex vector makes numpy cast the whole
+    operator to a fresh C-ordered copy on every product.  Here M and A
+    are cast once each, the same way, and ``A w`` is formed once per
+    mode for both scores, so every score is bit-identical to the
+    one-mode-at-a-time products.  Without a ``zero_floor`` the angle is
+    skipped.
+    """
+    m = _promoted(comp.m, vs[0])
+    ws = [m @ v for v in vs]
+    del m  # release the promoted basis before promoting the drift
+    a = _promoted(sys.a, ws[0])
+    for w in ws:
+        aw = a @ w
+        s_norm = None if sys.e is not None else float(np.linalg.norm(sys.c @ aw))
+        if zero_floor is None:
+            yield w, s_norm, None, None
+        elif np.linalg.norm(aw) < zero_floor * sys.drift_norm * np.linalg.norm(w):
+            yield w, s_norm, 0.0, True
+        else:
+            lhs = w if sys.e is None else sys.e @ w
+            yield w, s_norm, grassmann_distance(lhs, aw), False
 
 
 def _real_span_basis(u: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
@@ -102,12 +146,6 @@ def _real_span_basis(u: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
     return q[:, :rank]
 
 
-def _angles_rss(b1: np.ndarray, b2: np.ndarray) -> float:
-    sig = np.linalg.svd(b1.T @ b2, compute_uv=False)
-    angles = np.arccos(np.clip(sig, 0.0, 1.0))
-    return float(np.sqrt(np.dot(angles, angles)))
-
-
 def grassmann_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     """Distance between the real spans of two complex vectors.
 
@@ -118,7 +156,10 @@ def grassmann_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     either vector by any nonzero complex number leaves the result
     unchanged.
     """
-    return _angles_rss(_real_span_basis(u1), _real_span_basis(u2))
+    b1, b2 = _real_span_basis(u1), _real_span_basis(u2)
+    sig = np.linalg.svd(b1.T @ b2, compute_uv=False)
+    angles = np.arccos(np.clip(sig, 0.0, 1.0))
+    return float(np.sqrt(np.dot(angles, angles)))
 
 
 def mode_angle(
@@ -135,18 +176,8 @@ def mode_angle(
     eigenvalue and the angle is meaningless, so the mode is flagged and
     scored 0 instead.
     """
-    w = comp.m @ np.asarray(v)
-    return _lifted_mode_angle(sys, w, zero_floor)
-
-
-def _lifted_mode_angle(
-    sys: ConstrainedSystem, w: np.ndarray, zero_floor: float
-) -> tuple[float, bool]:
-    aw = sys.a @ w
-    if np.linalg.norm(aw) < zero_floor * sys.drift_norm * np.linalg.norm(w):
-        return 0.0, True
-    lhs = w if sys.e is None else sys.e @ w
-    return _angles_rss(_real_span_basis(lhs), _real_span_basis(aw)), False
+    ((_, _, theta, zero),) = _score_modes(sys, comp, [np.asarray(v)], zero_floor)
+    return theta, zero
 
 
 @dataclass(eq=False)
@@ -193,15 +224,12 @@ def quality_report(
     """
     comp = compress(sys, k, null_tol)
     pairs = eigenpairs(comp, mass_cond_limit)
-    generalized = sys.e is not None
-    records = []
-    for lam, v in pairs:
-        w = comp.m @ v
-        s_norm = None if generalized else float(np.linalg.norm(sys.c @ (sys.a @ w)))
-        theta, zero = _lifted_mode_angle(sys, w, zero_floor)
-        records.append(
-            ModeRecord(lam=lam, v=v, w=w, s_norm=s_norm, theta=theta, zero_mode=zero)
+    records = [
+        ModeRecord(lam=lam, v=v, w=w, s_norm=s_norm, theta=theta, zero_mode=zero)
+        for (lam, v), (w, s_norm, theta, zero) in zip(
+            pairs, _score_modes(sys, comp, [v for _, v in pairs], zero_floor)
         )
+    ]
     records.sort(key=lambda m: (m.theta, abs(m.lam.imag), abs(m.lam.real)))
 
     lams = np.array([m.lam for m in records])

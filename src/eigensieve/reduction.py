@@ -14,8 +14,8 @@ import numpy as np
 
 from .chebyshev import QuadratureWeights, clenshaw_curtis
 from .errors import DivergenceError, ImaginaryResidueError, ZeroReferenceError
-from .problems import acoustic_reference, acoustic_wave, bump_ic, sine_ic
-from .quality import QualityReport, quality_report
+from .problems import _IC_PROFILES, acoustic_reference, acoustic_wave
+from .quality import DEFAULT_ZERO_FLOOR, QualityReport, quality_report
 
 __all__ = [
     "ReducedModel",
@@ -231,7 +231,7 @@ def reduction_sweep(
     *,
     n_modes: int = 1500,
     null_tol: float = 1e-10,
-    zero_floor: float = 1e-13,
+    zero_floor: float = DEFAULT_ZERO_FLOOR,
 ) -> ReductionSweepResult:
     """Error at ``t_end`` of quality-ranked reduced models of one wave run.
 
@@ -244,14 +244,13 @@ def reduction_sweep(
         raise ValueError(
             f"time-domain reference solutions exist only for 'acoustic', got {problem!r}"
         )
-    profiles = {"bump": bump_ic, "sine": sine_ic}
-    if ic not in profiles:
-        raise ValueError(f"unknown initial condition {ic!r}; pick one of {sorted(profiles)}")
+    if ic not in _IC_PROFILES:
+        raise ValueError(f"unknown initial condition {ic!r}; pick one of {sorted(_IC_PROFILES)}")
     sys = acoustic_wave(n)
     grid = sys.labels["grid"]
     report = quality_report(sys, 1, null_tol=null_tol, zero_floor=zero_floor)
 
-    p0 = profiles[ic](grid)
+    p0 = _IC_PROFILES[ic](grid.points)
     x0 = np.concatenate([p0, np.zeros(n)])
     p_ref, _ = acoustic_reference(grid, ic, t_end, n_modes)
     weights = clenshaw_curtis(grid)

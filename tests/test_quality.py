@@ -10,6 +10,7 @@ from eigensieve.errors import (
     UndefinedSubspaceError,
 )
 from eigensieve.problems import (
+    acoustic_wave,
     canuto_hyperbolic,
     canuto_reference,
     heat_dirichlet,
@@ -17,6 +18,7 @@ from eigensieve.problems import (
 )
 from eigensieve.quality import (
     DEFAULT_THETA_THRESHOLD,
+    DEFAULT_ZERO_FLOOR,
     derivative_violation,
     eigenpairs,
     grassmann_distance,
@@ -220,3 +222,53 @@ class TestQualityReport:
         report = quality_report(canuto_hyperbolic(16), theta_threshold=5e-2)
         assert report.meta["theta_threshold"] == 5e-2
         assert "convention" in report.meta["theta_threshold_note"]
+
+
+def _per_mode_scores(sys, comp):
+    """Reference scores from one mixed-dtype product per use, mode by mode.
+
+    This is the scoring loop that the quality kernel replaced: numpy
+    casts a real operator anew for every product with a complex vector,
+    and ``A M v`` is formed twice, so no work is shared with the kernel
+    under test.
+    """
+    rows = []
+    for lam, v in eigenpairs(comp):
+        w = comp.m @ v
+        s_norm = None if sys.e is not None else float(np.linalg.norm(sys.c @ (sys.a @ w)))
+        aw = sys.a @ w
+        if np.linalg.norm(aw) < DEFAULT_ZERO_FLOOR * sys.drift_norm * np.linalg.norm(w):
+            theta, zero = 0.0, True
+        else:
+            lhs = w if sys.e is None else sys.e @ w
+            theta, zero = grassmann_distance(lhs, aw), False
+        rows.append((lam, v, w, s_norm, theta, zero))
+    rows.sort(key=lambda row: (row[4], abs(row[0].imag), abs(row[0].real)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "build, n, k",
+    [
+        (heat_dirichlet, 48, 1),
+        (canuto_hyperbolic, 64, 1),
+        (canuto_hyperbolic, 64, 3),
+        (acoustic_wave, 64, 1),
+        (orr_sommerfeld, 50, 1),
+    ],
+    ids=["heat", "canuto-k1", "canuto-k3", "acoustic", "orr-sommerfeld"],
+)
+def test_scores_are_bit_identical_to_per_mode_products(build, n, k):
+    sys = build(n)
+    comp = compress(sys, k)
+    expected = _per_mode_scores(sys, comp)
+    report = quality_report(sys, k)
+    assert [m.lam for m in report.modes] == [row[0] for row in expected]
+    for mode, (_, v, w, s_norm, theta, zero) in zip(report.modes, expected):
+        assert np.array_equal(mode.w, w)
+        assert mode.s_norm == s_norm
+        assert mode.theta == theta
+        assert mode.zero_mode == zero
+        assert mode_angle(sys, comp, v) == (theta, zero)
+        if sys.e is None:
+            assert derivative_violation(sys, comp, v) == s_norm
