@@ -14,11 +14,20 @@ bit-for-bit reproducible for a fixed BLAS build and thread count.  The
 thread count changes how products round, which moves scores near the
 rounding level (about 1e-14) and can reorder modes that sit there; see
 the README.
+
+Scoring does no work twice.  For a real system, an eigenvector that is
+the exact conjugate of its neighbour spans the same real plane, so it
+takes the neighbour's conjugated ``w`` and its scores without a
+product or an SVD of its own.  The spectral norms in the zero-floor
+test (``|A|_2``) and the multiplicity flags (``|A_k|_2``) are bracketed
+by the largest column norm and the Frobenius norm; the SVD of either is
+computed only when some value falls inside its bracket, and then the
+comparison is the same floating-point expression as without it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +113,26 @@ def _promoted(op: np.ndarray, x: np.ndarray) -> np.ndarray:
     return op if op.dtype == dtype else op.astype(dtype, order="C")
 
 
+def _norm2_bracket(op: np.ndarray, exact_norm: Callable[[], float]) -> Callable:
+    """Return ``below(x, scale)``: elementwise ``x < scale(|op|_2)``, ``scale`` monotone.
+
+    ``|op|_2`` lies between the largest column norm and the Frobenius
+    norm.  Widened by 1e-10 against rounding, these cheap bounds decide
+    every entry of x outside the scaled bracket; only if some entry
+    falls inside is ``exact_norm()`` called, and the result is then
+    exactly ``x < scale(exact_norm())``.
+    """
+    ends = np.linalg.norm(op, axis=0).max() * (1 - 1e-10), np.linalg.norm(op) * (1 + 1e-10)
+
+    def below(x, scale):
+        lo, hi = sorted(scale(end) for end in ends)
+        if np.all((x < lo) | (x >= hi)):
+            return x < lo
+        return x < scale(exact_norm())
+
+    return below
+
+
 def _score_modes(
     sys: ConstrainedSystem,
     comp: CompressedSystem,
@@ -118,21 +147,37 @@ def _score_modes(
     mode for both scores, so every score is bit-identical to the
     one-mode-at-a-time products.  Without a ``zero_floor`` the angle is
     skipped.
+
+    With real operators, a vector that is the exact conjugate of the one
+    before it spans the same real plane: it takes the conjugate of that
+    mode's ``w`` and its ``s_norm``, ``theta`` and ``zero_mode``, with no
+    ``M v``, ``A w`` or span SVD of its own.  ``sys.drift_norm`` is
+    computed only for a mode that its cheap bracket leaves undecided.
     """
+    real = all(np.isrealobj(op) for op in (comp.m, sys.a, sys.c, sys.e) if op is not None)
+    mirrored = [
+        real and i > 0 and np.array_equal(v, np.conj(vs[i - 1])) for i, v in enumerate(vs)
+    ]
     m = _promoted(comp.m, vs[0])
-    ws = [m @ v for v in vs]
+    ws = []
+    for v, twin in zip(vs, mirrored):
+        ws.append(np.conj(ws[-1]) if twin else m @ v)
     del m  # release the promoted basis before promoting the drift
     a = _promoted(sys.a, ws[0])
-    for w in ws:
-        aw = a @ w
-        s_norm = None if sys.e is not None else float(np.linalg.norm(sys.c @ aw))
-        if zero_floor is None:
-            yield w, s_norm, None, None
-        elif np.linalg.norm(aw) < zero_floor * sys.drift_norm * np.linalg.norm(w):
-            yield w, s_norm, 0.0, True
-        else:
-            lhs = w if sys.e is None else sys.e @ w
-            yield w, s_norm, grassmann_distance(lhs, aw), False
+    if zero_floor is not None:
+        below = _norm2_bracket(sys.a, lambda: sys.drift_norm)
+    for w, twin in zip(ws, mirrored):
+        if not twin:
+            aw = a @ w
+            s_norm = None if sys.e is not None else float(np.linalg.norm(sys.c @ aw))
+            if zero_floor is None:
+                score = s_norm, None, None
+            elif below(np.linalg.norm(aw), lambda nrm: zero_floor * nrm * np.linalg.norm(w)):
+                score = s_norm, 0.0, True
+            else:
+                lhs = w if sys.e is None else sys.e @ w
+                score = s_norm, grassmann_distance(lhs, aw), False
+        yield (w, *score)
 
 
 def _real_span_basis(u: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
@@ -252,7 +297,8 @@ def quality_report(
     lams = np.array([m.lam for m in records])
     dists = np.abs(lams[:, None] - lams[None, :])
     np.fill_diagonal(dists, np.inf)
-    flags = dists.min(axis=1) < 1e-8 * np.linalg.norm(comp.a_k, 2)
+    below = _norm2_bracket(comp.a_k, lambda: np.linalg.norm(comp.a_k, 2))
+    flags = below(dists.min(axis=1), lambda nrm: 1e-8 * nrm)
 
     labels = dict(sys.labels or {})
     meta = {

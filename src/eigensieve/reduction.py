@@ -81,21 +81,18 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
     nmodes = len(report.modes)
     if not 1 <= r <= nmodes:
         raise ValueError(f"retained count must be in 1..{nmodes}, got r={r}")
-    selected = set(range(r))
+    selected = np.arange(nmodes) < r
     if report.meta.get("real_system", True):
         lams = np.array([m.lam for m in report.modes])
-        while True:
-            missing = set()
-            for i in selected:
-                # distance to self is 2|Im lam|, so a nearly real mode
-                # is its own partner and nothing is added for it
-                partner = int(np.abs(lams - np.conj(lams[i])).argmin())
-                if partner not in selected:
-                    missing.add(partner)
-            if not missing:
-                break
-            selected |= missing
-    order = sorted(selected)
+        added = np.arange(r)
+        while added.size:
+            # row j holds every distance to the conjugate of added mode j;
+            # distance to self is 2|Im lam|, so a nearly real mode is its
+            # own partner and nothing is added for it
+            partners = np.abs(lams[None, :] - np.conj(lams[added])[:, None]).argmin(axis=1)
+            added = np.unique(partners[~selected[partners]])
+            selected[added] = True
+    order = np.flatnonzero(selected).tolist()
     modes = [report.modes[i] for i in order]
     return ReducedModel(
         lambdas=np.array([m.lam for m in modes]),

@@ -232,10 +232,9 @@ def test_criterion_7_property_suites():
     bounds_ok = True
     for _ in range(1000):
         # ambient dimension at least 3: in dim 2 any two real 2-D spans
-        # coincide, so every principal angle sits on the arccos rounding
-        # floor (~1e-8) and the tight axiom tolerances cannot hold; from
-        # dim 3 up an O(1) angle dominates and floor noise only enters
-        # quadratically
+        # coincide, so every distance is rounding noise (below 2e-15)
+        # and the axioms would only be checked on noise; from dim 3 up
+        # the spans differ by O(1) angles that the axioms constrain
         dim = int(rng.integers(3, 51))
         u, v, w = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                    for _ in range(3))

@@ -278,8 +278,13 @@ def _per_mode_scores(sys, comp):
         (canuto_hyperbolic, 64, 3),
         (acoustic_wave, 64, 1),
         (orr_sommerfeld, 50, 1),
+        (acoustic_wave, 128, 1),
+        (canuto_hyperbolic, 64, 25),
     ],
-    ids=["heat", "canuto-k1", "canuto-k3", "acoustic", "orr-sommerfeld"],
+    ids=[
+        "heat", "canuto-k1", "canuto-k3", "acoustic", "orr-sommerfeld",
+        "acoustic-n128", "canuto-k25",
+    ],
 )
 def test_scores_are_bit_identical_to_per_mode_products(build, n, k):
     sys = build(n)
@@ -295,3 +300,37 @@ def test_scores_are_bit_identical_to_per_mode_products(build, n, k):
         assert mode_angle(sys, comp, v) == (theta, zero)
         if sys.e is None:
             assert derivative_violation(sys, comp, v) == s_norm
+
+
+def test_spectral_norms_are_skipped_when_their_bounds_decide():
+    sys = acoustic_wave(64)
+    report = quality_report(sys)
+    assert "drift_norm" not in sys.__dict__
+    comp = compress(sys, 1)
+    lams = np.array([m.lam for m in report.modes])
+    dists = np.abs(lams[:, None] - lams[None, :])
+    np.fill_diagonal(dists, np.inf)
+    expected = dists.min(axis=1) < 1e-8 * np.linalg.norm(comp.a_k, 2)
+    assert np.array_equal(report.multiplicity_flags, expected)
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_zero_floor_between_the_norm_bounds_uses_the_exact_norm(side):
+    probe = acoustic_wave(64)
+    comp = compress(probe, 1)
+    _, v = eigenpairs(comp)[0]
+    w = comp.m @ v
+    aw_norm, w_norm = np.linalg.norm(probe.a @ w), np.linalg.norm(w)
+    rho = aw_norm / (probe.drift_norm * w_norm)
+    floor = rho * side
+    # the floor puts |A w| strictly between the bracket of |A|_2
+    lower = np.linalg.norm(probe.a, axis=0).max() * (1.0 - 1e-10)
+    upper = np.linalg.norm(probe.a) * (1.0 + 1e-10)
+    assert floor * lower * w_norm <= aw_norm < floor * upper * w_norm
+
+    sys = acoustic_wave(64)
+    theta, zero = mode_angle(sys, compress(sys, 1), v, zero_floor=floor)
+    assert "drift_norm" in sys.__dict__
+    assert zero == bool(aw_norm < floor * sys.drift_norm * w_norm)
+    assert zero == (side > 1.0)
+    assert (theta == 0.0) == zero

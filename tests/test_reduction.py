@@ -7,7 +7,7 @@ from eigensieve.chebyshev import cheb_points, clenshaw_curtis
 from eigensieve.constrained import compress
 from eigensieve.errors import DivergenceError, ImaginaryResidueError, ZeroReferenceError
 from eigensieve.problems import acoustic_wave, bump_ic, heat_dirichlet, orr_sommerfeld, sine_ic
-from eigensieve.quality import quality_report
+from eigensieve.quality import ModeRecord, QualityReport, quality_report
 from eigensieve.reduction import (
     ReducedModel,
     reduction_sweep,
@@ -51,6 +51,22 @@ class TestTruncate:
         lams = model.lambdas
         for lam in lams:
             assert np.abs(lams - np.conj(lam)).min() < 1e-12
+
+    def test_partner_of_an_added_partner_is_pulled_in(self):
+        # the conjugate of 1 - 1.1i is nearer 1 + 1.05i than 1 + 1i, so
+        # closing {0} adds mode 1, and closing {0, 1} then adds mode 2
+        lams = [1 + 1j, 1 - 1.1j, 1 + 1.05j, 5 - 5j]
+        basis = np.eye(4, dtype=complex)
+        modes = [
+            ModeRecord(lam=lam, v=basis[i], w=basis[i], s_norm=0.0, theta=float(i),
+                       zero_mode=False)
+            for i, lam in enumerate(lams)
+        ]
+        report = QualityReport(modes=modes, meta={"real_system": True},
+                               multiplicity_flags=np.zeros(4, dtype=bool))
+        model = truncate(report, 1)
+        assert model.indices == (0, 1, 2)
+        assert all(type(i) is int for i in model.indices)
 
     def test_real_modes_are_their_own_partners(self):
         report = quality_report(heat_dirichlet(16))
