@@ -16,9 +16,6 @@ the depth sweeps, and ``cli`` the command-line front end.
 """
 
 from .chebyshev import (
-    CollocationGrid,
-    DiffMatrix,
-    QuadratureWeights,
     cheb_diff,
     cheb_points,
     clenshaw_curtis,
@@ -95,7 +92,6 @@ from .reduction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CollocationGrid", "DiffMatrix", "QuadratureWeights",
     "cheb_points", "cheb_diff", "diff_power", "clenshaw_curtis",
     "ConstrainedSystem", "ObservabilityMatrix", "CompressedSystem",
     "DecompositionReport", "observability", "nullspace_basis", "compress",

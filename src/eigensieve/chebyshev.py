@@ -1,21 +1,17 @@
 """Chebyshev-Gauss-Lobatto collocation primitives.
 
 Grids, dense differentiation matrices, and Clenshaw-Curtis quadrature
-weights on [-1, 1].  Nodes are ordered descending, ``x_0 = +1`` down to
+weights on [-1, 1], each a plain array fixed by the point count n
+alone.  Nodes are ordered descending, ``x_0 = +1`` down to
 ``x_{n-1} = -1``; every boundary-row convention downstream relies on
 this ordering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "CollocationGrid",
-    "DiffMatrix",
-    "QuadratureWeights",
     "cheb_points",
     "cheb_diff",
     "diff_power",
@@ -23,31 +19,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class CollocationGrid:
-    """Gauss-Lobatto nodes ``x_j = cos(j pi / (n-1))``, descending."""
-
-    n: int
-    points: np.ndarray
+def _check_size(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"grid needs at least 2 points, got n={n}")
 
 
-@dataclass(frozen=True, eq=False)
-class DiffMatrix:
-    """Dense collocation differentiation matrix of the given derivative order."""
-
-    order: int
-    entries: np.ndarray
-    grid: CollocationGrid
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureWeights:
-    """Clenshaw-Curtis weights aligned with the descending grid."""
-
-    weights: np.ndarray
-
-
-def cheb_points(n: int) -> CollocationGrid:
+def cheb_points(n: int) -> np.ndarray:
     """Build the n-point Gauss-Lobatto grid on [-1, 1].
 
     Nodes are evaluated in the numerically symmetric form
@@ -55,19 +32,18 @@ def cheb_points(n: int) -> CollocationGrid:
     the upper half, so ``x_j == -x_{n-1-j}`` holds exactly and the
     endpoints are exactly +-1.
     """
-    if n < 2:
-        raise ValueError(f"grid needs at least 2 points, got n={n}")
+    _check_size(n)
     half = np.sin(np.pi * (n - 1 - 2 * np.arange(n // 2)) / (2 * (n - 1)))
     x = np.empty(n)
     x[: n // 2] = half
     if n % 2:
         x[n // 2] = 0.0
     x[n - n // 2 :] = -half[::-1]
-    return CollocationGrid(n=n, points=x)
+    return x
 
 
-def cheb_diff(grid: CollocationGrid) -> DiffMatrix:
-    """First-derivative collocation matrix on the given grid.
+def cheb_diff(n: int) -> np.ndarray:
+    """First-derivative collocation matrix on the n-point grid.
 
     Off-diagonal entries follow the barycentric form
     ``(c_i / c_j) (-1)^(i+j) / (x_i - x_j)`` with endpoint weights
@@ -77,7 +53,7 @@ def cheb_diff(grid: CollocationGrid) -> DiffMatrix:
     negated off-diagonal row sum, which makes the matrix exact on
     constants by construction.
     """
-    n = grid.n
+    _check_size(n)
     cs = np.ones(n)
     cs[0] = cs[-1] = 2.0
     cs *= (-1.0) ** np.arange(n)
@@ -93,21 +69,19 @@ def cheb_diff(grid: CollocationGrid) -> DiffMatrix:
     d = np.outer(cs, 1.0 / cs) / dx
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -d.sum(axis=1))
-    return DiffMatrix(order=1, entries=d, grid=grid)
+    return d
 
 
-def diff_power(d: DiffMatrix, p: int) -> DiffMatrix:
-    """Derivative matrix of order p as the p-th power of a first-order one."""
-    if d.order != 1:
-        raise ValueError(f"expected a first-order matrix, got order {d.order}")
+def diff_power(d: np.ndarray, p: int) -> np.ndarray:
+    """Derivative matrix of order p as the p-th power of the first-order matrix d."""
     if p < 1:
         raise ValueError(f"derivative order must be >= 1, got {p}")
-    return DiffMatrix(order=p, entries=np.linalg.matrix_power(d.entries, p), grid=d.grid)
+    return np.linalg.matrix_power(d, p)
 
 
-def clenshaw_curtis(grid: CollocationGrid) -> QuadratureWeights:
-    """Clenshaw-Curtis weights on the grid; exact for polynomial degree < n."""
-    n = grid.n
+def clenshaw_curtis(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights on the n-point grid; exact for polynomial degree < n."""
+    _check_size(n)
     nseg = n - 1
     w = np.empty(n)
     interior = np.arange(1, nseg)
@@ -129,4 +103,4 @@ def clenshaw_curtis(grid: CollocationGrid) -> QuadratureWeights:
                 np.cos(2.0 * np.outer(ks, theta)) / (4.0 * ks**2 - 1.0)[:, None]
             ).sum(axis=0)
     w[interior] = 2.0 * v / nseg
-    return QuadratureWeights(weights=w)
+    return w

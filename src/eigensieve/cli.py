@@ -15,7 +15,8 @@ import argparse
 import csv
 import json
 import sys as _sys
-from dataclasses import asdict, dataclass
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -25,28 +26,6 @@ from .errors import EigensieveError
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass
-class RunConfig:
-    """Echo of every knob of a run; serialized into JSON output meta."""
-
-    command: str
-    problem: str | None = None
-    n: int | None = None
-    k: int = 1
-    k_max: int | None = None
-    alpha: float = 1.0
-    reynolds: float = 10000.0
-    null_tol: float = 1e-10
-    zero_floor: float = quality.DEFAULT_ZERO_FLOOR
-    theta_threshold: float = quality.DEFAULT_THETA_THRESHOLD
-    ic: str | None = None
-    r_list: tuple[int, ...] | None = None
-    t_end: float = 1.0
-    grid: bool = False
-    format: str = "csv"
-    out: str | None = None
 
 
 def _positive_int(text: str) -> int:
@@ -74,19 +53,15 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--null-tol", type=_positive_float, default=1e-10,
+    parser.add_argument("--null-tol", type=_positive_float,
                         help="relative singular-value cutoff for nullspace rank")
     parser.add_argument("--zero-floor", type=_positive_float,
-                        default=quality.DEFAULT_ZERO_FLOOR,
                         help="relative floor for flagging zero modes")
-    parser.add_argument("--theta-threshold", type=_positive_float,
-                        default=quality.DEFAULT_THETA_THRESHOLD,
-                        help="reporting threshold for calling a mode good")
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--out", help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,19 +69,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eigensieve",
         description="score, sweep, and prune eigenmodes of constrained spectral models",
     )
+    # Every setting a run echoes in its JSON meta, in meta order, with its
+    # default.  Subcommand options default to SUPPRESS (only the --problem
+    # of sweep-k and reduce states its own), so an option left out, or one
+    # the subcommand does not take, keeps the value given here.
+    parser.set_defaults(
+        problem=None, n=None, k=1, k_max=None, alpha=1.0, reynolds=10000.0,
+        null_tol=1e-10, zero_floor=quality.DEFAULT_ZERO_FLOOR,
+        theta_threshold=quality.DEFAULT_THETA_THRESHOLD, ic=None, r_list=None,
+        t_end=1.0, grid=False, format="csv", out=None,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     names = tuple(problems.REGISTRY)
+    add_parser = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("analyze", help="score every computed mode of one problem")
+    p = add_parser("analyze", help="score every computed mode of one problem")
     p.add_argument("--problem", required=True, choices=names)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--k", type=_positive_int, default=1)
-    p.add_argument("--alpha", type=_positive_float, default=1.0)
-    p.add_argument("--reynolds", type=_positive_float, default=10000.0)
+    p.add_argument("--k", type=_positive_int)
+    p.add_argument("--alpha", type=_positive_float)
+    p.add_argument("--reynolds", type=_positive_float)
     _add_tolerances(p)
+    p.add_argument("--theta-threshold", type=_positive_float,
+                   help="reporting threshold for calling a mode good")
     _add_output(p)
 
-    p = sub.add_parser("sweep-k", help="spectral error against constraint stack depth")
+    p = add_parser("sweep-k", help="spectral error against constraint stack depth")
     p.add_argument("--problem", default="canuto", choices=names)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--k-max", type=_positive_int, required=True)
@@ -115,27 +103,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tolerances(p)
     _add_output(p)
 
-    p = sub.add_parser("reduce", help="reduction error against retained mode count")
+    p = add_parser("reduce", help="reduction error against retained mode count")
     p.add_argument("--problem", default="acoustic", choices=names)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--ic", required=True, choices=("bump", "sine"))
     p.add_argument("--r-list", type=_int_list, required=True,
                    help="comma-separated retained mode counts")
-    p.add_argument("--t-end", type=_positive_float, default=1.0)
+    p.add_argument("--t-end", type=_positive_float)
     _add_tolerances(p)
     _add_output(p)
 
-    p = sub.add_parser("problems", help="list registered problems")
+    p = add_parser("problems", help="list registered problems")
     _add_output(p)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
 
 
 def _g17(x: float) -> str:
@@ -154,89 +134,65 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _cmd_analyze(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    prob = problems.get_problem(cfg.problem)
-    kwargs = {"n": cfg.n}
-    if "alpha" in prob.params:
-        kwargs["alpha"] = cfg.alpha
-        kwargs["reynolds"] = cfg.reynolds
-    system = prob.build(**kwargs)
+def _split_lam(row: dict) -> dict:
+    """Copy of a row with its complex ``lam`` split into ``re_lambda`` and ``im_lambda``."""
+    out = {}
+    for name, value in row.items():
+        if name == "lam":
+            out["re_lambda"], out["im_lambda"] = value.real, value.imag
+        else:
+            out[name] = value
+    return out
+
+
+def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+    prob = problems.get_problem(args.problem)
+    system = prob.build(**{name: getattr(args, name) for name in prob.params})
     report = quality.quality_report(
         system,
-        cfg.k,
-        null_tol=cfg.null_tol,
-        zero_floor=cfg.zero_floor,
-        theta_threshold=cfg.theta_threshold,
+        args.k,
+        null_tol=args.null_tol,
+        zero_floor=args.zero_floor,
+        theta_threshold=args.theta_threshold,
     )
     header = ["rank", "re_lambda", "im_lambda", "s_norm", "theta", "zero_mode"]
     rows = [
-        {
-            "rank": rank,
-            "re_lambda": mode.lam.real,
-            "im_lambda": mode.lam.imag,
-            "s_norm": mode.s_norm,
-            "theta": mode.theta,
-            "zero_mode": mode.zero_mode,
-        }
+        _split_lam(
+            {
+                "rank": rank,
+                "lam": mode.lam,
+                "s_norm": mode.s_norm,
+                "theta": mode.theta,
+                "zero_mode": mode.zero_mode,
+            }
+        )
         for rank, mode in enumerate(report.modes)
     ]
     return header, rows
 
 
-def _cmd_sweep_k(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    if cfg.grid:
+def _cmd_sweep_k(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+    if args.grid:
         grid_rows = experiments.k_quality_sweep(
-            cfg.problem, cfg.n, cfg.k_max,
-            null_tol=cfg.null_tol, zero_floor=cfg.zero_floor,
+            args.problem, args.n, args.k_max,
+            null_tol=args.null_tol, zero_floor=args.zero_floor,
         )
         header = ["k", "rank", "re_lambda", "im_lambda", "abs_error", "rel_error",
                   "s_norm", "theta", "zero_mode"]
-        rows = [
-            {
-                "k": row.k,
-                "rank": row.rank,
-                "re_lambda": row.lam.real,
-                "im_lambda": row.lam.imag,
-                "abs_error": row.abs_error,
-                "rel_error": row.rel_error,
-                "s_norm": row.s_norm,
-                "theta": row.theta,
-                "zero_mode": row.zero_mode,
-            }
-            for row in grid_rows
-        ]
-        return header, rows
-    sweep_rows = experiments.k_sweep(cfg.problem, cfg.n, cfg.k_max, null_tol=cfg.null_tol)
-    header = ["k", "r", "proxy_real_error", "max_abs_error", "min_abs_error",
-              "max_abs_real"]
-    rows = [
-        {
-            "k": row.k,
-            "r": row.r,
-            "proxy_real_error": row.proxy_real_error,
-            "max_abs_error": row.max_abs_error,
-            "min_abs_error": row.min_abs_error,
-            "max_abs_real": row.max_abs_real,
-        }
-        for row in sweep_rows
-    ]
-    return header, rows
+        return header, [_split_lam(vars(row)) for row in grid_rows]
+    sweep_rows = experiments.k_sweep(args.problem, args.n, args.k_max, null_tol=args.null_tol)
+    return [f.name for f in fields(experiments.KSweepRow)], [vars(row) for row in sweep_rows]
 
 
-def _cmd_reduce(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _cmd_reduce(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     result = reduction.reduction_sweep(
-        cfg.problem, cfg.n, cfg.ic, cfg.r_list, cfg.t_end,
-        null_tol=cfg.null_tol, zero_floor=cfg.zero_floor,
+        args.problem, args.n, args.ic, args.r_list, args.t_end,
+        null_tol=args.null_tol, zero_floor=args.zero_floor,
     )
-    header = ["r", "size", "rel_error", "theta_r"]
-    rows = [
-        {"r": row.r, "size": row.size, "rel_error": row.rel_error, "theta_r": row.theta_r}
-        for row in result.rows
-    ]
-    return header, rows
+    return [f.name for f in fields(reduction.ReductionRow)], [vars(row) for row in result.rows]
 
 
-def _cmd_problems(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _cmd_problems(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     header = ["name", "params"]
     rows = [
         {"name": prob.name, "params": list(prob.params)}
@@ -253,13 +209,9 @@ _COMMANDS = {
 }
 
 
-def _write_output(cfg: RunConfig, header: list[str], rows: list[dict]) -> None:
-    if cfg.format == "json":
-        meta = asdict(cfg)
-        if meta.get("r_list") is not None:
-            meta["r_list"] = list(meta["r_list"])
-        payload = {"meta": meta, "rows": rows}
-        text = json.dumps(payload, indent=2) + "\n"
+def _write_output(args: argparse.Namespace, header: list[str], rows: list[dict]) -> None:
+    if args.format == "json":
+        text = json.dumps({"meta": vars(args), "rows": rows}, indent=2) + "\n"
     else:
         import io
 
@@ -269,23 +221,21 @@ def _write_output(cfg: RunConfig, header: list[str], rows: list[dict]) -> None:
         for row in rows:
             writer.writerow([_csv_cell(row[name]) for name in header])
         text = buffer.getvalue()
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         _sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        header, rows = _COMMANDS[cfg.command](cfg)
+        header, rows = _COMMANDS[args.command](args)
     except (EigensieveError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
-    _write_output(cfg, header, rows)
+    _write_output(args, header, rows)
     return EXIT_OK
 
 

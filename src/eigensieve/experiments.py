@@ -8,6 +8,7 @@ floats so they serialize to CSV or JSON without further processing.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,28 @@ def match_to_reference(computed: np.ndarray, reference: np.ndarray) -> MatchResu
     return MatchResult(indices=idx, abs_errors=abs_err, rel_errors=rel_err)
 
 
+def _depths(problem: str, n: int, k_max: int, solve: Callable) -> Iterator[tuple]:
+    """Walk stack depths 1 .. k_max of a problem with an analytic reference.
+
+    ``solve(sys, k)`` returns a depth's result and its computed
+    eigenvalues; each depth yields ``(k, result, lams, reference, match)``
+    with the eigenvalues matched to a reference cover of their modulus.
+    The walk stops early, with the depths done so far, once some depth
+    leaves no feasible subspace at all.
+    """
+    prob = get_problem(problem)
+    if prob.reference_cover is None:
+        raise ValueError(f"problem {problem!r} has no analytic reference spectrum")
+    sys = prob.build(n=n)
+    for k in range(1, k_max + 1):
+        try:
+            result, lams = solve(sys, k)
+        except TrivialNullspaceError:
+            return
+        reference = prob.reference_cover(float(np.abs(lams).max()))
+        yield k, result, lams, reference, match_to_reference(lams, reference)
+
+
 @dataclass(eq=False)
 class KSweepRow:
     """Error summary of one stack depth.
@@ -91,19 +114,13 @@ def k_sweep(
     no feasible subspace at all.  Requires a problem with an analytic
     reference spectrum.
     """
-    prob = get_problem(problem)
-    if prob.reference_cover is None:
-        raise ValueError(f"problem {problem!r} has no analytic reference spectrum")
-    sys = prob.build(n=n)
+
+    def solve(sys, k):
+        comp = compress(sys, k, null_tol)
+        return comp, eigvals(comp.a_k)
+
     rows: list[KSweepRow] = []
-    for k in range(1, k_max + 1):
-        try:
-            comp = compress(sys, k, null_tol)
-        except TrivialNullspaceError:
-            break
-        lams = eigvals(comp.a_k)
-        reference = prob.reference_cover(float(np.abs(lams).max()))
-        match = match_to_reference(lams, reference)
+    for k, comp, lams, reference, match in _depths(problem, n, k_max, solve):
         worst = int(match.abs_errors.argmax())
         proxy = abs((reference[match.indices[worst]] - lams[worst]).real)
         rows.append(
@@ -147,30 +164,22 @@ def k_quality_sweep(
     best-first order, with the eigenvalue error from nearest-reference
     matching alongside both quality scores.
     """
-    prob = get_problem(problem)
-    if prob.reference_cover is None:
-        raise ValueError(f"problem {problem!r} has no analytic reference spectrum")
-    sys = prob.build(n=n)
-    rows: list[KQualityRow] = []
-    for k in range(1, k_max + 1):
-        try:
-            report = quality_report(sys, k, null_tol=null_tol, zero_floor=zero_floor)
-        except TrivialNullspaceError:
-            break
-        lams = np.array([m.lam for m in report.modes])
-        reference = prob.reference_cover(float(np.abs(lams).max()))
-        match = match_to_reference(lams, reference)
-        for rank, mode in enumerate(report.modes):
-            rows.append(
-                KQualityRow(
-                    k=k,
-                    rank=rank,
-                    lam=mode.lam,
-                    abs_error=float(match.abs_errors[rank]),
-                    rel_error=float(match.rel_errors[rank]),
-                    s_norm=mode.s_norm,
-                    theta=mode.theta,
-                    zero_mode=mode.zero_mode,
-                )
-            )
-    return rows
+
+    def solve(sys, k):
+        report = quality_report(sys, k, null_tol=null_tol, zero_floor=zero_floor)
+        return report, np.array([m.lam for m in report.modes])
+
+    return [
+        KQualityRow(
+            k=k,
+            rank=rank,
+            lam=mode.lam,
+            abs_error=float(match.abs_errors[rank]),
+            rel_error=float(match.rel_errors[rank]),
+            s_norm=mode.s_norm,
+            theta=mode.theta,
+            zero_mode=mode.zero_mode,
+        )
+        for k, report, _, _, match in _depths(problem, n, k_max, solve)
+        for rank, mode in enumerate(report.modes)
+    ]

@@ -2,7 +2,8 @@
 
 Every builder assembles the raw collocation operators on the descending
 Gauss-Lobatto grid and states the boundary conditions as constraint
-rows; nothing is deleted or bordered into the matrices.  The registry
+rows; nothing is deleted or bordered into the matrices, and each
+system's ``labels["grid"]`` holds the node array.  The registry
 maps the public problem names used by the command line to builders,
 parameter lists, and (where known) analytic spectra.
 """
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_legendre
 
-from .chebyshev import CollocationGrid, cheb_diff, cheb_points, diff_power
+from .chebyshev import cheb_diff, cheb_points, diff_power
 from .constrained import ConstrainedSystem
 
 __all__ = [
@@ -46,12 +47,11 @@ def heat_dirichlet(n: int) -> ConstrainedSystem:
     """
     if n < 4:
         raise ValueError(f"need at least 4 grid points, got n={n}")
-    grid = cheb_points(n)
-    a = diff_power(cheb_diff(grid), 2).entries
+    a = diff_power(cheb_diff(n), 2)
     c = np.zeros((2, n))
     c[0, 0] = 1.0
     c[1, n - 1] = 1.0
-    labels = {"problem": "heat", "n": n, "fields": ("u",), "grid": grid}
+    labels = {"problem": "heat", "n": n, "fields": ("u",), "grid": cheb_points(n)}
     return ConstrainedSystem(a=a, c=c, labels=labels)
 
 
@@ -72,13 +72,12 @@ def canuto_hyperbolic(n: int) -> ConstrainedSystem:
     """
     if n < 4:
         raise ValueError(f"need at least 4 grid points per field, got n={n}")
-    grid = cheb_points(n)
-    d = cheb_diff(grid).entries
+    d = cheb_diff(n)
     a = -np.kron(np.array([[0.5, 1.0], [1.0, 0.5]]), d)
     c = np.zeros((2, 2 * n))
     c[0, n - 1] = 1.0  # psi1 at x = -1
     c[1, 0] = 1.0  # psi1 at x = +1
-    labels = {"problem": "canuto", "n": n, "fields": ("psi1", "psi2"), "grid": grid}
+    labels = {"problem": "canuto", "n": n, "fields": ("psi1", "psi2"), "grid": cheb_points(n)}
     return ConstrainedSystem(a=a, c=c, labels=labels)
 
 
@@ -105,12 +104,10 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
         raise ValueError(f"need at least 10 grid points, got n={n}")
     if alpha <= 0 or reynolds <= 0:
         raise ValueError("alpha and reynolds must be positive")
-    grid = cheb_points(n)
-    d1 = cheb_diff(grid)
-    d = d1.entries
-    d2 = diff_power(d1, 2).entries
-    d4 = diff_power(d1, 4).entries
-    z = grid.points
+    z = cheb_points(n)
+    d = cheb_diff(n)
+    d2 = diff_power(d, 2)
+    d4 = diff_power(d, 4)
     ubar = 1.0 - z**2
 
     e = (alpha * reynolds * (d2 - alpha**2 * np.eye(n))).astype(complex)
@@ -130,7 +127,7 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
         "alpha": alpha,
         "reynolds": reynolds,
         "fields": ("psi",),
-        "grid": grid,
+        "grid": z,
     }
     return ConstrainedSystem(a=a, c=c, e=e, labels=labels)
 
@@ -144,14 +141,13 @@ def acoustic_wave(n: int) -> ConstrainedSystem:
     """
     if n < 4:
         raise ValueError(f"need at least 4 grid points per field, got n={n}")
-    grid = cheb_points(n)
-    d = cheb_diff(grid).entries
+    d = cheb_diff(n)
     zero = np.zeros((n, n))
     a = np.block([[zero, d], [d, zero]])
     c = np.zeros((2, 2 * n))
     c[0, 0] = 1.0
     c[1, n - 1] = 1.0
-    labels = {"problem": "acoustic", "n": n, "fields": ("p", "u"), "grid": grid}
+    labels = {"problem": "acoustic", "n": n, "fields": ("p", "u"), "grid": cheb_points(n)}
     return ConstrainedSystem(a=a, c=c, labels=labels)
 
 
@@ -170,7 +166,8 @@ def split_state(sys: ConstrainedSystem, z: np.ndarray) -> dict[str, np.ndarray]:
     return {name: z[i * per : (i + 1) * per] for i, name in enumerate(fields)}
 
 
-def _bump_profile(x: np.ndarray) -> np.ndarray:
+def bump_ic(x: np.ndarray) -> np.ndarray:
+    """Compactly supported pressure pulse ``exp(-1/(1 - x/0.3)^4)`` on |x| < 0.3."""
     # One-sided cutoff exactly as specified: the exponent vanishes
     # smoothly at x = +0.3 but jumps at x = -0.3.
     x = np.asarray(x, dtype=float)
@@ -182,23 +179,14 @@ def _bump_profile(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sine_profile(x: np.ndarray) -> np.ndarray:
+def sine_ic(x: np.ndarray) -> np.ndarray:
+    """Single standing-wave pressure profile ``sin(-pi x + pi)``."""
     return np.sin(-np.pi * np.asarray(x, dtype=float) + np.pi)
 
 
-def bump_ic(grid: CollocationGrid) -> np.ndarray:
-    """Compactly supported pressure pulse ``exp(-1/(1 - x/0.3)^4)`` on |x| < 0.3."""
-    return _bump_profile(grid.points)
-
-
-def sine_ic(grid: CollocationGrid) -> np.ndarray:
-    """Single standing-wave pressure profile ``sin(-pi x + pi)``."""
-    return _sine_profile(grid.points)
-
-
 _IC_PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "bump": _bump_profile,
-    "sine": _sine_profile,
+    "bump": bump_ic,
+    "sine": sine_ic,
 }
 
 
@@ -209,9 +197,9 @@ def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def acoustic_reference(
-    grid: CollocationGrid, ic: str, t: float, n_modes: int = 1500
+    grid: np.ndarray, ic: str, t: float, n_modes: int = 1500
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Modal-series solution of the pressure-pinned wave system on the grid.
+    """Modal-series solution of the pressure-pinned wave system at the grid nodes.
 
     The initial pressure is projected onto the orthonormal standing
     waves ``sin(m pi (x+1)/2)`` with a dense Gauss-Legendre rule, kept
@@ -228,9 +216,8 @@ def acoustic_reference(
     m = np.arange(1, n_modes + 1)
     coeff = np.sin(np.outer(m, np.pi * (xq + 1.0) / 2.0)) @ (wq * p0)
     omega = m * np.pi / 2.0
-    xg = grid.points
-    p = (coeff * np.cos(omega * t)) @ np.sin(np.outer(m, np.pi * (xg + 1.0) / 2.0))
-    u = (coeff * np.sin(omega * t)) @ np.cos(np.outer(m, np.pi * (xg + 1.0) / 2.0))
+    p = (coeff * np.cos(omega * t)) @ np.sin(np.outer(m, np.pi * (grid + 1.0) / 2.0))
+    u = (coeff * np.sin(omega * t)) @ np.cos(np.outer(m, np.pi * (grid + 1.0) / 2.0))
     return p, u
 
 

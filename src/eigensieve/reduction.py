@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import QuadratureWeights, clenshaw_curtis
+from .chebyshev import clenshaw_curtis
 from .errors import DivergenceError, ImaginaryResidueError, ZeroReferenceError
 from .problems import _IC_PROFILES, acoustic_reference, acoustic_wave
 from .quality import DEFAULT_ZERO_FLOOR, QualityReport, quality_report
@@ -188,16 +188,13 @@ def simulate_rk4(
     return SimulationResult(times=times, states=states, method="rk4")
 
 
-def relative_l2_error(
-    approx: np.ndarray, reference: np.ndarray, weights: QuadratureWeights
-) -> float:
+def relative_l2_error(approx: np.ndarray, reference: np.ndarray, weights: np.ndarray) -> float:
     """Quadrature-weighted relative L2 distance between two grid fields."""
-    w = weights.weights
-    ref_norm = np.sqrt(np.sum(w * np.abs(reference) ** 2))
+    ref_norm = np.sqrt(np.sum(weights * np.abs(reference) ** 2))
     if ref_norm == 0.0:
         raise ZeroReferenceError("reference field has zero norm")
     diff = np.asarray(approx) - np.asarray(reference)
-    return float(np.sqrt(np.sum(w * np.abs(diff) ** 2)) / ref_norm)
+    return float(np.sqrt(np.sum(weights * np.abs(diff) ** 2)) / ref_norm)
 
 
 @dataclass(eq=False)
@@ -247,10 +244,10 @@ def reduction_sweep(
     grid = sys.labels["grid"]
     report = quality_report(sys, 1, null_tol=null_tol, zero_floor=zero_floor)
 
-    p0 = _IC_PROFILES[ic](grid.points)
+    p0 = _IC_PROFILES[ic](grid)
     x0 = np.concatenate([p0, np.zeros(n)])
     p_ref, _ = acoustic_reference(grid, ic, t_end, n_modes)
-    weights = clenshaw_curtis(grid)
+    weights = clenshaw_curtis(n)
 
     full = truncate(report, len(report.modes))
     p_full = simulate_modal(full, x0, t_end).states[-1][:n]

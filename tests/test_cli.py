@@ -164,6 +164,39 @@ class TestProblems:
         jsonschema.validate(json.loads(out), load_schema("problems.schema.json"))
 
 
+META_KEYS = [
+    "command", "problem", "n", "k", "k_max", "alpha", "reynolds", "null_tol",
+    "zero_floor", "theta_threshold", "ic", "r_list", "t_end", "grid", "format", "out",
+]
+# every meta value a subcommand echoes when the option is not given
+META_UNSET = {
+    "problem": None, "n": None, "k": 1, "k_max": None, "alpha": 1.0,
+    "reynolds": 10000.0, "null_tol": 1e-10, "zero_floor": 1e-13,
+    "theta_threshold": 1e-3, "ic": None, "r_list": None, "t_end": 1.0,
+    "grid": False, "out": None,
+}
+
+
+@pytest.mark.parametrize(
+    "args, given",
+    [
+        (("analyze", "--problem", "heat", "--n", "8"), {"problem": "heat", "n": 8}),
+        (("sweep-k", "--n", "8", "--k-max", "2"), {"problem": "canuto", "n": 8, "k_max": 2}),
+        (
+            ("reduce", "--n", "16", "--ic", "sine", "--r-list", "2,4"),
+            {"problem": "acoustic", "n": 16, "ic": "sine", "r_list": [2, 4]},
+        ),
+        (("problems",), {}),
+    ],
+)
+def test_json_meta_keys_order_and_echoed_defaults(capsys, args, given):
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == EXIT_OK
+    meta = json.loads(out)["meta"]
+    assert list(meta) == META_KEYS
+    assert meta == {**META_UNSET, "command": args[0], "format": "json", **given}
+
+
 class TestExitCodes:
     def test_usage_error_unknown_problem(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -180,6 +213,19 @@ class TestExitCodes:
     def test_usage_error_bad_r_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reduce", "--n", "16", "--ic", "sine", "--r-list", "2,zero"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sweep-k", "--n", "8", "--k-max", "2"),
+            ("reduce", "--n", "16", "--ic", "sine", "--r-list", "2"),
+        ],
+    )
+    def test_usage_error_theta_threshold_outside_analyze(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--theta-threshold", "0.1"])
         assert exc.value.code == 2
         capsys.readouterr()
 

@@ -153,7 +153,7 @@ class TestDerivativeScore:
         n = 48
         sys = heat_dirichlet(n)
         comp = compress(sys, 1)
-        x = sys.labels["grid"].points
+        x = sys.labels["grid"]
         z = np.sin(3.0 * np.pi * (x + 1.0) / 2.0)
         s_mode = derivative_violation(sys, comp, comp.m_left @ z)
         rng = np.random.default_rng(26)

@@ -195,19 +195,19 @@ class TestSimulateRk4:
 
 class TestRelativeL2Error:
     def test_hand_values(self):
-        w = clenshaw_curtis(cheb_points(2))
+        w = clenshaw_curtis(2)
         assert relative_l2_error(np.array([1.0, 1.0]), np.array([1.0, 1.0]), w) == 0.0
         assert relative_l2_error(
             np.array([2.0, 0.0]), np.array([1.0, 1.0]), w
         ) == pytest.approx(1.0)
 
     def test_zero_reference_rejected(self):
-        w = clenshaw_curtis(cheb_points(4))
+        w = clenshaw_curtis(4)
         with pytest.raises(ZeroReferenceError):
             relative_l2_error(np.ones(4), np.zeros(4), w)
 
     def test_complex_fields(self):
-        w = clenshaw_curtis(cheb_points(2))
+        w = clenshaw_curtis(2)
         err = relative_l2_error(np.array([1j, 0.0]), np.array([0.0, 0j]) + 1.0, w)
         assert err == pytest.approx(np.sqrt(3.0) / np.sqrt(2.0))
 
