@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals
+from numpy.linalg import eigvals
 
 from .constrained import compress
 from .errors import TrivialNullspaceError
@@ -117,7 +117,7 @@ def k_sweep(
 
     def solve(sys, k):
         comp = compress(sys, k, null_tol)
-        return comp, eigvals(comp.a_k)
+        return comp, eigvals(comp.a_k).astype(complex, copy=False)
 
     rows: list[KSweepRow] = []
     for k, comp, lams, reference, match in _depths(problem, n, k_max, solve):

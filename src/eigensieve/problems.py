@@ -6,16 +6,22 @@ rows; nothing is deleted or bordered into the matrices, and each
 system's ``labels["grid"]`` holds the node array.  The registry
 maps the public problem names used by the command line to builders,
 parameter lists, and (where known) analytic spectra.
+
+The 4096-point Gauss-Legendre rule of ``acoustic_reference`` ships as
+the table ``gauss_legendre_4096.npy`` (nodes in row 0, weights in row
+1).  It was written once as ``np.stack(roots_legendre(4096))`` with
+``scipy.special`` 1.17.1 and checked bit for bit against that call, so
+no run needs scipy or recomputes the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .chebyshev import cheb_diff, cheb_points, diff_power
 from .constrained import ConstrainedSystem
@@ -190,10 +196,12 @@ _IC_PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-@lru_cache(maxsize=2)
-def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = roots_legendre(m)
-    return nodes, weights
+@lru_cache(maxsize=1)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the shipped rule, read-only since every call shares them."""
+    rule = np.load(Path(__file__).with_name("gauss_legendre_4096.npy"))
+    rule.flags.writeable = False
+    return rule[0], rule[1]
 
 
 def acoustic_reference(
@@ -211,10 +219,18 @@ def acoustic_reference(
         raise ValueError(f"unknown initial condition {ic!r}; pick one of {sorted(_IC_PROFILES)}")
     if n_modes < 1:
         raise ValueError(f"need at least one mode, got n_modes={n_modes}")
-    xq, wq = _gauss_rule(4096)
-    p0 = _IC_PROFILES[ic](xq)
+    xq, wq = _gauss_rule()
+    theta = np.pi * (xq + 1.0) / 2.0
+    fq = wq * _IC_PROFILES[ic](xq)
     m = np.arange(1, n_modes + 1)
-    coeff = np.sin(np.outer(m, np.pi * (xq + 1.0) / 2.0)) @ (wq * p0)
+    # The n_modes x 4096 sine table, 100 modes at a time in one reused
+    # buffer; a fresh array per block is slower than the whole table.
+    coeff = np.empty(n_modes)
+    block = np.empty((min(n_modes, 100), theta.size))
+    for i in range(0, n_modes, 100):
+        rows = block[: min(100, n_modes - i)]
+        np.sin(np.multiply.outer(m[i : i + 100], theta, out=rows), out=rows)
+        coeff[i : i + 100] = rows @ fq
     omega = m * np.pi / 2.0
     p = (coeff * np.cos(omega * t)) @ np.sin(np.outer(m, np.pi * (grid + 1.0) / 2.0))
     u = (coeff * np.sin(omega * t)) @ np.cos(np.outer(m, np.pi * (grid + 1.0) / 2.0))

@@ -31,7 +31,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig
 
 from .constrained import CompressedSystem, ConstrainedSystem, compress
 from .errors import (
@@ -75,7 +74,7 @@ def eigenpairs(
     so complex conjugates sit adjacent, positive imaginary part first.
     """
     if comp.e_k is None:
-        lams, vecs = eig(comp.a_k)
+        lams, vecs = np.linalg.eig(comp.a_k)
     else:
         sv = np.linalg.svd(comp.e_k, compute_uv=False)
         cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
@@ -84,7 +83,12 @@ def eigenpairs(
                 f"compressed mass operator condition number {cond:.3e} "
                 f"exceeds limit {mass_cond_limit:.1e}"
             )
-        lams, vecs = eig(np.linalg.solve(comp.e_k, comp.a_k))
+        lams, vecs = np.linalg.eig(np.linalg.solve(comp.e_k, comp.a_k))
+    # numpy returns a real array when the whole spectrum is real.
+    lams = lams.astype(complex, copy=False)
+    # Fortran order before normalising: the column-norm reduction
+    # rounds differently on a C-ordered array.
+    vecs = np.asfortranarray(vecs)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     order = np.lexsort((-lams.imag, np.abs(lams.imag), lams.real))
     return [(complex(lams[i]), vecs[:, i]) for i in order]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eigensieve import problems
 from eigensieve.chebyshev import cheb_diff, cheb_points, diff_power
 from eigensieve.constrained import ConstrainedSystem, compress
 from eigensieve.problems import (
@@ -216,12 +217,57 @@ class TestAcousticReference:
         assert 1e-4 < rel < 5e-2
         assert not u.any()
 
+    def test_blocks_match_the_dense_series(self):
+        # 250 modes: two full blocks of rows and a partial one
+        grid = cheb_points(24)
+        xq, wq = problems._gauss_rule()
+        m = np.arange(1, 251)
+        coeff = np.sin(np.outer(m, np.pi * (xq + 1.0) / 2.0)) @ (wq * bump_ic(xq))
+        p_dense = (coeff * np.cos(m * np.pi / 2.0)) @ np.sin(np.outer(m, np.pi * (grid + 1.0) / 2.0))
+        p, _ = acoustic_reference(grid, "bump", 1.0, n_modes=250)
+        np.testing.assert_allclose(p, p_dense, rtol=0, atol=1e-14)
+
     def test_validation(self):
         grid = cheb_points(16)
         with pytest.raises(ValueError, match="initial condition"):
             acoustic_reference(grid, "boxcar", 0.0)
         with pytest.raises(ValueError, match="mode"):
             acoustic_reference(grid, "sine", 0.0, n_modes=0)
+
+
+class TestGaussRule:
+    """The shipped 4096-point Gauss-Legendre table behind acoustic_reference."""
+
+    def test_shape_and_exact_symmetry(self):
+        nodes, weights = problems._gauss_rule()
+        assert nodes.shape == weights.shape == (4096,)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+
+    def test_weights_sum_to_interval_length(self):
+        _, weights = problems._gauss_rule()
+        assert abs(weights.sum() - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("k", range(2, 65, 2))
+    def test_integrates_even_monomials(self, k):
+        # The table, like the scipy rule it was written from, misses
+        # every even moment by -2.0e-13 to -2.7e-13 (math.fsum gives
+        # the same), so the bound sits just above that.
+        nodes, weights = problems._gauss_rule()
+        assert abs(weights @ nodes**k - 2.0 / (k + 1)) <= 3e-13
+
+    def test_matches_scipy(self):
+        from scipy.special import roots_legendre
+
+        nodes, weights = roots_legendre(4096)
+        np.testing.assert_allclose(problems._gauss_rule(), (nodes, weights), rtol=0, atol=1e-15)
+
+    def test_is_read_only_and_shared(self):
+        nodes, weights = problems._gauss_rule()
+        assert problems._gauss_rule()[0] is nodes
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
 
 
 class TestRegistry:

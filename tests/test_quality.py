@@ -134,6 +134,15 @@ class TestEigenpairs:
             assert lams[i].imag > 0
             assert lams[i + 1] == pytest.approx(np.conj(lams[i]), abs=1e-12)
 
+    def test_real_spectrum_is_complex_with_fortran_unit_columns(self):
+        comp = compress(heat_dirichlet(16), 1)
+        pairs = eigenpairs(comp)
+        assert len(pairs) == 14
+        for lam, v in pairs:
+            assert type(lam) is complex and lam.imag == 0.0
+            assert v.flags.f_contiguous
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+
     def test_residuals_track_machine_precision(self):
         comp = compress(canuto_hyperbolic(32), 1)
         scale = np.linalg.norm(comp.a_k, 2)
