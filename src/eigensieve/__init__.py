@@ -37,6 +37,7 @@ from .errors import (
     GeneralizedUnsupportedError,
     IllConditionedMassError,
     ImaginaryResidueError,
+    RankDeficientBasisError,
     TrivialNullspaceError,
     UndefinedSubspaceError,
     ZeroReferenceError,
@@ -110,5 +111,5 @@ __all__ = [
     "k_sweep", "k_quality_sweep",
     "EigensieveError", "TrivialNullspaceError", "IllConditionedMassError",
     "GeneralizedUnsupportedError", "UndefinedSubspaceError", "ZeroReferenceError",
-    "DivergenceError", "ImaginaryResidueError",
+    "DivergenceError", "ImaginaryResidueError", "RankDeficientBasisError",
 ]

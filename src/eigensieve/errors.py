@@ -31,3 +31,7 @@ class DivergenceError(EigensieveError):
 
 class ImaginaryResidueError(EigensieveError):
     """Reconstructed real field kept a non-negligible imaginary part."""
+
+
+class RankDeficientBasisError(EigensieveError):
+    """Retained lifted mode vectors are linearly dependent to working precision."""

@@ -19,10 +19,10 @@ Scoring does no work twice.  For a real system, an eigenvector that is
 the exact conjugate of its neighbour spans the same real plane, so it
 takes the neighbour's conjugated ``w`` and its scores without a
 product or an SVD of its own.  The spectral norms in the zero-floor
-test (``|A|_2``) and the multiplicity flags (``|A_k|_2``) are bracketed
-by the largest column norm and the Frobenius norm; the SVD of either is
-computed only when some value falls inside its bracket, and then the
-comparison is the same floating-point expression as without it.
+test (``|A|_2``) and the multiplicity flags (``|E_k^-1 A_k|_2``) are
+bracketed by the largest column norm and the Frobenius norm; the SVD of
+either is computed only when some value falls inside its bracket, and
+then the comparison is the same floating-point expression as without it.
 """
 
 from __future__ import annotations
@@ -263,7 +263,8 @@ class QualityReport:
     """Modes sorted best-first by angle score, plus run metadata.
 
     ``multiplicity_flags`` marks modes whose eigenvalue lies within
-    ``1e-8 |A_k|`` of another one; the single-pair angle can understate
+    ``1e-8 |E_k^-1 A_k|_2`` of another one (``E_k`` is the identity
+    without a mass operator); the single-pair angle can understate
     the defect for such clusters, so they are flagged rather than
     scored jointly.
     """
@@ -301,7 +302,9 @@ def quality_report(
     lams = np.array([m.lam for m in records])
     dists = np.abs(lams[:, None] - lams[None, :])
     np.fill_diagonal(dists, np.inf)
-    below = _norm2_bracket(comp.a_k, lambda: np.linalg.norm(comp.a_k, 2))
+    # the gaps are between eigenvalues of E_k^-1 A_k, so they scale with its norm
+    op = comp.a_k if comp.e_k is None else np.linalg.solve(comp.e_k, comp.a_k)
+    below = _norm2_bracket(op, lambda: np.linalg.norm(op, 2))
     flags = below(dists.min(axis=1), lambda nrm: 1e-8 * nrm)
 
     labels = dict(sys.labels or {})

@@ -8,12 +8,18 @@ the full compressed system is provided as an independent cross-check.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chebyshev import clenshaw_curtis
-from .errors import DivergenceError, ImaginaryResidueError, ZeroReferenceError
+from .errors import (
+    DivergenceError,
+    ImaginaryResidueError,
+    RankDeficientBasisError,
+    ZeroReferenceError,
+)
 from .problems import _IC_PROFILES, acoustic_reference, acoustic_wave
 from .quality import DEFAULT_ZERO_FLOOR, QualityReport, quality_report
 
@@ -34,9 +40,21 @@ __all__ = [
 class ReducedModel:
     """Retained eigenmodes of a quality report, conjugate-closed.
 
-    ``shapes`` holds the lifted mode vectors M v as columns, so lifting
-    modal coefficients is a single matrix product and restriction is a
-    least-squares solve against the same columns.
+    Columns come in retention order, the order in which a growing
+    retained count takes in the report's modes; it is report order
+    wherever conjugate partners sit side by side.  ``shapes`` holds the
+    lifted mode vectors M v as columns, so lifting modal coefficients is
+    a single matrix product.  ``q`` and ``r_inv`` are a thin QR
+    factorisation ``shapes = q R`` and the inverse of its triangle, so
+    restriction is a projection onto ``q`` and one triangular product.
+    ``truncate`` passes leading blocks of one factorisation shared by
+    every model of a report; a model built by hand leaves both out and
+    factors its own ``shapes``.
+
+    |R|_F |R^-1|_F bounds the condition number of ``shapes`` from
+    above.  A model raises ``RankDeficientBasisError`` when it exceeds
+    1 / (eps max(N, size)), the cut below which least squares would drop
+    a direction of the retained span.
     """
 
     lambdas: np.ndarray
@@ -45,6 +63,24 @@ class ReducedModel:
     thetas: np.ndarray
     indices: tuple[int, ...]
     requested: int
+    q: np.ndarray | None = None
+    r_inv: np.ndarray | None = None
+
+    def __post_init__(self):
+        nrows, size = self.shapes.shape
+        # more modes than state entries are dependent whatever they are
+        bound = np.inf
+        if size <= nrows:
+            if self.q is None:
+                self.q, self.r_inv = _factor(self.shapes)
+            # |R|_F = |shapes|_F, since q has orthonormal columns
+            bound = np.linalg.norm(self.shapes) * np.linalg.norm(self.r_inv)
+        limit = 1.0 / (np.finfo(float).eps * max(nrows, size))
+        if not bound <= limit:
+            raise RankDeficientBasisError(
+                f"lifted basis of {size} modes is rank deficient: "
+                f"|R|_F |R^-1|_F = {bound:.3e} exceeds 1/(eps max(N, size)) = {limit:.3e}"
+            )
 
     @property
     def size(self) -> int:
@@ -57,17 +93,86 @@ class ReducedModel:
     def restrict(self, state: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-squares modal coefficients of a physical state.
 
-        Returns the coefficients and the relative projection residual;
-        on anything in the span of the retained modes the round trip
-        through ``lift`` is the identity.
+        With ``shapes = q R``, the coefficients are ``R^-1 q^H x`` and
+        the relative projection residual is ``|q q^H x - x| / |x|``, at
+        O(N size) per call.  On anything in the span of the retained
+        modes the round trip through ``lift`` is the identity.
         """
         state = np.asarray(state)
-        coeffs, *_ = np.linalg.lstsq(self.shapes, state.astype(complex), rcond=None)
+        # q^H x as conj(q^T conj(x)), without a conjugated copy of q
+        b = (self.q.T @ state.conj()).conj()
+        coeffs = self.r_inv @ b
         nrm = np.linalg.norm(state)
         if nrm == 0.0:
             return coeffs, 0.0
-        residual = float(np.linalg.norm(self.shapes @ coeffs - state) / nrm)
+        residual = float(np.linalg.norm(self.q @ b - state) / nrm)
         return coeffs, residual
+
+
+def _factor(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of the columns and the inverse of R by back substitution.
+
+    Row i of R^-1 needs only the rows below it and is zero left of the
+    diagonal, so a zero or tiny pivot spoils only its own column and
+    those to its right: the leading s x s block of the result stays the
+    inverse of R's leading block, also when the full basis is singular.
+    """
+    q, r = np.linalg.qr(shapes)
+    r_inv = np.zeros_like(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(r.shape[0] - 1, -1, -1):
+            r_inv[i, i] = 1.0 / r[i, i]
+            r_inv[i, i + 1 :] = -(r[i, i + 1 :] @ r_inv[i + 1 :, i + 1 :]) / r[i, i]
+    return q, r_inv
+
+
+#: Retention order, model sizes and factorised basis of each truncated
+#: report, computed on its first ``truncate`` and dropped with the report.
+_RETENTION: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _retention(report: QualityReport) -> tuple:
+    """``(order, sizes, lambdas, v_basis, shapes, thetas, q, r_inv)`` of a report.
+
+    One walk over the report lists its modes in the order a growing r
+    retains them: a mode not yet placed brings in the chain of its
+    conjugate partners, partner(i) = argmin_j |lam_j - conj(lam_i)| over
+    the whole report.  The distance to itself is 2|Im lam|, so a nearly
+    real mode is its own partner.  The map is fixed, so the closure of
+    the first r modes is that of the first r - 1 plus the chain of mode
+    r - 1: every selection is a prefix of ``order``, of length
+    ``sizes[r - 1]``.  The arrays hold the modes in that order and are
+    read-only, since every model of the report shares them.
+    """
+    cached = _RETENTION.get(report)
+    if cached is not None:
+        return cached
+    lams = np.array([m.lam for m in report.modes])
+    partner = list(range(lams.size))
+    if report.meta.get("real_system", True):
+        partner = np.abs(lams[None, :] - np.conj(lams)[:, None]).argmin(axis=1).tolist()
+    placed = [False] * lams.size
+    order, sizes = [], []
+    for i in range(lams.size):
+        j = i
+        while not placed[j]:
+            placed[j] = True
+            order.append(j)
+            j = partner[j]
+        sizes.append(len(order))
+    modes = [report.modes[i] for i in order]
+    shapes = np.column_stack([m.w for m in modes])
+    arrays = (
+        lams[order],
+        np.column_stack([m.v for m in modes]),
+        shapes,
+        np.array([m.theta for m in modes]),
+        *_factor(shapes),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    cached = _RETENTION[report] = (tuple(order), sizes, *arrays)
+    return cached
 
 
 def truncate(report: QualityReport, r: int) -> ReducedModel:
@@ -77,30 +182,25 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
     selection is positional.  For real systems any retained mode with a
     genuinely complex eigenvalue pulls in its conjugate partner when the
     cut would separate them, so the actual size may exceed r by one.
+    The model is a leading block of the report's retention order (see
+    ``ReducedModel``): its arrays are read-only views into arrays that
+    the first ``truncate`` of a report computes and every later one
+    shares, so a report must not change once it has been truncated.
     """
     nmodes = len(report.modes)
     if not 1 <= r <= nmodes:
         raise ValueError(f"retained count must be in 1..{nmodes}, got r={r}")
-    selected = np.arange(nmodes) < r
-    if report.meta.get("real_system", True):
-        lams = np.array([m.lam for m in report.modes])
-        added = np.arange(r)
-        while added.size:
-            # row j holds every distance to the conjugate of added mode j;
-            # distance to self is 2|Im lam|, so a nearly real mode is its
-            # own partner and nothing is added for it
-            partners = np.abs(lams[None, :] - np.conj(lams[added])[:, None]).argmin(axis=1)
-            added = np.unique(partners[~selected[partners]])
-            selected[added] = True
-    order = np.flatnonzero(selected).tolist()
-    modes = [report.modes[i] for i in order]
+    order, sizes, lambdas, v_basis, shapes, thetas, q, r_inv = _retention(report)
+    s = sizes[r - 1]
     return ReducedModel(
-        lambdas=np.array([m.lam for m in modes]),
-        v_basis=np.column_stack([m.v for m in modes]),
-        shapes=np.column_stack([m.w for m in modes]),
-        thetas=np.array([m.theta for m in modes]),
-        indices=tuple(order),
+        lambdas=lambdas[:s],
+        v_basis=v_basis[:, :s],
+        shapes=shapes[:, :s],
+        thetas=thetas[:s],
+        indices=order[:s],
         requested=r,
+        q=q[:, :s],
+        r_inv=r_inv[:s, :s],
     )
 
 
@@ -123,9 +223,9 @@ def simulate_modal(
 ) -> SimulationResult:
     """Evolve the retained modes exactly: each coefficient by exp(lam t).
 
-    The initial state is projected by least squares; a projection
-    residual above ``restrict_warn`` (relative) is recorded as a
-    warning, since the model then cannot represent its own initial
+    The initial state is projected by least squares (``restrict``); a
+    projection residual above ``restrict_warn`` (relative) is recorded
+    as a warning, since the model then cannot represent its own initial
     condition.  States are returned real; a residual imaginary part
     above ``1e-9 |x0|`` aborts, because it means the retained set was
     not conjugate-closed.

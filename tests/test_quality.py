@@ -232,6 +232,20 @@ class TestQualityReport:
         flagged = [m for m, f in zip(report.modes, report.multiplicity_flags) if f]
         assert all(abs(m.lam) < 1e-6 for m in flagged)
 
+    def test_generalized_flags_scale_with_the_compared_operator(self):
+        # |A_k|_2 of the unscaled pencil is about 6e12 here, which flagged
+        # every mode; the eigenvalues compared are those of E_k^-1 A_k
+        sys = orr_sommerfeld(110)
+        report = quality_report(sys)
+        comp = compress(sys, 1)
+        flags = report.multiplicity_flags
+        assert 0 < int(flags.sum()) < len(report.modes) // 10
+        lams = np.array([m.lam for m in report.modes])
+        dists = np.abs(lams[:, None] - lams[None, :])
+        np.fill_diagonal(dists, np.inf)
+        op = np.linalg.solve(comp.e_k, comp.a_k)
+        assert np.array_equal(flags, dists.min(axis=1) < 1e-8 * np.linalg.norm(op, 2))
+
     def test_generalized_report_drops_derivative_score(self):
         report = quality_report(orr_sommerfeld(50))
         assert report.meta["real_system"] is False

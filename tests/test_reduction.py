@@ -1,12 +1,30 @@
 """Truncated modal models, exact evolution, and integrator cross-checks."""
 
+import contextlib
+import gc
+import io
+import weakref
+
 import numpy as np
 import pytest
 
+from eigensieve import cli, reduction
 from eigensieve.chebyshev import cheb_points, clenshaw_curtis
 from eigensieve.constrained import compress
-from eigensieve.errors import DivergenceError, ImaginaryResidueError, ZeroReferenceError
-from eigensieve.problems import acoustic_wave, bump_ic, heat_dirichlet, orr_sommerfeld, sine_ic
+from eigensieve.errors import (
+    DivergenceError,
+    ImaginaryResidueError,
+    RankDeficientBasisError,
+    ZeroReferenceError,
+)
+from eigensieve.problems import (
+    acoustic_wave,
+    bump_ic,
+    canuto_hyperbolic,
+    heat_dirichlet,
+    orr_sommerfeld,
+    sine_ic,
+)
 from eigensieve.quality import ModeRecord, QualityReport, quality_report
 from eigensieve.reduction import (
     ReducedModel,
@@ -20,9 +38,33 @@ from eigensieve.reduction import (
 
 @pytest.fixture(scope="module")
 def canuto_report():
-    from eigensieve.problems import canuto_hyperbolic
-
     return quality_report(canuto_hyperbolic(16))
+
+
+def _hand_report(lams, lifted, real_system=True):
+    basis = np.asarray(lifted, dtype=complex)
+    modes = [
+        ModeRecord(lam=lam, v=basis[:, i], w=basis[:, i], s_norm=0.0, theta=float(i),
+                   zero_mode=False)
+        for i, lam in enumerate(lams)
+    ]
+    return QualityReport(modes=modes, meta={"real_system": real_system},
+                         multiplicity_flags=np.zeros(len(modes), dtype=bool))
+
+
+def _multi_pass_closure(report, r):
+    # reference selection: close the first r modes under the partner
+    # map pass by pass, then list them in report order
+    nmodes = len(report.modes)
+    selected = np.arange(nmodes) < r
+    if report.meta.get("real_system", True):
+        lams = np.array([m.lam for m in report.modes])
+        added = np.arange(r)
+        while added.size:
+            partners = np.abs(lams[None, :] - np.conj(lams[added])[:, None]).argmin(axis=1)
+            added = np.unique(partners[~selected[partners]])
+            selected[added] = True
+    return tuple(np.flatnonzero(selected).tolist())
 
 
 @pytest.fixture(scope="module")
@@ -55,18 +97,26 @@ class TestTruncate:
     def test_partner_of_an_added_partner_is_pulled_in(self):
         # the conjugate of 1 - 1.1i is nearer 1 + 1.05i than 1 + 1i, so
         # closing {0} adds mode 1, and closing {0, 1} then adds mode 2
-        lams = [1 + 1j, 1 - 1.1j, 1 + 1.05j, 5 - 5j]
-        basis = np.eye(4, dtype=complex)
-        modes = [
-            ModeRecord(lam=lam, v=basis[i], w=basis[i], s_norm=0.0, theta=float(i),
-                       zero_mode=False)
-            for i, lam in enumerate(lams)
-        ]
-        report = QualityReport(modes=modes, meta={"real_system": True},
-                               multiplicity_flags=np.zeros(4, dtype=bool))
+        report = _hand_report([1 + 1j, 1 - 1.1j, 1 + 1.05j, 5 - 5j], np.eye(4))
         model = truncate(report, 1)
         assert model.indices == (0, 1, 2)
         assert all(type(i) is int for i in model.indices)
+        for r in range(1, 5):
+            assert truncate(report, r).indices == _multi_pass_closure(report, r)
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [(acoustic_wave, 64), (acoustic_wave, 128), (canuto_hyperbolic, 16),
+         (canuto_hyperbolic, 64), (heat_dirichlet, 48), (orr_sommerfeld, 50)],
+        ids=["acoustic-64", "acoustic-128", "canuto-16", "canuto-64", "heat-48",
+             "orr-sommerfeld-50"],
+    )
+    def test_retention_prefixes_equal_the_multi_pass_closure(self, build, n):
+        report = quality_report(build(n))
+        for r in range(1, len(report.modes) + 1):
+            model = truncate(report, r)
+            assert model.indices == _multi_pass_closure(report, r)
+            assert model.size == len(model.indices)
 
     def test_real_modes_are_their_own_partners(self):
         report = quality_report(heat_dirichlet(16))
@@ -95,11 +145,101 @@ class TestTruncate:
         assert residual < 1e-10
         np.testing.assert_allclose(model.lift(got), x0, atol=1e-10)
 
+    def test_restrict_matches_least_squares(self, acoustic64):
+        sys, report = acoustic64
+        x0 = np.concatenate([bump_ic(sys.labels["grid"]), np.zeros(64)])
+        for r in (2, 17, 40, 101, len(report.modes)):
+            model = truncate(report, r)
+            got, residual = model.restrict(x0)
+            want, *_ = np.linalg.lstsq(model.shapes, x0.astype(complex), rcond=None)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            expected = np.linalg.norm(model.shapes @ want - x0) / np.linalg.norm(x0)
+            assert residual == pytest.approx(expected, rel=1e-8, abs=1e-14)
+
     def test_restrict_zero_state(self, canuto_report):
         model = truncate(canuto_report, 2)
         coeffs, residual = model.restrict(np.zeros(32))
         assert residual == 0.0
         np.testing.assert_allclose(coeffs, 0.0, atol=1e-12)
+
+
+class TestRetentionCache:
+    def test_one_qr_per_report_across_a_sweep(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args: calls.append(a.shape) or qr(a, *args))
+        result = reduction_sweep("acoustic", 32, "bump", (1, 5, 20, 62), t_end=0.5)
+        assert len(result.rows) == 4
+        assert calls == [(64, 62)]
+
+    def test_analyze_and_sweep_k_never_factor(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.linalg, "qr", lambda *args: calls.append(1))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["analyze", "--problem", "acoustic", "--n", "32"]) == 0
+            assert cli.main(["sweep-k", "--problem", "canuto", "--n", "8", "--k-max", "3"]) == 0
+        assert calls == []
+
+    def test_models_share_read_only_arrays(self):
+        report = quality_report(canuto_hyperbolic(16))
+        small, large = truncate(report, 3), truncate(report, 9)
+        for name in ("lambdas", "v_basis", "shapes", "thetas", "q", "r_inv"):
+            array = getattr(small, name)
+            assert np.shares_memory(array, getattr(large, name))
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+
+    def test_cache_entry_dies_with_the_report(self):
+        report = quality_report(canuto_hyperbolic(16))
+        truncate(report, 4)
+        alive = weakref.ref(report)
+        assert report in reduction._RETENTION
+        entries = len(reduction._RETENTION)
+        del report
+        gc.collect()
+        assert alive() is None
+        assert len(reduction._RETENTION) == entries - 1
+
+
+class TestRankGuard:
+    def test_dependent_last_column_fails_only_the_full_model(self):
+        rng = np.random.default_rng(42)
+        lifted = rng.standard_normal((8, 5))
+        lifted[:, 4] = lifted[:, 3]
+        report = _hand_report([-1.0, -2.0, -3.0, -4.0, -5.0], lifted)
+        for r in range(1, 5):
+            model = truncate(report, r)
+            assert model.size == r
+            assert np.all(np.isfinite(model.r_inv))
+            coeffs, residual = model.restrict(lifted[:, :r].sum(axis=1))
+            np.testing.assert_allclose(coeffs, np.ones(r), atol=1e-12)
+            assert residual < 1e-12
+        with pytest.raises(RankDeficientBasisError, match="rank deficient"):
+            truncate(report, 5)
+
+    def test_exactly_singular_triangle_fails_only_the_full_model(self):
+        # equal unit columns leave an exactly zero pivot in R
+        lifted = np.eye(4)[:, [0, 1, 2, 2]]
+        report = _hand_report([-1.0, -2.0, -3.0, -4.0], lifted, real_system=False)
+        assert truncate(report, 3).size == 3
+        with pytest.raises(RankDeficientBasisError):
+            truncate(report, 4)
+
+    @pytest.mark.parametrize("shapes", [
+        np.column_stack([[1.0 + 1j, 2.0, -1j]] * 2),
+        np.array([[1.0, 2.0, 3.0], [0.0, 1j, 1.0]]),
+    ], ids=["equal-columns", "more-modes-than-rows"])
+    def test_hand_built_model_is_guarded(self, shapes):
+        size = shapes.shape[1]
+        with pytest.raises(RankDeficientBasisError):
+            ReducedModel(
+                lambdas=np.arange(size) * 1j,
+                v_basis=shapes,
+                shapes=shapes,
+                thetas=np.zeros(size),
+                indices=tuple(range(size)),
+                requested=size,
+            )
 
 
 class TestSimulateModal:
