@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from . import experiments, problems, quality, reduction
+from . import constrained, experiments, problems, quality, reduction
 from .errors import EigensieveError
 
 EXIT_OK = 0
@@ -37,8 +37,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
@@ -75,9 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the subcommand does not take, keeps the value given here.
     parser.set_defaults(
         problem=None, n=None, k=1, k_max=None, alpha=1.0, reynolds=10000.0,
-        null_tol=1e-10, zero_floor=quality.DEFAULT_ZERO_FLOOR,
-        theta_threshold=quality.DEFAULT_THETA_THRESHOLD, ic=None, r_list=None,
-        t_end=1.0, grid=False, format="csv", out=None,
+        null_tol=constrained.DEFAULT_NULL_TOL, zero_floor=quality.DEFAULT_ZERO_FLOOR,
+        ic=None, r_list=None, t_end=1.0, grid=False, format="csv", out=None,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     names = tuple(problems.REGISTRY)
@@ -90,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_positive_float)
     p.add_argument("--reynolds", type=_positive_float)
     _add_tolerances(p)
-    p.add_argument("--theta-threshold", type=_positive_float,
-                   help="reporting threshold for calling a mode good")
     _add_output(p)
 
     p = add_parser("sweep-k", help="spectral error against constraint stack depth")
@@ -149,11 +146,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     prob = problems.get_problem(args.problem)
     system = prob.build(**{name: getattr(args, name) for name in prob.params})
     report = quality.quality_report(
-        system,
-        args.k,
-        null_tol=args.null_tol,
-        zero_floor=args.zero_floor,
-        theta_threshold=args.theta_threshold,
+        system, args.k, null_tol=args.null_tol, zero_floor=args.zero_floor
     )
     header = ["rank", "re_lambda", "im_lambda", "s_norm", "theta", "zero_mode"]
     rows = [

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import TrivialNullspaceError
 
 __all__ = [
+    "DEFAULT_NULL_TOL",
     "ConstrainedSystem",
     "ObservabilityMatrix",
     "CompressedSystem",
@@ -29,6 +30,9 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+
+#: Relative singular-value cutoff that sets the nullspace rank.
+DEFAULT_NULL_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -128,7 +132,7 @@ def _block_scaled(obs: ObservabilityMatrix) -> np.ndarray:
     return scaled
 
 
-def nullspace_basis(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def nullspace_basis(mat: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
     """Orthonormal nullspace basis of ``mat`` via singular value decomposition.
 
     Column count is the number of singular values below ``tol`` times
@@ -164,7 +168,7 @@ class CompressedSystem:
     r: int
 
 
-def compress(sys: ConstrainedSystem, k: int, tol: float = 1e-10) -> CompressedSystem:
+def compress(sys: ConstrainedSystem, k: int, tol: float = DEFAULT_NULL_TOL) -> CompressedSystem:
     """Restrict drift (and mass) to the nullspace of the depth-k stack.
 
     The basis M is orthonormal, so the left inverse is just the

@@ -1,5 +1,17 @@
 """Exception types raised by the numerical layers of the package."""
 
+__all__ = [
+    "EigensieveError",
+    "TrivialNullspaceError",
+    "IllConditionedMassError",
+    "GeneralizedUnsupportedError",
+    "UndefinedSubspaceError",
+    "ZeroReferenceError",
+    "DivergenceError",
+    "ImaginaryResidueError",
+    "RankDeficientBasisError",
+]
+
 
 class EigensieveError(Exception):
     """Base class for numerical failures specific to this package."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigvals
 
-from .constrained import compress
+from .constrained import DEFAULT_NULL_TOL, compress
 from .errors import TrivialNullspaceError
 from .problems import get_problem
 from .quality import DEFAULT_ZERO_FLOOR, quality_report
@@ -106,7 +106,7 @@ def k_sweep(
     n: int = 32,
     k_max: int = 25,
     *,
-    null_tol: float = 1e-10,
+    null_tol: float = DEFAULT_NULL_TOL,
 ) -> list[KSweepRow]:
     """Sweep the constraint stack depth and summarise spectral errors.
 
@@ -155,7 +155,7 @@ def k_quality_sweep(
     n: int = 32,
     k_max: int = 10,
     *,
-    null_tol: float = 1e-10,
+    null_tol: float = DEFAULT_NULL_TOL,
     zero_floor: float = DEFAULT_ZERO_FLOOR,
 ) -> list[KQualityRow]:
     """Full per-mode quality grid across stack depths 1 .. k_max.

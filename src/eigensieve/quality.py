@@ -18,11 +18,11 @@ the README.
 Scoring does no work twice.  For a real system, an eigenvector that is
 the exact conjugate of its neighbour spans the same real plane, so it
 takes the neighbour's conjugated ``w`` and its scores without a
-product or an SVD of its own.  The spectral norms in the zero-floor
-test (``|A|_2``) and the multiplicity flags (``|E_k^-1 A_k|_2``) are
-bracketed by the largest column norm and the Frobenius norm; the SVD of
-either is computed only when some value falls inside its bracket, and
-then the comparison is the same floating-point expression as without it.
+product or an SVD of its own.  The spectral norm ``|A|_2`` of the
+zero-floor test is bracketed by the largest column norm and the
+Frobenius norm; its SVD is computed only when some mode falls inside
+the bracket, and then the comparison is the same floating-point
+expression as without it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrained import CompressedSystem, ConstrainedSystem, compress
+from .constrained import DEFAULT_NULL_TOL, CompressedSystem, ConstrainedSystem, compress
 from .errors import (
     GeneralizedUnsupportedError,
     IllConditionedMassError,
@@ -52,8 +52,8 @@ __all__ = [
     "quality_report",
 ]
 
-#: Reporting convention: modes with theta at or below this are labelled good.
-#: A convention, not a derived constant; override per call or per run.
+#: Reporting convention: modes with theta at or below this count as good.
+#: A convention, not a derived constant.
 DEFAULT_THETA_THRESHOLD = 1e-3
 
 #: Relative floor under which |A M v| is treated as an exact zero mode.
@@ -63,25 +63,24 @@ DEFAULT_ZERO_FLOOR = 1e-13
 DEFAULT_MASS_COND_LIMIT = 1e12
 
 
-def eigenpairs(
-    comp: CompressedSystem, mass_cond_limit: float = DEFAULT_MASS_COND_LIMIT
-) -> list[tuple[complex, np.ndarray]]:
+def eigenpairs(comp: CompressedSystem) -> list[tuple[complex, np.ndarray]]:
     """Full spectrum of the compressed system with unit eigenvectors.
 
     A mass operator turns this into the pencil problem
     ``lambda E_k v = A_k v``, solved here as the standard problem for
-    ``E_k^(-1) A_k`` behind a condition-number guard.  Pairs are ordered
-    so complex conjugates sit adjacent, positive imaginary part first.
+    ``E_k^(-1) A_k`` behind the guard ``DEFAULT_MASS_COND_LIMIT`` on the
+    condition number of ``E_k``.  Pairs are ordered so complex
+    conjugates sit adjacent, positive imaginary part first.
     """
     if comp.e_k is None:
         lams, vecs = np.linalg.eig(comp.a_k)
     else:
         sv = np.linalg.svd(comp.e_k, compute_uv=False)
         cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-        if cond > mass_cond_limit:
+        if cond > DEFAULT_MASS_COND_LIMIT:
             raise IllConditionedMassError(
                 f"compressed mass operator condition number {cond:.3e} "
-                f"exceeds limit {mass_cond_limit:.1e}"
+                f"exceeds limit {DEFAULT_MASS_COND_LIMIT:.1e}"
             )
         lams, vecs = np.linalg.eig(np.linalg.solve(comp.e_k, comp.a_k))
     # numpy returns a real array when the whole spectrum is real.
@@ -260,28 +259,18 @@ class ModeRecord:
 
 @dataclass(eq=False)
 class QualityReport:
-    """Modes sorted best-first by angle score, plus run metadata.
-
-    ``multiplicity_flags`` marks modes whose eigenvalue lies within
-    ``1e-8 |E_k^-1 A_k|_2`` of another one (``E_k`` is the identity
-    without a mass operator); the single-pair angle can understate
-    the defect for such clusters, so they are flagged rather than
-    scored jointly.
-    """
+    """Modes sorted best-first by angle score, plus run metadata."""
 
     modes: list[ModeRecord]
     meta: dict
-    multiplicity_flags: np.ndarray
 
 
 def quality_report(
     sys: ConstrainedSystem,
     k: int = 1,
     *,
-    null_tol: float = 1e-10,
+    null_tol: float = DEFAULT_NULL_TOL,
     zero_floor: float = DEFAULT_ZERO_FLOOR,
-    theta_threshold: float = DEFAULT_THETA_THRESHOLD,
-    mass_cond_limit: float = DEFAULT_MASS_COND_LIMIT,
 ) -> QualityReport:
     """Compress at depth k, solve for the full spectrum, score every mode.
 
@@ -290,7 +279,7 @@ def quality_report(
     generalized systems.
     """
     comp = compress(sys, k, null_tol)
-    pairs = eigenpairs(comp, mass_cond_limit)
+    pairs = eigenpairs(comp)
     records = [
         ModeRecord(lam=lam, v=v, w=w, s_norm=s_norm, theta=theta, zero_mode=zero)
         for (lam, v), (w, s_norm, theta, zero) in zip(
@@ -298,14 +287,6 @@ def quality_report(
         )
     ]
     records.sort(key=lambda m: (m.theta, abs(m.lam.imag), abs(m.lam.real)))
-
-    lams = np.array([m.lam for m in records])
-    dists = np.abs(lams[:, None] - lams[None, :])
-    np.fill_diagonal(dists, np.inf)
-    # the gaps are between eigenvalues of E_k^-1 A_k, so they scale with its norm
-    op = comp.a_k if comp.e_k is None else np.linalg.solve(comp.e_k, comp.a_k)
-    below = _norm2_bracket(op, lambda: np.linalg.norm(op, 2))
-    flags = below(dists.min(axis=1), lambda nrm: 1e-8 * nrm)
 
     labels = dict(sys.labels or {})
     meta = {
@@ -315,10 +296,8 @@ def quality_report(
         "r": comp.r,
         "null_tol": null_tol,
         "zero_floor": zero_floor,
-        "theta_threshold": theta_threshold,
-        "theta_threshold_note": "reporting convention, not a derived constant",
         "real_system": bool(
             np.isrealobj(sys.a) and (sys.e is None or np.isrealobj(sys.e))
         ),
     }
-    return QualityReport(modes=records, meta=meta, multiplicity_flags=flags)
+    return QualityReport(modes=records, meta=meta)

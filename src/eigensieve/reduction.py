@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import clenshaw_curtis
+from .constrained import DEFAULT_NULL_TOL
 from .errors import (
     DivergenceError,
     ImaginaryResidueError,
@@ -218,22 +219,19 @@ def simulate_modal(
     model: ReducedModel,
     x0: np.ndarray,
     t: float | np.ndarray,
-    *,
-    restrict_warn: float = 1e-8,
 ) -> SimulationResult:
     """Evolve the retained modes exactly: each coefficient by exp(lam t).
 
     The initial state is projected by least squares (``restrict``); a
-    projection residual above ``restrict_warn`` (relative) is recorded
-    as a warning, since the model then cannot represent its own initial
-    condition.  States are returned real; a residual imaginary part
+    relative projection residual above 1e-8 is recorded as a warning,
+    since the model then cannot represent its own initial condition.  States are returned real; a residual imaginary part
     above ``1e-9 |x0|`` aborts, because it means the retained set was
     not conjugate-closed.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     coeffs, residual = model.restrict(x0)
     warnings = ()
-    if residual > restrict_warn:
+    if residual > 1e-8:
         warnings = (
             f"initial condition poorly represented: relative projection "
             f"residual {residual:.3e}",
@@ -323,8 +321,7 @@ def reduction_sweep(
     r_values: tuple[int, ...] | list[int],
     t_end: float = 1.0,
     *,
-    n_modes: int = 1500,
-    null_tol: float = 1e-10,
+    null_tol: float = DEFAULT_NULL_TOL,
     zero_floor: float = DEFAULT_ZERO_FLOOR,
 ) -> ReductionSweepResult:
     """Error at ``t_end`` of quality-ranked reduced models of one wave run.
@@ -346,7 +343,7 @@ def reduction_sweep(
 
     p0 = _IC_PROFILES[ic](grid)
     x0 = np.concatenate([p0, np.zeros(n)])
-    p_ref, _ = acoustic_reference(grid, ic, t_end, n_modes)
+    p_ref, _ = acoustic_reference(grid, ic, t_end)
     weights = clenshaw_curtis(n)
 
     full = truncate(report, len(report.modes))

@@ -166,14 +166,13 @@ class TestProblems:
 
 META_KEYS = [
     "command", "problem", "n", "k", "k_max", "alpha", "reynolds", "null_tol",
-    "zero_floor", "theta_threshold", "ic", "r_list", "t_end", "grid", "format", "out",
+    "zero_floor", "ic", "r_list", "t_end", "grid", "format", "out",
 ]
 # every meta value a subcommand echoes when the option is not given
 META_UNSET = {
     "problem": None, "n": None, "k": 1, "k_max": None, "alpha": 1.0,
     "reynolds": 10000.0, "null_tol": 1e-10, "zero_floor": 1e-13,
-    "theta_threshold": 1e-3, "ic": None, "r_list": None, "t_end": 1.0,
-    "grid": False, "out": None,
+    "ic": None, "r_list": None, "t_end": 1.0, "grid": False, "out": None,
 }
 
 
@@ -221,13 +220,32 @@ class TestExitCodes:
         [
             ("sweep-k", "--n", "8", "--k-max", "2"),
             ("reduce", "--n", "16", "--ic", "sine", "--r-list", "2"),
+            ("analyze", "--problem", "heat", "--n", "8"),
         ],
     )
-    def test_usage_error_theta_threshold_outside_analyze(self, capsys, args):
+    def test_usage_error_theta_threshold_on_every_subcommand(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
             main([*args, "--theta-threshold", "0.1"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (("analyze", "--problem", "heat", "--n", "8"), "--null-tol"),
+            (("sweep-k", "--n", "8", "--k-max", "2"), "--zero-floor"),
+            (("reduce", "--n", "16", "--ic", "sine", "--r-list", "2"), "--t-end"),
+            (("analyze", "--problem", "orr-sommerfeld", "--n", "16"), "--alpha"),
+            (("analyze", "--problem", "orr-sommerfeld", "--n", "16"), "--reynolds"),
+        ],
+        ids=["null-tol", "zero-floor", "t-end", "alpha", "reynolds"],
+    )
+    def test_usage_error_non_finite_number(self, capsys, args, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, f"{option}={value}"])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_numerical_error_depth_past_cap(self, capsys):
         code, _, err = run_cli(

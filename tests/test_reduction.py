@@ -48,8 +48,7 @@ def _hand_report(lams, lifted, real_system=True):
                    zero_mode=False)
         for i, lam in enumerate(lams)
     ]
-    return QualityReport(modes=modes, meta={"real_system": real_system},
-                         multiplicity_flags=np.zeros(len(modes), dtype=bool))
+    return QualityReport(modes=modes, meta={"real_system": real_system})
 
 
 def _multi_pass_closure(report, r):

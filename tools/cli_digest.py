@@ -1,0 +1,59 @@
+"""Print the exit code and stdout sha256 of a fixed list of CLI commands.
+
+Each command runs as a fresh ``python -m eigensieve`` process against
+the ``src`` tree next to this script, with ``OPENBLAS_NUM_THREADS=1``
+unless the environment already sets it.  Running the script on two
+checkouts and diffing the output checks a claim that a change keeps
+the CLI's bytes.  The list covers every subcommand and every problem,
+CSV and JSON, and one numerical failure (exit 3).
+
+    python3 tools/cli_digest.py
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+COMMANDS = [
+    "problems",
+    "problems --format json",
+    "analyze --problem heat --n 48",
+    "analyze --problem heat --n 12 --k 2 --format json",
+    "analyze --problem canuto --n 64",
+    "analyze --problem canuto --n 16 --k 3 --format json",
+    "analyze --problem canuto --n 8 --k 9",
+    "analyze --problem orr-sommerfeld --n 110",
+    "analyze --problem orr-sommerfeld --n 50 --alpha 1.02 --reynolds 5772 --format json",
+    "analyze --problem acoustic --n 64",
+    "analyze --problem acoustic --n 32 --null-tol 1e-8 --zero-floor 1e-12 --format json",
+    "sweep-k --n 32 --k-max 25",
+    "sweep-k --problem canuto --n 16 --k-max 4 --grid",
+    "sweep-k --n 8 --k-max 2 --format json",
+    "sweep-k --problem heat --n 16 --k-max 3",
+    "sweep-k --problem acoustic --n 16 --k-max 2 --grid --format json",
+    "reduce --n 32 --ic sine --r-list 6,8,12",
+    "reduce --n 64 --ic bump --r-list 2,10,40,126 --t-end 0.5",
+    "reduce --n 32 --ic sine --r-list 2,6 --null-tol 1e-9 --format json",
+    "reduce --problem acoustic --n 48 --ic bump --r-list 1,5,94",
+]
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    print(f"# OPENBLAS_NUM_THREADS={env['OPENBLAS_NUM_THREADS']}")
+    for command in COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigensieve", *command.split()],
+            env=env, capture_output=True, timeout=600,
+        )
+        print(proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), command)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
