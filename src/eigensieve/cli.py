@@ -42,6 +42,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number strictly between 0 and 1, got {text}"
+        )
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -53,8 +62,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--null-tol", type=_positive_float,
-                        help="relative singular-value cutoff for nullspace rank")
+    parser.add_argument("--null-tol", type=_fraction,
+                        help="relative singular-value cutoff for nullspace rank, in (0, 1)")
     parser.add_argument("--zero-floor", type=_positive_float,
                         help="relative floor for flagging zero modes")
 

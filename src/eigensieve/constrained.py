@@ -139,8 +139,11 @@ def nullspace_basis(mat: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarra
     the largest one, including the trailing dimensions a wide matrix
     cannot constrain.  Each column is rotated so its largest-magnitude
     entry is real and positive, making the basis reproducible across
-    runs.
+    runs.  ``tol`` must lie strictly between 0 and 1; outside that
+    range the cut keeps every direction or none, whatever ``mat`` is.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
     mat = np.asarray(mat)
     if mat.size == 0:
         raise ValueError("cannot take the nullspace of an empty matrix")

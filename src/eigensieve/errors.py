@@ -38,7 +38,11 @@ class ZeroReferenceError(EigensieveError):
 
 
 class DivergenceError(EigensieveError):
-    """Fixed-step time integration blew up."""
+    """A time integration left the floating-point range.
+
+    Raised when fixed-step integration grows without bound, and when an
+    exact modal coefficient ``exp(lam t)`` overflows.
+    """
 
 
 class ImaginaryResidueError(EigensieveError):

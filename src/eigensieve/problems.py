@@ -105,11 +105,21 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
 
     with clamped walls: value and slope vanish at z = +1 and z = -1,
     stated as four constraint rows (rows of I and of D at both ends).
+    A pair of parameters for which one of these coefficients overflows
+    is rejected with ``ValueError``.
     """
     if n < 10:
         raise ValueError(f"need at least 10 grid points, got n={n}")
     if alpha <= 0 or reynolds <= 0:
         raise ValueError("alpha and reynolds must be positive")
+    # alpha**k of a Python float raises OverflowError instead of giving inf
+    al, rey = np.float64(alpha), np.float64(reynolds)
+    with np.errstate(over="ignore"):
+        coeffs = (al**4, al * rey, al**3 * rey, 2.0 * rey * al)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(
+            f"alpha={alpha:g} and reynolds={reynolds:g} give non-finite operator coefficients"
+        )
     z = cheb_points(n)
     d = cheb_diff(n)
     d2 = diff_power(d, 2)

@@ -23,6 +23,16 @@ zero-floor test is bracketed by the largest column norm and the
 Frobenius norm; its SVD is computed only when some mode falls inside
 the bracket, and then the comparison is the same floating-point
 expression as without it.
+
+Scoring runs in chunks of ``_CHUNK`` modes.  The products with an
+operator (``M v``, ``A w``, ``E w``, ``C A w``) stay one mat-vec per
+mode, because one matrix-matrix product over many modes rounds
+differently.  What follows them is batched: the norms, the zero-floor
+test and the angles are stacked numpy calls, one per chunk instead of
+one per mode.  Each stacked call hands every block to the same BLAS or
+LAPACK routine, with the same strides, as a one-mode call, so a score
+is bit-identical to the score of its mode computed alone, and
+``grassmann_distance`` is a one-pair call of the same kernel.
 """
 
 from __future__ import annotations
@@ -61,6 +71,10 @@ DEFAULT_ZERO_FLOOR = 1e-13
 
 #: Condition-number guard before inverting a compressed mass operator.
 DEFAULT_MASS_COND_LIMIT = 1e12
+
+#: Modes scored per stacked call: enough to amortise the per-call
+#: overhead, few enough that the stacked copies stay small.
+_CHUNK = 32
 
 
 def eigenpairs(comp: CompressedSystem) -> list[tuple[complex, np.ndarray]]:
@@ -117,7 +131,7 @@ def _promoted(op: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _norm2_bracket(op: np.ndarray, exact_norm: Callable[[], float]) -> Callable:
-    """Return ``below(x, scale)``: elementwise ``x < scale(|op|_2)``, ``scale`` monotone.
+    """Return ``below(x, scale)``: elementwise ``x < scale(|op|_2)``, ``scale`` non-decreasing.
 
     ``|op|_2`` lies between the largest column norm and the Frobenius
     norm.  Widened by 1e-10 against rounding, these cheap bounds decide
@@ -128,12 +142,24 @@ def _norm2_bracket(op: np.ndarray, exact_norm: Callable[[], float]) -> Callable:
     ends = np.linalg.norm(op, axis=0).max() * (1 - 1e-10), np.linalg.norm(op) * (1 + 1e-10)
 
     def below(x, scale):
-        lo, hi = sorted(scale(end) for end in ends)
+        lo, hi = (scale(end) for end in ends)
         if np.all((x < lo) | (x >= hi)):
             return x < lo
         return x < scale(exact_norm())
 
     return below
+
+
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    # a stacked vector-vector matmul calls the BLAS dot that np.dot and
+    # np.linalg.norm call, so it rounds the same; sum and einsum do not
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a 2-D array, bit for bit."""
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return np.sqrt(sum(_row_dots(part) for part in parts))
 
 
 def _score_modes(
@@ -151,11 +177,20 @@ def _score_modes(
     one-mode-at-a-time products.  Without a ``zero_floor`` the angle is
     skipped.
 
+    The mat-vecs ``M v``, ``A w``, ``E w`` and ``C A w`` stay one per
+    mode: a matrix-matrix product over many modes rounds differently.
+    Everything after them runs on stacks of up to ``_CHUNK`` modes
+    (``_score_chunk``): the norm of ``C A w``, the norms and the test of
+    the zero floor, and the angles (``_grassmann_distances``).  These
+    stacked calls make the same BLAS and LAPACK calls per mode as
+    one-mode calls do, so batching changes no bit; the chunk keeps the
+    stacked copies to a few dozen vectors.
+
     With real operators, a vector that is the exact conjugate of the one
     before it spans the same real plane: it takes the conjugate of that
     mode's ``w`` and its ``s_norm``, ``theta`` and ``zero_mode``, with no
     ``M v``, ``A w`` or span SVD of its own.  ``sys.drift_norm`` is
-    computed only for a mode that its cheap bracket leaves undecided.
+    computed only for a chunk that its cheap bracket leaves undecided.
     """
     real = all(np.isrealobj(op) for op in (comp.m, sys.a, sys.c, sys.e) if op is not None)
     mirrored = [
@@ -167,34 +202,91 @@ def _score_modes(
         ws.append(np.conj(ws[-1]) if twin else m @ v)
     del m  # release the promoted basis before promoting the drift
     a = _promoted(sys.a, ws[0])
-    if zero_floor is not None:
-        below = _norm2_bracket(sys.a, lambda: sys.drift_norm)
-    for w, twin in zip(ws, mirrored):
-        if not twin:
-            aw = a @ w
-            s_norm = None if sys.e is not None else float(np.linalg.norm(sys.c @ aw))
-            if zero_floor is None:
-                score = s_norm, None, None
-            elif below(np.linalg.norm(aw), lambda nrm: zero_floor * nrm * np.linalg.norm(w)):
-                score = s_norm, 0.0, True
-            else:
-                lhs = w if sys.e is None else sys.e @ w
-                score = s_norm, grassmann_distance(lhs, aw), False
-        yield (w, *score)
+    below = None if zero_floor is None else _norm2_bracket(sys.a, lambda: sys.drift_norm)
+    for start in range(0, len(ws), _CHUNK):
+        chunk = range(start, min(start + _CHUNK, len(ws)))
+        own = [i for i in chunk if not mirrored[i]]
+        scores = {}
+        if own:
+            scores = dict(zip(own, _score_chunk(sys, a, [ws[i] for i in own], zero_floor, below)))
+        for i in chunk:
+            if i in scores:
+                score = scores[i]
+            yield (ws[i], *score)
 
 
-def _real_span_basis(u: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
-    """Orthonormal basis of span{Re u, Im u} as a real subspace.
+def _score_chunk(
+    sys: ConstrainedSystem,
+    a: np.ndarray,
+    ws: list[np.ndarray],
+    zero_floor: float | None,
+    below: Callable | None,
+) -> Iterator[tuple[float | None, float | None, bool | None]]:
+    """``(s_norm, theta, zero_mode)`` of a few lifted vectors, one mat-vec each."""
+    aws = [a @ w for w in ws]
+    n = len(ws)
+    s_norms = [None] * n
+    if sys.e is None:
+        s_norms = _row_norms(np.stack([sys.c @ aw for aw in aws])).tolist()
+    if zero_floor is None:
+        return zip(s_norms, [None] * n, [None] * n)
+    aw_stack, w_norms = np.stack(aws), _row_norms(np.stack(ws))
+    zero = below(_row_norms(aw_stack), lambda nrm: zero_floor * nrm * w_norms)
+    theta = np.zeros(n)
+    live = np.flatnonzero(~zero)
+    if live.size:
+        lhs = [ws[j] if sys.e is None else sys.e @ ws[j] for j in live]
+        theta[live] = _grassmann_distances(np.stack(lhs), aw_stack[live])
+    return zip(s_norms, theta.tolist(), zero.tolist())
 
-    Vectors with negligible imaginary part (below ``rtol`` relative)
-    collapse to a one-dimensional span.
+
+def _span_bases(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked SVD bases of span{Re u, Im u} for each row of u, and their ranks.
+
+    Each span is one- or two-dimensional: the rank counts singular
+    values above 1e-13 times the largest, so a row with negligible
+    imaginary part spans a line.  The basis of a row is the leading
+    rank columns of its ``(N, 2)`` block.
     """
-    u = np.asarray(u, dtype=complex).ravel()
-    if not np.any(u):
+    if not np.all(np.any(u, axis=-1)):
         raise UndefinedSubspaceError("zero vector spans no subspace")
-    q, s, _ = np.linalg.svd(np.column_stack([u.real, u.imag]), full_matrices=False)
-    rank = int(np.count_nonzero(s > rtol * s[0]))
-    return q[:, :rank]
+    q, s, _ = np.linalg.svd(np.stack([u.real, u.imag], -1), full_matrices=False)
+    return q, np.count_nonzero(s > 1e-13 * s[:, :1], axis=-1)
+
+
+def _grassmann_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """``grassmann_distance`` of each row pair of two ``(B, N)`` stacks.
+
+    Pairs are grouped by the dimensions of their two spans, (1, 1),
+    (1, 2) or (2, 2), the smaller span taken as B_small whichever side
+    it is on.  Each group makes one stacked product, one stacked SVD
+    for the cosines and one for the sines.  Every block of a stack has
+    the strides of the one-pair arrays, so numpy hands each block to
+    the same BLAS and LAPACK routine a one-pair call uses, and the
+    root sum square is a BLAS dot product as in ``np.dot``: each
+    distance is the bits a pair scored on its own would get.
+    """
+    q1, r1 = _span_bases(np.asarray(u1, dtype=complex))
+    q2, r2 = _span_bases(np.asarray(u2, dtype=complex))
+    swap = (r1 > r2)[:, None, None]
+    small_q, big_q = np.where(swap, q2, q1), np.where(swap, q1, q2)
+    r_small, r_big = np.minimum(r1, r2), np.maximum(r1, r2)
+    dist = np.full(len(r_small), np.nan)
+    for rs, rb in ((1, 1), (1, 2), (2, 2)):
+        idx = np.flatnonzero((r_small == rs) & (r_big == rb))
+        if idx.size == 0:
+            continue
+        small, big = small_q[idx][..., :rs], big_q[idx][..., :rb]
+        proj = big.swapaxes(-1, -2) @ small
+        cos = np.linalg.svd(proj, compute_uv=False)
+        # both come sorted descending; reversed, the sines pair with the cosines
+        sin = np.linalg.svd(small - big @ proj, compute_uv=False)[:, ::-1]
+        # singular values are never negative, but may round above 1
+        angles = np.where(
+            cos * cos >= 0.5, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0))
+        )
+        dist[idx] = np.sqrt(_row_dots(angles))
+    return dist
 
 
 def grassmann_distance(u1: np.ndarray, u2: np.ndarray) -> float:
@@ -211,20 +303,11 @@ def grassmann_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     2002), so every angle is resolved to about machine precision; an
     arccosine alone rounds angles below about 1.5e-8 to 0 or to
     sqrt(k eps).  Scaling either vector by any nonzero complex number
-    leaves the result unchanged.
+    leaves the result unchanged.  This is a one-pair call of the kernel
+    that scores whole reports.
     """
-    small, big = _real_span_basis(u1), _real_span_basis(u2)
-    if small.shape[1] > big.shape[1]:
-        small, big = big, small
-    proj = big.T @ small
-    cos = np.linalg.svd(proj, compute_uv=False)
-    # both come sorted descending; reversed, the sines pair with the cosines
-    sin = np.linalg.svd(small - big @ proj, compute_uv=False)[::-1]
-    # singular values are never negative, but may round above 1
-    angles = np.where(
-        cos * cos >= 0.5, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0))
-    )
-    return float(np.sqrt(np.dot(angles, angles)))
+    u1, u2 = (np.asarray(u, dtype=complex).reshape(1, -1) for u in (u1, u2))
+    return float(_grassmann_distances(u1, u2)[0])
 
 
 def mode_angle(

@@ -226,7 +226,8 @@ def simulate_modal(
     relative projection residual above 1e-8 is recorded as a warning,
     since the model then cannot represent its own initial condition.  States are returned real; a residual imaginary part
     above ``1e-9 |x0|`` aborts, because it means the retained set was
-    not conjugate-closed.
+    not conjugate-closed.  A coefficient ``exp(lam t)`` that overflows
+    raises ``DivergenceError``.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     coeffs, residual = model.restrict(x0)
@@ -236,7 +237,13 @@ def simulate_modal(
             f"initial condition poorly represented: relative projection "
             f"residual {residual:.3e}",
         )
-    evolved = coeffs[None, :] * np.exp(np.outer(times, model.lambdas))
+    with np.errstate(over="ignore", invalid="ignore"):
+        evolved = coeffs[None, :] * np.exp(np.outer(times, model.lambdas))
+    if not np.all(np.isfinite(evolved)):
+        raise DivergenceError(
+            "a modal coefficient left the floating-point range; "
+            "exp(lam t) overflows at this end time"
+        )
     states = evolved @ model.shapes.T
     scale = max(float(np.linalg.norm(x0)), np.finfo(float).tiny)
     residue = float(np.abs(states.imag).max()) if states.size else 0.0

@@ -247,6 +247,36 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "1", "2", "1e300", "-0.5"])
+    def test_usage_error_null_tol_outside_unit_interval(self, capsys, value):
+        # a relative cutoff of 1 or more keeps no constraint at all
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--problem", "heat", "--n", "8", f"--null-tol={value}"])
+        assert exc.value.code == 2
+        assert "between 0 and 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params",
+        [("--alpha", "1e300"), ("--alpha", "1e10", "--reynolds", "1e300")],
+        ids=["alpha", "reynolds"],
+    )
+    def test_numerical_error_overflowing_coefficients(self, capsys, params):
+        code, out, err = run_cli(
+            capsys, "analyze", "--problem", "orr-sommerfeld", "--n", "16", *params
+        )
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("error:") and "non-finite" in err
+
+    def test_numerical_error_overflowing_modal_coefficients(self, capsys):
+        code, out, err = run_cli(
+            capsys, "reduce", "--n", "16", "--ic", "bump", "--r-list", "2",
+            "--t-end", "1e300",
+        )
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("error:") and "exp(lam t)" in err
+
     def test_numerical_error_depth_past_cap(self, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "--problem", "canuto", "--n", "8", "--k", "99"

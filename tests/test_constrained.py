@@ -121,6 +121,11 @@ class TestNullspaceBasis:
         assert np.array_equal(b1, b2)
         np.testing.assert_allclose(np.abs(b1), np.abs(b3), atol=1e-13)
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, -1e-3, np.nan, np.inf])
+    def test_tolerance_outside_unit_interval_rejected(self, tol):
+        with pytest.raises(ValueError, match="between 0 and 1"):
+            nullspace_basis(np.eye(2, 5), tol)
+
     def test_rank_threshold_is_relative(self):
         # singular values 1 and 1e-12: second falls below 1e-10 * first
         mat = np.diag([1.0, 1e-12]) @ np.eye(2, 5)

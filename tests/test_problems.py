@@ -118,6 +118,13 @@ class TestOrrSommerfeld:
         with pytest.raises(ValueError):
             orr_sommerfeld(16, reynolds=-1.0)
 
+    @pytest.mark.parametrize(
+        "alpha, reynolds", [(1e300, 1e4), (1e78, 1e4), (1e10, 1e300), (1.0, 1e308)]
+    )
+    def test_overflowing_coefficients_rejected(self, alpha, reynolds):
+        with pytest.raises(ValueError, match="non-finite"):
+            orr_sommerfeld(16, alpha=alpha, reynolds=reynolds)
+
     def test_labels_carry_parameters(self):
         sys = orr_sommerfeld(16, alpha=0.9, reynolds=2000.0)
         assert sys.labels["alpha"] == 0.9

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eigensieve import quality
 from eigensieve.constrained import ConstrainedSystem, compress
 from eigensieve.errors import (
     GeneralizedUnsupportedError,
@@ -119,6 +120,71 @@ class TestGrassmannDistance:
         plane = q[:, 0] + 1j * q[:, 2]
         tilted_plane = tilted + 1j * q[:, 2]
         assert abs(grassmann_distance(plane, tilted_plane) - delta) < 1e-15
+
+
+def _column_stack_distance(u1, u2):
+    """The one-pair angle algorithm, written out with one SVD per span."""
+    bases = []
+    for u in (u1, u2):
+        u = np.asarray(u, dtype=complex).ravel()
+        q, s, _ = np.linalg.svd(np.column_stack([u.real, u.imag]), full_matrices=False)
+        bases.append(q[:, : int(np.count_nonzero(s > 1e-13 * s[0]))])
+    small, big = sorted(bases, key=lambda b: b.shape[1])
+    proj = big.T @ small
+    cos = np.linalg.svd(proj, compute_uv=False)
+    sin = np.linalg.svd(small - big @ proj, compute_uv=False)[::-1]
+    angles = np.where(
+        cos * cos >= 0.5, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0))
+    )
+    return float(np.sqrt(np.dot(angles, angles)))
+
+
+def _mixed_rank_batch(rng, n=11, per_kind=6):
+    """Shuffled pairs of every span-dimension combination, far apart and close."""
+    u1, u2 = [], []
+    for _ in range(per_kind):
+        x, y, z, t = rng.standard_normal((4, n))
+        line, plane = x * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), x + 1j * y
+        u1 += [line] * 4 + [plane] * 4
+        u2 += [
+            z, 1j * (x + 1e-9 * z),                            # line, line
+            z + 1j * t, x + 1e-9j * z,                         # line, plane
+            z, x + 1e-9 * z,                                   # plane, line
+            z + 1j * t, x + 1e-9 * z + 1j * (y + 1e-9 * t),    # plane, plane
+        ]
+    order = rng.permutation(len(u1))
+    return np.array(u1)[order], np.array(u2)[order]
+
+
+class TestBatchedDistances:
+    def test_mixed_span_dimensions_match_one_pair_calls_exactly(self):
+        u1, u2 = _mixed_rank_batch(np.random.default_rng(29))
+        (_, r1), (_, r2) = quality._span_bases(u1), quality._span_bases(u2)
+        assert set(zip(r1.tolist(), r2.tolist())) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        got = quality._grassmann_distances(u1, u2)
+        assert np.count_nonzero(got < 1e-6) == len(got) // 2
+        assert got.tolist() == [grassmann_distance(a, b) for a, b in zip(u1, u2)]
+        assert got.tolist() == [_column_stack_distance(a, b) for a, b in zip(u1, u2)]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_row_norms_are_numpy_norms_bit_for_bit(self, dtype):
+        # the zero-floor test compares these norms; a plain sum of
+        # squares differs from np.linalg.norm in the last bit for some rows
+        rng = np.random.default_rng(30)
+        for n in (1, 2, 7, 64, 255):
+            x = rng.standard_normal((40, n)) * np.exp(rng.uniform(-30, 30, (40, 1)))
+            if dtype is complex:
+                x = x + 1j * rng.standard_normal((40, n))
+            assert quality._row_norms(x).tolist() == [np.linalg.norm(row) for row in x]
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_zero_vector_anywhere_in_a_batch_is_rejected(self, row, side):
+        rng = np.random.default_rng(31)
+        stacks = rng.standard_normal((2, 7, 5)) + 1j * rng.standard_normal((2, 7, 5))
+        stacks[side, row] = 0.0
+        with pytest.raises(UndefinedSubspaceError):
+            quality._grassmann_distances(*stacks)
 
 
 class TestEigenpairs:
@@ -296,6 +362,19 @@ def test_scores_are_bit_identical_to_per_mode_products(build, n, k):
         assert mode_angle(sys, comp, v) == (theta, zero)
         if sys.e is None:
             assert derivative_violation(sys, comp, v) == s_norm
+
+
+def test_pinned_reports_cross_chunk_boundaries_between_conjugate_twins():
+    # the cases above score in several chunks, and in some of them a mode
+    # that takes its partner's scores opens a chunk (which ones depends
+    # on how the eigen solve rounds)
+    split = []
+    for build, n, k in [(canuto_hyperbolic, 64, 3), (acoustic_wave, 64, 1), (acoustic_wave, 128, 1)]:
+        vs = [v for _, v in eigenpairs(compress(build(n), k))]
+        assert len(vs) > 2 * quality._CHUNK
+        starts = range(quality._CHUNK, len(vs), quality._CHUNK)
+        split.append(any(np.array_equal(vs[i], np.conj(vs[i - 1])) for i in starts))
+    assert any(split)
 
 
 def test_spectral_norms_are_skipped_when_their_bounds_decide():

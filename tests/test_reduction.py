@@ -276,6 +276,22 @@ class TestSimulateModal:
         assert result.states.shape == (1, 1)
         assert result.states[0, 0] == pytest.approx(2.0 * np.exp(-1.0), abs=1e-12)
 
+    # exp(700) is finite, exp(710) is not
+    @pytest.mark.parametrize("lam, t", [(1.0 + 0j, 710.0), (1e-14 + 3j, 1e300)])
+    def test_overflowing_coefficient_raises(self, lam, t):
+        model = ReducedModel(
+            lambdas=np.array([lam]),
+            v_basis=np.ones((1, 1), dtype=complex),
+            shapes=np.ones((1, 1), dtype=complex),
+            thetas=np.zeros(1),
+            indices=(0,),
+            requested=1,
+        )
+        if lam.imag == 0:
+            assert np.isfinite(simulate_modal(model, np.array([2.0]), 700.0).states).all()
+        with pytest.raises(DivergenceError, match="exp"):
+            simulate_modal(model, np.array([2.0]), np.array([0.0, t]))
+
     def test_unrepresentable_initial_condition_warns(self, acoustic64):
         _, report = acoustic64
         model = truncate(report, 2)

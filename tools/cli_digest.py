@@ -5,7 +5,8 @@ the ``src`` tree next to this script, with ``OPENBLAS_NUM_THREADS=1``
 unless the environment already sets it.  Running the script on two
 checkouts and diffing the output checks a claim that a change keeps
 the CLI's bytes.  The list covers every subcommand and every problem,
-CSV and JSON, and one numerical failure (exit 3).
+CSV and JSON, every command of the benchmark's ``analyze-acoustic`` and
+``small-spectra`` workloads, and one numerical failure (exit 3).
 
     python3 tools/cli_digest.py
 """
@@ -28,10 +29,13 @@ COMMANDS = [
     "analyze --problem canuto --n 8 --k 9",
     "analyze --problem orr-sommerfeld --n 110",
     "analyze --problem orr-sommerfeld --n 50 --alpha 1.02 --reynolds 5772 --format json",
+    "analyze --problem orr-sommerfeld --n 150",
     "analyze --problem acoustic --n 64",
+    "analyze --problem acoustic --n 256",
     "analyze --problem acoustic --n 32 --null-tol 1e-8 --zero-floor 1e-12 --format json",
     "sweep-k --n 32 --k-max 25",
     "sweep-k --problem canuto --n 16 --k-max 4 --grid",
+    "sweep-k --problem canuto --n 64 --k-max 25 --grid",
     "sweep-k --n 8 --k-max 2 --format json",
     "sweep-k --problem heat --n 16 --k-max 3",
     "sweep-k --problem acoustic --n 16 --k-max 2 --grid --format json",
