@@ -64,8 +64,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--null-tol", type=_fraction,
                         help="relative singular-value cutoff for nullspace rank, in (0, 1)")
-    parser.add_argument("--zero-floor", type=_positive_float,
-                        help="relative floor for flagging zero modes")
+    parser.add_argument("--zero-floor", type=_fraction,
+                        help="relative floor for flagging zero modes, in (0, 1)")
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:

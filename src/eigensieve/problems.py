@@ -11,11 +11,15 @@ The 4096-point Gauss-Legendre rule of ``acoustic_reference`` ships as
 the table ``gauss_legendre_4096.npy`` (nodes in row 0, weights in row
 1).  It was written once as ``np.stack(roots_legendre(4096))`` with
 ``scipy.special`` 1.17.1 and checked bit for bit against that call, so
-no run needs scipy or recomputes the rule.
+no run needs scipy or recomputes the rule.  The projection onto the
+sine modes uses angle addition rather than one sine per mode and node,
+so its cost grows with the square root of the mode count (see
+``acoustic_reference``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -206,6 +210,11 @@ _IC_PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+#: Base rows of the angle-addition tables formed at a time in
+#: ``acoustic_reference``.
+_BASE_ROWS = 8
+
+
 @lru_cache(maxsize=1)
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the shipped rule, read-only since every call shares them."""
@@ -224,6 +233,18 @@ def acoustic_reference(
     independent of the collocation machinery on purpose, and each mode
     is evolved exactly at frequency ``m pi / 2``.  Velocity starts at
     rest, so pressure carries cosine and velocity sine time factors.
+
+    Each mode is written as m = b + k, with b a multiple of
+    ``width = ceil(sqrt(n_modes + 1))`` and 0 <= k < width, and
+    ``sin(m theta) = sin(b theta) cos(k theta) + cos(b theta) sin(k theta)``.
+    The cos(k theta) and sin(k theta) tables are formed once; the
+    coefficients of ``_BASE_ROWS`` bases at a time are two matrix
+    products against them.  That is about 4 width sines and cosines per
+    node instead of n_modes sines: 0.64 M instead of 6.1 M trig calls
+    for the default 1500 modes.  The transient tables hold
+    (2 width + 2 _BASE_ROWS) x 4096 doubles, 3.1 MB at the default.
+    Tested against a long-double dense series, the fields stay within
+    2 eps (n_modes + 2) for both profiles and 1 to 1500 modes.
     """
     if ic not in _IC_PROFILES:
         raise ValueError(f"unknown initial condition {ic!r}; pick one of {sorted(_IC_PROFILES)}")
@@ -232,18 +253,32 @@ def acoustic_reference(
     xq, wq = _gauss_rule()
     theta = np.pi * (xq + 1.0) / 2.0
     fq = wq * _IC_PROFILES[ic](xq)
+    # ceil(sqrt(n_modes + 1)): entry (i, k) of coeff is mode i width + k
+    width = math.isqrt(n_modes) + 1
+    bases = np.arange(0, n_modes + 1, width)
+    cos_k = np.empty((width, theta.size))
+    sin_k = np.multiply.outer(np.arange(width), theta)
+    np.cos(sin_k, out=cos_k)
+    np.sin(sin_k, out=sin_k)
+    sin_b = np.empty((min(bases.size, _BASE_ROWS), theta.size))
+    cos_b = np.empty_like(sin_b)
+    coeff = np.empty((bases.size, width))
+    for i in range(0, bases.size, _BASE_ROWS):
+        b = bases[i : i + _BASE_ROWS]
+        sb, cb = sin_b[: b.size], cos_b[: b.size]
+        np.multiply.outer(b, theta, out=sb)
+        np.cos(sb, out=cb)
+        np.sin(sb, out=sb)
+        sb *= fq
+        cb *= fq
+        coeff[i : i + b.size] = sb @ cos_k.T + cb @ sin_k.T
+    # drop mode 0 and the modes past n_modes in the last row
+    coeff = coeff.ravel()[1 : n_modes + 1]
     m = np.arange(1, n_modes + 1)
-    # The n_modes x 4096 sine table, 100 modes at a time in one reused
-    # buffer; a fresh array per block is slower than the whole table.
-    coeff = np.empty(n_modes)
-    block = np.empty((min(n_modes, 100), theta.size))
-    for i in range(0, n_modes, 100):
-        rows = block[: min(100, n_modes - i)]
-        np.sin(np.multiply.outer(m[i : i + 100], theta, out=rows), out=rows)
-        coeff[i : i + 100] = rows @ fq
     omega = m * np.pi / 2.0
-    p = (coeff * np.cos(omega * t)) @ np.sin(np.outer(m, np.pi * (grid + 1.0) / 2.0))
-    u = (coeff * np.sin(omega * t)) @ np.cos(np.outer(m, np.pi * (grid + 1.0) / 2.0))
+    angle = np.outer(m, np.pi * (grid + 1.0) / 2.0)
+    p = (coeff * np.cos(omega * t)) @ np.sin(angle)
+    u = (coeff * np.sin(omega * t)) @ np.cos(angle)
     return p, u
 
 

@@ -359,8 +359,12 @@ def quality_report(
 
     Modes are sorted by ascending angle score, ties broken by ascending
     ``|Im lam|`` then ``|Re lam|``.  The derivative score is omitted for
-    generalized systems.
+    generalized systems.  ``zero_floor`` must lie strictly between 0
+    and 1: since ``|A M v| <= |A| |M v|``, a floor of 1 or more flags
+    every mode as a zero mode.
     """
+    if not 0 < zero_floor < 1:
+        raise ValueError(f"zero_floor must lie strictly between 0 and 1, got {zero_floor}")
     comp = compress(sys, k, null_tol)
     pairs = eigenpairs(comp)
     records = [

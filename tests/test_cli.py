@@ -255,6 +255,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "between 0 and 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "1", "2", "1e300", "-0.5"])
+    def test_usage_error_zero_floor_outside_unit_interval(self, capsys, value):
+        # a relative floor of 1 or more flags every mode as a zero mode
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--problem", "heat", "--n", "8", f"--zero-floor={value}"])
+        assert exc.value.code == 2
+        assert "between 0 and 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "params",
         [("--alpha", "1e300"), ("--alpha", "1e10", "--reynolds", "1e300")],

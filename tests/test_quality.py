@@ -308,6 +308,12 @@ class TestQualityReport:
         assert not mode.zero_mode
         assert mode.theta > 0.0
 
+    @pytest.mark.parametrize("floor", [0.0, 1.0, 2.0, -1e-3, np.nan, np.inf])
+    def test_zero_floor_outside_unit_interval_rejected(self, floor):
+        # |A M v| <= |A| |M v|, so a floor of 1 or more flags every mode
+        with pytest.raises(ValueError, match="between 0 and 1"):
+            quality_report(heat_dirichlet(8), zero_floor=floor)
+
 
 def _per_mode_scores(sys, comp):
     """Reference scores from one mixed-dtype product per use, mode by mode.

@@ -315,7 +315,47 @@ class TestSimulateModal:
             simulate_modal(model, np.array([1.0, 0.0, 0.0, 0.0]), 0.3)
 
 
+def _four_stage_rk4(a, x0, t_end, dt):
+    """Reference: the classical four-stage RK4 loop, one step at a time."""
+    x = np.asarray(x0, dtype=float).copy()
+    steps = max(1, int(round(t_end / dt)))
+    h = t_end / steps
+    limit = 1e6 * max(float(np.linalg.norm(x)), np.finfo(float).tiny)
+    times = np.linspace(0.0, t_end, steps + 1)
+    states = [x]
+    for i in range(steps):
+        k1 = a @ x
+        k2 = a @ (x + 0.5 * h * k1)
+        k3 = a @ (x + 0.5 * h * k2)
+        k4 = a @ (x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.linalg.norm(x) > limit:
+            raise DivergenceError(f"norm grew past 1e6x the initial state at t={times[i + 1]:.6g}")
+        states.append(x)
+    return np.array(states)
+
+
 class TestSimulateRk4:
+    def test_propagator_matches_the_four_stage_loop(self):
+        sys = acoustic_wave(32)
+        comp = compress(sys, 1)
+        x0 = comp.m_left @ np.concatenate([bump_ic(sys.labels["grid"]), np.zeros(32)])
+        dt = 2.5 / np.abs(np.linalg.eigvals(comp.a_k)).max()
+        result = simulate_rk4(comp.a_k, x0, 1.0, dt)
+        expected = _four_stage_rk4(comp.a_k, x0, 1.0, dt)
+        assert result.states.shape == expected.shape
+        rel = np.linalg.norm(result.states - expected, axis=1) / np.linalg.norm(expected, axis=1)
+        assert rel.max() <= 1e-13
+
+    def test_divergence_fires_at_the_four_stage_loop_time(self):
+        a, x0 = np.array([[5.0]]), np.array([1.0])
+        with pytest.raises(DivergenceError) as expected:
+            _four_stage_rk4(a, x0, 10.0, 1.0)
+        with pytest.raises(DivergenceError, match="unstable") as got:
+            simulate_rk4(a, x0, 10.0, 1.0)
+        assert str(got.value).startswith(str(expected.value))
+        assert "at t=4;" in str(got.value)
+
     def test_scalar_decay_accuracy(self):
         result = simulate_rk4(np.array([[-1.0]]), np.array([1.0]), 1.0, 1e-3)
         assert abs(result.states[-1][0] - np.exp(-1.0)) < 1e-12
