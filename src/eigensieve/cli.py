@@ -187,11 +187,11 @@ def _cmd_sweep_k(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
-    result = reduction.reduction_sweep(
+    sweep_rows = reduction.reduction_sweep(
         args.problem, args.n, args.ic, args.r_list, args.t_end,
         null_tol=args.null_tol, zero_floor=args.zero_floor,
     )
-    return [f.name for f in fields(reduction.ReductionRow)], [vars(row) for row in result.rows]
+    return [f.name for f in fields(reduction.ReductionRow)], [vars(row) for row in sweep_rows]
 
 
 def _cmd_problems(args: argparse.Namespace) -> tuple[list[str], list[dict]]:

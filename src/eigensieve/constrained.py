@@ -93,18 +93,17 @@ class ObservabilityMatrix:
     block_rows: int
 
 
-def observability(sys: ConstrainedSystem, k: int, cap: int | None = None) -> ObservabilityMatrix:
+def observability(sys: ConstrainedSystem, k: int) -> ObservabilityMatrix:
     """Stack the first k implicit-constraint blocks ``C A^i``.
 
     Block i is block i-1 right-multiplied by A, so each block is the
-    exact floating-point product of its predecessor.  ``cap`` (default
-    ``4 n``) refuses depths whose row count is far past the point where
-    new rows can add information.
+    exact floating-point product of its predecessor.  A safety cap of
+    ``4 n`` rows refuses depths far past the point where new rows can
+    add information.
     """
     if k < 1:
         raise ValueError(f"stack depth must be >= 1, got k={k}")
-    if cap is None:
-        cap = 4 * sys.n
+    cap = 4 * sys.n
     if k * sys.q >= cap:
         raise ValueError(
             f"depth k={k} stacks {k * sys.q} rows, at or above the safety cap {cap}"

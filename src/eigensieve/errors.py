@@ -4,7 +4,6 @@ __all__ = [
     "EigensieveError",
     "TrivialNullspaceError",
     "IllConditionedMassError",
-    "GeneralizedUnsupportedError",
     "UndefinedSubspaceError",
     "ZeroReferenceError",
     "DivergenceError",
@@ -23,10 +22,6 @@ class TrivialNullspaceError(EigensieveError):
 
 class IllConditionedMassError(EigensieveError):
     """Compressed mass operator is too ill-conditioned to invert."""
-
-
-class GeneralizedUnsupportedError(EigensieveError):
-    """Operation is defined only for systems without a mass operator."""
 
 
 class UndefinedSubspaceError(EigensieveError):

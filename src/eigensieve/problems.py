@@ -133,7 +133,7 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
     e = (alpha * reynolds * (d2 - alpha**2 * np.eye(n))).astype(complex)
     a = (
         d4
-        + np.diag(-2.0 * alpha**2 - 1j * alpha * reynolds * ubar) @ d2
+        + (-2.0 * alpha**2 - 1j * alpha * reynolds * ubar)[:, None] * d2
         + np.diag(alpha**4 + 1j * alpha**3 * reynolds * ubar - 2j * reynolds * alpha)
     )
     c = np.zeros((4, n), dtype=complex)

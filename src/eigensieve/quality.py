@@ -1,11 +1,18 @@
 """Per-mode quality scores for compressed spectra.
 
-Two scores are attached to every computed eigenpair.  The derivative
-score is the norm of the first implicit-constraint violation
-``|C A M v|``; the angle score is the Grassmann distance between the
-real spans of the lifted eigenvector and of its image under the drift.
-Well-resolved eigenmodes make both tiny; discretization artifacts do
-not, which is what makes the scores usable as a screen.
+Two scores are attached to every computed eigenpair, and both read
+only the lifted eigenvector ``w = M v``.  The derivative score is the
+norm ``|C A w|`` of the first implicit-constraint violation; the angle
+score is the Grassmann distance between the real spans of ``w`` and of
+its image ``A w`` under the drift.  Well-resolved eigenmodes make both
+tiny; discretization artifacts do not, which is what makes the scores
+usable as a screen.  ``quality_report`` is the one entry point: it
+compresses, solves and scores every mode of a system.
+
+At depth k >= 2 the derivative score is zero by construction: M spans
+the nullspace of ``[C; C A; ...; C A^(k-1)]``, so ``C A M v`` vanishes
+and the printed ``s_norm`` is rounding noise, not a measurement.  Only
+at k = 1 does it score the first constraint a mode can still violate.
 
 The angle is computed from sines as well as cosines of the principal
 angles, so it resolves angles down to about machine precision, and no
@@ -43,11 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constrained import DEFAULT_NULL_TOL, CompressedSystem, ConstrainedSystem, compress
-from .errors import (
-    GeneralizedUnsupportedError,
-    IllConditionedMassError,
-    UndefinedSubspaceError,
-)
+from .errors import IllConditionedMassError, UndefinedSubspaceError
 
 __all__ = [
     "DEFAULT_THETA_THRESHOLD",
@@ -56,9 +59,7 @@ __all__ = [
     "ModeRecord",
     "QualityReport",
     "eigenpairs",
-    "derivative_violation",
     "grassmann_distance",
-    "mode_angle",
     "quality_report",
 ]
 
@@ -107,23 +108,6 @@ def eigenpairs(comp: CompressedSystem) -> list[tuple[complex, np.ndarray]]:
     return [(complex(lams[i]), vecs[:, i]) for i in order]
 
 
-def derivative_violation(
-    sys: ConstrainedSystem, comp: CompressedSystem, v: np.ndarray
-) -> float:
-    """Norm of the first implicit-constraint violation ``|C A M v|``.
-
-    Defined only without a mass operator: the state derivative of a
-    generalized system is not ``A z``, so this score does not apply
-    there.
-    """
-    if sys.e is not None:
-        raise GeneralizedUnsupportedError(
-            "derivative score needs dz/dt = A z; not defined with a mass operator"
-        )
-    ((_, s_norm, _, _),) = _score_modes(sys, comp, [np.asarray(v)], None)
-    return s_norm
-
-
 def _promoted(op: np.ndarray, x: np.ndarray) -> np.ndarray:
     # the cast numpy's matmul makes of a mixed-dtype operand on every call
     dtype = np.result_type(op, x)
@@ -166,16 +150,16 @@ def _score_modes(
     sys: ConstrainedSystem,
     comp: CompressedSystem,
     vs: list[np.ndarray],
-    zero_floor: float | None,
-) -> Iterator[tuple[np.ndarray, float | None, float | None, bool | None]]:
+    zero_floor: float,
+) -> Iterator[tuple[np.ndarray, float | None, float, bool]]:
     """Yield ``(w, s_norm, theta, zero_mode)`` for compressed vectors of one dtype.
 
     A real operator times a complex vector makes numpy cast the whole
     operator to a fresh C-ordered copy on every product.  Here M and A
     are cast once each, the same way, and ``A w`` is formed once per
     mode for both scores, so every score is bit-identical to the
-    one-mode-at-a-time products.  Without a ``zero_floor`` the angle is
-    skipped.
+    one-mode-at-a-time products.  ``s_norm`` is None with a mass
+    operator, whose state derivative is not ``A z``.
 
     The mat-vecs ``M v``, ``A w``, ``E w`` and ``C A w`` stay one per
     mode: a matrix-matrix product over many modes rounds differently.
@@ -202,7 +186,7 @@ def _score_modes(
         ws.append(np.conj(ws[-1]) if twin else m @ v)
     del m  # release the promoted basis before promoting the drift
     a = _promoted(sys.a, ws[0])
-    below = None if zero_floor is None else _norm2_bracket(sys.a, lambda: sys.drift_norm)
+    below = _norm2_bracket(sys.a, lambda: sys.drift_norm)
     for start in range(0, len(ws), _CHUNK):
         chunk = range(start, min(start + _CHUNK, len(ws)))
         own = [i for i in chunk if not mirrored[i]]
@@ -219,17 +203,15 @@ def _score_chunk(
     sys: ConstrainedSystem,
     a: np.ndarray,
     ws: list[np.ndarray],
-    zero_floor: float | None,
-    below: Callable | None,
-) -> Iterator[tuple[float | None, float | None, bool | None]]:
+    zero_floor: float,
+    below: Callable,
+) -> Iterator[tuple[float | None, float, bool]]:
     """``(s_norm, theta, zero_mode)`` of a few lifted vectors, one mat-vec each."""
     aws = [a @ w for w in ws]
     n = len(ws)
     s_norms = [None] * n
     if sys.e is None:
         s_norms = _row_norms(np.stack([sys.c @ aw for aw in aws])).tolist()
-    if zero_floor is None:
-        return zip(s_norms, [None] * n, [None] * n)
     aw_stack, w_norms = np.stack(aws), _row_norms(np.stack(ws))
     zero = below(_row_norms(aw_stack), lambda nrm: zero_floor * nrm * w_norms)
     theta = np.zeros(n)
@@ -310,30 +292,11 @@ def grassmann_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     return float(_grassmann_distances(u1, u2)[0])
 
 
-def mode_angle(
-    sys: ConstrainedSystem,
-    comp: CompressedSystem,
-    v: np.ndarray,
-    zero_floor: float = DEFAULT_ZERO_FLOOR,
-) -> tuple[float, bool]:
-    """Grassmann score of one compressed eigenvector.
-
-    Compares span{M v} against span{A M v}; with a mass operator the
-    left side becomes span{E M v}.  When ``|A M v|`` sits at the noise
-    floor ``zero_floor * |A| * |M v|`` the pair belongs to a zero
-    eigenvalue and the angle is meaningless, so the mode is flagged and
-    scored 0 instead.
-    """
-    ((_, _, theta, zero),) = _score_modes(sys, comp, [np.asarray(v)], zero_floor)
-    return theta, zero
-
-
 @dataclass(eq=False)
 class ModeRecord:
-    """One scored eigenpair: compressed vector v, lifted vector w = M v."""
+    """One scored eigenpair: eigenvalue and lifted eigenvector w = M v."""
 
     lam: complex
-    v: np.ndarray
     w: np.ndarray
     s_norm: float | None
     theta: float
@@ -359,7 +322,8 @@ def quality_report(
 
     Modes are sorted by ascending angle score, ties broken by ascending
     ``|Im lam|`` then ``|Re lam|``.  The derivative score is omitted for
-    generalized systems.  ``zero_floor`` must lie strictly between 0
+    generalized systems, and at k >= 2 it is rounding noise (see the
+    module docstring).  ``zero_floor`` must lie strictly between 0
     and 1: since ``|A M v| <= |A| |M v|``, a floor of 1 or more flags
     every mode as a zero mode.
     """
@@ -368,8 +332,8 @@ def quality_report(
     comp = compress(sys, k, null_tol)
     pairs = eigenpairs(comp)
     records = [
-        ModeRecord(lam=lam, v=v, w=w, s_norm=s_norm, theta=theta, zero_mode=zero)
-        for (lam, v), (w, s_norm, theta, zero) in zip(
+        ModeRecord(lam=lam, w=w, s_norm=s_norm, theta=theta, zero_mode=zero)
+        for (lam, _), (w, s_norm, theta, zero) in zip(
             pairs, _score_modes(sys, comp, [v for _, v in pairs], zero_floor)
         )
     ]

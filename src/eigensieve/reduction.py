@@ -28,7 +28,6 @@ __all__ = [
     "ReducedModel",
     "SimulationResult",
     "ReductionRow",
-    "ReductionSweepResult",
     "truncate",
     "simulate_modal",
     "simulate_rk4",
@@ -43,9 +42,10 @@ class ReducedModel:
 
     Columns come in retention order, the order in which a growing
     retained count takes in the report's modes; it is report order
-    wherever conjugate partners sit side by side.  ``shapes`` holds the
-    lifted mode vectors M v as columns, so lifting modal coefficients is
-    a single matrix product.  ``q`` and ``r_inv`` are a thin QR
+    wherever conjugate partners sit side by side; ``indices`` names the
+    report position of each column.  ``shapes`` holds the lifted mode
+    vectors w = M v as columns, so modal coefficients c lift to the
+    state ``shapes @ c``.  ``q`` and ``r_inv`` are a thin QR
     factorisation ``shapes = q R`` and the inverse of its triangle, so
     restriction is a projection onto ``q`` and one triangular product.
     ``truncate`` passes leading blocks of one factorisation shared by
@@ -59,11 +59,8 @@ class ReducedModel:
     """
 
     lambdas: np.ndarray
-    v_basis: np.ndarray
     shapes: np.ndarray
-    thetas: np.ndarray
     indices: tuple[int, ...]
-    requested: int
     q: np.ndarray | None = None
     r_inv: np.ndarray | None = None
 
@@ -87,17 +84,13 @@ class ReducedModel:
     def size(self) -> int:
         return self.lambdas.size
 
-    def lift(self, coeffs: np.ndarray) -> np.ndarray:
-        """Physical-grid state for a vector of modal coefficients."""
-        return self.shapes @ coeffs
-
     def restrict(self, state: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-squares modal coefficients of a physical state.
 
         With ``shapes = q R``, the coefficients are ``R^-1 q^H x`` and
         the relative projection residual is ``|q q^H x - x| / |x|``, at
         O(N size) per call.  On anything in the span of the retained
-        modes the round trip through ``lift`` is the identity.
+        modes, ``shapes @ coeffs`` gives the state back.
         """
         state = np.asarray(state)
         # q^H x as conj(q^T conj(x)), without a conjugated copy of q
@@ -133,7 +126,7 @@ _RETENTION: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _retention(report: QualityReport) -> tuple:
-    """``(order, sizes, lambdas, v_basis, shapes, thetas, q, r_inv)`` of a report.
+    """``(order, sizes, lambdas, shapes, q, r_inv)`` of a report.
 
     One walk over the report lists its modes in the order a growing r
     retains them: a mode not yet placed brings in the chain of its
@@ -161,15 +154,8 @@ def _retention(report: QualityReport) -> tuple:
             order.append(j)
             j = partner[j]
         sizes.append(len(order))
-    modes = [report.modes[i] for i in order]
-    shapes = np.column_stack([m.w for m in modes])
-    arrays = (
-        lams[order],
-        np.column_stack([m.v for m in modes]),
-        shapes,
-        np.array([m.theta for m in modes]),
-        *_factor(shapes),
-    )
+    shapes = np.column_stack([report.modes[i].w for i in order])
+    arrays = (lams[order], shapes, *_factor(shapes))
     for array in arrays:
         array.flags.writeable = False
     cached = _RETENTION[report] = (tuple(order), sizes, *arrays)
@@ -187,19 +173,18 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
     ``ReducedModel``): its arrays are read-only views into arrays that
     the first ``truncate`` of a report computes and every later one
     shares, so a report must not change once it has been truncated.
+    Scores stay on the report: the theta of column j is
+    ``report.modes[model.indices[j]].theta``.
     """
     nmodes = len(report.modes)
     if not 1 <= r <= nmodes:
         raise ValueError(f"retained count must be in 1..{nmodes}, got r={r}")
-    order, sizes, lambdas, v_basis, shapes, thetas, q, r_inv = _retention(report)
+    order, sizes, lambdas, shapes, q, r_inv = _retention(report)
     s = sizes[r - 1]
     return ReducedModel(
         lambdas=lambdas[:s],
-        v_basis=v_basis[:, :s],
         shapes=shapes[:, :s],
-        thetas=thetas[:s],
         indices=order[:s],
-        requested=r,
         q=q[:, :s],
         r_inv=r_inv[:s, :s],
     )
@@ -318,15 +303,6 @@ class ReductionRow:
     theta_r: float
 
 
-@dataclass(eq=False)
-class ReductionSweepResult:
-    """Error-versus-size table plus the full sorted score sequence."""
-
-    rows: list[ReductionRow]
-    thetas: np.ndarray
-    full_error: float
-
-
 def reduction_sweep(
     problem: str,
     n: int,
@@ -336,12 +312,13 @@ def reduction_sweep(
     *,
     null_tol: float = DEFAULT_NULL_TOL,
     zero_floor: float = DEFAULT_ZERO_FLOOR,
-) -> ReductionSweepResult:
+) -> list[ReductionRow]:
     """Error at ``t_end`` of quality-ranked reduced models of one wave run.
 
     Builds the pressure-pinned wave system, ranks its modes, and for
     each requested size compares the reduced pressure field against the
     modal-series solution in the quadrature-weighted relative L2 norm.
+    Returns one ``ReductionRow`` per entry of ``r_values``, in order.
     Only the wave problem has that time-domain reference.
     """
     if problem != "acoustic":
@@ -359,10 +336,6 @@ def reduction_sweep(
     p_ref, _ = acoustic_reference(grid, ic, t_end)
     weights = clenshaw_curtis(n)
 
-    full = truncate(report, len(report.modes))
-    p_full = simulate_modal(full, x0, t_end).states[-1][:n]
-    full_error = relative_l2_error(p_full, p_ref, weights)
-
     rows = []
     for r in r_values:
         model = truncate(report, int(r))
@@ -375,5 +348,4 @@ def reduction_sweep(
                 theta_r=report.modes[int(r) - 1].theta,
             )
         )
-    thetas = np.array([m.theta for m in report.modes])
-    return ReductionSweepResult(rows=rows, thetas=thetas, full_error=full_error)
+    return rows

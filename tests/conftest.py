@@ -2,8 +2,17 @@
 
 Per-test prints are swallowed by capture, so the acceptance tests
 register their verdicts here and a terminal-summary section emits one
-line per criterion where it cannot be hidden.
+line per criterion where it cannot be hidden.  The ``child_env``
+fixture gives subprocess tests an environment that imports the package
+from this checkout's ``src`` tree.
 """
+
+import os
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 VERDICTS: dict[int, tuple[bool, str]] = {}
 EXPECTED: set[int] = set()
@@ -24,3 +33,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         else:
             line = f"[criterion {num}] FAIL (no verdict: test did not complete)"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def child_env() -> dict[str, str]:
+    """The current environment with ``src`` first on ``PYTHONPATH``.
+
+    pyproject's ``pythonpath`` setting reaches only the pytest process,
+    so a child interpreter needs the path in its environment.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)

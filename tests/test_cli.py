@@ -300,10 +300,10 @@ class TestExitCodes:
         assert "error:" in err
 
 
-def test_console_entry_point():
+def test_console_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "eigensieve", "problems"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("name,params")

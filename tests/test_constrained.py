@@ -71,10 +71,10 @@ class TestObservability:
 
     def test_row_cap_refuses_excessive_depth(self):
         sys = _random_system(4)
+        # the cap is 4 n = 32 rows: 15 blocks of 2 rows fit, 16 do not
+        assert observability(sys, 15).entries.shape == (30, 8)
         with pytest.raises(ValueError, match="cap"):
-            observability(sys, 3, cap=6)
-        with pytest.raises(ValueError, match="cap"):
-            observability(sys, 16)  # default cap is 4 n = 32 rows
+            observability(sys, 16)
 
 
 class TestNullspaceBasis:

@@ -52,11 +52,11 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.st
 """
 
 
-def test_no_subcommand_loads_scipy():
+def test_no_subcommand_loads_scipy(child_env):
     # A fresh interpreter: this test session has imported scipy itself.
     proc = subprocess.run(
         [sys.executable, "-c", RUN_EVERY_SUBCOMMAND],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])

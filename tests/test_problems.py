@@ -247,7 +247,8 @@ class TestAcousticReference:
         assert not u.any()
 
     def test_blocks_match_the_dense_series(self):
-        # 250 modes: two full blocks of rows and a partial one
+        # 250 modes: width 16, so modes 0..255 in 16 bases, two full
+        # groups of _BASE_ROWS = 8; the series drops modes past 250
         grid = cheb_points(24)
         xq, wq = problems._gauss_rule()
         m = np.arange(1, 251)

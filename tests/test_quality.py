@@ -5,11 +5,7 @@ import pytest
 
 from eigensieve import quality
 from eigensieve.constrained import ConstrainedSystem, compress
-from eigensieve.errors import (
-    GeneralizedUnsupportedError,
-    IllConditionedMassError,
-    UndefinedSubspaceError,
-)
+from eigensieve.errors import IllConditionedMassError, UndefinedSubspaceError
 from eigensieve.problems import (
     acoustic_wave,
     canuto_hyperbolic,
@@ -19,10 +15,8 @@ from eigensieve.problems import (
 )
 from eigensieve.quality import (
     DEFAULT_ZERO_FLOOR,
-    derivative_violation,
     eigenpairs,
     grassmann_distance,
-    mode_angle,
     quality_report,
 )
 
@@ -224,37 +218,25 @@ class TestEigenpairs:
 
 class TestDerivativeScore:
     def test_resolved_heat_mode_scores_tiny(self):
-        n = 48
-        sys = heat_dirichlet(n)
-        comp = compress(sys, 1)
-        x = sys.labels["grid"]
-        z = np.sin(3.0 * np.pi * (x + 1.0) / 2.0)
-        s_mode = derivative_violation(sys, comp, comp.m_left @ z)
-        rng = np.random.default_rng(26)
-        v = rng.standard_normal(comp.r)
-        s_rand = derivative_violation(sys, comp, v / np.linalg.norm(v))
-        assert s_mode < 1e-8
-        assert s_rand > 1.0
-        assert s_rand / s_mode > 1e4
-
-    def test_rejected_for_generalized_systems(self):
-        sys = orr_sommerfeld(12)
-        comp = compress(sys, 1)
-        with pytest.raises(GeneralizedUnsupportedError):
-            derivative_violation(sys, comp, np.ones(comp.r))
+        report = quality_report(heat_dirichlet(48))
+        # the third Dirichlet mode, sin(3 pi (x + 1) / 2), is well resolved
+        mode = min(report.modes, key=lambda m: abs(m.lam + (3.0 * np.pi / 2.0) ** 2))
+        worst = max(m.s_norm for m in report.modes)
+        assert mode.s_norm < 1e-8
+        assert worst > 1.0
+        assert worst / mode.s_norm > 1e4
 
 
 class TestModeAngle:
     def test_exact_zero_mode_is_flagged(self):
-        sys = _diag_zero_system()
-        comp = compress(sys, 1)
-        for lam, v in eigenpairs(comp):
-            theta, zero = mode_angle(sys, comp, v)
-            if abs(lam) < 1e-12:
-                assert zero and theta == 0.0
+        report = quality_report(_diag_zero_system(), zero_floor=DEFAULT_ZERO_FLOOR)
+        assert len(report.modes) == 3
+        for mode in report.modes:
+            if abs(mode.lam) < 1e-12:
+                assert mode.zero_mode and mode.theta == 0.0
             else:
-                assert not zero
-                assert theta < 1e-7
+                assert not mode.zero_mode
+                assert mode.theta < 1e-7
 
     def test_misaligned_direction_scores_large(self):
         rng = np.random.default_rng(27)
@@ -263,10 +245,10 @@ class TestModeAngle:
         a[2:, :2] = rng.standard_normal((2, 2))
         sys = ConstrainedSystem(a=a, c=np.eye(1, 4))
         comp = compress(sys, 1)
-        v = comp.m_left @ np.array([0.0, 1.0, 0.0, 0.0])
-        theta, zero = mode_angle(sys, comp, v)
-        assert not zero
-        assert theta == pytest.approx(np.pi / 2, abs=1e-9)
+        w = comp.m @ (comp.m_left @ np.array([0.0, 1.0, 0.0, 0.0]))
+        aw = a @ w
+        assert np.linalg.norm(aw) > DEFAULT_ZERO_FLOOR * sys.drift_norm * np.linalg.norm(w)
+        assert grassmann_distance(w, aw) == pytest.approx(np.pi / 2, abs=1e-9)
 
 
 class TestQualityReport:
@@ -333,8 +315,8 @@ def _per_mode_scores(sys, comp):
         else:
             lhs = w if sys.e is None else sys.e @ w
             theta, zero = grassmann_distance(lhs, aw), False
-        rows.append((lam, v, w, s_norm, theta, zero))
-    rows.sort(key=lambda row: (row[4], abs(row[0].imag), abs(row[0].real)))
+        rows.append((lam, w, s_norm, theta, zero))
+    rows.sort(key=lambda row: (row[3], abs(row[0].imag), abs(row[0].real)))
     return rows
 
 
@@ -360,14 +342,11 @@ def test_scores_are_bit_identical_to_per_mode_products(build, n, k):
     expected = _per_mode_scores(sys, comp)
     report = quality_report(sys, k)
     assert [m.lam for m in report.modes] == [row[0] for row in expected]
-    for mode, (_, v, w, s_norm, theta, zero) in zip(report.modes, expected):
+    for mode, (_, w, s_norm, theta, zero) in zip(report.modes, expected):
         assert np.array_equal(mode.w, w)
         assert mode.s_norm == s_norm
         assert mode.theta == theta
         assert mode.zero_mode == zero
-        assert mode_angle(sys, comp, v) == (theta, zero)
-        if sys.e is None:
-            assert derivative_violation(sys, comp, v) == s_norm
 
 
 def test_pinned_reports_cross_chunk_boundaries_between_conjugate_twins():
@@ -393,7 +372,7 @@ def test_spectral_norms_are_skipped_when_their_bounds_decide():
 def test_zero_floor_between_the_norm_bounds_uses_the_exact_norm(side):
     probe = acoustic_wave(64)
     comp = compress(probe, 1)
-    _, v = eigenpairs(comp)[0]
+    lam, v = eigenpairs(comp)[0]
     w = comp.m @ v
     aw_norm, w_norm = np.linalg.norm(probe.a @ w), np.linalg.norm(w)
     rho = aw_norm / (probe.drift_norm * w_norm)
@@ -404,8 +383,9 @@ def test_zero_floor_between_the_norm_bounds_uses_the_exact_norm(side):
     assert floor * lower * w_norm <= aw_norm < floor * upper * w_norm
 
     sys = acoustic_wave(64)
-    theta, zero = mode_angle(sys, compress(sys, 1), v, zero_floor=floor)
+    (mode,) = [m for m in quality_report(sys, zero_floor=floor).modes if m.lam == lam]
+    assert np.array_equal(mode.w, w)
     assert "drift_norm" in sys.__dict__
-    assert zero == bool(aw_norm < floor * sys.drift_norm * w_norm)
-    assert zero == (side > 1.0)
-    assert (theta == 0.0) == zero
+    assert mode.zero_mode == bool(aw_norm < floor * sys.drift_norm * w_norm)
+    assert mode.zero_mode == (side > 1.0)
+    assert (mode.theta == 0.0) == mode.zero_mode

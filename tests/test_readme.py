@@ -7,7 +7,6 @@ change that moves an example by more than rounding fails here until the
 README is refreshed.  A ``...`` line ends the lines that are compared.
 """
 
-import os
 import re
 import shlex
 import subprocess
@@ -15,8 +14,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-import eigensieve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = [
@@ -40,10 +37,8 @@ def test_readme_has_command_examples():
 
 
 @pytest.mark.parametrize("argv, expected", BLOCKS, ids=[" ".join(a) for a, _ in BLOCKS])
-def test_command_example_output(argv, expected):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    src = str(Path(eigensieve.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def test_command_example_output(argv, expected, child_env):
+    env = dict(child_env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "eigensieve", *argv],
         capture_output=True, text=True, timeout=120, env=env,

@@ -44,8 +44,7 @@ def canuto_report():
 def _hand_report(lams, lifted, real_system=True):
     basis = np.asarray(lifted, dtype=complex)
     modes = [
-        ModeRecord(lam=lam, v=basis[:, i], w=basis[:, i], s_norm=0.0, theta=float(i),
-                   zero_mode=False)
+        ModeRecord(lam=lam, w=basis[:, i], s_norm=0.0, theta=float(i), zero_mode=False)
         for i, lam in enumerate(lams)
     ]
     return QualityReport(modes=modes, meta={"real_system": real_system})
@@ -81,7 +80,6 @@ class TestTruncate:
 
     def test_conjugate_partner_is_pulled_in(self, canuto_report):
         model = truncate(canuto_report, 1)
-        assert model.requested == 1
         assert model.size == 2
         assert model.indices == (0, 1)
         assert model.lambdas[1] == pytest.approx(np.conj(model.lambdas[0]), abs=1e-12)
@@ -131,18 +129,17 @@ class TestTruncate:
         model = truncate(canuto_report, 2)
         for col, idx in enumerate(model.indices):
             np.testing.assert_array_equal(model.shapes[:, col], canuto_report.modes[idx].w)
-            assert model.thetas[col] == canuto_report.modes[idx].theta
 
     def test_restrict_lift_roundtrip(self, canuto_report):
         model = truncate(canuto_report, 4)
         rng = np.random.default_rng(40)
         a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         coeffs = np.array([a, np.conj(a), b, np.conj(b)])
-        x0 = model.lift(coeffs)
+        x0 = model.shapes @ coeffs
         assert np.abs(x0.imag).max() < 1e-12 * np.abs(x0.real).max()
         got, residual = model.restrict(x0.real)
         assert residual < 1e-10
-        np.testing.assert_allclose(model.lift(got), x0, atol=1e-10)
+        np.testing.assert_allclose(model.shapes @ got, x0, atol=1e-10)
 
     def test_restrict_matches_least_squares(self, acoustic64):
         sys, report = acoustic64
@@ -167,8 +164,8 @@ class TestRetentionCache:
         calls = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda a, *args: calls.append(a.shape) or qr(a, *args))
-        result = reduction_sweep("acoustic", 32, "bump", (1, 5, 20, 62), t_end=0.5)
-        assert len(result.rows) == 4
+        rows = reduction_sweep("acoustic", 32, "bump", (1, 5, 20, 62), t_end=0.5)
+        assert len(rows) == 4
         assert calls == [(64, 62)]
 
     def test_analyze_and_sweep_k_never_factor(self, monkeypatch):
@@ -182,7 +179,7 @@ class TestRetentionCache:
     def test_models_share_read_only_arrays(self):
         report = quality_report(canuto_hyperbolic(16))
         small, large = truncate(report, 3), truncate(report, 9)
-        for name in ("lambdas", "v_basis", "shapes", "thetas", "q", "r_inv"):
+        for name in ("lambdas", "shapes", "q", "r_inv"):
             array = getattr(small, name)
             assert np.shares_memory(array, getattr(large, name))
             with pytest.raises(ValueError, match="read-only"):
@@ -233,11 +230,8 @@ class TestRankGuard:
         with pytest.raises(RankDeficientBasisError):
             ReducedModel(
                 lambdas=np.arange(size) * 1j,
-                v_basis=shapes,
                 shapes=shapes,
-                thetas=np.zeros(size),
                 indices=tuple(range(size)),
-                requested=size,
             )
 
 
@@ -248,11 +242,8 @@ class TestSimulateModal:
         omega = 2.4
         model = ReducedModel(
             lambdas=np.array([1j * omega, -1j * omega]),
-            v_basis=np.column_stack([q, np.conj(q)]),
             shapes=np.column_stack([q, np.conj(q)]),
-            thetas=np.zeros(2),
             indices=(0, 1),
-            requested=2,
         )
         x0 = (q + np.conj(q)).real
         t = np.array([0.0, 0.4, 1.3])
@@ -266,11 +257,8 @@ class TestSimulateModal:
     def test_scalar_time_is_accepted(self):
         model = ReducedModel(
             lambdas=np.array([-1.0 + 0j]),
-            v_basis=np.ones((1, 1), dtype=complex),
             shapes=np.ones((1, 1), dtype=complex),
-            thetas=np.zeros(1),
             indices=(0,),
-            requested=1,
         )
         result = simulate_modal(model, np.array([2.0]), 1.0)
         assert result.states.shape == (1, 1)
@@ -281,11 +269,8 @@ class TestSimulateModal:
     def test_overflowing_coefficient_raises(self, lam, t):
         model = ReducedModel(
             lambdas=np.array([lam]),
-            v_basis=np.ones((1, 1), dtype=complex),
             shapes=np.ones((1, 1), dtype=complex),
-            thetas=np.zeros(1),
             indices=(0,),
-            requested=1,
         )
         if lam.imag == 0:
             assert np.isfinite(simulate_modal(model, np.array([2.0]), 700.0).states).all()
@@ -305,11 +290,8 @@ class TestSimulateModal:
         q = np.array([1.0 + 0j, 1j, 0.0, 0.0]) / np.sqrt(2.0)
         model = ReducedModel(
             lambdas=np.array([2j]),
-            v_basis=q[:, None],
             shapes=q[:, None],
-            thetas=np.zeros(1),
             indices=(0,),
-            requested=1,
         )
         with pytest.raises(ImaginaryResidueError):
             simulate_modal(model, np.array([1.0, 0.0, 0.0, 0.0]), 0.3)
@@ -417,20 +399,22 @@ class TestReductionSweep:
         lams = np.array([m.lam for m in report.modes])
         p = max(int(np.abs(lams - 1j * np.pi).argmin()),
                 int(np.abs(lams + 1j * np.pi).argmin()))
-        r_values = [p + 1, p + 5, p + 9]
-        result = reduction_sweep("acoustic", 64, "sine", r_values, t_end=1.0)
-        assert result.full_error < 1e-9
-        assert [row.r for row in result.rows] == r_values
-        for row in result.rows:
+        # the last count keeps every mode: the full model
+        r_values = [p + 1, p + 5, p + 9, len(report.modes)]
+        rows = reduction_sweep("acoustic", 64, "sine", r_values, t_end=1.0)
+        assert [row.r for row in rows] == r_values
+        for row in rows:
             assert row.size >= row.r
             assert row.rel_error < 1e-9
-        thetas = result.thetas
-        assert np.all(np.diff(thetas) >= 0.0)
+            assert row.theta_r == report.modes[row.r - 1].theta
+        thetas = [row.theta_r for row in rows]
+        assert thetas == sorted(thetas)
 
-    def test_discontinuous_initial_condition_keeps_series_floor(self):
-        result = reduction_sweep("acoustic", 64, "bump", (40,), t_end=1.0)
-        assert 1e-2 < result.full_error < 1.0
-        row = result.rows[0]
+    def test_discontinuous_initial_condition_keeps_series_floor(self, acoustic64):
+        # 40 modes, then every mode: the full model
+        _, report = acoustic64
+        row, full = reduction_sweep("acoustic", 64, "bump", (40, len(report.modes)), t_end=1.0)
+        assert 1e-2 < full.rel_error < 1.0
         assert row.size >= 40
         assert 1e-2 < row.rel_error < 1.0
 

@@ -9,10 +9,19 @@ problem, CSV and JSON, and one numerical failure (exit 3); after it
 come the commands of every benchmark workload, built by
 ``perfbench/workloads.py`` with seed ``SEED``.
 
+Each line ``<exit code> <sha256> <command>`` digests a command's whole
+stdout.  After the line of a command that printed CSV come indented
+lines ``<column> <sha256>``, one per CSV column, each the digest of
+that column's cells joined by newlines, so a diff shows which columns
+moved (say ``rel_error`` alone, against ``size`` or ``theta_r``).
+Compare only the whole-output lines with ``grep -v '^ '``.
+
     python3 tools/cli_digest.py
 """
 
+import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -50,6 +59,19 @@ COMMANDS = [
 ]
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _column_digests(stdout: bytes) -> list[tuple[str, str]]:
+    """``(name, sha256)`` of each column of a CSV output, in header order."""
+    header, *rows = csv.reader(io.StringIO(stdout.decode()))
+    return [
+        (name, _sha256("\n".join(row[i] for row in rows).encode()))
+        for i, name in enumerate(header)
+    ]
+
+
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -61,7 +83,10 @@ def main() -> int:
             [sys.executable, "-m", "eigensieve", *argv],
             env=env, capture_output=True, timeout=600,
         )
-        print(proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), " ".join(argv))
+        print(proc.returncode, _sha256(proc.stdout), " ".join(argv))
+        if proc.stdout and "json" not in argv:
+            for name, digest in _column_digests(proc.stdout):
+                print(f"    {name} {digest}")
     return 0
 
 
