@@ -61,11 +61,9 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _add_tolerances(parser: argparse.ArgumentParser) -> None:
+def _add_null_tol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--null-tol", type=_fraction,
                         help="relative singular-value cutoff for nullspace rank, in (0, 1)")
-    parser.add_argument("--zero-floor", type=_fraction,
-                        help="relative floor for flagging zero modes, in (0, 1)")
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -84,11 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     # the subcommand does not take, keeps the value given here.
     parser.set_defaults(
         problem=None, n=None, k=1, k_max=None, alpha=1.0, reynolds=10000.0,
-        null_tol=constrained.DEFAULT_NULL_TOL, zero_floor=quality.DEFAULT_ZERO_FLOOR,
-        ic=None, r_list=None, t_end=1.0, grid=False, format="csv", out=None,
+        null_tol=constrained.DEFAULT_NULL_TOL, ic=None, r_list=None, t_end=1.0,
+        grid=False, format="csv", out=None,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     names = tuple(problems.REGISTRY)
+    referenced = tuple(name for name, prob in problems.REGISTRY.items() if prob.reference_cover)
     add_parser = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
     p = add_parser("analyze", help="score every computed mode of one problem")
@@ -97,26 +96,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int)
     p.add_argument("--alpha", type=_positive_float)
     p.add_argument("--reynolds", type=_positive_float)
-    _add_tolerances(p)
+    _add_null_tol(p)
     _add_output(p)
 
     p = add_parser("sweep-k", help="spectral error against constraint stack depth")
-    p.add_argument("--problem", default="canuto", choices=names)
+    p.add_argument("--problem", default="canuto", choices=referenced)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--k-max", type=_positive_int, required=True)
     p.add_argument("--grid", action="store_true",
                    help="emit the full per-mode grid instead of per-depth summaries")
-    _add_tolerances(p)
+    _add_null_tol(p)
     _add_output(p)
 
     p = add_parser("reduce", help="reduction error against retained mode count")
-    p.add_argument("--problem", default="acoustic", choices=names)
+    # the wave problem is the only one with a time-domain reference
+    p.add_argument("--problem", default="acoustic", choices=("acoustic",))
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--ic", required=True, choices=("bump", "sine"))
     p.add_argument("--r-list", type=_int_list, required=True,
                    help="comma-separated retained mode counts")
     p.add_argument("--t-end", type=_positive_float)
-    _add_tolerances(p)
+    _add_null_tol(p)
     _add_output(p)
 
     p = add_parser("problems", help="list registered problems")
@@ -154,9 +154,7 @@ def _split_lam(row: dict) -> dict:
 def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     prob = problems.get_problem(args.problem)
     system = prob.build(**{name: getattr(args, name) for name in prob.params})
-    report = quality.quality_report(
-        system, args.k, null_tol=args.null_tol, zero_floor=args.zero_floor
-    )
+    report = quality.quality_report(system, args.k, null_tol=args.null_tol)
     header = ["rank", "re_lambda", "im_lambda", "s_norm", "theta", "zero_mode"]
     rows = [
         _split_lam(
@@ -176,8 +174,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
 def _cmd_sweep_k(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     if args.grid:
         grid_rows = experiments.k_quality_sweep(
-            args.problem, args.n, args.k_max,
-            null_tol=args.null_tol, zero_floor=args.zero_floor,
+            args.problem, args.n, args.k_max, null_tol=args.null_tol
         )
         header = ["k", "rank", "re_lambda", "im_lambda", "abs_error", "rel_error",
                   "s_norm", "theta", "zero_mode"]
@@ -188,8 +185,7 @@ def _cmd_sweep_k(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     sweep_rows = reduction.reduction_sweep(
-        args.problem, args.n, args.ic, args.r_list, args.t_end,
-        null_tol=args.null_tol, zero_floor=args.zero_floor,
+        args.n, args.ic, args.r_list, args.t_end, null_tol=args.null_tol
     )
     return [f.name for f in fields(reduction.ReductionRow)], [vars(row) for row in sweep_rows]
 
@@ -231,7 +227,11 @@ def _write_output(args: argparse.Namespace, header: list[str], rows: list[dict])
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # C is two unit rows, so at k = 1 an acoustic report has 2n - 2 modes
+    if args.command == "reduce" and max(args.r_list) > 2 * args.n - 2:
+        parser.error(f"retained counts must be at most 2n - 2 = {2 * args.n - 2}, the mode count")
     try:
         header, rows = _COMMANDS[args.command](args)
     except (EigensieveError, np.linalg.LinAlgError, ValueError) as exc:

@@ -40,8 +40,8 @@ class ConstrainedSystem:
     """Drift ``a`` with constraints ``c`` (q x n, q < n) and optional mass ``e``.
 
     Entries may be real or complex; real inputs are simply the special
-    case.  ``labels`` carries optional metadata (problem name, grid,
-    field layout) that reporting code passes through untouched.
+    case.  ``labels`` carries optional metadata (problem name, grid)
+    that reporting code passes through untouched.
     """
 
     a: np.ndarray

@@ -17,7 +17,7 @@ from numpy.linalg import eigvals
 from .constrained import DEFAULT_NULL_TOL, compress
 from .errors import TrivialNullspaceError
 from .problems import get_problem
-from .quality import DEFAULT_ZERO_FLOOR, quality_report
+from .quality import quality_report
 
 __all__ = [
     "MatchResult",
@@ -156,7 +156,6 @@ def k_quality_sweep(
     k_max: int = 10,
     *,
     null_tol: float = DEFAULT_NULL_TOL,
-    zero_floor: float = DEFAULT_ZERO_FLOOR,
 ) -> list[KQualityRow]:
     """Full per-mode quality grid across stack depths 1 .. k_max.
 
@@ -166,7 +165,7 @@ def k_quality_sweep(
     """
 
     def solve(sys, k):
-        report = quality_report(sys, k, null_tol=null_tol, zero_floor=zero_floor)
+        report = quality_report(sys, k, null_tol=null_tol)
         return report, np.array([m.lam for m in report.modes])
 
     return [

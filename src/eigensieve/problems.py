@@ -34,7 +34,6 @@ __all__ = [
     "BenchmarkProblem",
     "REGISTRY",
     "get_problem",
-    "split_state",
     "heat_dirichlet",
     "heat_reference",
     "canuto_hyperbolic",
@@ -61,7 +60,7 @@ def heat_dirichlet(n: int) -> ConstrainedSystem:
     c = np.zeros((2, n))
     c[0, 0] = 1.0
     c[1, n - 1] = 1.0
-    labels = {"problem": "heat", "n": n, "fields": ("u",), "grid": cheb_points(n)}
+    labels = {"problem": "heat", "n": n, "grid": cheb_points(n)}
     return ConstrainedSystem(a=a, c=c, labels=labels)
 
 
@@ -87,7 +86,7 @@ def canuto_hyperbolic(n: int) -> ConstrainedSystem:
     c = np.zeros((2, 2 * n))
     c[0, n - 1] = 1.0  # psi1 at x = -1
     c[1, 0] = 1.0  # psi1 at x = +1
-    labels = {"problem": "canuto", "n": n, "fields": ("psi1", "psi2"), "grid": cheb_points(n)}
+    labels = {"problem": "canuto", "n": n, "grid": cheb_points(n)}
     return ConstrainedSystem(a=a, c=c, labels=labels)
 
 
@@ -146,7 +145,6 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
         "n": n,
         "alpha": alpha,
         "reynolds": reynolds,
-        "fields": ("psi",),
         "grid": z,
     }
     return ConstrainedSystem(a=a, c=c, e=e, labels=labels)
@@ -167,7 +165,7 @@ def acoustic_wave(n: int) -> ConstrainedSystem:
     c = np.zeros((2, 2 * n))
     c[0, 0] = 1.0
     c[1, n - 1] = 1.0
-    labels = {"problem": "acoustic", "n": n, "fields": ("p", "u"), "grid": cheb_points(n)}
+    labels = {"problem": "acoustic", "n": n, "grid": cheb_points(n)}
     return ConstrainedSystem(a=a, c=c, labels=labels)
 
 
@@ -175,15 +173,6 @@ def acoustic_spectrum(count: int) -> np.ndarray:
     """Ladder ``i (pi / 2) m`` for m = -count .. count, zero mode included."""
     m = np.arange(-count, count + 1)
     return 1j * (np.pi / 2.0) * m
-
-
-def split_state(sys: ConstrainedSystem, z: np.ndarray) -> dict[str, np.ndarray]:
-    """Split a flat state vector into the named fields of a builder's system."""
-    fields = (sys.labels or {}).get("fields")
-    if not fields:
-        raise ValueError("system carries no field layout")
-    per = sys.n // len(fields)
-    return {name: z[i * per : (i + 1) * per] for i, name in enumerate(fields)}
 
 
 def bump_ic(x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     ZeroReferenceError,
 )
 from .problems import _IC_PROFILES, acoustic_reference, acoustic_wave
-from .quality import DEFAULT_ZERO_FLOOR, QualityReport, quality_report
+from .quality import QualityReport, quality_report
 
 __all__ = [
     "ReducedModel",
@@ -40,45 +40,23 @@ __all__ = [
 class ReducedModel:
     """Retained eigenmodes of a quality report, conjugate-closed.
 
-    Columns come in retention order, the order in which a growing
-    retained count takes in the report's modes; it is report order
-    wherever conjugate partners sit side by side; ``indices`` names the
-    report position of each column.  ``shapes`` holds the lifted mode
-    vectors w = M v as columns, so modal coefficients c lift to the
-    state ``shapes @ c``.  ``q`` and ``r_inv`` are a thin QR
-    factorisation ``shapes = q R`` and the inverse of its triangle, so
-    restriction is a projection onto ``q`` and one triangular product.
-    ``truncate`` passes leading blocks of one factorisation shared by
-    every model of a report; a model built by hand leaves both out and
-    factors its own ``shapes``.
-
-    |R|_F |R^-1|_F bounds the condition number of ``shapes`` from
-    above.  A model raises ``RankDeficientBasisError`` when it exceeds
-    1 / (eps max(N, size)), the cut below which least squares would drop
-    a direction of the retained span.
+    ``truncate`` makes every model.  Columns come in retention order,
+    the order in which a growing retained count takes in the report's
+    modes; it is report order wherever conjugate partners sit side by
+    side; ``indices`` names the report position of each column.
+    ``shapes`` holds the lifted mode vectors w = M v as columns, so
+    modal coefficients c lift to the state ``shapes @ c``.  ``q`` and
+    ``r_inv`` are a thin QR factorisation ``shapes = q R`` and the
+    inverse of its triangle, so restriction is a projection onto ``q``
+    and one triangular product.  The arrays are read-only leading
+    blocks of arrays that every model of the report shares.
     """
 
     lambdas: np.ndarray
     shapes: np.ndarray
     indices: tuple[int, ...]
-    q: np.ndarray | None = None
-    r_inv: np.ndarray | None = None
-
-    def __post_init__(self):
-        nrows, size = self.shapes.shape
-        # more modes than state entries are dependent whatever they are
-        bound = np.inf
-        if size <= nrows:
-            if self.q is None:
-                self.q, self.r_inv = _factor(self.shapes)
-            # |R|_F = |shapes|_F, since q has orthonormal columns
-            bound = np.linalg.norm(self.shapes) * np.linalg.norm(self.r_inv)
-        limit = 1.0 / (np.finfo(float).eps * max(nrows, size))
-        if not bound <= limit:
-            raise RankDeficientBasisError(
-                f"lifted basis of {size} modes is rank deficient: "
-                f"|R|_F |R^-1|_F = {bound:.3e} exceeds 1/(eps max(N, size)) = {limit:.3e}"
-            )
+    q: np.ndarray
+    r_inv: np.ndarray
 
     @property
     def size(self) -> int:
@@ -120,13 +98,13 @@ def _factor(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r_inv
 
 
-#: Retention order, model sizes and factorised basis of each truncated
-#: report, computed on its first ``truncate`` and dropped with the report.
+#: Retention order, model sizes, factorised basis and rank bounds of each
+#: truncated report, computed on its first ``truncate`` and dropped with the report.
 _RETENTION: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _retention(report: QualityReport) -> tuple:
-    """``(order, sizes, lambdas, shapes, q, r_inv)`` of a report.
+    """``(order, sizes, lambdas, shapes, q, r_inv, bound)`` of a report.
 
     One walk over the report lists its modes in the order a growing r
     retains them: a mode not yet placed brings in the chain of its
@@ -137,6 +115,14 @@ def _retention(report: QualityReport) -> tuple:
     r - 1: every selection is a prefix of ``order``, of length
     ``sizes[r - 1]``.  The arrays hold the modes in that order and are
     read-only, since every model of the report shares them.
+
+    Only the leading N columns are factorised: more modes than state
+    entries are dependent whatever they are.  ``bound[s - 1]`` is
+    |R|_F |R^-1|_F of the leading s columns, an upper bound on their
+    condition number, and infinite past N.  Both factors are cumulative
+    column sums: q has orthonormal columns, so a column of R has the
+    norm of its column of ``shapes``, and R^-1 is upper triangular, so
+    its leading block holds its leading columns whole.
     """
     cached = _RETENTION.get(report)
     if cached is not None:
@@ -155,7 +141,12 @@ def _retention(report: QualityReport) -> tuple:
             j = partner[j]
         sizes.append(len(order))
     shapes = np.column_stack([report.modes[i].w for i in order])
-    arrays = (lams[order], shapes, *_factor(shapes))
+    lead = shapes[:, : shapes.shape[0]]
+    q, r_inv = _factor(lead)
+    frob = [np.sqrt(np.cumsum(np.linalg.norm(x, axis=0) ** 2)) for x in (lead, r_inv)]
+    bound = np.full(len(order), np.inf)
+    bound[: lead.shape[1]] = frob[0] * frob[1]
+    arrays = (lams[order], shapes, q, r_inv, bound)
     for array in arrays:
         array.flags.writeable = False
     cached = _RETENTION[report] = (tuple(order), sizes, *arrays)
@@ -175,12 +166,23 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
     shares, so a report must not change once it has been truncated.
     Scores stay on the report: the theta of column j is
     ``report.modes[model.indices[j]].theta``.
+
+    |R|_F |R^-1|_F bounds the condition number of the retained columns
+    from above.  A model raises ``RankDeficientBasisError`` when it
+    exceeds 1 / (eps max(N, size)), the cut below which least squares
+    would drop a direction of the retained span.
     """
     nmodes = len(report.modes)
     if not 1 <= r <= nmodes:
         raise ValueError(f"retained count must be in 1..{nmodes}, got r={r}")
-    order, sizes, lambdas, shapes, q, r_inv = _retention(report)
+    order, sizes, lambdas, shapes, q, r_inv, bound = _retention(report)
     s = sizes[r - 1]
+    limit = 1.0 / (np.finfo(float).eps * max(shapes.shape[0], s))
+    if not bound[s - 1] <= limit:
+        raise RankDeficientBasisError(
+            f"lifted basis of {s} modes is rank deficient: "
+            f"|R|_F |R^-1|_F = {bound[s - 1]:.3e} exceeds 1/(eps max(N, size)) = {limit:.3e}"
+        )
     return ReducedModel(
         lambdas=lambdas[:s],
         shapes=shapes[:, :s],
@@ -196,7 +198,6 @@ class SimulationResult:
 
     times: np.ndarray
     states: np.ndarray
-    method: str
     warnings: tuple[str, ...] = ()
 
 
@@ -209,9 +210,10 @@ def simulate_modal(
 
     The initial state is projected by least squares (``restrict``); a
     relative projection residual above 1e-8 is recorded as a warning,
-    since the model then cannot represent its own initial condition.  States are returned real; a residual imaginary part
-    above ``1e-9 |x0|`` aborts, because it means the retained set was
-    not conjugate-closed.  A coefficient ``exp(lam t)`` that overflows
+    since the model then cannot represent its own initial condition.
+    States are returned real; a residual imaginary part above
+    ``1e-9 |x0|`` aborts, because it means the retained set was not
+    conjugate-closed.  A coefficient ``exp(lam t)`` that overflows
     raises ``DivergenceError``.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -237,9 +239,7 @@ def simulate_modal(
             f"imaginary residue {residue:.3e} exceeds 1e-9 * |x0|; "
             "retained mode set is not closed under conjugation"
         )
-    return SimulationResult(
-        times=times, states=states.real, method="modal-exact", warnings=warnings
-    )
+    return SimulationResult(times=times, states=states.real, warnings=warnings)
 
 
 def simulate_rk4(
@@ -281,7 +281,7 @@ def simulate_rk4(
                 "step size is unstable for this spectrum"
             )
         states[i + 1] = x
-    return SimulationResult(times=times, states=states, method="rk4")
+    return SimulationResult(times=times, states=states)
 
 
 def relative_l2_error(approx: np.ndarray, reference: np.ndarray, weights: np.ndarray) -> float:
@@ -304,14 +304,12 @@ class ReductionRow:
 
 
 def reduction_sweep(
-    problem: str,
     n: int,
     ic: str,
     r_values: tuple[int, ...] | list[int],
     t_end: float = 1.0,
     *,
     null_tol: float = DEFAULT_NULL_TOL,
-    zero_floor: float = DEFAULT_ZERO_FLOOR,
 ) -> list[ReductionRow]:
     """Error at ``t_end`` of quality-ranked reduced models of one wave run.
 
@@ -319,22 +317,15 @@ def reduction_sweep(
     each requested size compares the reduced pressure field against the
     modal-series solution in the quadrature-weighted relative L2 norm.
     Returns one ``ReductionRow`` per entry of ``r_values``, in order.
-    Only the wave problem has that time-domain reference.
+    The wave problem is the only one with a time-domain reference.
     """
-    if problem != "acoustic":
-        raise ValueError(
-            f"time-domain reference solutions exist only for 'acoustic', got {problem!r}"
-        )
-    if ic not in _IC_PROFILES:
-        raise ValueError(f"unknown initial condition {ic!r}; pick one of {sorted(_IC_PROFILES)}")
     sys = acoustic_wave(n)
     grid = sys.labels["grid"]
-    report = quality_report(sys, 1, null_tol=null_tol, zero_floor=zero_floor)
-
-    p0 = _IC_PROFILES[ic](grid)
-    x0 = np.concatenate([p0, np.zeros(n)])
+    # the reference rejects an unknown profile before the report is scored
     p_ref, _ = acoustic_reference(grid, ic, t_end)
+    x0 = np.concatenate([_IC_PROFILES[ic](grid), np.zeros(n)])
     weights = clenshaw_curtis(n)
+    report = quality_report(sys, 1, null_tol=null_tol)
 
     rows = []
     for r in r_values:

@@ -8,7 +8,8 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
-from eigensieve.cli import EXIT_NUMERICAL, EXIT_OK, main
+from eigensieve import cli
+from eigensieve.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(capsys, *args):
@@ -141,13 +142,11 @@ class TestReduce:
         assert payload["meta"]["r_list"] == [2, 6]
         assert payload["meta"]["ic"] == "sine"
 
-    def test_non_wave_problem_fails_numerically(self, capsys):
-        code, _, err = run_cli(
-            capsys, "reduce", "--problem", "heat", "--n", "16", "--ic", "sine",
-            "--r-list", "2",
-        )
-        assert code == EXIT_NUMERICAL
-        assert "error:" in err
+    def test_every_mode_can_be_retained(self, capsys):
+        # acoustic n=16 has 2n - 2 = 30 modes at k = 1
+        code, out, _ = run_cli(capsys, "reduce", "--n", "16", "--ic", "sine", "--r-list", "2,30")
+        assert code == EXIT_OK
+        assert out.strip().split("\n")[-1].startswith("30,30,")
 
 
 class TestProblems:
@@ -166,12 +165,12 @@ class TestProblems:
 
 META_KEYS = [
     "command", "problem", "n", "k", "k_max", "alpha", "reynolds", "null_tol",
-    "zero_floor", "ic", "r_list", "t_end", "grid", "format", "out",
+    "ic", "r_list", "t_end", "grid", "format", "out",
 ]
 # every meta value a subcommand echoes when the option is not given
 META_UNSET = {
     "problem": None, "n": None, "k": 1, "k_max": None, "alpha": 1.0,
-    "reynolds": 10000.0, "null_tol": 1e-10, "zero_floor": 1e-13,
+    "reynolds": 10000.0, "null_tol": 1e-10,
     "ic": None, "r_list": None, "t_end": 1.0, "grid": False, "out": None,
 }
 
@@ -196,6 +195,14 @@ def test_json_meta_keys_order_and_echoed_defaults(capsys, args, given):
     assert meta == {**META_UNSET, "command": args[0], "format": "json", **given}
 
 
+# one valid command line of each analysis subcommand
+SUBCOMMANDS = [
+    ("sweep-k", "--n", "8", "--k-max", "2"),
+    ("reduce", "--n", "16", "--ic", "sine", "--r-list", "2"),
+    ("analyze", "--problem", "heat", "--n", "8"),
+]
+
+
 class TestExitCodes:
     def test_usage_error_unknown_problem(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -215,31 +222,53 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("sweep-k", "--n", "8", "--k-max", "2"),
-            ("reduce", "--n", "16", "--ic", "sine", "--r-list", "2"),
-            ("analyze", "--problem", "heat", "--n", "8"),
-        ],
-    )
+    @pytest.mark.parametrize("args", SUBCOMMANDS)
     def test_usage_error_theta_threshold_on_every_subcommand(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
             main([*args, "--theta-threshold", "0.1"])
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args", SUBCOMMANDS)
+    def test_usage_error_zero_floor_on_every_subcommand(self, capsys, args):
+        # the zero-mode floor is a fixed multiple of rounding, not an option
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--zero-floor", "1e-12"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --zero-floor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("reduce", "--problem", "heat", "--n", "16", "--ic", "sine", "--r-list", "2"),
+             "invalid choice"),
+            (("sweep-k", "--problem", "orr-sommerfeld", "--n", "16", "--k-max", "2"),
+             "invalid choice"),
+            # 2n - 2 = 30 modes at k = 1, at any null-tol
+            (("reduce", "--n", "16", "--ic", "sine", "--r-list", "2,31", "--null-tol", "0.5"),
+             "at most 2n - 2 = 30"),
+        ],
+        ids=["reduce-non-wave-problem", "sweep-k-problem-without-reference",
+             "reduce-count-past-the-modes"],
+    )
+    def test_usage_error_before_any_work(self, capsys, monkeypatch, args, message):
+        monkeypatch.setattr(cli, "_COMMANDS", {})  # any work would raise KeyError
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize(
         "args, option",
         [
             (("analyze", "--problem", "heat", "--n", "8"), "--null-tol"),
-            (("sweep-k", "--n", "8", "--k-max", "2"), "--zero-floor"),
             (("reduce", "--n", "16", "--ic", "sine", "--r-list", "2"), "--t-end"),
             (("analyze", "--problem", "orr-sommerfeld", "--n", "16"), "--alpha"),
             (("analyze", "--problem", "orr-sommerfeld", "--n", "16"), "--reynolds"),
         ],
-        ids=["null-tol", "zero-floor", "t-end", "alpha", "reynolds"],
+        ids=["null-tol", "t-end", "alpha", "reynolds"],
     )
     def test_usage_error_non_finite_number(self, capsys, args, option, value):
         with pytest.raises(SystemExit) as exc:
@@ -252,14 +281,6 @@ class TestExitCodes:
         # a relative cutoff of 1 or more keeps no constraint at all
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--problem", "heat", "--n", "8", f"--null-tol={value}"])
-        assert exc.value.code == 2
-        assert "between 0 and 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0", "1", "2", "1e300", "-0.5"])
-    def test_usage_error_zero_floor_outside_unit_interval(self, capsys, value):
-        # a relative floor of 1 or more flags every mode as a zero mode
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--problem", "heat", "--n", "8", f"--zero-floor={value}"])
         assert exc.value.code == 2
         assert "between 0 and 1" in capsys.readouterr().err
 

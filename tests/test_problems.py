@@ -5,7 +5,7 @@ import pytest
 
 from eigensieve import problems
 from eigensieve.chebyshev import cheb_diff, cheb_points, diff_power
-from eigensieve.constrained import ConstrainedSystem, compress
+from eigensieve.constrained import compress
 from eigensieve.problems import (
     REGISTRY,
     acoustic_reference,
@@ -19,7 +19,6 @@ from eigensieve.problems import (
     heat_reference,
     orr_sommerfeld,
     sine_ic,
-    split_state,
 )
 from eigensieve.quality import quality_report
 
@@ -39,7 +38,6 @@ class TestHeat:
     def test_labels(self):
         sys = heat_dirichlet(8)
         assert sys.labels["problem"] == "heat"
-        assert sys.labels["fields"] == ("u",)
         assert sys.labels["grid"].size == 8
 
     def test_minimum_size(self):
@@ -162,21 +160,6 @@ class TestAcoustic:
         ref = acoustic_spectrum(30)
         errs = np.abs(small[:, None] - ref[None, :]).min(axis=1)
         assert errs.max() < 1e-10
-
-
-class TestSplitState:
-    def test_two_field_split(self):
-        sys = acoustic_wave(8)
-        z = np.arange(16.0)
-        parts = split_state(sys, z)
-        assert list(parts) == ["p", "u"]
-        np.testing.assert_array_equal(parts["p"], z[:8])
-        np.testing.assert_array_equal(parts["u"], z[8:])
-
-    def test_unlabelled_system_rejected(self):
-        sys = ConstrainedSystem(a=np.eye(4), c=np.eye(1, 4))
-        with pytest.raises(ValueError, match="field layout"):
-            split_state(sys, np.zeros(4))
 
 
 class TestInitialConditions:

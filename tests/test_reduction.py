@@ -27,7 +27,6 @@ from eigensieve.problems import (
 )
 from eigensieve.quality import ModeRecord, QualityReport, quality_report
 from eigensieve.reduction import (
-    ReducedModel,
     reduction_sweep,
     relative_l2_error,
     simulate_modal,
@@ -164,7 +163,7 @@ class TestRetentionCache:
         calls = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda a, *args: calls.append(a.shape) or qr(a, *args))
-        rows = reduction_sweep("acoustic", 32, "bump", (1, 5, 20, 62), t_end=0.5)
+        rows = reduction_sweep(32, "bump", (1, 5, 20, 62), t_end=0.5)
         assert len(rows) == 4
         assert calls == [(64, 62)]
 
@@ -221,18 +220,33 @@ class TestRankGuard:
         with pytest.raises(RankDeficientBasisError):
             truncate(report, 4)
 
-    @pytest.mark.parametrize("shapes", [
-        np.column_stack([[1.0 + 1j, 2.0, -1j]] * 2),
-        np.array([[1.0, 2.0, 3.0], [0.0, 1j, 1.0]]),
+    @pytest.mark.parametrize("shapes, rank", [
+        (np.column_stack([[1.0 + 1j, 2.0, -1j]] * 2), 1),
+        (np.random.default_rng(43).standard_normal((3, 5)), 3),
     ], ids=["equal-columns", "more-modes-than-rows"])
-    def test_hand_built_model_is_guarded(self, shapes):
+    def test_hand_built_model_is_guarded(self, shapes, rank):
+        # models succeed up to the rank of the leading columns; with more
+        # modes than state entries, every model past the N-th is dependent
         size = shapes.shape[1]
-        with pytest.raises(RankDeficientBasisError):
-            ReducedModel(
-                lambdas=np.arange(size) * 1j,
-                shapes=shapes,
-                indices=tuple(range(size)),
-            )
+        report = _hand_report(-1.0 - np.arange(size), shapes, real_system=False)
+        for r in range(1, rank + 1):
+            model = truncate(report, r)
+            assert model.size == r
+            coeffs, residual = model.restrict(shapes[:, :r].sum(axis=1))
+            np.testing.assert_allclose(coeffs, np.ones(r), atol=1e-12)
+            assert residual < 1e-12
+        for r in range(rank + 1, size + 1):
+            with pytest.raises(RankDeficientBasisError):
+                truncate(report, r)
+
+    def test_prefix_bound_is_the_blockwise_norm_product(self, acoustic64):
+        _, report = acoustic64
+        truncate(report, 1)
+        *_, shapes, _, r_inv, bound = reduction._retention(report)
+        assert bound.size == len(report.modes)
+        for s in (1, 2, 17, 64, bound.size):
+            block = np.linalg.norm(shapes[:, :s]) * np.linalg.norm(r_inv[:s, :s])
+            assert bound[s - 1] == pytest.approx(block, rel=1e-12)
 
 
 class TestSimulateModal:
@@ -240,26 +254,19 @@ class TestSimulateModal:
         rng = np.random.default_rng(41)
         q = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         omega = 2.4
-        model = ReducedModel(
-            lambdas=np.array([1j * omega, -1j * omega]),
-            shapes=np.column_stack([q, np.conj(q)]),
-            indices=(0, 1),
-        )
+        report = _hand_report([1j * omega, -1j * omega], np.column_stack([q, np.conj(q)]))
+        model = truncate(report, 1)
+        assert model.size == 2
         x0 = (q + np.conj(q)).real
         t = np.array([0.0, 0.4, 1.3])
         result = simulate_modal(model, x0, t)
-        assert result.method == "modal-exact"
         assert result.warnings == ()
         for row, ti in zip(result.states, t):
             expected = 2.0 * (q * np.exp(1j * omega * ti)).real
             np.testing.assert_allclose(row, expected, atol=1e-12)
 
     def test_scalar_time_is_accepted(self):
-        model = ReducedModel(
-            lambdas=np.array([-1.0 + 0j]),
-            shapes=np.ones((1, 1), dtype=complex),
-            indices=(0,),
-        )
+        model = truncate(_hand_report([-1.0 + 0j], np.ones((1, 1))), 1)
         result = simulate_modal(model, np.array([2.0]), 1.0)
         assert result.states.shape == (1, 1)
         assert result.states[0, 0] == pytest.approx(2.0 * np.exp(-1.0), abs=1e-12)
@@ -267,11 +274,7 @@ class TestSimulateModal:
     # exp(700) is finite, exp(710) is not
     @pytest.mark.parametrize("lam, t", [(1.0 + 0j, 710.0), (1e-14 + 3j, 1e300)])
     def test_overflowing_coefficient_raises(self, lam, t):
-        model = ReducedModel(
-            lambdas=np.array([lam]),
-            shapes=np.ones((1, 1), dtype=complex),
-            indices=(0,),
-        )
+        model = truncate(_hand_report([lam], np.ones((1, 1))), 1)
         if lam.imag == 0:
             assert np.isfinite(simulate_modal(model, np.array([2.0]), 700.0).states).all()
         with pytest.raises(DivergenceError, match="exp"):
@@ -288,11 +291,8 @@ class TestSimulateModal:
 
     def test_unbalanced_mode_set_raises(self):
         q = np.array([1.0 + 0j, 1j, 0.0, 0.0]) / np.sqrt(2.0)
-        model = ReducedModel(
-            lambdas=np.array([2j]),
-            shapes=q[:, None],
-            indices=(0,),
-        )
+        # a complex mode without its conjugate partner
+        model = truncate(_hand_report([2j], q[:, None], real_system=False), 1)
         with pytest.raises(ImaginaryResidueError):
             simulate_modal(model, np.array([1.0, 0.0, 0.0, 0.0]), 0.3)
 
@@ -341,7 +341,6 @@ class TestSimulateRk4:
     def test_scalar_decay_accuracy(self):
         result = simulate_rk4(np.array([[-1.0]]), np.array([1.0]), 1.0, 1e-3)
         assert abs(result.states[-1][0] - np.exp(-1.0)) < 1e-12
-        assert result.method == "rk4"
 
     def test_step_rounded_to_land_on_t_end(self):
         result = simulate_rk4(np.array([[-1.0]]), np.array([1.0]), 1.0, 0.3)
@@ -401,7 +400,7 @@ class TestReductionSweep:
                 int(np.abs(lams + 1j * np.pi).argmin()))
         # the last count keeps every mode: the full model
         r_values = [p + 1, p + 5, p + 9, len(report.modes)]
-        rows = reduction_sweep("acoustic", 64, "sine", r_values, t_end=1.0)
+        rows = reduction_sweep(64, "sine", r_values, t_end=1.0)
         assert [row.r for row in rows] == r_values
         for row in rows:
             assert row.size >= row.r
@@ -413,15 +412,13 @@ class TestReductionSweep:
     def test_discontinuous_initial_condition_keeps_series_floor(self, acoustic64):
         # 40 modes, then every mode: the full model
         _, report = acoustic64
-        row, full = reduction_sweep("acoustic", 64, "bump", (40, len(report.modes)), t_end=1.0)
+        row, full = reduction_sweep(64, "bump", (40, len(report.modes)), t_end=1.0)
         assert 1e-2 < full.rel_error < 1.0
         assert row.size >= 40
         assert 1e-2 < row.rel_error < 1.0
 
-    def test_only_the_wave_problem_is_supported(self):
-        with pytest.raises(ValueError, match="acoustic"):
-            reduction_sweep("heat", 32, "sine", (2,))
-
-    def test_unknown_profile_rejected(self):
+    def test_unknown_profile_rejected(self, monkeypatch):
+        # rejected before the report is built and scored
+        monkeypatch.setattr(reduction, "quality_report", None)
         with pytest.raises(ValueError, match="initial condition"):
-            reduction_sweep("acoustic", 32, "boxcar", (2,))
+            reduction_sweep(32, "boxcar", (2,))

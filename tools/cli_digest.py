@@ -5,7 +5,8 @@ the ``src`` tree next to this script, with ``OPENBLAS_NUM_THREADS=1``
 unless the environment already sets it.  Running the script on two
 checkouts and diffing the output checks a claim that a change keeps
 the CLI's bytes.  The fixed list covers every subcommand and every
-problem, CSV and JSON, and one numerical failure (exit 3); after it
+problem, CSV and JSON, one numerical failure (exit 3) and three usage
+errors (exit 2), so a change of exit code shows in the diff; after it
 come the commands of every benchmark workload, built by
 ``perfbench/workloads.py`` with seed ``SEED``.
 
@@ -46,7 +47,7 @@ COMMANDS = [
     "analyze --problem canuto --n 8 --k 9",
     "analyze --problem orr-sommerfeld --n 50 --alpha 1.02 --reynolds 5772 --format json",
     "analyze --problem acoustic --n 64",
-    "analyze --problem acoustic --n 32 --null-tol 1e-8 --zero-floor 1e-12 --format json",
+    "analyze --problem acoustic --n 32 --null-tol 1e-8 --format json",
     "sweep-k --n 32 --k-max 25",
     "sweep-k --problem canuto --n 16 --k-max 4 --grid",
     "sweep-k --n 8 --k-max 2 --format json",
@@ -56,6 +57,9 @@ COMMANDS = [
     "reduce --n 64 --ic bump --r-list 2,10,40,126 --t-end 0.5",
     "reduce --n 32 --ic sine --r-list 2,6 --null-tol 1e-9 --format json",
     "reduce --problem acoustic --n 48 --ic bump --r-list 1,5,94",
+    "reduce --n 16 --ic sine --r-list 2,100",
+    "reduce --problem heat --n 16 --ic sine --r-list 2",
+    "sweep-k --problem orr-sommerfeld --n 16 --k-max 2",
 ]
 
 
