@@ -15,12 +15,21 @@ and the printed ``s_norm`` is rounding noise, not a measurement.  Only
 at k = 1 does it score the first constraint a mode can still violate.
 
 The angle is computed from sines as well as cosines of the principal
-angles, so it resolves angles down to about machine precision, and no
-mode that is not flagged as a zero mode scores exactly 0.  Scores are
-bit-for-bit reproducible for a fixed BLAS build and thread count.  The
-thread count changes how products round, which moves scores near the
-rounding level (about 1e-14) and can reorder modes that sit there; see
-the README.
+angles, so it resolves angles down to about machine precision: a
+nonzero angle is not rounded to 0.  A mode whose ``A w`` is exactly
+parallel to ``w`` still scores exactly 0 without being a zero mode, as
+an eigenvector that is exact in floating point can.
+
+Scores carry the rounding error of the products that form them, so a
+score means something only down to its rounding floor.  For the angle
+that floor is about ``eps (|A|_2 |w| / sigma_min(A w) + |E|_2 |w| /
+sigma_min(E w))``, with ``E w = w`` and ``|E|_2 = 1`` without a mass
+operator, where sigma_min(u) is the smallest singular value of
+``[Re u, Im u]`` that the span's rank rule keeps: a nearly
+one-dimensional span magnifies rounding.  The BLAS build and thread
+count change how products round, so they move scores within their
+floors and can reorder modes whose angles lie within each other's
+floors; see the README.
 
 Scoring does no work twice.  For a real system, an eigenvector that is
 the exact conjugate of its neighbour spans the same real plane, so it
@@ -31,15 +40,11 @@ Frobenius norm; its SVD is computed only when some mode falls inside
 the bracket, and then the comparison is the same floating-point
 expression as without it.
 
-Scoring runs in chunks of ``_CHUNK`` modes.  The products with an
-operator (``M v``, ``A w``, ``E w``, ``C A w``) stay one mat-vec per
-mode, because one matrix-matrix product over many modes rounds
-differently.  What follows them is batched: the norms, the zero-floor
-test and the angles are stacked numpy calls, one per chunk instead of
-one per mode.  Each stacked call hands every block to the same BLAS or
-LAPACK routine, with the same strides, as a one-mode call, so a score
-is bit-identical to the score of its mode computed alone, and
-``grassmann_distance`` is a one-pair call of the same kernel.
+Scoring is a few matrix products.  ``W = M V`` is one product over one
+column per conjugate pair; then, for each chunk of ``_CHUNK`` of those
+columns, ``A W``, ``C A W`` and ``E W`` are one product each, and the
+norms, the zero-floor test and the angles are stacked numpy calls.
+``grassmann_distance`` is a one-pair call of the same angle kernel.
 """
 
 from __future__ import annotations
@@ -74,11 +79,10 @@ DEFAULT_ZERO_FLOOR = 1e-13
 #: Condition-number guard before inverting a compressed mass operator.
 DEFAULT_MASS_COND_LIMIT = 1e12
 
-#: Modes scored per stacked call: enough to amortise the per-call
-#: overhead, few enough that the stacked copies stay small.  The chunk
-#: bounds memory, not bits: scoring all 510 modes of acoustic n=256 in
-#: one stack prints the same bytes, but lifts the peak RSS of that
-#: ``analyze`` from about 96 to 118 MB.
+#: Columns scored per stacked call: enough to amortise the per-call
+#: overhead, few enough that the stacked copies stay small.  Scoring
+#: every column of acoustic n=256 in one stack lifts the peak RSS of
+#: that ``analyze`` from about 96 to 112 MB.
 _CHUNK = 32
 
 
@@ -104,18 +108,9 @@ def eigenpairs(comp: CompressedSystem) -> list[tuple[complex, np.ndarray]]:
         lams, vecs = np.linalg.eig(np.linalg.solve(comp.e_k, comp.a_k))
     # numpy returns a real array when the whole spectrum is real.
     lams = lams.astype(complex, copy=False)
-    # Fortran order before normalising: the column-norm reduction
-    # rounds differently on a C-ordered array.
-    vecs = np.asfortranarray(vecs)
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     order = np.lexsort((-lams.imag, np.abs(lams.imag), lams.real))
     return [(complex(lams[i]), vecs[:, i]) for i in order]
-
-
-def _promoted(op: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # the cast numpy's matmul makes of a mixed-dtype operand on every call
-    dtype = np.result_type(op, x)
-    return op if op.dtype == dtype else op.astype(dtype, order="C")
 
 
 def _norm2_bracket(op: np.ndarray, exact_norm: Callable[[], float]) -> Callable:
@@ -138,89 +133,56 @@ def _norm2_bracket(op: np.ndarray, exact_norm: Callable[[], float]) -> Callable:
     return below
 
 
-def _row_dots(x: np.ndarray) -> np.ndarray:
-    # a stacked vector-vector matmul calls the BLAS dot that np.dot and
-    # np.linalg.norm call, so it rounds the same; sum and einsum do not
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of a 2-D array, bit for bit."""
-    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-    return np.sqrt(sum(_row_dots(part) for part in parts))
-
-
 def _score_modes(
     sys: ConstrainedSystem,
     comp: CompressedSystem,
     vs: list[np.ndarray],
-) -> Iterator[tuple[np.ndarray, float | None, float, bool]]:
-    """Yield ``(w, s_norm, theta, zero_mode)`` for compressed vectors of one dtype.
+) -> list[tuple[np.ndarray, float | None, float, bool]]:
+    """``(w, s_norm, theta, zero_mode)`` of each compressed vector, in order.
 
-    A real operator times a complex vector makes numpy cast the whole
-    operator to a fresh C-ordered copy on every product.  Here M and A
-    are cast once each, the same way, and ``A w`` is formed once per
-    mode for both scores, so every score is bit-identical to the
-    one-mode-at-a-time products.  ``s_norm`` is None with a mass
-    operator, whose state derivative is not ``A z``.
-
-    The mat-vecs ``M v``, ``A w``, ``E w`` and ``C A w`` stay one per
-    mode: a matrix-matrix product over many modes rounds differently.
-    Everything after them runs on stacks of up to ``_CHUNK`` modes
-    (``_score_chunk``): the norm of ``C A w``, the norms and the test of
-    the zero floor, and the angles (``_grassmann_distances``).  These
-    stacked calls make the same BLAS and LAPACK calls per mode as
-    one-mode calls do, so batching changes no bit; the chunk keeps the
-    stacked copies to a few dozen vectors.
-
-    With real operators, a vector that is the exact conjugate of the one
-    before it spans the same real plane: it takes the conjugate of that
-    mode's ``w`` and its ``s_norm``, ``theta`` and ``zero_mode``, with no
-    ``M v``, ``A w`` or span SVD of its own.  ``sys.drift_norm`` is
-    computed only for a chunk that its cheap bracket leaves undecided.
+    ``s_norm`` is None with a mass operator, whose state derivative is
+    not ``A z``.  With real operators, a vector that is the exact
+    conjugate of the one before it spans the same real plane: it takes
+    the conjugate of that mode's ``w`` and its ``s_norm``, ``theta`` and
+    ``zero_mode``, so ``W = M V`` and everything after it see one column
+    per pair.  The columns are scored ``_CHUNK`` at a time
+    (``_score_chunk``), which bounds the stacked copies.
+    ``sys.drift_norm`` is computed only for a chunk that its cheap
+    bracket leaves undecided.
     """
     real = all(np.isrealobj(op) for op in (comp.m, sys.a, sys.c, sys.e) if op is not None)
     mirrored = [
         real and i > 0 and np.array_equal(v, np.conj(vs[i - 1])) for i, v in enumerate(vs)
     ]
-    m = _promoted(comp.m, vs[0])
-    ws = []
-    for v, twin in zip(vs, mirrored):
-        ws.append(np.conj(ws[-1]) if twin else m @ v)
-    del m  # release the promoted basis before promoting the drift
-    a = _promoted(sys.a, ws[0])
+    ws = comp.m @ np.stack([v for v, twin in zip(vs, mirrored) if not twin], axis=1)
     below = _norm2_bracket(sys.a, lambda: sys.drift_norm)
-    for start in range(0, len(ws), _CHUNK):
-        chunk = range(start, min(start + _CHUNK, len(ws)))
-        own = [i for i in chunk if not mirrored[i]]
-        scores = {}
-        if own:
-            scores = dict(zip(own, _score_chunk(sys, a, [ws[i] for i in own], below)))
-        for i in chunk:
-            if i in scores:
-                score = scores[i]
-            yield (ws[i], *score)
+    scores = []
+    for start in range(0, ws.shape[1], _CHUNK):
+        scores += _score_chunk(sys, ws[:, start : start + _CHUNK], below)
+    own = zip(ws.T, scores)
+    rows = []
+    for twin in mirrored:
+        w, score = (np.conj(w), score) if twin else next(own)
+        rows.append((w, *score))
+    return rows
 
 
 def _score_chunk(
-    sys: ConstrainedSystem,
-    a: np.ndarray,
-    ws: list[np.ndarray],
-    below: Callable,
+    sys: ConstrainedSystem, ws: np.ndarray, below: Callable
 ) -> Iterator[tuple[float | None, float, bool]]:
-    """``(s_norm, theta, zero_mode)`` of a few lifted vectors, one mat-vec each."""
-    aws = [a @ w for w in ws]
-    n = len(ws)
+    """``(s_norm, theta, zero_mode)`` of each column of ``ws``, one product per operator."""
+    aws = sys.a @ ws
+    n = ws.shape[1]
     s_norms = [None] * n
     if sys.e is None:
-        s_norms = _row_norms(np.stack([sys.c @ aw for aw in aws])).tolist()
-    aw_stack, w_norms = np.stack(aws), _row_norms(np.stack(ws))
-    zero = below(_row_norms(aw_stack), lambda nrm: DEFAULT_ZERO_FLOOR * nrm * w_norms)
+        s_norms = np.linalg.norm(sys.c @ aws, axis=0).tolist()
+    w_norms = np.linalg.norm(ws, axis=0)
+    zero = below(np.linalg.norm(aws, axis=0), lambda nrm: DEFAULT_ZERO_FLOOR * nrm * w_norms)
     theta = np.zeros(n)
     live = np.flatnonzero(~zero)
     if live.size:
-        lhs = [ws[j] if sys.e is None else sys.e @ ws[j] for j in live]
-        theta[live] = _grassmann_distances(np.stack(lhs), aw_stack[live])
+        lhs = ws[:, live] if sys.e is None else sys.e @ ws[:, live]
+        theta[live] = _grassmann_distances(lhs.T, aws[:, live].T)
     return zip(s_norms, theta.tolist(), zero.tolist())
 
 
@@ -243,12 +205,9 @@ def _grassmann_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
     Pairs are grouped by the dimensions of their two spans, (1, 1),
     (1, 2) or (2, 2), the smaller span taken as B_small whichever side
-    it is on.  Each group makes one stacked product, one stacked SVD
-    for the cosines and one for the sines.  Every block of a stack has
-    the strides of the one-pair arrays, so numpy hands each block to
-    the same BLAS and LAPACK routine a one-pair call uses, and the
-    root sum square is a BLAS dot product as in ``np.dot``: each
-    distance is the bits a pair scored on its own would get.
+    it is on, because a stacked SVD takes one block shape.  Each group
+    makes one stacked product, one stacked SVD for the cosines and one
+    for the sines.
     """
     q1, r1 = _span_bases(np.asarray(u1, dtype=complex))
     q2, r2 = _span_bases(np.asarray(u2, dtype=complex))
@@ -269,7 +228,7 @@ def _grassmann_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         angles = np.where(
             cos * cos >= 0.5, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0))
         )
-        dist[idx] = np.sqrt(_row_dots(angles))
+        dist[idx] = np.linalg.norm(angles, axis=-1)
     return dist
 
 

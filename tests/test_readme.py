@@ -1,10 +1,11 @@
-"""The README's command-line examples print what the README says they print.
+"""The README's examples print what the README says they print.
 
-Each ``$ eigensieve ...`` block runs in a fresh interpreter at one BLAS
-thread, the setting the README's outputs were produced with.  Numbers
-must agree to 1e-9 relative, or 1e-14 absolute below 1e-10, so a
-change that moves an example by more than rounding fails here until the
-README is refreshed.  A ``...`` line ends the lines that are compared.
+Each ``$ eigensieve ...`` block, and the ``python`` blocks as one
+script, run in a fresh interpreter at one BLAS thread, the setting the
+README's outputs were produced with.  Numbers must agree to 1e-9
+relative, or 1e-14 absolute below 1e-10, so a change that moves an
+example by more than rounding fails here until the README is
+refreshed.  A ``...`` line ends the lines that are compared.
 """
 
 import re
@@ -16,10 +17,21 @@ from pathlib import Path
 import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TEXT = README.read_text()
 BLOCKS = [
     (shlex.split(text.splitlines()[0])[2:], text.splitlines()[1:])
-    for text in re.findall(r"```text\n(\$ eigensieve .*?)```", README.read_text(), re.S)
+    for text in re.findall(r"```text\n(\$ eigensieve .*?)```", TEXT, re.S)
 ]
+#: The python blocks, in order, then the numbers their comments quote:
+#: the simulation error and the ranks of the +-i pi pair.
+SCRIPT = "\n".join(re.findall(r"```python\n(.*?)```", TEXT, re.S)) + """
+print(repr(err))
+print(*[i for i, m in enumerate(report.modes) if abs(abs(m.lam) - np.pi) < 1e-6])
+"""
+
+
+def _one_thread(env):
+    return dict(env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
 def _agree(got: str, want: str) -> bool:
@@ -38,10 +50,9 @@ def test_readme_has_command_examples():
 
 @pytest.mark.parametrize("argv, expected", BLOCKS, ids=[" ".join(a) for a, _ in BLOCKS])
 def test_command_example_output(argv, expected, child_env):
-    env = dict(child_env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "eigensieve", *argv],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=_one_thread(child_env),
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -53,3 +64,15 @@ def test_command_example_output(argv, expected, child_env):
         got_fields, want_fields = got.split(","), want.split(",")
         assert len(got_fields) == len(want_fields), (got, want)
         assert all(_agree(g, w) for g, w in zip(got_fields, want_fields)), (got, want)
+
+
+def test_python_examples_run_and_print_the_quoted_numbers(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        capture_output=True, text=True, timeout=120, env=_one_thread(child_env),
+    )
+    assert proc.returncode == 0, proc.stderr
+    err, ranks = proc.stdout.splitlines()[-2:]
+    assert _agree(err, re.search(r"# err is (\S+) at OPENBLAS_NUM_THREADS=1", TEXT)[1])
+    first, second = re.search(r"it ranks (\d+)th and (\d+)th", TEXT).groups()
+    assert ranks.split() == [str(int(first) - 1), str(int(second) - 1)]

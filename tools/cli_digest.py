@@ -17,6 +17,15 @@ that column's cells joined by newlines, so a diff shows which columns
 moved (say ``rel_error`` alone, against ``size`` or ``theta_r``).
 Compare only the whole-output lines with ``grep -v '^ '``.
 
+A change to scoring may move scores within their rounding floors, so
+it may move the ``s_norm``, ``theta`` and ``theta_r`` digests, the
+error columns (``rel_error``, ``abs_error``, and a ``reduce`` row's
+error when rounding reorders the modes it cuts between), and the
+``re_lambda`` and ``im_lambda`` digests of the rows it reorders.  It
+must keep every exit code, the ``problems`` outputs, the ``sweep-k``
+summaries (the commands without ``--grid``), and the ``rank``,
+``zero_mode``, ``k``, ``r`` and ``size`` columns.
+
     python3 tools/cli_digest.py
 """
 
