@@ -207,7 +207,7 @@ _COMMANDS = {
 }
 
 
-def _write_output(args: argparse.Namespace, header: list[str], rows: list[dict]) -> None:
+def _write_output(args: argparse.Namespace, header: list[str], rows: list[dict]) -> int:
     if args.format == "json":
         text = json.dumps({"meta": vars(args), "rows": rows}, indent=2) + "\n"
     else:
@@ -219,11 +219,16 @@ def _write_output(args: argparse.Namespace, header: list[str], rows: list[dict])
         for row in rows:
             writer.writerow([_csv_cell(row[name]) for name in header])
         text = buffer.getvalue()
-    if args.out:
+    if not args.out:
+        _sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        _sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=_sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -237,8 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EigensieveError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
-    _write_output(args, header, rows)
-    return EXIT_OK
+    return _write_output(args, header, rows)
 
 
 def run() -> None:

@@ -232,8 +232,14 @@ def acoustic_reference(
     node instead of n_modes sines: 0.64 M instead of 6.1 M trig calls
     for the default 1500 modes.  The transient tables hold
     (2 width + 2 _BASE_ROWS) x 4096 doubles, 3.1 MB at the default.
-    Tested against a long-double dense series, the fields stay within
-    2 eps (n_modes + 2) for both profiles and 1 to 1500 modes.
+    The fields at the grid nodes take the same addition as
+    ``exp(i m theta) = exp(i b theta) exp(i k theta)``: the pressure is
+    the imaginary part of the time-weighted series, the velocity the
+    real part.  That is about 4 width trig calls per node instead of
+    2 n_modes, 20 K instead of 384 K on the 128 nodes of n=128 at the
+    default.  Tested against a long-double dense series, the fields
+    stay within 2 eps (n_modes + 2) for both profiles and 1 to 1500
+    modes.
     """
     if ic not in _IC_PROFILES:
         raise ValueError(f"unknown initial condition {ic!r}; pick one of {sorted(_IC_PROFILES)}")
@@ -261,13 +267,13 @@ def acoustic_reference(
         sb *= fq
         cb *= fq
         coeff[i : i + b.size] = sb @ cos_k.T + cb @ sin_k.T
-    # drop mode 0 and the modes past n_modes in the last row
-    coeff = coeff.ravel()[1 : n_modes + 1]
-    m = np.arange(1, n_modes + 1)
-    omega = m * np.pi / 2.0
-    angle = np.outer(m, np.pi * (grid + 1.0) / 2.0)
-    p = (coeff * np.cos(omega * t)) @ np.sin(angle)
-    u = (coeff * np.sin(omega * t)) @ np.cos(angle)
+    # entry (i, k) of coeff is mode i width + k: drop mode 0 and those past n_modes
+    modes = np.add.outer(bases, np.arange(width))
+    coeff[(modes == 0) | (modes > n_modes)] = 0.0
+    phi = 1j * np.pi * (grid + 1.0) / 2.0
+    exp_k, exp_b = (np.exp(np.multiply.outer(j, phi)) for j in (np.arange(width), bases))
+    p = (exp_b * ((coeff * np.cos(modes * np.pi / 2.0 * t)) @ exp_k)).sum(axis=0).imag
+    u = (exp_b * ((coeff * np.sin(modes * np.pi / 2.0 * t)) @ exp_k)).sum(axis=0).real
     return p, u
 
 

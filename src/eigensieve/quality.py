@@ -40,11 +40,15 @@ Frobenius norm; its SVD is computed only when some mode falls inside
 the bracket, and then the comparison is the same floating-point
 expression as without it.
 
-Scoring is a few matrix products.  ``W = M V`` is one product over one
+Scoring is a few matrix products.  ``eigenpairs`` hands over the
+eigenvectors as one matrix, and ``W = M V`` is one product over one
 column per conjugate pair; then, for each chunk of ``_CHUNK`` of those
 columns, ``A W``, ``C A W`` and ``E W`` are one product each, and the
-norms, the zero-floor test and the angles are stacked numpy calls.
-``grassmann_distance`` is a one-pair call of the same angle kernel.
+norms, the zero-floor test and the angles are stacked numpy calls.  A
+real operator multiplies a complex block as one float64 product on
+the block's interleaved real view (``_times``), not as a complex
+product with an operator cast to complex128.  ``grassmann_distance``
+is a one-pair call of the same angle kernel.
 """
 
 from __future__ import annotations
@@ -86,14 +90,17 @@ DEFAULT_MASS_COND_LIMIT = 1e12
 _CHUNK = 32
 
 
-def eigenpairs(comp: CompressedSystem) -> list[tuple[complex, np.ndarray]]:
-    """Full spectrum of the compressed system with unit eigenvectors.
+def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum of the compressed system: ``(lams, vecs)``, complex128 arrays.
 
     A mass operator turns this into the pencil problem
     ``lambda E_k v = A_k v``, solved here as the standard problem for
     ``E_k^(-1) A_k`` behind the guard ``DEFAULT_MASS_COND_LIMIT`` on the
-    condition number of ``E_k``.  Pairs are ordered so complex
-    conjugates sit adjacent, positive imaginary part first.
+    condition number of ``E_k``.  ``vecs[:, i]`` is the eigenvector of
+    ``lams[i]``, a unit column as LAPACK's geev returns it, in a
+    C-contiguous matrix.  Eigenvalues are ordered so complex conjugates
+    sit adjacent, positive imaginary part first; both arrays are complex
+    also for a real spectrum.
     """
     if comp.e_k is None:
         lams, vecs = np.linalg.eig(comp.a_k)
@@ -106,11 +113,23 @@ def eigenpairs(comp: CompressedSystem) -> list[tuple[complex, np.ndarray]]:
                 f"exceeds limit {DEFAULT_MASS_COND_LIMIT:.1e}"
             )
         lams, vecs = np.linalg.eig(np.linalg.solve(comp.e_k, comp.a_k))
-    # numpy returns a real array when the whole spectrum is real.
+    # numpy returns real arrays when the whole spectrum is real
     lams = lams.astype(complex, copy=False)
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
     order = np.lexsort((-lams.imag, np.abs(lams.imag), lams.real))
-    return [(complex(lams[i]), vecs[:, i]) for i in order]
+    return lams[order], vecs.take(order, axis=1).astype(complex, copy=False)
+
+
+def _times(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``op @ x`` for a complex128 block x, as one real GEMM when op is real.
+
+    A real op multiplies the interleaved float64 view of x, whose
+    columns alternate real and imaginary parts; numpy would instead
+    cast op to complex128 for every product and run a complex GEMM with
+    twice the flops.  A complex op takes plain ``@``.
+    """
+    if np.iscomplexobj(op):
+        return op @ x
+    return (op @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
 def _norm2_bracket(op: np.ndarray, exact_norm: Callable[[], float]) -> Callable:
@@ -136,12 +155,12 @@ def _norm2_bracket(op: np.ndarray, exact_norm: Callable[[], float]) -> Callable:
 def _score_modes(
     sys: ConstrainedSystem,
     comp: CompressedSystem,
-    vs: list[np.ndarray],
+    vecs: np.ndarray,
 ) -> list[tuple[np.ndarray, float | None, float, bool]]:
-    """``(w, s_norm, theta, zero_mode)`` of each compressed vector, in order.
+    """``(w, s_norm, theta, zero_mode)`` of each column of ``vecs``, in order.
 
     ``s_norm`` is None with a mass operator, whose state derivative is
-    not ``A z``.  With real operators, a vector that is the exact
+    not ``A z``.  With real operators, a column that is the exact
     conjugate of the one before it spans the same real plane: it takes
     the conjugate of that mode's ``w`` and its ``s_norm``, ``theta`` and
     ``zero_mode``, so ``W = M V`` and everything after it see one column
@@ -151,17 +170,17 @@ def _score_modes(
     bracket leaves undecided.
     """
     real = all(np.isrealobj(op) for op in (comp.m, sys.a, sys.c, sys.e) if op is not None)
-    mirrored = [
-        real and i > 0 and np.array_equal(v, np.conj(vs[i - 1])) for i, v in enumerate(vs)
-    ]
-    ws = comp.m @ np.stack([v for v, twin in zip(vs, mirrored) if not twin], axis=1)
+    mirrored = np.zeros(vecs.shape[1], dtype=bool)
+    if real:
+        mirrored[1:] = np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
+    ws = _times(comp.m, vecs.compress(~mirrored, axis=1))
     below = _norm2_bracket(sys.a, lambda: sys.drift_norm)
     scores = []
     for start in range(0, ws.shape[1], _CHUNK):
         scores += _score_chunk(sys, ws[:, start : start + _CHUNK], below)
     own = zip(ws.T, scores)
     rows = []
-    for twin in mirrored:
+    for twin in mirrored.tolist():
         w, score = (np.conj(w), score) if twin else next(own)
         rows.append((w, *score))
     return rows
@@ -171,17 +190,17 @@ def _score_chunk(
     sys: ConstrainedSystem, ws: np.ndarray, below: Callable
 ) -> Iterator[tuple[float | None, float, bool]]:
     """``(s_norm, theta, zero_mode)`` of each column of ``ws``, one product per operator."""
-    aws = sys.a @ ws
+    aws = _times(sys.a, ws)
     n = ws.shape[1]
     s_norms = [None] * n
     if sys.e is None:
-        s_norms = np.linalg.norm(sys.c @ aws, axis=0).tolist()
+        s_norms = np.linalg.norm(_times(sys.c, aws), axis=0).tolist()
     w_norms = np.linalg.norm(ws, axis=0)
     zero = below(np.linalg.norm(aws, axis=0), lambda nrm: DEFAULT_ZERO_FLOOR * nrm * w_norms)
     theta = np.zeros(n)
     live = np.flatnonzero(~zero)
     if live.size:
-        lhs = ws[:, live] if sys.e is None else sys.e @ ws[:, live]
+        lhs = ws[:, live] if sys.e is None else _times(sys.e, ws[:, live])
         theta[live] = _grassmann_distances(lhs.T, aws[:, live].T)
     return zip(s_norms, theta.tolist(), zero.tolist())
 
@@ -287,12 +306,10 @@ def quality_report(
     ``|A M v| < DEFAULT_ZERO_FLOOR |A|_2 |M v|``.
     """
     comp = compress(sys, k, null_tol)
-    pairs = eigenpairs(comp)
+    lams, vecs = eigenpairs(comp)
     records = [
         ModeRecord(lam=lam, w=w, s_norm=s_norm, theta=theta, zero_mode=zero)
-        for (lam, _), (w, s_norm, theta, zero) in zip(
-            pairs, _score_modes(sys, comp, [v for _, v in pairs])
-        )
+        for lam, (w, s_norm, theta, zero) in zip(lams.tolist(), _score_modes(sys, comp, vecs))
     ]
     records.sort(key=lambda m: (m.theta, abs(m.lam.imag), abs(m.lam.real)))
 

@@ -285,6 +285,21 @@ class TestExitCodes:
         assert "between 0 and 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "target, reason",
+        [("missing/out.csv", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_usage_error_unwritable_out(self, capsys, tmp_path, target, reason):
+        path = tmp_path / target
+        code, out, err = run_cli(
+            capsys, "analyze", "--problem", "heat", "--n", "8", "--out", str(path)
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: cannot write {path}: {reason}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
         "params",
         [("--alpha", "1e300"), ("--alpha", "1e10", "--reynolds", "1e300")],
         ids=["alpha", "reynolds"],

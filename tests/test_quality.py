@@ -174,28 +174,26 @@ class TestBatchedDistances:
 class TestEigenpairs:
     def test_unit_vectors_and_conjugate_adjacency(self):
         comp = compress(canuto_hyperbolic(16), 1)
-        pairs = eigenpairs(comp)
-        assert len(pairs) == 30
-        for lam, v in pairs:
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-13)
-        lams = [lam for lam, _ in pairs]
-        for i in range(0, 30, 2):
-            assert lams[i].imag > 0
-            assert lams[i + 1] == pytest.approx(np.conj(lams[i]), abs=1e-12)
+        lams, vecs = eigenpairs(comp)
+        assert lams.shape == (30,) and vecs.shape == (comp.r, 30)
+        assert vecs.flags.c_contiguous
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-13)
+        assert np.all(lams[0::2].imag > 0)
+        np.testing.assert_allclose(lams[1::2], np.conj(lams[0::2]), rtol=0, atol=1e-12)
 
     def test_real_spectrum_is_complex_with_unit_columns(self):
         comp = compress(heat_dirichlet(16), 1)
-        pairs = eigenpairs(comp)
-        assert len(pairs) == 14
-        for lam, v in pairs:
-            assert type(lam) is complex and lam.imag == 0.0
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        lams, vecs = eigenpairs(comp)
+        assert lams.dtype == vecs.dtype == np.complex128
+        assert lams.shape == (14,) and np.all(lams.imag == 0.0)
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-14)
 
     def test_residuals_track_machine_precision(self):
         comp = compress(canuto_hyperbolic(32), 1)
         scale = np.linalg.norm(comp.a_k, 2)
-        for lam, v in eigenpairs(comp):
-            assert np.linalg.norm(comp.a_k @ v - lam * v) < 1e-8 * scale
+        lams, vecs = eigenpairs(comp)
+        residuals = np.linalg.norm(comp.a_k @ vecs - vecs * lams, axis=0)
+        assert np.all(residuals < 1e-8 * scale)
 
     def test_singular_mass_operator_rejected(self):
         sys = ConstrainedSystem(
@@ -304,7 +302,8 @@ def _per_mode_scores(sys, comp):
     under test.
     """
     rows = []
-    for lam, v in eigenpairs(comp):
+    lams, vecs = eigenpairs(comp)
+    for lam, v in zip(lams.tolist(), vecs.T):
         w = comp.m @ v
         s_norm = None if sys.e is not None else float(np.linalg.norm(sys.c @ (sys.a @ w)))
         aw = sys.a @ w
@@ -394,13 +393,13 @@ def test_conjugate_partners_score_the_same_by_construction(build, n, k):
     # the eigen solve returns a real system's conjugate eigenvectors as
     # exact conjugates side by side; the second takes its partner's scores
     sys = build(n)
-    pairs = eigenpairs(compress(sys, k))
+    lams, vecs = eigenpairs(compress(sys, k))
     twins = [
-        (pairs[i - 1][0], lam)
-        for i, (lam, v) in enumerate(pairs)
-        if i > 0 and np.array_equal(v, np.conj(pairs[i - 1][1]))
+        (lams[i - 1], lams[i])
+        for i in range(1, len(lams))
+        if np.array_equal(vecs[:, i], np.conj(vecs[:, i - 1]))
     ]
-    assert len(twins) > len(pairs) // 4
+    assert len(twins) > len(lams) // 4
     modes = {m.lam: m for m in quality_report(sys, k).modes}
     for partner_lam, lam in twins:
         mode, partner = modes[lam], modes[partner_lam]
@@ -408,6 +407,35 @@ def test_conjugate_partners_score_the_same_by_construction(build, n, k):
         assert mode.s_norm == partner.s_norm
         assert mode.theta == partner.theta
         assert mode.zero_mode == partner.zero_mode
+
+
+@pytest.mark.parametrize(
+    "build, n, k",
+    [(acoustic_wave, 64, 1), (canuto_hyperbolic, 16, 3)],
+    ids=["acoustic", "canuto-k3"],
+)
+def test_real_and_complex_products_agree_within_their_floors(build, n, k, monkeypatch):
+    """A real system scores on float64 views; with A and C cast to complex, on plain ``@``.
+
+    The cast system scores every conjugate twin itself.  Both runs
+    share one compression, so they score the same eigenpairs; each
+    theta lies within the floor f of the other run's, and each
+    ``s_norm`` within ``4 eps |C|_2 |A|_2 |w|``.
+    """
+    sys = build(n)
+    comp = compress(sys, k)
+    cast = ConstrainedSystem(a=sys.a.astype(complex), c=sys.c.astype(complex))
+    monkeypatch.setattr(quality, "compress", lambda *args: comp)
+    real, plain = ({m.lam: m for m in quality_report(s, k).modes} for s in (sys, cast))
+    assert len(real) == comp.r and real.keys() == plain.keys()
+    norm_a, norm_c = sys.drift_norm, np.linalg.norm(sys.c, 2)
+    for lam, mode in plain.items():
+        other = real[lam]
+        w_norm = np.linalg.norm(mode.w)
+        floor = EPS * w_norm * (norm_a / _sigma_min(sys.a @ mode.w) + 1.0 / _sigma_min(mode.w))
+        assert other.zero_mode == mode.zero_mode
+        assert abs(other.theta - mode.theta) <= floor
+        assert abs(other.s_norm - mode.s_norm) <= 4 * EPS * norm_c * norm_a * w_norm
 
 
 def test_spectral_norms_are_skipped_when_their_bounds_decide():

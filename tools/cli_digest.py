@@ -5,7 +5,7 @@ the ``src`` tree next to this script, with ``OPENBLAS_NUM_THREADS=1``
 unless the environment already sets it.  Running the script on two
 checkouts and diffing the output checks a claim that a change keeps
 the CLI's bytes.  The fixed list covers every subcommand and every
-problem, CSV and JSON, one numerical failure (exit 3) and three usage
+problem, CSV and JSON, one numerical failure (exit 3) and four usage
 errors (exit 2), so a change of exit code shows in the diff; after it
 come the commands of every benchmark workload, built by
 ``perfbench/workloads.py`` with seed ``SEED``.
@@ -68,6 +68,7 @@ COMMANDS = [
     "reduce --problem acoustic --n 48 --ic bump --r-list 1,5,94",
     "reduce --n 16 --ic sine --r-list 2,100",
     "reduce --problem heat --n 16 --ic sine --r-list 2",
+    "analyze --problem heat --n 8 --out .",
     "sweep-k --problem orr-sommerfeld --n 16 --k-max 2",
 ]
 
