@@ -2,17 +2,21 @@
 
 Two scores are attached to every computed eigenpair, and both read
 only the lifted eigenvector ``w = M v``.  The derivative score is the
-norm ``|C A w|`` of the first implicit-constraint violation; the angle
-score is the Grassmann distance between the real spans of ``w`` and of
-its image ``A w`` under the drift.  Well-resolved eigenmodes make both
-tiny; discretization artifacts do not, which is what makes the scores
-usable as a screen.  ``quality_report`` is the one entry point: it
-compresses, solves and scores every mode of a system.
+norm ``|C A^k w|`` of the first implicit-constraint violation that the
+depth-k basis leaves free; the angle score is the Grassmann distance
+between the real spans of ``w`` and of its image ``A w`` under the
+drift.  Well-resolved eigenmodes make both tiny; discretization
+artifacts do not, which is what makes the scores usable as a screen.
+``quality_report`` is the one entry point: it compresses, solves and
+scores every mode of a system.
 
-At depth k >= 2 the derivative score is zero by construction: M spans
-the nullspace of ``[C; C A; ...; C A^(k-1)]``, so ``C A M v`` vanishes
-and the printed ``s_norm`` is rounding noise, not a measurement.  Only
-at k = 1 does it score the first constraint a mode can still violate.
+At depth k, M spans the nullspace of ``[C; C A; ...; C A^(k-1)]``, so
+every ``C A^i w`` with i < k vanishes by construction and the first
+constraint a mode can still violate is ``C A^k w``.  It is formed as
+``(C A^(k-1)) (A w)``: the row block ``C A^(k-1)``, the last block of
+the stack, once per report, unscaled, so ``s_norm`` carries the
+growth of ``A^k`` and compares modes of one depth, not across depths.
+At k = 1 the block is C itself and the score is ``|C A w|``.
 
 The angle is computed from sines as well as cosines of the principal
 angles, so it resolves angles down to about machine precision: a
@@ -58,7 +62,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrained import DEFAULT_NULL_TOL, CompressedSystem, ConstrainedSystem, compress
+from .constrained import (
+    DEFAULT_NULL_TOL,
+    CompressedSystem,
+    ConstrainedSystem,
+    compress,
+    observability,
+)
 from .errors import IllConditionedMassError, UndefinedSubspaceError
 
 __all__ = [
@@ -165,11 +175,13 @@ def _score_modes(
     the conjugate of that mode's ``w`` and its ``s_norm``, ``theta`` and
     ``zero_mode``, so ``W = M V`` and everything after it see one column
     per pair.  The columns are scored ``_CHUNK`` at a time
-    (``_score_chunk``), which bounds the stacked copies.
+    (``_score_chunk``), which bounds the stacked copies.  The row block
+    ``C A^(k-1)``, the last block of the depth-k stack, is formed once.
     ``sys.drift_norm`` is computed only for a chunk that its cheap
     bracket leaves undecided.
     """
     real = all(np.isrealobj(op) for op in (comp.m, sys.a, sys.c, sys.e) if op is not None)
+    c_top = None if sys.e is not None else observability(sys, comp.k).entries[-sys.q :]
     mirrored = np.zeros(vecs.shape[1], dtype=bool)
     if real:
         mirrored[1:] = np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
@@ -177,7 +189,7 @@ def _score_modes(
     below = _norm2_bracket(sys.a, lambda: sys.drift_norm)
     scores = []
     for start in range(0, ws.shape[1], _CHUNK):
-        scores += _score_chunk(sys, ws[:, start : start + _CHUNK], below)
+        scores += _score_chunk(sys, c_top, ws[:, start : start + _CHUNK], below)
     own = zip(ws.T, scores)
     rows = []
     for twin in mirrored.tolist():
@@ -187,14 +199,18 @@ def _score_modes(
 
 
 def _score_chunk(
-    sys: ConstrainedSystem, ws: np.ndarray, below: Callable
+    sys: ConstrainedSystem, c_top: np.ndarray | None, ws: np.ndarray, below: Callable
 ) -> Iterator[tuple[float | None, float, bool]]:
-    """``(s_norm, theta, zero_mode)`` of each column of ``ws``, one product per operator."""
+    """``(s_norm, theta, zero_mode)`` of each column of ``ws``, one product per operator.
+
+    ``s_norm`` is ``|(C A^(k-1)) (A w)|`` with ``c_top = C A^(k-1)``, and
+    None where ``c_top`` is None.
+    """
     aws = _times(sys.a, ws)
     n = ws.shape[1]
     s_norms = [None] * n
-    if sys.e is None:
-        s_norms = np.linalg.norm(_times(sys.c, aws), axis=0).tolist()
+    if c_top is not None:
+        s_norms = np.linalg.norm(_times(c_top, aws), axis=0).tolist()
     w_norms = np.linalg.norm(ws, axis=0)
     zero = below(np.linalg.norm(aws, axis=0), lambda nrm: DEFAULT_ZERO_FLOOR * nrm * w_norms)
     theta = np.zeros(n)
@@ -300,9 +316,9 @@ def quality_report(
     """Compress at depth k, solve for the full spectrum, score every mode.
 
     Modes are sorted by ascending angle score, ties broken by ascending
-    ``|Im lam|`` then ``|Re lam|``.  The derivative score is omitted for
-    generalized systems, and at k >= 2 it is rounding noise (see the
-    module docstring).  A mode is a zero mode when
+    ``|Im lam|`` then ``|Re lam|``.  The derivative score is
+    ``|C A^k M v|`` (see the module docstring) and is omitted for
+    generalized systems.  A mode is a zero mode when
     ``|A M v| < DEFAULT_ZERO_FLOOR |A|_2 |M v|``.
     """
     comp = compress(sys, k, null_tol)

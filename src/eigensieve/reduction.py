@@ -2,8 +2,12 @@
 
 Reduced models keep the r best-scored modes of a quality report, close
 them under complex conjugation so real dynamics stay real, and evolve
-the retained modal coefficients exactly.  A fixed-step integrator of
-the full compressed system is provided as an independent cross-check.
+the retained modal coefficients exactly.  Every model of a report is a
+leading block of one factorised basis, so a sweep over retained counts
+evolves all of its models in one pass: one projection, one prefix sum
+of the triangular inverse, one product (``_evolve``).  A fixed-step
+integrator of the full compressed system is provided as an independent
+cross-check; it advances 32 steps per product after the first 32.
 """
 
 from __future__ import annotations
@@ -70,15 +74,18 @@ class ReducedModel:
         O(N size) per call.  On anything in the span of the retained
         modes, ``shapes @ coeffs`` gives the state back.
         """
+        b, residual = self._project(state)
+        return self.r_inv @ b, residual
+
+    def _project(self, state: np.ndarray) -> tuple[np.ndarray, float]:
+        """``q^H x`` and the relative projection residual, 0 for a zero state."""
         state = np.asarray(state)
         # q^H x as conj(q^T conj(x)), without a conjugated copy of q
         b = (self.q.T @ state.conj()).conj()
-        coeffs = self.r_inv @ b
         nrm = np.linalg.norm(state)
         if nrm == 0.0:
-            return coeffs, 0.0
-        residual = float(np.linalg.norm(self.q @ b - state) / nrm)
-        return coeffs, residual
+            return b, 0.0
+        return b, float(np.linalg.norm(self.q @ b - state) / nrm)
 
 
 def _factor(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,6 +208,51 @@ class SimulationResult:
     warnings: tuple[str, ...] = ()
 
 
+def _evolve(
+    model: ReducedModel, x0: np.ndarray, sizes: list[int], times: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """States of the leading ``sizes`` columns of a model: ``(states, residual)``.
+
+    Each leading s-column block of a model is the model that
+    ``truncate`` returns for size s, so one projection serves all of
+    them.  b = q^H x0 is formed once, and R^-1 is upper triangular, so
+    the coefficients R_s^-1 b_s of size s are column s - 1 of the
+    prefix sums of ``r_inv * b`` along its rows.  One product of
+    ``shapes`` with every evolved coefficient gives every state:
+    ``states[i, j]`` is size ``sizes[j]`` at ``times[i]``, real.
+    ``residual`` is the relative projection residual of the whole
+    model.  Every size must pass the checks of ``simulate_modal``, or
+    the call raises; an imaginary residue is reported for the first
+    failing size in list order.
+    """
+    x0 = np.asarray(x0)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("initial state must be finite")
+    b, residual = model._project(x0)
+    sizes = np.asarray(sizes)
+    inside = np.arange(model.size) < sizes[:, None]
+    coeffs = np.cumsum(model.r_inv * b, axis=1)[:, sizes - 1].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        evolved = np.exp(np.outer(times, model.lambdas))[:, None, :] * coeffs
+    # a mode outside a size adds nothing to it, also where exp(lam t) overflows
+    evolved = np.where(inside, evolved, 0.0)
+    if not np.all(np.isfinite(evolved)):
+        raise DivergenceError(
+            "a modal coefficient left the floating-point range; "
+            "exp(lam t) overflows at this end time"
+        )
+    states = (evolved.reshape(-1, model.size) @ model.shapes.T).reshape(*evolved.shape[:2], -1)
+    scale = max(float(np.linalg.norm(x0)), np.finfo(float).tiny)
+    residues = np.abs(states.imag).max(axis=(0, 2), initial=0.0)
+    over = np.flatnonzero(residues > 1e-9 * scale)
+    if over.size:
+        raise ImaginaryResidueError(
+            f"imaginary residue {residues[over[0]]:.3e} exceeds 1e-9 * |x0|; "
+            "retained mode set is not closed under conjugation"
+        )
+    return states.real, residual
+
+
 def simulate_modal(
     model: ReducedModel,
     x0: np.ndarray,
@@ -208,38 +260,30 @@ def simulate_modal(
 ) -> SimulationResult:
     """Evolve the retained modes exactly: each coefficient by exp(lam t).
 
-    The initial state is projected by least squares (``restrict``); a
-    relative projection residual above 1e-8 is recorded as a warning,
-    since the model then cannot represent its own initial condition.
-    States are returned real; a residual imaginary part above
-    ``1e-9 |x0|`` aborts, because it means the retained set was not
-    conjugate-closed.  A coefficient ``exp(lam t)`` that overflows
-    raises ``DivergenceError``.
+    The initial state is projected by least squares (as ``restrict``
+    does); a relative projection residual above 1e-8 is recorded as a
+    warning, since the model then cannot represent its own initial
+    condition.  States are returned real; a residual imaginary part
+    above ``1e-9 |x0|`` aborts, because it means the retained set was
+    not conjugate-closed.  A coefficient ``exp(lam t)`` that overflows
+    raises ``DivergenceError``, and a non-finite ``x0`` ``ValueError``.
+    This is the one-model case of the kernel that ``reduction_sweep``
+    runs on every retained count at once.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    coeffs, residual = model.restrict(x0)
+    states, residual = _evolve(model, x0, [model.size], times)
     warnings = ()
     if residual > 1e-8:
         warnings = (
             f"initial condition poorly represented: relative projection "
             f"residual {residual:.3e}",
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        evolved = coeffs[None, :] * np.exp(np.outer(times, model.lambdas))
-    if not np.all(np.isfinite(evolved)):
-        raise DivergenceError(
-            "a modal coefficient left the floating-point range; "
-            "exp(lam t) overflows at this end time"
-        )
-    states = evolved @ model.shapes.T
-    scale = max(float(np.linalg.norm(x0)), np.finfo(float).tiny)
-    residue = float(np.abs(states.imag).max()) if states.size else 0.0
-    if residue > 1e-9 * scale:
-        raise ImaginaryResidueError(
-            f"imaginary residue {residue:.3e} exceeds 1e-9 * |x0|; "
-            "retained mode set is not closed under conjugation"
-        )
-    return SimulationResult(times=times, states=states.real, warnings=warnings)
+    return SimulationResult(times=times, states=states[:, 0], warnings=warnings)
+
+
+#: Steps advanced per product once the first block is stepped; a power
+#: of two, so its power of the propagator is a few squarings.
+_BLOCK = 32
 
 
 def simulate_rk4(
@@ -250,37 +294,59 @@ def simulate_rk4(
     On a linear system one RK4 step is exactly ``x <- T(hA) x`` with
     ``T(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``, so the propagator is
     formed once by Horner's rule, three N x N products and O(N^3)
-    work, and each step is one mat-vec.  The step is rounded so an
-    integer number of steps lands exactly on ``t_end``.  Norm growth
-    beyond 1e6 times the initial norm aborts: for the neutrally stable
-    and damped spectra this integrator is used to cross-check, such
-    growth can only mean the step violates the stability bound.
+    work.  The first ``_BLOCK`` steps are one mat-vec each; after them
+    the propagator's ``_BLOCK``-th power, five squarings, advances the
+    last ``_BLOCK`` states by ``_BLOCK`` steps in one product.  The
+    step is rounded so an integer number of steps lands exactly on
+    ``t_end``.  Norm growth beyond 1e6 times the initial norm aborts,
+    with the time of the first step past it; a NaN norm counts as
+    growth.  For the neutrally stable and damped spectra this
+    integrator is used to cross-check, such growth can only mean the
+    step violates the stability bound.  A non-finite ``a`` or ``x0``
+    raises ``ValueError``.
     """
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
-    x = np.asarray(x0, dtype=float).copy()
+    a = np.asarray(a)
+    x = np.asarray(x0, dtype=float)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(x))):
+        raise ValueError("a and x0 must be finite")
     steps = max(1, int(round(t_end / dt)))
     h = t_end / steps
-    ha = h * np.asarray(a)
-    # T(z) = 1 + z (1 + z/2 (1 + z/3 (1 + z/4)))
-    prop = ha / 4.0
-    for divisor in (3.0, 2.0, 1.0):
-        prop.flat[:: x.size + 1] += 1.0
-        prop = ha @ prop
-        prop /= divisor
-    prop.flat[:: x.size + 1] += 1.0
     limit = 1e6 * max(float(np.linalg.norm(x)), np.finfo(float).tiny)
     times = np.linspace(0.0, t_end, steps + 1)
     states = np.empty((steps + 1, x.size))
     states[0] = x
-    for i in range(steps):
-        x = prop @ x
-        if np.linalg.norm(x) > limit:
+
+    def check(start: int, stop: int) -> None:
+        crossed = ~(np.linalg.norm(states[start:stop], axis=1) <= limit)
+        if crossed.any():
             raise DivergenceError(
-                f"norm grew past 1e6x the initial state at t={times[i + 1]:.6g}; "
+                f"norm grew past 1e6x the initial state at t={times[start + crossed.argmax()]:.6g}; "
                 "step size is unstable for this spectrum"
             )
-        states[i + 1] = x
+
+    head = min(steps, _BLOCK)
+    # an overflowing propagator, or states past a crossing, are caught by check
+    with np.errstate(over="ignore", invalid="ignore"):
+        ha = h * a
+        # T(z) = 1 + z (1 + z/2 (1 + z/3 (1 + z/4)))
+        prop = ha / 4.0
+        for divisor in (3.0, 2.0, 1.0):
+            prop.flat[:: x.size + 1] += 1.0
+            prop = ha @ prop
+            prop /= divisor
+        prop.flat[:: x.size + 1] += 1.0
+        for i in range(head):
+            states[i + 1] = prop @ states[i]
+        check(1, head + 1)
+        if steps > head:
+            for _ in range(_BLOCK.bit_length() - 1):
+                prop = prop @ prop
+            for start in range(head + 1, steps + 1, _BLOCK):
+                stop = min(start + _BLOCK, steps + 1)
+                np.matmul(states[start - _BLOCK : stop - _BLOCK], prop.T, out=states[start:stop])
+                check(start, stop)
     return SimulationResult(times=times, states=states)
 
 
@@ -316,8 +382,16 @@ def reduction_sweep(
     Builds the pressure-pinned wave system, ranks its modes, and for
     each requested size compares the reduced pressure field against the
     modal-series solution in the quadrature-weighted relative L2 norm.
-    Returns one ``ReductionRow`` per entry of ``r_values``, in order.
-    The wave problem is the only one with a time-domain reference.
+    Returns one ``ReductionRow`` per entry of ``r_values``, in order;
+    counts may repeat and come in any order.  The wave problem is the
+    only one with a time-domain reference.
+
+    Every count is truncated first, in list order, so the rank guard
+    raises at the first failing count before anything is evolved.  The
+    models are then leading blocks of the largest one and are evolved
+    together on its arrays by the kernel of ``simulate_modal``: one
+    projection of the initial state, the coefficients of every model
+    as prefix sums, one product for every final state.
     """
     sys = acoustic_wave(n)
     grid = sys.labels["grid"]
@@ -327,16 +401,18 @@ def reduction_sweep(
     weights = clenshaw_curtis(n)
     report = quality_report(sys, 1, null_tol=null_tol)
 
-    rows = []
-    for r in r_values:
-        model = truncate(report, int(r))
-        p_r = simulate_modal(model, x0, t_end).states[-1][:n]
-        rows.append(
-            ReductionRow(
-                r=int(r),
-                size=model.size,
-                rel_error=relative_l2_error(p_r, p_ref, weights),
-                theta_r=report.modes[int(r) - 1].theta,
-            )
+    models = [truncate(report, int(r)) for r in r_values]
+    if not models:
+        return []
+    sizes = [model.size for model in models]
+    largest = models[int(np.argmax(sizes))]
+    states, _ = _evolve(largest, x0, sizes, np.array([t_end], dtype=float))
+    return [
+        ReductionRow(
+            r=int(r),
+            size=size,
+            rel_error=relative_l2_error(p_r, p_ref, weights),
+            theta_r=report.modes[int(r) - 1].theta,
         )
-    return rows
+        for r, size, p_r in zip(r_values, sizes, states[-1, :, :n])
+    ]

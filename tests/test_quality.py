@@ -293,19 +293,28 @@ class TestQualityReport:
         assert mode.theta > 0.0
 
 
+def _top_block(sys, k):
+    """``C A^(k-1)``, the last row block of the depth-k stack, one product at a time."""
+    block = sys.c
+    for _ in range(k - 1):
+        block = block @ sys.a
+    return block
+
+
 def _per_mode_scores(sys, comp):
     """Reference scores from one mixed-dtype product per use, mode by mode.
 
     This is the scoring loop that the quality kernel replaced: numpy
     casts a real operator anew for every product with a complex vector,
     and ``A M v`` is formed twice, so no work is shared with the kernel
-    under test.
+    under test.  ``s_norm`` is ``|C A^(k-1) (A w)|``.
     """
     rows = []
     lams, vecs = eigenpairs(comp)
+    c_top = _top_block(sys, comp.k)
     for lam, v in zip(lams.tolist(), vecs.T):
         w = comp.m @ v
-        s_norm = None if sys.e is not None else float(np.linalg.norm(sys.c @ (sys.a @ w)))
+        s_norm = None if sys.e is not None else float(np.linalg.norm(c_top @ (sys.a @ w)))
         aw = sys.a @ w
         if np.linalg.norm(aw) < DEFAULT_ZERO_FLOOR * sys.drift_norm * np.linalg.norm(w):
             theta, zero = 0.0, True
@@ -352,7 +361,7 @@ def test_scores_are_bit_identical_to_per_mode_products(build, n, k):
     each score is held to its rounding floor: theta to
     ``f = eps |w| (|A|_2 / sigma_min(A w) + |E|_2 / sigma_min(E w))``
     (``E w = w``, ``|E|_2 = 1`` without a mass operator), ``s_norm`` to
-    ``4 eps |C|_2 |A|_2 |w|`` and each entry of w to 8 eps.  Two modes
+    ``4 eps |C A^(k-1)|_2 |A|_2 |w|`` and each entry of w to 8 eps.  Two modes
     that the report orders the other way round from the loop must lie
     within each other's floors.
     """
@@ -363,7 +372,7 @@ def test_scores_are_bit_identical_to_per_mode_products(build, n, k):
     assert len(rank) == len(report.modes)
     assert {m.lam for m in report.modes} == set(rank)
     norm_a = sys.drift_norm
-    norm_c = np.linalg.norm(sys.c, 2)
+    norm_c = np.linalg.norm(_top_block(sys, k), 2)
     norm_e = 1.0 if sys.e is None else np.linalg.norm(sys.e, 2)
     floors = []
     for mode in report.modes:
@@ -420,7 +429,7 @@ def test_real_and_complex_products_agree_within_their_floors(build, n, k, monkey
     The cast system scores every conjugate twin itself.  Both runs
     share one compression, so they score the same eigenpairs; each
     theta lies within the floor f of the other run's, and each
-    ``s_norm`` within ``4 eps |C|_2 |A|_2 |w|``.
+    ``s_norm`` within ``4 eps |C A^(k-1)|_2 |A|_2 |w|``.
     """
     sys = build(n)
     comp = compress(sys, k)
@@ -428,7 +437,7 @@ def test_real_and_complex_products_agree_within_their_floors(build, n, k, monkey
     monkeypatch.setattr(quality, "compress", lambda *args: comp)
     real, plain = ({m.lam: m for m in quality_report(s, k).modes} for s in (sys, cast))
     assert len(real) == comp.r and real.keys() == plain.keys()
-    norm_a, norm_c = sys.drift_norm, np.linalg.norm(sys.c, 2)
+    norm_a, norm_c = sys.drift_norm, np.linalg.norm(_top_block(sys, k), 2)
     for lam, mode in plain.items():
         other = real[lam]
         w_norm = np.linalg.norm(mode.w)
@@ -436,6 +445,23 @@ def test_real_and_complex_products_agree_within_their_floors(build, n, k, monkey
         assert other.zero_mode == mode.zero_mode
         assert abs(other.theta - mode.theta) <= floor
         assert abs(other.s_norm - mode.s_norm) <= 4 * EPS * norm_c * norm_a * w_norm
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_derivative_score_at_depth_measures_the_next_constraint(k):
+    # M spans the nullspace of [C; ...; C A^(k-1)], so |C A w| is
+    # rounding noise at k >= 2 (median 9.8e-14 at k=2); the score is
+    # |C A^k w|, far above its rounding floor eps |C A^(k-1)|_2 |A|_2 |w|
+    sys = canuto_hyperbolic(64)
+    report = quality_report(sys, k)
+    c_top = _top_block(sys, k)
+    floors = [
+        EPS * np.linalg.norm(c_top, 2) * sys.drift_norm * np.linalg.norm(m.w)
+        for m in report.modes
+    ]
+    assert np.median([m.s_norm for m in report.modes]) > 1e10 * np.median(floors)
+    ws = np.array([m.w for m in report.modes]).T
+    assert np.median(np.linalg.norm(sys.c @ (sys.a @ ws), axis=0)) < 1e-11
 
 
 def test_spectral_norms_are_skipped_when_their_bounds_decide():

@@ -1,6 +1,7 @@
 """Truncated modal models, exact evolution, and integrator cross-checks."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import weakref
@@ -18,6 +19,7 @@ from eigensieve.errors import (
     ZeroReferenceError,
 )
 from eigensieve.problems import (
+    acoustic_reference,
     acoustic_wave,
     bump_ic,
     canuto_hyperbolic,
@@ -296,6 +298,23 @@ class TestSimulateModal:
         with pytest.raises(ImaginaryResidueError):
             simulate_modal(model, np.array([1.0, 0.0, 0.0, 0.0]), 0.3)
 
+    def test_a_mode_outside_a_size_adds_nothing_to_it(self):
+        # exp(710) overflows; the decaying size-1 model of the same
+        # arrays does not see the growing second mode
+        model = truncate(_hand_report([-1.0 + 0j, 1.0 + 0j], np.eye(2)), 2)
+        states, _ = reduction._evolve(model, np.ones(2), [1], np.array([710.0]))
+        np.testing.assert_array_equal(states, [[[np.exp(-710.0), 0.0]]])
+        with pytest.raises(DivergenceError, match="exp"):
+            reduction._evolve(model, np.ones(2), [1, 2], np.array([710.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_state_raises(self, canuto_report, bad):
+        model = truncate(canuto_report, 4)
+        x0 = np.ones(model.shapes.shape[0])
+        x0[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            simulate_modal(model, x0, 0.5)
+
 
 def _four_stage_rk4(a, x0, t_end, dt):
     """Reference: the classical four-stage RK4 loop, one step at a time."""
@@ -328,6 +347,44 @@ class TestSimulateRk4:
         assert result.states.shape == expected.shape
         rel = np.linalg.norm(result.states - expected, axis=1) / np.linalg.norm(expected, axis=1)
         assert rel.max() <= 1e-13
+
+    def test_blocks_match_the_four_stage_loop(self):
+        # 346 steps: the first block one step at a time, then ten blocks
+        # of 32 steps and a last one of 26, each one product
+        sys = acoustic_wave(64)
+        comp = compress(sys, 1)
+        x0 = comp.m_left @ np.concatenate([bump_ic(sys.labels["grid"]), np.zeros(64)])
+        dt = 2.5 / np.abs(np.linalg.eigvals(comp.a_k)).max()
+        result = simulate_rk4(comp.a_k, x0, 1.0, dt)
+        expected = _four_stage_rk4(comp.a_k, x0, 1.0, dt)
+        assert result.states.shape == expected.shape == (347, comp.r)
+        rel = np.linalg.norm(result.states - expected, axis=1) / np.linalg.norm(expected, axis=1)
+        assert rel.max() <= 1e-13
+
+    def test_divergence_inside_a_later_block_fires_at_the_four_stage_loop_time(self):
+        # T(0.3)^n passes 1e6 at step 47, inside the second block of 32
+        a, x0 = np.array([[0.3]]), np.array([1.0])
+        with pytest.raises(DivergenceError) as expected:
+            _four_stage_rk4(a, x0, 100.0, 1.0)
+        with pytest.raises(DivergenceError, match="unstable") as got:
+            simulate_rk4(a, x0, 100.0, 1.0)
+        assert str(got.value).startswith(str(expected.value))
+        assert "at t=47;" in str(got.value)
+
+    @pytest.mark.parametrize("a, x0", [
+        (np.array([[np.nan]]), np.array([1.0])),
+        (np.array([[-1.0]]), np.array([np.inf])),
+    ], ids=["nan-drift", "inf-state"])
+    def test_non_finite_inputs_raise(self, a, x0):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_rk4(a, x0, 1.0, 0.1)
+
+    def test_nan_state_counts_as_divergence(self):
+        # T(hA) overflows to inf on the diagonal and inf * 0 = nan off
+        # it, so the first state is nan: a nan norm is never <= the limit
+        a = np.diag([1e300, -1e300])
+        with pytest.raises(DivergenceError, match="at t=1;"):
+            simulate_rk4(a, np.array([1.0, 0.0]), 1.0, 1.0)
 
     def test_divergence_fires_at_the_four_stage_loop_time(self):
         a, x0 = np.array([[5.0]]), np.array([1.0])
@@ -416,6 +473,47 @@ class TestReductionSweep:
         assert 1e-2 < full.rel_error < 1.0
         assert row.size >= 40
         assert 1e-2 < row.rel_error < 1.0
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("ic", ["bump", "sine"])
+    def test_one_pass_matches_the_per_model_loop(self, n, ic):
+        # unsorted, repeated counts, the full model among them; the
+        # errors of models that keep the sine's +-i pi pair are rounding
+        # level (about 2e-13), so they are held to 4 eps absolute
+        nmodes = 2 * n - 2
+        r_values = [n // 2, 2, nmodes, n // 2, 1, n + 3, 2]
+        rows = reduction_sweep(n, ic, r_values, t_end=1.0)
+        sys = acoustic_wave(n)
+        grid = sys.labels["grid"]
+        p_ref, _ = acoustic_reference(grid, ic, 1.0)
+        x0 = np.concatenate([reduction._IC_PROFILES[ic](grid), np.zeros(n)])
+        report = quality_report(sys)
+        assert [row.r for row in rows] == r_values
+        for r, row in zip(r_values, rows):
+            model = truncate(report, r)
+            p_r = simulate_modal(model, x0, 1.0).states[-1][:n]
+            err = relative_l2_error(p_r, p_ref, clenshaw_curtis(n))
+            assert row.size == model.size
+            assert row.theta_r == report.modes[r - 1].theta
+            assert abs(row.rel_error - err) <= 1e-12 * err + 4 * np.finfo(float).eps
+
+    def test_rank_guard_raises_at_the_first_failing_count_in_list_order(self, monkeypatch):
+        # mode 20 takes the lifted vector of mode 3, so every model that
+        # keeps it is rank deficient: 40 fails before 30 and before the
+        # models are evolved
+        report = quality_report(acoustic_wave(32))
+        modes = list(report.modes)
+        modes[20] = dataclasses.replace(modes[20], w=modes[3].w)
+        broken = QualityReport(modes=modes, meta=report.meta)
+        monkeypatch.setattr(reduction, "quality_report", lambda *args, **kwargs: broken)
+        with pytest.raises(RankDeficientBasisError) as info:
+            truncate(broken, 40)
+        expected = str(info.value)
+        assert truncate(broken, 20).size >= 20
+        monkeypatch.setattr(reduction, "_evolve", None)
+        with pytest.raises(RankDeficientBasisError) as got:
+            reduction_sweep(32, "bump", [12, 40, 2, 30])
+        assert str(got.value) == expected
 
     def test_unknown_profile_rejected(self, monkeypatch):
         # rejected before the report is built and scored

@@ -5,8 +5,9 @@ the ``src`` tree next to this script, with ``OPENBLAS_NUM_THREADS=1``
 unless the environment already sets it.  Running the script on two
 checkouts and diffing the output checks a claim that a change keeps
 the CLI's bytes.  The fixed list covers every subcommand and every
-problem, CSV and JSON, one numerical failure (exit 3) and four usage
-errors (exit 2), so a change of exit code shows in the diff; after it
+problem, CSV and JSON, one numerical failure (exit 3), four usage
+errors (exit 2) and a ``reduce`` with an unsorted, repeated retained
+count list, so a change of exit code shows in the diff; after it
 come the commands of every benchmark workload, built by
 ``perfbench/workloads.py`` with seed ``SEED``.
 
@@ -24,7 +25,9 @@ error when rounding reorders the modes it cuts between), and the
 ``re_lambda`` and ``im_lambda`` digests of the rows it reorders.  It
 must keep every exit code, the ``problems`` outputs, the ``sweep-k``
 summaries (the commands without ``--grid``), and the ``rank``,
-``zero_mode``, ``k``, ``r`` and ``size`` columns.
+``zero_mode``, ``k``, ``r`` and ``size`` columns.  A change to the
+``reduce`` arithmetic alone (projection, evolution, reference) may
+move only the ``rel_error`` digests of the ``reduce`` commands.
 
     python3 tools/cli_digest.py
 """
@@ -68,6 +71,7 @@ COMMANDS = [
     "reduce --problem acoustic --n 48 --ic bump --r-list 1,5,94",
     "reduce --n 16 --ic sine --r-list 2,100",
     "reduce --problem heat --n 16 --ic sine --r-list 2",
+    "reduce --n 32 --ic bump --r-list 12,2,12,62",
     "analyze --problem heat --n 8 --out .",
     "sweep-k --problem orr-sommerfeld --n 16 --k-max 2",
 ]
