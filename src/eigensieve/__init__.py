@@ -3,10 +3,10 @@
 Spectral discretizations of boundary-value problems produce eigenmodes
 that violate constraints hidden in the dynamics, and those modes
 pollute the computed spectrum.  This package states boundary conditions
-as explicit constraint rows, compresses the operators onto the
-nullspace of the stacked implicit constraints, scores every computed
-mode by how badly it breaks the constraint structure, and prunes
-reduced models down to the trustworthy modes.
+as explicit constraint rows, compresses the operators onto the states
+that keep the implicit constraints to a chosen depth, scores every
+computed mode by how badly it breaks the constraint structure, and
+prunes reduced models down to the trustworthy modes.
 
 The modules split along those lines: ``chebyshev`` holds the
 collocation primitives, ``constrained`` the compression machinery,

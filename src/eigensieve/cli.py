@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Four subcommands: ``analyze`` scores every computed mode of one
-problem, ``sweep-k`` tabulates spectral error against constraint stack
+problem, ``sweep-k`` tabulates spectral error against constraint
 depth, ``reduce`` runs the quality-ranked reduction error sweep, and
 ``problems`` lists what is registered.  Output is CSV or JSON on stdout
 or to a file; runs are deterministic, with no environment dependence.
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_null_tol(p)
     _add_output(p)
 
-    p = add_parser("sweep-k", help="spectral error against constraint stack depth")
+    p = add_parser("sweep-k", help="spectral error against constraint depth")
     p.add_argument("--problem", default="canuto", choices=referenced)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--k-max", type=_positive_int, required=True)

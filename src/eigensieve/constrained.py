@@ -1,15 +1,24 @@
-"""Constrained linear systems and nullspace compression.
+"""Constrained linear systems and their compression onto feasible subspaces.
 
 ``dz/dt = A z`` (or ``E dz/dt = A z``) together with the static
-constraint ``0 = C z`` confines every trajectory to the nullspace of
-the stacked matrix ``[C; CA; ...; C A^(k-1)]``.  This module builds
-those stacks, extracts orthonormal nullspace bases, and restricts the
-operators to the feasible subspace, which removes the constraints from
-the model.
+constraint ``0 = C z`` confines every trajectory to states whose
+derivatives keep ``C z = 0`` as well.  Without a mass operator those
+are the nullspace of ``[C; CA; ...; C A^(k-1)]``; with one, the
+derivative of ``C z = 0`` is ``C z' = 0`` with ``E z' = A z``, not
+``C A z = 0``.  Both cases are one nested recursion (Wong 1974):
+V_1 = null(C) and V_{k+1} = {z in V_k : A z in E V_k}, with E = I
+without a mass operator.  Each depth is one orthogonal step from the
+one before, as in the staircase form (Van Dooren 1981), never a stack
+of powers of A, whose late blocks lose rank to rounding.  The rank cut
+is ``null_tol`` times the largest singular value of C at depth 1, and
+``null_tol |A|_2`` below it.  The operators are restricted to an
+orthonormal basis of V_k, which removes the constraints from the
+model.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,13 +34,14 @@ __all__ = [
     "DecompositionReport",
     "observability",
     "nullspace_basis",
+    "compress_depths",
     "compress",
     "verify_decomposition",
 ]
 
 _EPS = np.finfo(float).eps
 
-#: Relative singular-value cutoff that sets the nullspace rank.
+#: Relative singular-value cutoff that sets the rank of every depth.
 DEFAULT_NULL_TOL = 1e-10
 
 
@@ -97,38 +107,15 @@ def observability(sys: ConstrainedSystem, k: int) -> ObservabilityMatrix:
     """Stack the first k implicit-constraint blocks ``C A^i``.
 
     Block i is block i-1 right-multiplied by A, so each block is the
-    exact floating-point product of its predecessor.  A safety cap of
-    ``4 n`` rows refuses depths far past the point where new rows can
-    add information.
+    exact floating-point product of its predecessor.  Compression does
+    not use the stack; scoring reads its last block.
     """
     if k < 1:
         raise ValueError(f"stack depth must be >= 1, got k={k}")
-    cap = 4 * sys.n
-    if k * sys.q >= cap:
-        raise ValueError(
-            f"depth k={k} stacks {k * sys.q} rows, at or above the safety cap {cap}"
-        )
     blocks = [sys.c]
     for _ in range(k - 1):
         blocks.append(blocks[-1] @ sys.a)
     return ObservabilityMatrix(k=k, entries=np.vstack(blocks), block_rows=sys.q)
-
-
-def _block_scaled(obs: ObservabilityMatrix) -> np.ndarray:
-    """Copy of the stack with each q-row block normalised to unit norm.
-
-    Powers of A stretch the late blocks by orders of magnitude; without
-    this the rank decision sees only the largest block.  Zero blocks
-    are left alone.  The nullspace itself is unchanged.
-    """
-    scaled = obs.entries.copy()
-    q = obs.block_rows
-    for i in range(obs.k):
-        blk = scaled[i * q : (i + 1) * q]
-        nrm = np.linalg.norm(blk)
-        if nrm > 0.0:
-            blk /= nrm
-    return scaled
 
 
 def nullspace_basis(mat: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
@@ -141,6 +128,15 @@ def nullspace_basis(mat: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarra
     runs.  ``tol`` must lie strictly between 0 and 1; outside that
     range the cut keeps every direction or none, whatever ``mat`` is.
     """
+    return _split(mat, tol)[1]
+
+
+def _split(mat: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases ``(row, null)`` of the row space and nullspace of ``mat``.
+
+    ``null`` is ``nullspace_basis(mat, tol)``; ``row`` is its orthogonal
+    complement, the leading right singular vectors, without sign fixing.
+    """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
     mat = np.asarray(mat)
@@ -148,12 +144,12 @@ def nullspace_basis(mat: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarra
         raise ValueError("cannot take the nullspace of an empty matrix")
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
     rank = 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > tol * s[0]))
-    return _fix_signs(vh[rank:].conj().T)
+    # a copy, not a view: a view of the rows would keep all of vh alive
+    return vh[:rank].conj().T.copy(), _fix_signs(vh[rank:].conj().T)
 
 
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
-    if basis.shape[1] == 0:
-        return basis
+    """``basis`` with each column rotated so its largest-magnitude entry is real and positive."""
     pivots = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
     return basis * (np.conj(pivots) / np.abs(pivots))[None, :]
 
@@ -170,25 +166,62 @@ class CompressedSystem:
     r: int
 
 
+def compress_depths(
+    sys: ConstrainedSystem, k_max: int, tol: float = DEFAULT_NULL_TOL
+) -> Iterator[CompressedSystem]:
+    """Yield the compressed system of each depth k = 1 .. k_max, each from the one before.
+
+    Depth 1 is the nullspace of ``C / |C|_F`` at relative cutoff
+    ``tol``.  Depth k+1 keeps the states z of depth k whose derivative
+    stays feasible: ``A z`` in ``E V_k``, with ``E = I`` without a mass
+    operator.  With P an orthonormal complement of ``E V_k``, that is
+    the nullspace N_k of the defect ``(P* A) M_k``, cut at
+    ``tol |A|_2``: a relative cut would count rounding as rank once
+    V_k is invariant.  N_k's columns are sign-fixed as in
+    ``nullspace_basis``; then ``M_{k+1} = M_k N_k`` and
+    ``A_{k+1} = N_k* A_k N_k``.  Without E, P is the row space of C plus
+    the directions each step removed, so the defect has only
+    ``n - r_k`` rows; with E, P is the nullspace of ``(E M_k)*``.
+    Nothing past depth k is computed before depth k+1 is asked for, and
+    the walk stops early once a depth leaves no state.
+    """
+    if k_max < 1:
+        raise ValueError(f"depth must be >= 1, got k={k_max}")
+    p, m = _split(sys.c / np.linalg.norm(sys.c), tol)
+    a_k = m.conj().T @ sys.a @ m
+    e_k = None if sys.e is None else m.conj().T @ sys.e @ m
+    for k in range(1, k_max + 1):
+        if k > 1:
+            if sys.e is not None:
+                p = nullspace_basis((sys.e @ m).conj().T, tol)
+            _, s, vh = np.linalg.svd((p.conj().T @ sys.a) @ m)
+            cut = int(np.count_nonzero(s > tol * sys.drift_norm))
+            if sys.e is None:
+                p = np.hstack([p, m @ vh[:cut].conj().T])
+            n_k = _fix_signs(vh[cut:].conj().T)
+            m = m @ n_k
+            a_k = n_k.conj().T @ a_k @ n_k
+            e_k = None if e_k is None else n_k.conj().T @ e_k @ n_k
+        if m.shape[1] == 0:
+            return
+        yield CompressedSystem(m=m, m_left=m.conj().T, a_k=a_k, e_k=e_k, k=k, r=m.shape[1])
+
+
 def compress(sys: ConstrainedSystem, k: int, tol: float = DEFAULT_NULL_TOL) -> CompressedSystem:
-    """Restrict drift (and mass) to the nullspace of the depth-k stack.
+    """Restrict drift (and mass) to the depth-k feasible subspace (``compress_depths``).
 
     The basis M is orthonormal, so the left inverse is just the
     conjugate transpose.  With k = 1 this reproduces classical
     boundary bordering (deleting constrained rows and columns) up to an
     orthogonal change of basis.
     """
-    obs = observability(sys, k)
-    basis = nullspace_basis(_block_scaled(obs), tol)
-    if basis.shape[1] == 0:
-        raise TrivialNullspaceError(
-            f"no nonzero state satisfies the depth-{k} constraint stack; "
-            "the constrained system is only solvable from zero"
-        )
-    m_left = basis.conj().T
-    a_k = m_left @ sys.a @ basis
-    e_k = None if sys.e is None else m_left @ sys.e @ basis
-    return CompressedSystem(m=basis, m_left=m_left, a_k=a_k, e_k=e_k, k=k, r=basis.shape[1])
+    for comp in compress_depths(sys, k, tol):
+        if comp.k == k:
+            return comp
+    raise TrivialNullspaceError(
+        f"no nonzero state satisfies the depth-{k} implicit constraints; "
+        "the constrained system is only solvable from zero"
+    )
 
 
 @dataclass(eq=False)

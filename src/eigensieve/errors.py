@@ -17,7 +17,7 @@ class EigensieveError(Exception):
 
 
 class TrivialNullspaceError(EigensieveError):
-    """The stacked constraints admit no nonzero feasible state."""
+    """The implicit constraints of some depth admit no nonzero feasible state."""
 
 
 class IllConditionedMassError(EigensieveError):

@@ -1,7 +1,7 @@
 """Constraint-depth sweeps against analytic reference spectra.
 
 Reproducible experiment drivers: match computed spectra to analytic
-ladders, summarise the error per stack depth k, and tabulate the
+ladders, summarise the error per constraint depth k, and tabulate the
 per-mode quality scores across depths.  All outputs are plain rows of
 floats so they serialize to CSV or JSON without further processing.
 """
@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigvals
 
-from .constrained import DEFAULT_NULL_TOL, compress
-from .errors import TrivialNullspaceError
+# ``compress`` and ``quality_report`` are not called here, but
+# perfbench/spans.py patches both names on this module to time its spans.
+from .constrained import DEFAULT_NULL_TOL, compress, compress_depths  # noqa: F401
 from .problems import get_problem
-from .quality import quality_report
+from .quality import _report, quality_report  # noqa: F401
 
 __all__ = [
     "MatchResult",
@@ -60,31 +61,29 @@ def match_to_reference(computed: np.ndarray, reference: np.ndarray) -> MatchResu
     return MatchResult(indices=idx, abs_errors=abs_err, rel_errors=rel_err)
 
 
-def _depths(problem: str, n: int, k_max: int, solve: Callable) -> Iterator[tuple]:
-    """Walk stack depths 1 .. k_max of a problem with an analytic reference.
+def _depths(problem: str, n: int, k_max: int, null_tol: float, solve: Callable) -> Iterator[tuple]:
+    """Walk depths 1 .. k_max of a problem with an analytic reference, in one pass.
 
-    ``solve(sys, k)`` returns a depth's result and its computed
+    ``solve(sys, comp)`` returns a depth's result and its computed
     eigenvalues; each depth yields ``(k, result, lams, reference, match)``
     with the eigenvalues matched to a reference cover of their modulus.
-    The walk stops early, with the depths done so far, once some depth
-    leaves no feasible subspace at all.
+    Each depth is compressed from the one before (``compress_depths``),
+    and the walk stops early, with the depths done so far, once some
+    depth leaves no feasible subspace at all.
     """
     prob = get_problem(problem)
     if prob.reference_cover is None:
         raise ValueError(f"problem {problem!r} has no analytic reference spectrum")
     sys = prob.build(n=n)
-    for k in range(1, k_max + 1):
-        try:
-            result, lams = solve(sys, k)
-        except TrivialNullspaceError:
-            return
+    for comp in compress_depths(sys, k_max, null_tol):
+        result, lams = solve(sys, comp)
         reference = prob.reference_cover(float(np.abs(lams).max()))
-        yield k, result, lams, reference, match_to_reference(lams, reference)
+        yield comp.k, result, lams, reference, match_to_reference(lams, reference)
 
 
 @dataclass(eq=False)
 class KSweepRow:
-    """Error summary of one stack depth.
+    """Error summary of one constraint depth.
 
     ``proxy_real_error`` is the real-part error of the worst-matched
     mode, the quantity whose collapse signals that the spurious branch
@@ -108,37 +107,32 @@ def k_sweep(
     *,
     null_tol: float = DEFAULT_NULL_TOL,
 ) -> list[KSweepRow]:
-    """Sweep the constraint stack depth and summarise spectral errors.
+    """Sweep the constraint depth and summarise spectral errors.
 
     Stops early, with the rows collected so far, if some depth leaves
     no feasible subspace at all.  Requires a problem with an analytic
     reference spectrum.
     """
 
-    def solve(sys, k):
-        comp = compress(sys, k, null_tol)
+    def solve(sys, comp):
         return comp, eigvals(comp.a_k).astype(complex, copy=False)
 
     rows: list[KSweepRow] = []
-    for k, comp, lams, reference, match in _depths(problem, n, k_max, solve):
-        worst = int(match.abs_errors.argmax())
+    for k, comp, lams, reference, match in _depths(problem, n, k_max, null_tol, solve):
+        errors = match.abs_errors
+        worst = int(errors.argmax())
         proxy = abs((reference[match.indices[worst]] - lams[worst]).real)
-        rows.append(
-            KSweepRow(
-                k=k,
-                r=comp.r,
-                proxy_real_error=float(proxy),
-                max_abs_error=float(match.abs_errors.max()),
-                min_abs_error=float(match.abs_errors.min()),
-                max_abs_real=float(np.abs(lams.real).max()),
-            )
-        )
+        rows.append(KSweepRow(
+            k=k, r=comp.r, proxy_real_error=float(proxy),
+            max_abs_error=float(errors.max()), min_abs_error=float(errors.min()),
+            max_abs_real=float(np.abs(lams.real).max()),
+        ))
     return rows
 
 
 @dataclass(eq=False)
 class KQualityRow:
-    """Quality scores and matched error of one mode at one stack depth."""
+    """Quality scores and matched error of one mode at one constraint depth."""
 
     k: int
     rank: int
@@ -157,15 +151,15 @@ def k_quality_sweep(
     *,
     null_tol: float = DEFAULT_NULL_TOL,
 ) -> list[KQualityRow]:
-    """Full per-mode quality grid across stack depths 1 .. k_max.
+    """Full per-mode quality grid across constraint depths 1 .. k_max.
 
     Each depth contributes one row per computed mode, in the report's
     best-first order, with the eigenvalue error from nearest-reference
     matching alongside both quality scores.
     """
 
-    def solve(sys, k):
-        report = quality_report(sys, k, null_tol=null_tol)
+    def solve(sys, comp):
+        report = _report(sys, comp, null_tol)
         return report, np.array([m.lam for m in report.modes])
 
     return [
@@ -179,6 +173,6 @@ def k_quality_sweep(
             theta=mode.theta,
             zero_mode=mode.zero_mode,
         )
-        for k, report, _, _, match in _depths(problem, n, k_max, solve)
+        for k, report, _, _, match in _depths(problem, n, k_max, null_tol, solve)
         for rank, mode in enumerate(report.modes)
     ]

@@ -10,13 +10,16 @@ artifacts do not, which is what makes the scores usable as a screen.
 ``quality_report`` is the one entry point: it compresses, solves and
 scores every mode of a system.
 
-At depth k, M spans the nullspace of ``[C; C A; ...; C A^(k-1)]``, so
-every ``C A^i w`` with i < k vanishes by construction and the first
+At depth k, M spans the states whose first k-1 derivatives keep
+``C z = 0`` (``constrained.compress_depths``).  Without a mass operator
+that is the nullspace of ``[C; C A; ...; C A^(k-1)]``, so every
+``C A^i w`` with i < k vanishes up to the rank cut and the first
 constraint a mode can still violate is ``C A^k w``.  It is formed as
 ``(C A^(k-1)) (A w)``: the row block ``C A^(k-1)``, the last block of
-the stack, once per report, unscaled, so ``s_norm`` carries the
+that stack, once per report, unscaled, so ``s_norm`` carries the
 growth of ``A^k`` and compares modes of one depth, not across depths.
-At k = 1 the block is C itself and the score is ``|C A w|``.
+At k = 1 the block is C itself and the score is ``|C A w|``.  With a
+mass operator the derivative is not ``A z`` and there is no ``s_norm``.
 
 The angle is computed from sines as well as cosines of the principal
 angles, so it resolves angles down to about machine precision: a
@@ -176,7 +179,7 @@ def _score_modes(
     ``zero_mode``, so ``W = M V`` and everything after it see one column
     per pair.  The columns are scored ``_CHUNK`` at a time
     (``_score_chunk``), which bounds the stacked copies.  The row block
-    ``C A^(k-1)``, the last block of the depth-k stack, is formed once.
+    ``C A^(k-1)``, the last block of ``observability(sys, k)``, is formed once.
     ``sys.drift_norm`` is computed only for a chunk that its cheap
     bracket leaves undecided.
     """
@@ -321,7 +324,11 @@ def quality_report(
     generalized systems.  A mode is a zero mode when
     ``|A M v| < DEFAULT_ZERO_FLOOR |A|_2 |M v|``.
     """
-    comp = compress(sys, k, null_tol)
+    return _report(sys, compress(sys, k, null_tol), null_tol)
+
+
+def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> QualityReport:
+    """The ``quality_report`` of one compressed system, whatever produced it."""
     lams, vecs = eigenpairs(comp)
     records = [
         ModeRecord(lam=lam, w=w, s_norm=s_norm, theta=theta, zero_mode=zero)
@@ -333,7 +340,7 @@ def quality_report(
     meta = {
         "problem": labels.get("problem"),
         "n": labels.get("n", sys.n),
-        "k": k,
+        "k": comp.k,
         "r": comp.r,
         "null_tol": null_tol,
         "real_system": bool(

@@ -303,19 +303,21 @@ def simulate_rk4(
     growth.  For the neutrally stable and damped spectra this
     integrator is used to cross-check, such growth can only mean the
     step violates the stability bound.  A non-finite ``a`` or ``x0``
-    raises ``ValueError``.
+    raises ``ValueError``.  States are float64 for real inputs and
+    complex128 once ``a`` or ``x0`` is complex.
     """
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
     a = np.asarray(a)
-    x = np.asarray(x0, dtype=float)
+    x = np.asarray(x0)
+    x = x.astype(np.result_type(a, x, float), copy=False)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(x))):
         raise ValueError("a and x0 must be finite")
     steps = max(1, int(round(t_end / dt)))
     h = t_end / steps
     limit = 1e6 * max(float(np.linalg.norm(x)), np.finfo(float).tiny)
     times = np.linspace(0.0, t_end, steps + 1)
-    states = np.empty((steps + 1, x.size))
+    states = np.empty((steps + 1, x.size), dtype=x.dtype)
     states[0] = x
 
     def check(start: int, stop: int) -> None:

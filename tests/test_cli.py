@@ -90,14 +90,14 @@ class TestAnalyze:
 
 class TestSweepK:
     def test_summary_csv(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep-k", "--n", "8", "--k-max", "25")
+        code, out, _ = run_cli(
+            capsys, "sweep-k", "--problem", "heat", "--n", "8", "--k-max", "25"
+        )
         assert code == EXIT_OK
         lines = out.strip().split("\n")
         assert lines[0] == "k,r,proxy_real_error,max_abs_error,min_abs_error,max_abs_real"
-        assert len(lines) == 1 + 8  # depth 9 leaves nothing, sweep stops
-        assert [line.split(",")[1] for line in lines[1:]] == [
-            "14", "12", "10", "8", "6", "4", "2", "1",
-        ]
+        assert len(lines) == 1 + 3  # depth 4 leaves nothing, sweep stops
+        assert [line.split(",")[1] for line in lines[1:]] == ["6", "4", "2"]
 
     def test_grid_csv(self, capsys):
         code, out, _ = run_cli(capsys, "sweep-k", "--n", "8", "--k-max", "2", "--grid")
@@ -321,16 +321,9 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "exp(lam t)" in err
 
-    def test_numerical_error_depth_past_cap(self, capsys):
-        code, _, err = run_cli(
-            capsys, "analyze", "--problem", "canuto", "--n", "8", "--k", "99"
-        )
-        assert code == EXIT_NUMERICAL
-        assert "cap" in err
-
     def test_numerical_error_trivial_subspace(self, capsys):
         code, _, err = run_cli(
-            capsys, "analyze", "--problem", "canuto", "--n", "8", "--k", "9"
+            capsys, "analyze", "--problem", "heat", "--n", "8", "--k", "4"
         )
         assert code == EXIT_NUMERICAL
         assert "error:" in err

@@ -6,12 +6,18 @@ import pytest
 from eigensieve.constrained import (
     ConstrainedSystem,
     compress,
+    compress_depths,
     nullspace_basis,
     observability,
     verify_decomposition,
 )
 from eigensieve.errors import TrivialNullspaceError
-from eigensieve.problems import canuto_hyperbolic, heat_dirichlet
+from eigensieve.problems import (
+    acoustic_wave,
+    canuto_hyperbolic,
+    heat_dirichlet,
+    orr_sommerfeld,
+)
 
 
 def _random_system(seed, n=8, q=2):
@@ -68,13 +74,6 @@ class TestObservability:
     def test_rejects_nonpositive_depth(self):
         with pytest.raises(ValueError, match="depth"):
             observability(_random_system(3), 0)
-
-    def test_row_cap_refuses_excessive_depth(self):
-        sys = _random_system(4)
-        # the cap is 4 n = 32 rows: 15 blocks of 2 rows fit, 16 do not
-        assert observability(sys, 15).entries.shape == (30, 8)
-        with pytest.raises(ValueError, match="cap"):
-            observability(sys, 16)
 
 
 class TestNullspaceBasis:
@@ -197,9 +196,10 @@ class TestCompression:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_fully_constrained_system_raises(self):
-        sys = canuto_hyperbolic(8)
+        sys = heat_dirichlet(8)
+        assert compress(sys, 3).r == 2
         with pytest.raises(TrivialNullspaceError):
-            compress(sys, 9)
+            compress(sys, 4)
 
     def test_mass_matrix_is_compressed_alongside(self):
         rng = np.random.default_rng(10)
@@ -212,6 +212,75 @@ class TestCompression:
         np.testing.assert_allclose(
             comp.e_k, comp.m_left @ e @ comp.m, atol=1e-14
         )
+
+
+def _mass_system(seed, n=9, q=2):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    e = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    return ConstrainedSystem(a=a, c=rng.standard_normal((q, n)), e=e)
+
+
+class TestDepthRecursion:
+    @pytest.mark.parametrize(
+        "sys",
+        [canuto_hyperbolic(16), acoustic_wave(16), orr_sommerfeld(20), _mass_system(0)],
+        ids=["canuto", "acoustic", "orr-sommerfeld", "random-mass"],
+    )
+    def test_depth_one_is_the_scaled_constraint_nullspace(self, sys):
+        comp = compress(sys, 1)
+        m = nullspace_basis(sys.c / np.linalg.norm(sys.c))
+        assert np.array_equal(comp.m, m)
+        assert np.array_equal(comp.a_k, (m.conj().T @ sys.a) @ m)
+        if sys.e is not None:
+            assert np.array_equal(comp.e_k, (m.conj().T @ sys.e) @ m)
+
+    def test_each_depth_keeps_the_states_whose_derivative_stays_feasible(self):
+        for seed in range(3):
+            sys = _mass_system(seed)
+            prev = None
+            for comp in compress_depths(sys, 4):
+                assert comp.r == sys.n - sys.q * comp.k
+                np.testing.assert_allclose(comp.a_k, comp.m_left @ sys.a @ comp.m, atol=1e-12)
+                np.testing.assert_allclose(comp.e_k, comp.m_left @ sys.e @ comp.m, atol=1e-12)
+                if prev is not None:
+                    # A M_k lies in E V_(k-1), and V_k in V_(k-1)
+                    q, _ = np.linalg.qr(sys.e @ prev.m)
+                    am = sys.a @ comp.m
+                    assert np.linalg.norm(am - q @ (q.conj().T @ am)) < 1e-10 * sys.drift_norm
+                    assert np.linalg.norm(comp.m - prev.m @ (prev.m_left @ comp.m)) < 1e-12
+                prev = comp
+
+    def test_identity_mass_operator_gives_the_same_subspaces(self):
+        sys = _random_system(12, n=10)
+        with_e = ConstrainedSystem(a=sys.a, c=sys.c, e=np.eye(10))
+        for plain, mass in zip(compress_depths(sys, 4), compress_depths(with_e, 4)):
+            assert plain.r == mass.r
+            proj = plain.m @ plain.m_left - mass.m @ mass.m_left
+            assert np.linalg.norm(proj, 2) < 1e-12
+
+    def test_mass_operator_keeps_the_tollmien_schlichting_mode(self):
+        # the stack [C; C A; ...] misses it by 1.4e-6 and 9.3e-6 here
+        sys = orr_sommerfeld(80)
+        ts = 0.00373967 - 0.23752649j
+        for comp in compress_depths(sys, 3):
+            assert comp.r == sys.n - 4 * comp.k
+            lams = np.linalg.eigvals(np.linalg.solve(comp.e_k, comp.a_k))
+            assert np.abs(lams - ts).min() < 1e-8
+
+    def test_canuto_keeps_every_rank_and_the_zero_mode(self):
+        # the stack's rank stalls at 90 for k = 19-21 and ends at 88
+        n = 64
+        sys = canuto_hyperbolic(n)
+        zero_mode = np.concatenate([np.zeros(n), np.ones(n)]) / np.sqrt(n)
+        comps = list(compress_depths(sys, 25))
+        assert [comp.r for comp in comps] == [2 * n - 2 * k for k in range(1, 26)]
+        for comp in comps:
+            assert np.linalg.norm(zero_mode - comp.m @ (comp.m_left @ zero_mode)) < 1e-9
+
+    def test_rejects_nonpositive_depth(self):
+        with pytest.raises(ValueError, match="depth"):
+            compress(_random_system(13), 0)
 
 
 class TestDecompositionReport:

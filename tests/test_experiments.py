@@ -6,6 +6,7 @@ import pytest
 from eigensieve.constrained import compress
 from eigensieve.experiments import k_quality_sweep, k_sweep, match_to_reference
 from eigensieve.problems import canuto_hyperbolic
+from eigensieve.quality import quality_report
 
 
 class TestMatchToReference:
@@ -38,12 +39,22 @@ class TestMatchToReference:
 
 class TestKSweep:
     def test_small_case_runs_to_exhaustion(self):
-        rows = k_sweep("canuto", n=8, k_max=25)
-        assert [row.k for row in rows] == list(range(1, 9))
-        assert [row.r for row in rows] == [14, 12, 10, 8, 6, 4, 2, 1]
+        rows = k_sweep("heat", n=8, k_max=25)
+        assert [row.k for row in rows] == [1, 2, 3]
+        assert [row.r for row in rows] == [6, 4, 2]
         for row in rows:
             assert 0.0 <= row.min_abs_error <= row.max_abs_error
             assert row.proxy_real_error >= 0.0
+
+    def test_rows_match_each_depth_compressed_alone(self):
+        sys = canuto_hyperbolic(16)
+        rows = k_sweep("canuto", n=16, k_max=6)
+        assert [row.k for row in rows] == list(range(1, 7))
+        for row in rows:
+            comp = compress(sys, row.k)
+            lams = np.linalg.eigvals(comp.a_k)
+            assert row.r == comp.r
+            assert row.max_abs_real == np.abs(lams.real).max()
 
     def test_k_max_truncates(self):
         rows = k_sweep("canuto", n=8, k_max=3)
@@ -72,6 +83,16 @@ class TestKQualitySweep:
         assert thetas == sorted(thetas)
         depth_two = [row for row in rows if row.k == 2]
         assert len(depth_two) == compress(canuto_hyperbolic(16), 2).r
+
+    def test_rows_match_each_depth_reported_alone(self):
+        sys = canuto_hyperbolic(16)
+        rows = k_quality_sweep("canuto", n=16, k_max=4)
+        for k in range(1, 5):
+            modes = quality_report(sys, k).modes
+            got = [row for row in rows if row.k == k]
+            assert [(r.lam, r.s_norm, r.theta, r.zero_mode) for r in got] == [
+                (m.lam, m.s_norm, m.theta, m.zero_mode) for m in modes
+            ]
 
     def test_best_mode_is_spectrally_accurate(self):
         rows = k_quality_sweep("canuto", n=16, k_max=1)

@@ -10,6 +10,7 @@ import eigensieve
 from eigensieve import (
     DEFAULT_NULL_TOL,
     compress,
+    compress_depths,
     k_quality_sweep,
     k_sweep,
     nullspace_basis,
@@ -44,6 +45,7 @@ def test_package_exports_each_module_name_once():
     [
         (nullspace_basis, "tol"),
         (compress, "tol"),
+        (compress_depths, "tol"),
         (quality_report, "null_tol"),
         (k_sweep, "null_tol"),
         (k_quality_sweep, "null_tol"),

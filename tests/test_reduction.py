@@ -415,6 +415,35 @@ class TestSimulateRk4:
         with pytest.raises(DivergenceError):
             simulate_rk4(np.array([[5.0]]), np.array([1.0]), 10.0, 1.0)
 
+    @pytest.mark.parametrize("dt", [0.1, 0.01], ids=["one-step-each", "blocks"])
+    def test_complex_drift_gives_complex_states(self, dt):
+        # 10 steps go one mat-vec each, 100 steps also take 32-step
+        # blocks; the global error of x' = i x is about t h^4 / 120
+        result = simulate_rk4(np.array([[1j]]), np.array([1.0]), 1.0, dt)
+        assert result.states.dtype == complex
+        assert abs(result.states[-1, 0] - np.exp(1j)) < dt**4 / 100
+
+    def test_real_inputs_keep_float64_states(self):
+        # integer inputs count as real; the states are the float64
+        # products of the Horner propagator, one step at a time for 32
+        # steps, then of its 32nd power on blocks of 32 states
+        a, x0 = np.array([[-1, 2], [-2, -1]]), [1, 0]
+        result = simulate_rk4(a, x0, 1.0, 0.01)
+        assert result.states.dtype == np.float64
+        ha = 0.01 * a
+        prop = ha / 4.0
+        for divisor in (3.0, 2.0, 1.0):
+            prop = ha @ (prop + np.eye(2)) / divisor
+        prop += np.eye(2)
+        expected = [np.array(x0, dtype=float)]
+        for _ in range(32):
+            expected.append(prop @ expected[-1])
+        for _ in range(5):
+            prop = prop @ prop
+        for start in range(33, 101, 32):
+            expected.extend(np.array(expected[start - 32 : min(start, 101 - 32)]) @ prop.T)
+        assert np.array_equal(result.states, np.array(expected))
+
     def test_agrees_with_exact_modal_evolution(self):
         sys = acoustic_wave(32)
         report = quality_report(sys)
