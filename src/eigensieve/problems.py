@@ -9,9 +9,10 @@ parameter lists, and (where known) analytic spectra.
 
 The 4096-point Gauss-Legendre rule of ``acoustic_reference`` ships as
 the table ``gauss_legendre_4096.npy`` (nodes in row 0, weights in row
-1).  It was written once as ``np.stack(roots_legendre(4096))`` with
-``scipy.special`` 1.17.1 and checked bit for bit against that call, so
-no run needs scipy or recomputes the rule.  The projection onto the
+1), so no run recomputes the rule.  ``tools/gauss_rule.py`` writes it
+by long-double Newton steps on the Legendre recurrence: every node is
+the float64 rounding of its root, and every moment x^k, k <= 64, is
+integrated to within 1.1e-16.  The projection onto the
 sine modes uses angle addition rather than one sine per mode and node,
 so its cost grows with the square root of the mode count, and it reads
 only the nodes where the weighted profile is nonzero (see

@@ -18,6 +18,10 @@ constraint a mode can still violate is ``C A^k w``.  It is formed as
 ``(C A^(k-1)) (A w)``: the row block ``C A^(k-1)``, the last block of
 that stack, once per report, unscaled, so ``s_norm`` carries the
 growth of ``A^k`` and compares modes of one depth, not across depths.
+A block with no normal entry or a non-finite one raises
+``DerivativeBlockRangeError``, and a score whose squares underflow or
+overflow is taken again on a rescaled vector, so a tiny score never
+reads 0 and a finite one never reads infinite.
 At k = 1 the block is C itself and the score is ``|C A w|``.  With a
 mass operator the derivative is not ``A z`` and there is no ``s_norm``.
 
@@ -65,14 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrained import (
-    DEFAULT_NULL_TOL,
-    CompressedSystem,
-    ConstrainedSystem,
-    compress,
-    observability,
-)
-from .errors import IllConditionedMassError, UndefinedSubspaceError
+from .constrained import DEFAULT_NULL_TOL, CompressedSystem, ConstrainedSystem, compress
+from .errors import DerivativeBlockRangeError, IllConditionedMassError, UndefinedSubspaceError
 
 __all__ = [
     "DEFAULT_THETA_THRESHOLD",
@@ -178,13 +176,12 @@ def _score_modes(
     the conjugate of that mode's ``w`` and its ``s_norm``, ``theta`` and
     ``zero_mode``, so ``W = M V`` and everything after it see one column
     per pair.  The columns are scored ``_CHUNK`` at a time
-    (``_score_chunk``), which bounds the stacked copies.  The row block
-    ``C A^(k-1)``, the last block of ``observability(sys, k)``, is formed once.
+    (``_score_chunk``), which bounds the stacked copies.
     ``sys.drift_norm`` is computed only for a chunk that its cheap
     bracket leaves undecided.
     """
     real = all(np.isrealobj(op) for op in (comp.m, sys.a, sys.c, sys.e) if op is not None)
-    c_top = None if sys.e is not None else observability(sys, comp.k).entries[-sys.q :]
+    c_top = None if sys.e is not None else _derivative_block(sys, comp.k)
     mirrored = np.zeros(vecs.shape[1], dtype=bool)
     if real:
         mirrored[1:] = np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
@@ -201,6 +198,30 @@ def _score_modes(
     return rows
 
 
+def _derivative_block(sys: ConstrainedSystem, k: int) -> np.ndarray:
+    """The row block ``C A^(k-1)``, formed alone.
+
+    It takes the products of the last block of ``observability(sys, k)``,
+    ``C A`` then ``(C A) A`` and so on, so its bits are that block's
+    without stacking the k - 1 blocks before it.  A block with no entry
+    in the normal floating-point range (all zero or subnormal, having
+    underflowed) or with a non-finite entry would make every ``s_norm``
+    a silent 0, a number without precision or not a number, so it raises
+    ``DerivativeBlockRangeError``.
+    """
+    block = sys.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k - 1):
+            block = block @ sys.a
+    peak = np.abs(block).max()
+    if not np.finfo(float).tiny <= peak < np.inf:
+        raise DerivativeBlockRangeError(
+            f"the depth-{k} constraint block C A^{k - 1} has largest entry {peak:.3e}, "
+            "outside the normal floating-point range, so its derivative scores are not resolved"
+        )
+    return block
+
+
 def _score_chunk(
     sys: ConstrainedSystem, c_top: np.ndarray | None, ws: np.ndarray, below: Callable
 ) -> Iterator[tuple[float | None, float, bool]]:
@@ -213,7 +234,7 @@ def _score_chunk(
     n = ws.shape[1]
     s_norms = [None] * n
     if c_top is not None:
-        s_norms = np.linalg.norm(_times(c_top, aws), axis=0).tolist()
+        s_norms = _norms(_times(c_top, aws)).tolist()
     w_norms = np.linalg.norm(ws, axis=0)
     zero = below(np.linalg.norm(aws, axis=0), lambda nrm: DEFAULT_ZERO_FLOOR * nrm * w_norms)
     theta = np.zeros(n)
@@ -222,6 +243,34 @@ def _score_chunk(
         lhs = ws[:, live] if sys.e is None else _times(sys.e, ws[:, live])
         theta[live] = _grassmann_distances(lhs.T, aws[:, live].T)
     return zip(s_norms, theta.tolist(), zero.tolist())
+
+
+#: Column norms outside [_SQUARES_UNDERFLOW, _SQUARES_OVERFLOW) may have
+#: lost digits, or all of them, to squares below the smallest normal
+#: number or above the largest finite one.
+_SQUARES_UNDERFLOW = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_SQUARES_OVERFLOW = np.sqrt(np.finfo(float).max)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Column norms of x, rescaled where their squares may have left the range.
+
+    Columns whose plain norm lies in [``_SQUARES_UNDERFLOW``,
+    ``_SQUARES_OVERFLOW``) keep its bits; the others are taken again as
+    ``m |x / m|`` with m their largest magnitude, so a tiny nonzero
+    column never reads 0 and a finite one reads infinite only when its
+    norm is.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=0)
+    redo = np.flatnonzero(~((norms >= _SQUARES_UNDERFLOW) & (norms < _SQUARES_OVERFLOW)))
+    if redo.size:
+        peak = np.abs(x[:, redo]).max(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rescaled = peak * np.linalg.norm(x[:, redo] / np.where(peak > 0, peak, 1.0), axis=0)
+        # a column holding inf or nan keeps its plain norm
+        norms[redo] = np.where(np.isfinite(peak), rescaled, norms[redo])
+    return norms
 
 
 def _span_bases(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

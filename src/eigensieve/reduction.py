@@ -5,9 +5,13 @@ them under complex conjugation so real dynamics stay real, and evolve
 the retained modal coefficients exactly.  Every model of a report is a
 leading block of one factorised basis, so a sweep over retained counts
 evolves all of its models in one pass: one projection, one prefix sum
-of the triangular inverse, one product (``_evolve``).  A fixed-step
-integrator of the full compressed system is provided as an independent
-cross-check; it advances 32 steps per product after the first 32.
+of the triangular inverse, one product (``_evolve``).  A real system is
+reduced in real arithmetic: each exact conjugate pair (w, conj(w)) is
+held as the real columns sqrt(2) [Re w, Im w] and evolved as a 2 x 2
+rotation-scaling block, so the factorisation, the projection and the
+final product are float64.  A fixed-step integrator of the full
+compressed system is provided as an independent cross-check; it
+advances 32 steps per product after the first 32.
 """
 
 from __future__ import annotations
@@ -48,11 +52,23 @@ class ReducedModel:
     the order in which a growing retained count takes in the report's
     modes; it is report order wherever conjugate partners sit side by
     side; ``indices`` names the report position of each column.
-    ``shapes`` holds the lifted mode vectors w = M v as columns, so
-    modal coefficients c lift to the state ``shapes @ c``.  ``q`` and
-    ``r_inv`` are a thin QR factorisation ``shapes = q R`` and the
-    inverse of its triangle, so restriction is a projection onto ``q``
-    and one triangular product.  The arrays are read-only leading
+    ``lambdas`` holds the eigenvalue of each column and ``shapes`` the
+    lifted mode vectors w = M v as columns, so modal coefficients c
+    lift to the state ``shapes @ c``.
+
+    ``basis`` holds the columns that the model factorises and evolves.
+    For a real system whose retained modes are exact conjugate pairs
+    (w, conj(w)) and real modes it is float64: the pair at columns
+    j < m becomes sqrt(2) Re w and sqrt(2) Im w, w the vector of column
+    j, and a real mode keeps its w.  ``mates[j]`` is the other column
+    of j's pair, j itself for a real mode.  The sqrt(2) makes each pair
+    block a unitary image of [w, conj(w)], so every leading block of
+    ``basis`` has the singular values of that of ``shapes``.  Otherwise
+    (a complex system, or a hand-built report whose partners are not
+    exact conjugates) ``basis`` is ``shapes`` and ``mates`` is None.
+    ``q`` and ``r_inv`` are a thin QR factorisation ``basis = q R`` and
+    the inverse of its triangle, so restriction is a projection onto
+    ``q`` and one triangular product.  The arrays are read-only leading
     blocks of arrays that every model of the report shares.
     """
 
@@ -61,21 +77,34 @@ class ReducedModel:
     indices: tuple[int, ...]
     q: np.ndarray
     r_inv: np.ndarray
+    basis: np.ndarray
+    mates: np.ndarray | None
+    real_system: bool
 
     @property
     def size(self) -> int:
         return self.lambdas.size
 
     def restrict(self, state: np.ndarray) -> tuple[np.ndarray, float]:
-        """Least-squares modal coefficients of a physical state.
+        """Least-squares modal coefficients of a physical state: ``(coeffs, residual)``.
 
-        With ``shapes = q R``, the coefficients are ``R^-1 q^H x`` and
-        the relative projection residual is ``|q q^H x - x| / |x|``, at
-        O(N size) per call.  On anything in the span of the retained
-        modes, ``shapes @ coeffs`` gives the state back.
+        With ``basis = q R``, the coefficients of ``basis`` are
+        ``R^-1 q^H x`` and the relative projection residual is
+        ``|q q^H x - x| / |x|``, at O(N size) per call.  A pair's real
+        coefficients (a, b) are those of w and conj(w) as
+        (a -+ ib) / sqrt(2), so ``coeffs`` are the complex128
+        coefficients of ``shapes``: on anything in the span of the
+        retained modes, ``shapes @ coeffs`` gives the state back.
         """
         b, residual = self._project(state)
-        return self.r_inv @ b, residual
+        coeffs = (self.r_inv @ b).astype(complex)
+        if self.mates is not None:
+            own = np.arange(self.size)
+            # +1 at the first column of a pair, -1 at its second, 0 at a real mode
+            turn = np.sign(self.mates - own)
+            lo, hi = coeffs[np.minimum(own, self.mates)], coeffs[np.maximum(own, self.mates)]
+            coeffs = np.where(turn == 0, coeffs, (lo - 1j * turn * hi) / np.sqrt(2.0))
+        return coeffs, residual
 
     def _project(self, state: np.ndarray) -> tuple[np.ndarray, float]:
         """``q^H x`` and the relative projection residual, 0 for a zero state."""
@@ -88,30 +117,49 @@ class ReducedModel:
         return b, float(np.linalg.norm(self.q @ b - state) / nrm)
 
 
-def _factor(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of the columns and the inverse of R by back substitution.
+def _factor(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of the columns and the inverse of R by recursive block halving.
 
-    Row i of R^-1 needs only the rows below it and is zero left of the
-    diagonal, so a zero or tiny pivot spoils only its own column and
-    those to its right: the leading s x s block of the result stays the
-    inverse of R's leading block, also when the full basis is singular.
+    The inverse of [[R11, R12], [0, R22]] is
+    [[R11^-1, -R11^-1 R12 R22^-1], [0, R22^-1]].  R is padded with the
+    identity to a power-of-two order, so that the halving recursion
+    reaches 1 x 1 blocks everywhere at once, and the recursion is
+    evaluated level by level from those blocks up: each level joins
+    adjacent pairs of inverted diagonal blocks by that formula, all
+    pairs of a level in two stacked products, so the whole inverse
+    takes 2 log2(order) products and no Python loop over rows.  Column
+    j of the joined corner reads column j of R22^-1
+    and all of R11^-1, so a zero or tiny pivot spoils only its own
+    column and those to its right: the leading s x s block of the result
+    stays the inverse of R's leading block, also when the full basis is
+    singular.
     """
-    q, r = np.linalg.qr(shapes)
-    r_inv = np.zeros_like(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(r.shape[0] - 1, -1, -1):
-            r_inv[i, i] = 1.0 / r[i, i]
-            r_inv[i, i + 1 :] = -(r[i, i + 1 :] @ r_inv[i + 1 :, i + 1 :]) / r[i, i]
-    return q, r_inv
+    q, r = np.linalg.qr(basis)
+    n = r.shape[0]
+    order = 1 << (n - 1).bit_length()
+    padded = np.eye(order, dtype=r.dtype)
+    padded[:n, :n] = r
+    inv = np.zeros_like(padded)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.fill_diagonal(inv, 1.0 / np.diagonal(padded))
+        half = 1
+        while half < order:
+            pairs = np.arange(order // (2 * half))
+            x, t = (m.reshape(pairs.size, 2 * half, pairs.size, 2 * half) for m in (inv, padded))
+            corner = x[pairs, :half, pairs, :half] @ t[pairs, :half, pairs, half:]
+            x[pairs, :half, pairs, half:] = -(corner @ x[pairs, half:, pairs, half:])
+            half *= 2
+    return q, np.ascontiguousarray(inv[:n, :n])
 
 
-#: Retention order, model sizes, factorised basis and rank bounds of each
-#: truncated report, computed on its first ``truncate`` and dropped with the report.
+#: Model sizes, the model of every retained mode and the rank bounds of
+#: each truncated report, computed on its first ``truncate`` and dropped
+#: with the report.
 _RETENTION: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _retention(report: QualityReport) -> tuple:
-    """``(order, sizes, lambdas, shapes, q, r_inv, bound)`` of a report.
+def _retention(report: QualityReport) -> tuple[list[int], ReducedModel, np.ndarray]:
+    """``(sizes, model, bound)`` of a report.
 
     One walk over the report lists its modes in the order a growing r
     retains them: a mode not yet placed brings in the chain of its
@@ -119,25 +167,35 @@ def _retention(report: QualityReport) -> tuple:
     the whole report.  The distance to itself is 2|Im lam|, so a nearly
     real mode is its own partner.  The map is fixed, so the closure of
     the first r modes is that of the first r - 1 plus the chain of mode
-    r - 1: every selection is a prefix of ``order``, of length
-    ``sizes[r - 1]``.  The arrays hold the modes in that order and are
+    r - 1: every selection is a prefix of the walk, of length
+    ``sizes[r - 1]``.  ``model`` holds every mode in that order; each
+    model ``truncate`` returns is a leading block of it.  Its arrays are
     read-only, since every model of the report shares them.
+
+    For a real system the basis is real (see ``ReducedModel``) when the
+    partner map pairs each column with one other and back, and each
+    pair is an exact conjugate: the same bits up to the sign of the
+    imaginary parts, as ``eigenpairs`` and scoring hand them over.  A
+    real mode is then its own exact conjugate.
 
     Only the leading N columns are factorised: more modes than state
     entries are dependent whatever they are.  ``bound[s - 1]`` is
     |R|_F |R^-1|_F of the leading s columns, an upper bound on their
     condition number, and infinite past N.  Both factors are cumulative
     column sums: q has orthonormal columns, so a column of R has the
-    norm of its column of ``shapes``, and R^-1 is upper triangular, so
-    its leading block holds its leading columns whole.
+    norm of its column of the basis, and R^-1 is upper triangular, so
+    its leading block holds its leading columns whole.  At every size
+    that ends between two pairs, the real basis has the bound of the
+    complex one in exact arithmetic.
     """
     cached = _RETENTION.get(report)
     if cached is not None:
         return cached
     lams = np.array([m.lam for m in report.modes])
-    partner = list(range(lams.size))
-    if report.meta.get("real_system", True):
-        partner = np.abs(lams[None, :] - np.conj(lams)[:, None]).argmin(axis=1).tolist()
+    real_system = bool(report.meta.get("real_system", True))
+    partner = np.arange(lams.size)
+    if real_system:
+        partner = np.abs(lams[None, :] - np.conj(lams)[:, None]).argmin(axis=1)
     placed = [False] * lams.size
     order, sizes = [], []
     for i in range(lams.size):
@@ -145,18 +203,39 @@ def _retention(report: QualityReport) -> tuple:
         while not placed[j]:
             placed[j] = True
             order.append(j)
-            j = partner[j]
+            j = int(partner[j])
         sizes.append(len(order))
+    lams = lams[order]
     shapes = np.column_stack([report.modes[i].w for i in order])
-    lead = shapes[:, : shapes.shape[0]]
+    basis, mates = shapes, None
+    if real_system:
+        own = np.arange(len(order))
+        column = np.empty_like(own)
+        column[order] = own
+        mates = column[partner[order]]
+        if (
+            np.array_equal(mates[mates], own)
+            and np.array_equal(lams[mates], lams.conj())
+            and np.array_equal(shapes[:, mates], shapes.conj())
+        ):
+            # the second column of a pair holds sqrt(2) Im w of the first: -Im of its own
+            basis = np.where(mates < own, -shapes.imag, shapes.real)
+            basis *= np.where(mates == own, 1.0, np.sqrt(2.0))
+        else:
+            mates = None
+    lead = basis[:, : basis.shape[0]]
     q, r_inv = _factor(lead)
     frob = [np.sqrt(np.cumsum(np.linalg.norm(x, axis=0) ** 2)) for x in (lead, r_inv)]
     bound = np.full(len(order), np.inf)
     bound[: lead.shape[1]] = frob[0] * frob[1]
-    arrays = (lams[order], shapes, q, r_inv, bound)
-    for array in arrays:
-        array.flags.writeable = False
-    cached = _RETENTION[report] = (tuple(order), sizes, *arrays)
+    for array in (lams, shapes, basis, q, r_inv, bound, mates):
+        if array is not None:
+            array.flags.writeable = False
+    model = ReducedModel(
+        lambdas=lams, shapes=shapes, indices=tuple(order), q=q, r_inv=r_inv,
+        basis=basis, mates=mates, real_system=real_system,
+    )
+    cached = _RETENTION[report] = (sizes, model, bound)
     return cached
 
 
@@ -182,20 +261,23 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
     nmodes = len(report.modes)
     if not 1 <= r <= nmodes:
         raise ValueError(f"retained count must be in 1..{nmodes}, got r={r}")
-    order, sizes, lambdas, shapes, q, r_inv, bound = _retention(report)
+    sizes, full, bound = _retention(report)
     s = sizes[r - 1]
-    limit = 1.0 / (np.finfo(float).eps * max(shapes.shape[0], s))
+    limit = 1.0 / (np.finfo(float).eps * max(full.basis.shape[0], s))
     if not bound[s - 1] <= limit:
         raise RankDeficientBasisError(
             f"lifted basis of {s} modes is rank deficient: "
             f"|R|_F |R^-1|_F = {bound[s - 1]:.3e} exceeds 1/(eps max(N, size)) = {limit:.3e}"
         )
     return ReducedModel(
-        lambdas=lambdas[:s],
-        shapes=shapes[:, :s],
-        indices=order[:s],
-        q=q[:, :s],
-        r_inv=r_inv[:s, :s],
+        lambdas=full.lambdas[:s],
+        shapes=full.shapes[:, :s],
+        indices=full.indices[:s],
+        q=full.q[:, :s],
+        r_inv=full.r_inv[:s, :s],
+        basis=full.basis[:, :s],
+        mates=None if full.mates is None else full.mates[:s],
+        real_system=full.real_system,
     )
 
 
@@ -217,13 +299,19 @@ def _evolve(
     ``truncate`` returns for size s, so one projection serves all of
     them.  b = q^H x0 is formed once, and R^-1 is upper triangular, so
     the coefficients R_s^-1 b_s of size s are column s - 1 of the
-    prefix sums of ``r_inv * b`` along its rows.  One product of
-    ``shapes`` with every evolved coefficient gives every state:
-    ``states[i, j]`` is size ``sizes[j]`` at ``times[i]``, real.
-    ``residual`` is the relative projection residual of the whole
-    model.  Every size must pass the checks of ``simulate_modal``, or
-    the call raises; an imaginary residue is reported for the first
-    failing size in list order.
+    prefix sums of ``r_inv * b`` along its rows.  A column of a complex
+    basis evolves by exp(lam t).  On a real basis, a pair with
+    lam = alpha + i beta at its first column j and conj(lam) at its mate
+    m turns its coefficients (c_j, c_m) by the block
+    e^(alpha t) [[cos beta t, sin beta t], [-sin beta t, cos beta t]]:
+    column j takes ``Re exp(lam_j t) c_j + Im exp(lam_j t) c_m``, and
+    column m the same with j and m swapped.  A real mode is its own mate
+    with a zero imaginary part.  One product of ``basis`` with every evolved
+    coefficient gives every state: ``states[i, j]`` is size
+    ``sizes[j]`` at ``times[i]``.  ``residual`` is the relative
+    projection residual of the whole model.  Every size must pass the
+    checks of ``simulate_modal``, or the call raises; an imaginary
+    residue is reported for the first failing size in list order.
     """
     x0 = np.asarray(x0)
     if not np.all(np.isfinite(x0)):
@@ -233,7 +321,11 @@ def _evolve(
     inside = np.arange(model.size) < sizes[:, None]
     coeffs = np.cumsum(model.r_inv * b, axis=1)[:, sizes - 1].T
     with np.errstate(over="ignore", invalid="ignore"):
-        evolved = np.exp(np.outer(times, model.lambdas))[:, None, :] * coeffs
+        growth = np.exp(np.outer(times, model.lambdas))[:, None, :]
+        if model.mates is None:
+            evolved = growth * coeffs
+        else:
+            evolved = growth.real * coeffs + growth.imag * coeffs[:, model.mates]
     # a mode outside a size adds nothing to it, also where exp(lam t) overflows
     evolved = np.where(inside, evolved, 0.0)
     if not np.all(np.isfinite(evolved)):
@@ -241,16 +333,18 @@ def _evolve(
             "a modal coefficient left the floating-point range; "
             "exp(lam t) overflows at this end time"
         )
-    states = (evolved.reshape(-1, model.size) @ model.shapes.T).reshape(*evolved.shape[:2], -1)
-    scale = max(float(np.linalg.norm(x0)), np.finfo(float).tiny)
-    residues = np.abs(states.imag).max(axis=(0, 2), initial=0.0)
-    over = np.flatnonzero(residues > 1e-9 * scale)
-    if over.size:
-        raise ImaginaryResidueError(
-            f"imaginary residue {residues[over[0]]:.3e} exceeds 1e-9 * |x0|; "
-            "retained mode set is not closed under conjugation"
-        )
-    return states.real, residual
+    states = (evolved.reshape(-1, model.size) @ model.basis.T).reshape(*evolved.shape[:2], -1)
+    if model.mates is None and model.real_system and np.isrealobj(x0):
+        scale = max(float(np.linalg.norm(x0)), np.finfo(float).tiny)
+        residues = np.abs(states.imag).max(axis=(0, 2), initial=0.0)
+        over = np.flatnonzero(residues > 1e-9 * scale)
+        if over.size:
+            raise ImaginaryResidueError(
+                f"imaginary residue {residues[over[0]]:.3e} exceeds 1e-9 * |x0|; "
+                "retained mode set is not closed under conjugation"
+            )
+        states = states.real
+    return states, residual
 
 
 def simulate_modal(
@@ -263,12 +357,18 @@ def simulate_modal(
     The initial state is projected by least squares (as ``restrict``
     does); a relative projection residual above 1e-8 is recorded as a
     warning, since the model then cannot represent its own initial
-    condition.  States are returned real; a residual imaginary part
-    above ``1e-9 |x0|`` aborts, because it means the retained set was
-    not conjugate-closed.  A coefficient ``exp(lam t)`` that overflows
-    raises ``DivergenceError``, and a non-finite ``x0`` ``ValueError``.
-    This is the one-model case of the kernel that ``reduction_sweep``
-    runs on every retained count at once.
+    condition.  States are float64 for a model of a real system and a
+    real ``x0``, complex128 otherwise: a complex system evolves to
+    complex states by right.  A real system whose retained pairs are
+    exact conjugates evolves in real arithmetic (see ``_evolve``), so
+    its states are real by construction.  Otherwise (a hand-built
+    report whose partners are not exact conjugates) the states are
+    computed in complex arithmetic, and an imaginary part above
+    ``1e-9 |x0|`` raises ``ImaginaryResidueError``, because it means the
+    retained set was not conjugate-closed.  A coefficient ``exp(lam t)``
+    that overflows raises ``DivergenceError``, and a non-finite ``x0``
+    ``ValueError``.  This is the one-model case of the kernel that
+    ``reduction_sweep`` runs on every retained count at once.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     states, residual = _evolve(model, x0, [model.size], times)

@@ -321,6 +321,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "exp(lam t)" in err
 
+    def test_numerical_error_underflowed_derivative_block(self, capsys):
+        code, out, err = run_cli(
+            capsys, "analyze", "--problem", "canuto", "--n", "8", "--k", "300"
+        )
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("error:") and "C A^299" in err
+
     def test_numerical_error_trivial_subspace(self, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "--problem", "heat", "--n", "8", "--k", "4"

@@ -282,17 +282,32 @@ class TestGaussRule:
 
     @pytest.mark.parametrize("k", range(2, 65, 2))
     def test_integrates_even_monomials(self, k):
-        # The table, like the scipy rule it was written from, misses
-        # every even moment by -2.0e-13 to -2.7e-13 (math.fsum gives
-        # the same), so the bound sits just above that.
+        # measured: at most 1.1e-16 off in float64 for every even k <= 64;
+        # scipy's roots_legendre(4096) misses them by -2.0e-13 to -2.7e-13
         nodes, weights = problems._gauss_rule()
-        assert abs(weights @ nodes**k - 2.0 / (k + 1)) <= 3e-13
+        assert abs(weights @ nodes**k - 2.0 / (k + 1)) <= 1e-15
 
-    def test_matches_scipy(self):
-        from scipy.special import roots_legendre
+    def test_matches_the_long_double_recurrence(self):
+        # P_4096 and P_4096' by the three-term recurrence in long double:
+        # one more Newton step moves no node by more than half its float64
+        # spacing (measured: 0.4991), and each weight is within eps of
+        # 2 / ((1 - x^2) P'(x)^2) at the refined node (measured: 1.5e-16);
+        # the nodes below 0 mirror these bit for bit
+        nodes, weights = (half[2048:] for half in problems._gauss_rule())
 
-        nodes, weights = roots_legendre(4096)
-        np.testing.assert_allclose(problems._gauss_rule(), (nodes, weights), rtol=0, atol=1e-15)
+        def legendre(x):
+            before, p = np.ones_like(x), x.copy()
+            for k in range(1, 4096):
+                before, p = p, ((2 * k + 1) * x * p - k * before) / (k + 1)
+            return p, 4096 * (x * p - before) / (x * x - 1)
+
+        x = nodes.astype(np.longdouble)
+        p, dp = legendre(x)
+        step = p / dp
+        assert np.all(np.abs(step) <= 0.51 * np.spacing(nodes))
+        _, dp = legendre(x - step)
+        exact = 2 / ((1 - (x - step) ** 2) * dp * dp)
+        assert np.all(np.abs(weights - exact) <= np.finfo(float).eps * exact)
 
     def test_is_read_only_and_shared(self):
         nodes, weights = problems._gauss_rule()

@@ -5,7 +5,11 @@ import pytest
 
 from eigensieve import quality
 from eigensieve.constrained import ConstrainedSystem, compress
-from eigensieve.errors import IllConditionedMassError, UndefinedSubspaceError
+from eigensieve.errors import (
+    DerivativeBlockRangeError,
+    IllConditionedMassError,
+    UndefinedSubspaceError,
+)
 from eigensieve.problems import (
     acoustic_wave,
     canuto_hyperbolic,
@@ -462,6 +466,65 @@ def test_derivative_score_at_depth_measures_the_next_constraint(k):
     assert np.median([m.s_norm for m in report.modes]) > 1e10 * np.median(floors)
     ws = np.array([m.w for m in report.modes]).T
     assert np.median(np.linalg.norm(sys.c @ (sys.a @ ws), axis=0)) < 1e-11
+
+
+def _scaled_norm(v):
+    """``|v|`` taken on v scaled by a power of two to a largest entry near 1, exactly."""
+    exponent = np.frexp(np.abs(v).max())[1]
+    scaled = np.ldexp(v.real, -exponent) + 1j * np.ldexp(v.imag, -exponent)
+    return np.ldexp(np.linalg.norm(scaled), exponent)
+
+
+class TestDerivativeBlockRange:
+    """``C A^(k-1)`` outside the normal range raises; a tiny score is resolved."""
+
+    @pytest.mark.parametrize("scale, k", [(1e-200, 3), (1e200, 3), (1e-160, 3)],
+                             ids=["all-zero", "non-finite", "subnormal"])
+    def test_block_outside_the_normal_range_raises(self, scale, k):
+        # C A^(k-1) = [scale^(k-1), 0]: 0, inf and 1e-320, while the
+        # depth-k subspace span{e2} is invariant at every depth
+        sys = ConstrainedSystem(a=np.diag([scale, -1.0]), c=np.array([[1.0, 0.0]]))
+        with pytest.raises(DerivativeBlockRangeError, match=f"depth-{k} constraint block"):
+            quality_report(sys, k)
+
+    def test_canuto_past_underflow_raises(self):
+        # every entry of C A^299 is subnormal (largest 1.6e-317 at n=8)
+        with pytest.raises(DerivativeBlockRangeError, match="normal floating-point range"):
+            quality_report(canuto_hyperbolic(8), 300)
+
+    @pytest.mark.parametrize("k", [2, 99, 150, 250])
+    def test_block_is_the_stack_s_last_block_and_tiny_scores_are_resolved(self, k):
+        # past k of about 130 the squares of C A^k w underflow, and a plain
+        # norm read 0; a power-of-two scaling of the same vector is exact
+        sys = canuto_hyperbolic(8)
+        assert np.array_equal(quality._derivative_block(sys, k), _top_block(sys, k))
+        for mode in quality_report(sys, k).modes:
+            assert mode.s_norm > 0.0
+            block = _top_block(sys, k) @ (sys.a @ mode.w)
+            assert mode.s_norm == pytest.approx(_scaled_norm(block), rel=1e-14)
+
+    def test_norms_out_of_the_squares_range_are_rescaled(self):
+        # in range, the plain norm's bits; below or above it, the norm of
+        # the power-of-two scaled column; an inf column stays inf
+        rng = np.random.default_rng(24)
+        scales = [1.0, 1e-140, 1e150, 1e-150, 1e-300, 1e-320, 1e160, 1e307, 0.0]
+        x = rng.standard_normal((5, len(scales))) * np.array(scales)
+        x[0, -1] = np.inf
+        norms = quality._norms(x)
+        np.testing.assert_array_equal(norms[:3], np.linalg.norm(x[:, :3], axis=0))
+        for j in range(3, 8):
+            assert norms[j] == pytest.approx(_scaled_norm(x[:, j]), rel=1e-9)
+        assert norms[-1] == np.inf
+
+    def test_derivative_score_above_the_squares_range_stays_finite(self):
+        # C A^2 = [1e200, 1e100 - 1, 0] is normal; |C A^3 w| is about 1e200,
+        # whose square a plain norm would overflow to inf
+        a = np.array([[1e100, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+        sys = ConstrainedSystem(a=a, c=np.array([[1.0, 0.0, 0.0]]))
+        for mode in quality_report(sys, 3).modes:
+            block = _top_block(sys, 3) @ (sys.a @ mode.w)
+            assert np.isfinite(mode.s_norm)
+            assert mode.s_norm == pytest.approx(_scaled_norm(block), rel=1e-14)
 
 
 def test_spectral_norms_are_skipped_when_their_bounds_decide():

@@ -8,12 +8,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigensieve import cli, reduction
 from eigensieve.chebyshev import cheb_points, clenshaw_curtis
-from eigensieve.constrained import compress
+from eigensieve.constrained import ConstrainedSystem, compress
 from eigensieve.errors import (
     DivergenceError,
+    EigensieveError,
     ImaginaryResidueError,
     RankDeficientBasisError,
     ZeroReferenceError,
@@ -180,7 +183,7 @@ class TestRetentionCache:
     def test_models_share_read_only_arrays(self):
         report = quality_report(canuto_hyperbolic(16))
         small, large = truncate(report, 3), truncate(report, 9)
-        for name in ("lambdas", "shapes", "q", "r_inv"):
+        for name in ("lambdas", "shapes", "q", "r_inv", "basis", "mates"):
             array = getattr(small, name)
             assert np.shares_memory(array, getattr(large, name))
             with pytest.raises(ValueError, match="read-only"):
@@ -242,13 +245,45 @@ class TestRankGuard:
                 truncate(report, r)
 
     def test_prefix_bound_is_the_blockwise_norm_product(self, acoustic64):
+        # the bound is taken on the real basis; at every size that keeps
+        # pairs whole it equals the complex basis' bound up to rounding
         _, report = acoustic64
         truncate(report, 1)
-        *_, shapes, _, r_inv, bound = reduction._retention(report)
+        sizes, full, bound = reduction._retention(report)
+        assert full.basis.dtype == np.float64
         assert bound.size == len(report.modes)
         for s in (1, 2, 17, 64, bound.size):
-            block = np.linalg.norm(shapes[:, :s]) * np.linalg.norm(r_inv[:s, :s])
+            block = np.linalg.norm(full.basis[:, :s]) * np.linalg.norm(full.r_inv[:s, :s])
             assert bound[s - 1] == pytest.approx(block, rel=1e-12)
+        for s in sorted(set(sizes))[::10]:
+            r = np.linalg.qr(full.shapes[:, :s], mode="r")
+            complex_bound = np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r))
+            assert bound[s - 1] == pytest.approx(complex_bound, rel=1e-10)
+
+
+class TestFactor:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 33, 64])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_inverts_the_triangle_of_any_order(self, n, dtype):
+        rng = np.random.default_rng(n)
+        basis = rng.standard_normal((n + 3, n)).astype(dtype)
+        if dtype is complex:
+            basis += 1j * rng.standard_normal((n + 3, n))
+        q, r_inv = reduction._factor(basis)
+        assert q.dtype == r_inv.dtype == dtype
+        r = q.conj().T @ basis
+        assert np.array_equal(r_inv, np.triu(r_inv))
+        np.testing.assert_allclose(r_inv @ r, np.eye(n), rtol=0, atol=1e-12)
+
+    def test_a_zero_pivot_spoils_only_its_column_and_those_right_of_it(self):
+        # column 5 repeats column 2, so R has a zero pivot at 5
+        rng = np.random.default_rng(44)
+        basis = rng.standard_normal((12, 9))
+        basis[:, 5] = basis[:, 2]
+        q, r_inv = reduction._factor(basis)
+        finite = np.all(np.isfinite(r_inv), axis=0)
+        assert finite[:5].all()
+        np.testing.assert_allclose(r_inv[:5, :5] @ (q.T @ basis)[:5, :5], np.eye(5), atol=1e-12)
 
 
 class TestSimulateModal:
@@ -293,10 +328,54 @@ class TestSimulateModal:
 
     def test_unbalanced_mode_set_raises(self):
         q = np.array([1.0 + 0j, 1j, 0.0, 0.0]) / np.sqrt(2.0)
-        # a complex mode without its conjugate partner
-        model = truncate(_hand_report([2j], q[:, None], real_system=False), 1)
+        # a real system's complex mode without its conjugate partner:
+        # it cannot take a real basis, and its states keep an imaginary part
+        model = truncate(_hand_report([2j], q[:, None]), 1)
+        assert model.mates is None and model.real_system
         with pytest.raises(ImaginaryResidueError):
             simulate_modal(model, np.array([1.0, 0.0, 0.0, 0.0]), 0.3)
+
+    def test_complex_system_evolves_to_complex_states(self):
+        # x0 in the retained span evolves as M expm(t E_k^-1 A_k) M^H x0
+        from scipy.linalg import expm
+
+        sys = orr_sommerfeld(40)
+        model = truncate(quality_report(sys), 5)
+        assert model.mates is None and not model.real_system
+        rng = np.random.default_rng(45)
+        x0 = model.shapes @ (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        t = np.array([0.0, 0.5, 2.0])
+        result = simulate_modal(model, x0, t)
+        assert result.states.dtype == np.complex128
+        assert result.warnings == ()
+        comp = compress(sys, 1)
+        drift = np.linalg.solve(comp.e_k, comp.a_k)
+        for row, ti in zip(result.states, t):
+            expected = comp.m @ (expm(ti * drift) @ (comp.m_left @ x0))
+            assert np.linalg.norm(row - expected) <= 1e-12 * np.linalg.norm(expected)
+        # a real initial state of a complex system still gives complex states
+        assert simulate_modal(model, x0.real, 1.0).states.dtype == np.complex128
+
+    def test_real_pairs_evolve_by_rotation_blocks(self, canuto_report):
+        model = truncate(canuto_report, 6)
+        assert model.basis.dtype == np.float64
+        first = np.flatnonzero(model.mates > np.arange(model.size))
+        np.testing.assert_array_equal(model.mates[first], first + 1)
+        for j in first:
+            w = model.shapes[:, j]
+            np.testing.assert_array_equal(model.shapes[:, j + 1], np.conj(w))
+            np.testing.assert_allclose(model.basis[:, j], np.sqrt(2.0) * w.real, rtol=0, atol=0)
+            np.testing.assert_allclose(model.basis[:, j + 1], np.sqrt(2.0) * w.imag, rtol=0, atol=0)
+        rng = np.random.default_rng(46)
+        x0 = rng.standard_normal(model.shapes.shape[0])
+        t = np.array([0.0, 0.7, 3.0])
+        result = simulate_modal(model, x0, t)
+        assert result.states.dtype == np.float64
+        coeffs, _ = model.restrict(x0)
+        for row, ti in zip(result.states, t):
+            expected = model.shapes @ (np.exp(model.lambdas * ti) * coeffs)
+            np.testing.assert_allclose(row, expected.real, rtol=0, atol=1e-12 * np.abs(x0).max())
+            assert np.abs(expected.imag).max() <= 1e-12 * np.abs(x0).max()
 
     def test_a_mode_outside_a_size_adds_nothing_to_it(self):
         # exp(710) overflows; the decaying size-1 model of the same
@@ -314,6 +393,60 @@ class TestSimulateModal:
         x0[3] = bad
         with pytest.raises(ValueError, match="finite"):
             simulate_modal(model, x0, 0.5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    q=st.integers(1, 3),
+    complex_drift=st.booleans(),
+    mass=st.booleans(),
+    integers=st.booleans(),
+    t=st.floats(0.0, 1.0),
+)
+def test_reduce_kernel_matches_least_squares_and_exponentials(
+    seed, n, q, complex_drift, mass, integers, t
+):
+    # random small systems, entries Gaussian or in {-2, ..., 2} (which
+    # makes repeated eigenvalues and rank-deficient constraints), through
+    # quality_report, truncate, simulate_modal and restrict: each call
+    # returns finite output of its documented dtype or raises a typed
+    # error, and the states are least squares on the complex lifted
+    # vectors followed by exp(lam t)
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        if integers:
+            return rng.integers(-2, 3, size=shape).astype(float)
+        return rng.standard_normal(shape)
+
+    a = draw(n, n) + (1j * draw(n, n) if complex_drift else 0.0)
+    e = np.eye(n) + 0.3 * draw(n, n) if mass else None
+    x0 = rng.standard_normal(n)
+    try:
+        sys = ConstrainedSystem(a=a, c=draw(min(q, n - 1), n), e=e)
+        report = quality_report(sys)
+        model = truncate(report, int(rng.integers(1, len(report.modes) + 1)))
+        result = simulate_modal(model, x0, [0.0, t])
+        coeffs, residual = model.restrict(x0)
+    except (EigensieveError, ValueError):
+        return
+    real = report.meta["real_system"]
+    assert real == (not complex_drift)
+    assert result.states.dtype == (np.float64 if real else np.complex128)
+    assert coeffs.dtype == np.complex128
+    assert np.all(np.isfinite(result.states)) and np.all(np.isfinite(coeffs))
+    assert 0.0 <= residual <= 1.0 + 1e-12
+    # least squares loses about kappa^2 eps on a state outside the span
+    *_, bound = reduction._retention(report)
+    tol = 1e-10 * max(1.0, bound[model.size - 1] ** 2 / 1e4)
+    want, *_ = np.linalg.lstsq(model.shapes, x0.astype(complex), rcond=None)
+    assert np.linalg.norm(coeffs - want) <= tol * np.linalg.norm(want)
+    growth = np.exp(model.lambdas * t) * want
+    expected = model.shapes @ growth
+    scale = np.linalg.norm(model.shapes, axis=0) @ np.abs(growth)
+    assert np.linalg.norm(result.states[-1] - expected) <= tol * scale
 
 
 def _four_stage_rk4(a, x0, t_end, dt):

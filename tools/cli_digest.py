@@ -5,8 +5,9 @@ the ``src`` tree next to this script, with ``OPENBLAS_NUM_THREADS=1``
 unless the environment already sets it.  Running the script on two
 checkouts and diffing the output checks a claim that a change keeps
 the CLI's bytes.  The fixed list covers every subcommand and every
-problem, CSV and JSON, one numerical failure (exit 3: a depth that
-leaves no state), four usage errors (exit 2) and a ``reduce`` with an
+problem, CSV and JSON, two numerical failures (exit 3: a depth that
+leaves no state, and a depth whose derivative block C A^(k-1) has
+underflowed), four usage errors (exit 2) and a ``reduce`` with an
 unsorted, repeated retained count list, so a change of exit code shows
 in the diff; after it come the commands of every benchmark workload,
 built by ``perfbench/workloads.py`` with seed ``SEED``.
@@ -27,7 +28,9 @@ must keep every exit code, the ``problems`` outputs, the ``sweep-k``
 summaries (the commands without ``--grid``), and the ``rank``,
 ``zero_mode``, ``k``, ``r`` and ``size`` columns.  A change to the
 ``reduce`` arithmetic alone (projection, evolution, reference) may
-move only the ``rel_error`` digests of the ``reduce`` commands.  A
+move only the ``rel_error`` digests of the ``reduce`` commands: the
+Gauss-Legendre table of the reference and the real arithmetic of a
+real system's factorisation and evolution are such changes.  A
 change to compression below depth 1 may move only the outputs of
 depth 2 and deeper: the ``analyze --k`` commands with k >= 2 (the
 Orr-Sommerfeld one runs the mass-operator path) and the ``sweep-k``
@@ -63,6 +66,7 @@ COMMANDS = [
     "analyze --problem canuto --n 64",
     "analyze --problem canuto --n 16 --k 3 --format json",
     "analyze --problem heat --n 8 --k 4",
+    "analyze --problem canuto --n 8 --k 300",
     "analyze --problem orr-sommerfeld --n 50 --alpha 1.02 --reynolds 5772 --format json",
     "analyze --problem orr-sommerfeld --n 50 --k 2",
     "analyze --problem acoustic --n 64",
