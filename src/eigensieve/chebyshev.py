@@ -86,21 +86,14 @@ def clenshaw_curtis(n: int) -> np.ndarray:
     w = np.empty(n)
     interior = np.arange(1, nseg)
     theta = np.pi * interior / nseg
-    v = np.ones(nseg - 1)
+    ks = np.arange(1, (nseg + 1) // 2)
+    v = 1.0 - 2.0 * (
+        np.cos(2.0 * np.outer(ks, theta)) / (4.0 * ks**2 - 1.0)[:, None]
+    ).sum(axis=0)
     if nseg % 2 == 0:
         w[0] = w[nseg] = 1.0 / (nseg**2 - 1)
-        ks = np.arange(1, nseg // 2)
-        if ks.size:
-            v -= 2.0 * (
-                np.cos(2.0 * np.outer(ks, theta)) / (4.0 * ks**2 - 1.0)[:, None]
-            ).sum(axis=0)
         v -= np.cos(nseg * theta) / (nseg**2 - 1)
     else:
         w[0] = w[nseg] = 1.0 / nseg**2
-        ks = np.arange(1, (nseg - 1) // 2 + 1)
-        if ks.size:
-            v -= 2.0 * (
-                np.cos(2.0 * np.outer(ks, theta)) / (4.0 * ks**2 - 1.0)[:, None]
-            ).sum(axis=0)
     w[interior] = 2.0 * v / nseg
     return w

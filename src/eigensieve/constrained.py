@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .errors import TrivialNullspaceError
 __all__ = [
     "DEFAULT_NULL_TOL",
     "ConstrainedSystem",
-    "ObservabilityMatrix",
     "CompressedSystem",
     "DecompositionReport",
     "observability",
@@ -94,28 +94,17 @@ class ConstrainedSystem:
         return float(np.linalg.norm(self.a, 2))
 
 
-@dataclass(eq=False)
-class ObservabilityMatrix:
-    """Stack ``[C; CA; ...; C A^(k-1)]`` made of q-row blocks."""
-
-    k: int
-    entries: np.ndarray
-    block_rows: int
-
-
-def observability(sys: ConstrainedSystem, k: int) -> ObservabilityMatrix:
-    """Stack the first k implicit-constraint blocks ``C A^i``.
+def observability(sys: ConstrainedSystem, k: int) -> np.ndarray:
+    """Stack the first k implicit-constraint blocks: ``[C; CA; ...; C A^(k-1)]``, ``(k q, n)``.
 
     Block i is block i-1 right-multiplied by A, so each block is the
-    exact floating-point product of its predecessor.  Compression does
-    not use the stack; scoring reads its last block.
+    exact floating-point product of its predecessor, and the last one
+    has the bits of ``functools.reduce(np.matmul, [A] * (k - 1), C)``.
+    Compression does not use the stack.
     """
     if k < 1:
         raise ValueError(f"stack depth must be >= 1, got k={k}")
-    blocks = [sys.c]
-    for _ in range(k - 1):
-        blocks.append(blocks[-1] @ sys.a)
-    return ObservabilityMatrix(k=k, entries=np.vstack(blocks), block_rows=sys.q)
+    return np.vstack(list(accumulate(repeat(sys.a, k - 1), np.matmul, initial=sys.c)))
 
 
 def nullspace_basis(mat: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:

@@ -120,8 +120,8 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
     # alpha**k of a Python float raises OverflowError instead of giving inf
     al, rey = np.float64(alpha), np.float64(reynolds)
     with np.errstate(over="ignore"):
-        coeffs = (al**4, al * rey, al**3 * rey, 2.0 * rey * al)
-    if not np.all(np.isfinite(coeffs)):
+        al2, al4, ar, a3r, two_ra = al**2, al**4, al * rey, al**3 * rey, 2.0 * rey * al
+    if not np.all(np.isfinite((al4, ar, a3r, two_ra))):
         raise ValueError(
             f"alpha={alpha:g} and reynolds={reynolds:g} give non-finite operator coefficients"
         )
@@ -131,11 +131,11 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
     d4 = diff_power(d, 4)
     ubar = 1.0 - z**2
 
-    e = (alpha * reynolds * (d2 - alpha**2 * np.eye(n))).astype(complex)
+    e = (ar * (d2 - al2 * np.eye(n))).astype(complex)
     a = (
         d4
-        + (-2.0 * alpha**2 - 1j * alpha * reynolds * ubar)[:, None] * d2
-        + np.diag(alpha**4 + 1j * alpha**3 * reynolds * ubar - 2j * reynolds * alpha)
+        + (-2.0 * al2 - 1j * ar * ubar)[:, None] * d2
+        + np.diag(al4 + 1j * a3r * ubar - 1j * two_ra)
     )
     c = np.zeros((4, n), dtype=complex)
     c[0, 0] = 1.0

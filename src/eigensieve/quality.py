@@ -46,9 +46,11 @@ Scoring does no work twice.  For a real system, an eigenvector that is
 the exact conjugate of its neighbour spans the same real plane, so it
 takes the neighbour's conjugated ``w`` and its scores without a
 product or an SVD of its own.  The spectral norm ``|A|_2`` of the
-zero-floor test is bracketed by the largest column norm and the
-Frobenius norm; its SVD is computed only when some mode falls inside
-the bracket, and then the comparison is the same floating-point
+zero-floor test is bracketed by two numbers taken once per report: the
+largest column norm and the norm of the column norms (the Frobenius
+norm), both overflow-safe, so a drift with entries past 1e154 still
+has finite ends.  The SVD of A is computed only when some mode falls
+inside the bracket, and then the comparison is the same floating-point
 expression as without it.
 
 Scoring is a few matrix products.  ``eigenpairs`` hands over the
@@ -64,8 +66,9 @@ is a one-pair call of the same angle kernel.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -143,42 +146,23 @@ def _times(op: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (op @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
-def _norm2_bracket(op: np.ndarray, exact_norm: Callable[[], float]) -> Callable:
-    """Return ``below(x, scale)``: elementwise ``x < scale(|op|_2)``, ``scale`` non-decreasing.
-
-    ``|op|_2`` lies between the largest column norm and the Frobenius
-    norm.  Widened by 1e-10 against rounding, these cheap bounds decide
-    every entry of x outside the scaled bracket; only if some entry
-    falls inside is ``exact_norm()`` called, and the result is then
-    exactly ``x < scale(exact_norm())``.
-    """
-    ends = np.linalg.norm(op, axis=0).max() * (1 - 1e-10), np.linalg.norm(op) * (1 + 1e-10)
-
-    def below(x, scale):
-        lo, hi = (scale(end) for end in ends)
-        if np.all((x < lo) | (x >= hi)):
-            return x < lo
-        return x < scale(exact_norm())
-
-    return below
-
-
 def _score_modes(
-    sys: ConstrainedSystem,
-    comp: CompressedSystem,
-    vecs: np.ndarray,
-) -> list[tuple[np.ndarray, float | None, float, bool]]:
-    """``(w, s_norm, theta, zero_mode)`` of each column of ``vecs``, in order.
+    sys: ConstrainedSystem, comp: CompressedSystem, vecs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """``(w, s_norm, theta, zero_mode)`` of the columns of ``vecs``, as arrays.
 
-    ``s_norm`` is None with a mass operator, whose state derivative is
-    not ``A z``.  With real operators, a column that is the exact
-    conjugate of the one before it spans the same real plane: it takes
-    the conjugate of that mode's ``w`` and its ``s_norm``, ``theta`` and
-    ``zero_mode``, so ``W = M V`` and everything after it see one column
-    per pair.  The columns are scored ``_CHUNK`` at a time
-    (``_score_chunk``), which bounds the stacked copies.
-    ``sys.drift_norm`` is computed only for a chunk that its cheap
-    bracket leaves undecided.
+    Row i of ``w`` is ``M v`` of column i, and entry i of each score
+    array is its score.  ``s_norm`` is None with a mass operator, whose
+    state derivative is not ``A z``.  With real operators, a column that
+    is the exact conjugate of the one before it spans the same real
+    plane: it takes the conjugate of that mode's ``w`` and its
+    ``s_norm``, ``theta`` and ``zero_mode`` through one index map, so
+    ``W = M V`` and everything after it see one column per pair.  The
+    columns are scored ``_CHUNK`` at a time (``_score_chunk``), which
+    bounds the stacked copies.  ``|A|_2`` lies between the largest
+    column norm of A and the norm of its column norms; both are
+    overflow-safe (``_norms``), taken once per report, and widened by
+    1e-10 against rounding.
     """
     real = all(np.isrealobj(op) for op in (comp.m, sys.a, sys.c, sys.e) if op is not None)
     c_top = None if sys.e is not None else _derivative_block(sys, comp.k)
@@ -186,33 +170,34 @@ def _score_modes(
     if real:
         mirrored[1:] = np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
     ws = _times(comp.m, vecs.compress(~mirrored, axis=1))
-    below = _norm2_bracket(sys.a, lambda: sys.drift_norm)
-    scores = []
-    for start in range(0, ws.shape[1], _CHUNK):
-        scores += _score_chunk(sys, c_top, ws[:, start : start + _CHUNK], below)
-    own = zip(ws.T, scores)
-    rows = []
-    for twin in mirrored.tolist():
-        w, score = (np.conj(w), score) if twin else next(own)
-        rows.append((w, *score))
-    return rows
+    columns = _norms(sys.a)
+    ends = columns.max() * (1 - 1e-10), _norms(columns[:, None])[0] * (1 + 1e-10)
+    chunks = [
+        _score_chunk(sys, c_top, ws[:, start : start + _CHUNK], ends)
+        for start in range(0, ws.shape[1], _CHUNK)
+    ]
+    # a twin reads the column of the owner before it, conjugated in place:
+    # a conjugated copy of every twin row would raise the peak memory
+    own = np.cumsum(~mirrored) - 1
+    w = ws.T[own]
+    w.imag[mirrored] *= -1
+    s_norm, theta, zero = (None if p[0] is None else np.concatenate(p)[own] for p in zip(*chunks))
+    return w, s_norm, theta, zero
 
 
 def _derivative_block(sys: ConstrainedSystem, k: int) -> np.ndarray:
     """The row block ``C A^(k-1)``, formed alone.
 
-    It takes the products of the last block of ``observability(sys, k)``,
-    ``C A`` then ``(C A) A`` and so on, so its bits are that block's
-    without stacking the k - 1 blocks before it.  A block with no entry
-    in the normal floating-point range (all zero or subnormal, having
-    underflowed) or with a non-finite entry would make every ``s_norm``
-    a silent 0, a number without precision or not a number, so it raises
-    ``DerivativeBlockRangeError``.
+    It is ``C`` right-multiplied by A, k - 1 times, the product sequence
+    whose partial products ``constrained.observability`` stacks, so its
+    bits are the stack's last block without the k - 1 blocks before
+    it.  A block with no entry in the normal floating-point range (all
+    zero or subnormal, having underflowed) or with a non-finite entry
+    would make every ``s_norm`` a silent 0, a number without precision
+    or not a number, so it raises ``DerivativeBlockRangeError``.
     """
-    block = sys.c
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k - 1):
-            block = block @ sys.a
+        block = reduce(np.matmul, repeat(sys.a, k - 1), sys.c)
     peak = np.abs(block).max()
     if not np.finfo(float).tiny <= peak < np.inf:
         raise DerivativeBlockRangeError(
@@ -223,26 +208,28 @@ def _derivative_block(sys: ConstrainedSystem, k: int) -> np.ndarray:
 
 
 def _score_chunk(
-    sys: ConstrainedSystem, c_top: np.ndarray | None, ws: np.ndarray, below: Callable
-) -> Iterator[tuple[float | None, float, bool]]:
-    """``(s_norm, theta, zero_mode)`` of each column of ``ws``, one product per operator.
+    sys: ConstrainedSystem, c_top: np.ndarray | None, ws: np.ndarray, ends: tuple[float, float]
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """``(s_norm, theta, zero_mode)`` arrays of the columns of ``ws``, one product per operator.
 
     ``s_norm`` is ``|(C A^(k-1)) (A w)|`` with ``c_top = C A^(k-1)``, and
-    None where ``c_top`` is None.
+    None where ``c_top`` is None.  A zero mode has
+    ``|A w| < DEFAULT_ZERO_FLOOR |A|_2 |w|``: ``ends`` bracket ``|A|_2``,
+    and ``sys.drift_norm`` is computed only for a chunk that they leave
+    undecided, in the same floating-point expression.
     """
     aws = _times(sys.a, ws)
-    n = ws.shape[1]
-    s_norms = [None] * n
-    if c_top is not None:
-        s_norms = _norms(_times(c_top, aws)).tolist()
-    w_norms = np.linalg.norm(ws, axis=0)
-    zero = below(np.linalg.norm(aws, axis=0), lambda nrm: DEFAULT_ZERO_FLOOR * nrm * w_norms)
-    theta = np.zeros(n)
+    s_norm = None if c_top is None else _norms(_times(c_top, aws))
+    aw_norms, w_norms = _norms(aws), np.linalg.norm(ws, axis=0)
+    lo, hi = (DEFAULT_ZERO_FLOOR * end * w_norms for end in ends)
+    zero = aw_norms < lo
+    if not np.all(zero | (aw_norms >= hi)):
+        zero = aw_norms < DEFAULT_ZERO_FLOOR * sys.drift_norm * w_norms
+    theta = np.zeros(ws.shape[1])
     live = np.flatnonzero(~zero)
-    if live.size:
-        lhs = ws[:, live] if sys.e is None else _times(sys.e, ws[:, live])
-        theta[live] = _grassmann_distances(lhs.T, aws[:, live].T)
-    return zip(s_norms, theta.tolist(), zero.tolist())
+    lhs = ws[:, live] if sys.e is None else _times(sys.e, ws[:, live])
+    theta[live] = _grassmann_distances(lhs.T, aws[:, live].T)
+    return s_norm, theta, zero
 
 
 #: Column norms outside [_SQUARES_UNDERFLOW, _SQUARES_OVERFLOW) may have
@@ -379,11 +366,17 @@ def quality_report(
 def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> QualityReport:
     """The ``quality_report`` of one compressed system, whatever produced it."""
     lams, vecs = eigenpairs(comp)
+    ws, s_norm, theta, zero = _score_modes(sys, comp, vecs)
     records = [
-        ModeRecord(lam=lam, w=w, s_norm=s_norm, theta=theta, zero_mode=zero)
-        for lam, (w, s_norm, theta, zero) in zip(lams.tolist(), _score_modes(sys, comp, vecs))
+        ModeRecord(
+            lam=lams[i].item(),
+            w=ws[i],
+            s_norm=None if s_norm is None else s_norm[i].item(),
+            theta=theta[i].item(),
+            zero_mode=zero[i].item(),
+        )
+        for i in np.lexsort((np.abs(lams.real), np.abs(lams.imag), theta))
     ]
-    records.sort(key=lambda m: (m.theta, abs(m.lam.imag), abs(m.lam.real)))
 
     labels = dict(sys.labels or {})
     meta = {
@@ -392,8 +385,6 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> 
         "k": comp.k,
         "r": comp.r,
         "null_tol": null_tol,
-        "real_system": bool(
-            np.isrealobj(sys.a) and (sys.e is None or np.isrealobj(sys.e))
-        ),
+        "real_system": bool(np.isrealobj(sys.a) and (sys.e is None or np.isrealobj(sys.e))),
     }
     return QualityReport(modes=records, meta=meta)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigensieve.constrained import (
     ConstrainedSystem,
@@ -11,13 +13,14 @@ from eigensieve.constrained import (
     observability,
     verify_decomposition,
 )
-from eigensieve.errors import TrivialNullspaceError
+from eigensieve.errors import EigensieveError, TrivialNullspaceError
 from eigensieve.problems import (
     acoustic_wave,
     canuto_hyperbolic,
     heat_dirichlet,
     orr_sommerfeld,
 )
+from eigensieve.quality import eigenpairs
 
 
 def _random_system(seed, n=8, q=2):
@@ -60,15 +63,16 @@ class TestObservability:
     def test_two_block_stack_is_exact(self):
         sys = _random_system(1)
         obs = observability(sys, 2)
-        assert obs.k == 2 and obs.block_rows == 2
-        assert np.array_equal(obs.entries, np.vstack([sys.c, sys.c @ sys.a]))
+        assert isinstance(obs, np.ndarray) and obs.shape == (4, 8)
+        assert np.array_equal(obs, np.vstack([sys.c, sys.c @ sys.a]))
 
     def test_deep_stack_blocks_are_repeated_products(self):
         sys = _random_system(2)
         obs = observability(sys, 4)
+        assert obs.shape == (8, 8)
         expected = sys.c.copy()
         for i in range(4):
-            assert np.array_equal(obs.entries[2 * i : 2 * i + 2], expected)
+            assert np.array_equal(obs[2 * i : 2 * i + 2], expected)
             expected = expected @ sys.a
 
     def test_rejects_nonpositive_depth(self):
@@ -308,3 +312,70 @@ class TestDecompositionReport:
         report = verify_decomposition(sys, compress(sys, 1))
         assert report.invariant
         assert report.drift_norm == pytest.approx(1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 10),
+    q=st.integers(1, 3),
+    k_max=st.integers(1, 4),
+    complex_entries=st.booleans(),
+    mass=st.booleans(),
+    integers=st.booleans(),
+)
+def test_depths_nest_and_their_spectra_are_well_formed(
+    seed, n, q, k_max, complex_entries, mass, integers
+):
+    # random small systems, entries Gaussian or in {-2, ..., 2} (which
+    # makes repeated eigenvalues, invariant subspaces and rank-deficient
+    # constraints), through compress_depths and eigenpairs: each depth
+    # nests in the one before with operators restricted to its basis, and
+    # each spectrum has unit eigenvectors, or a call raises a typed error
+    rng = np.random.default_rng(seed)
+
+    def draw_real(*shape):
+        if integers:
+            return rng.integers(-2, 3, size=shape).astype(float)
+        return rng.standard_normal(shape)
+
+    def draw(*shape):
+        return draw_real(*shape) + (1j * draw_real(*shape) if complex_entries else 0.0)
+
+    a = draw(n, n)
+    e = np.eye(n) + 0.3 * draw(n, n) if mass else None
+    try:
+        sys = ConstrainedSystem(a=a, c=draw(min(q, n - 1), n), e=e)
+        comps = list(compress_depths(sys, k_max))
+        spectra = [eigenpairs(comp) for comp in comps]
+    except (EigensieveError, ValueError):
+        return
+    scale = np.linalg.norm(a, 2)
+    assert [comp.k for comp in comps] == list(range(1, len(comps) + 1))
+    for prev, comp in zip(comps, comps[1:]):
+        assert comp.r <= prev.r
+        assert np.linalg.norm(comp.m - prev.m @ (prev.m_left @ comp.m)) < 1e-10
+    for comp, (lams, vecs) in zip(comps, spectra):
+        m_h = comp.m.conj().T
+        assert comp.m.shape == (n, comp.r) and np.array_equal(comp.m_left, m_h)
+        assert np.linalg.norm(m_h @ comp.m - np.eye(comp.r)) < 1e-12
+        assert np.linalg.norm(comp.a_k - m_h @ a @ comp.m) <= 1e-10 * scale
+        if e is not None:
+            assert np.linalg.norm(comp.e_k - m_h @ e @ comp.m) <= 1e-10 * np.linalg.norm(e, 2)
+        assert lams.dtype == vecs.dtype == np.complex128 and vecs.shape == (comp.r, comp.r)
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
+        if not complex_entries:
+            # a real problem's eigenpairs come as exact conjugates: each run
+            # of equal (Re, |Im|) with Im != 0 holds m eigenpairs with Im > 0,
+            # then their m conjugates in the same order
+            key = np.stack([lams.real, np.abs(lams.imag)])
+            _, starts, sizes = np.unique(key, axis=1, return_index=True, return_counts=True)
+            for start, size in zip(starts, sizes):
+                if lams[start].imag == 0.0:
+                    continue
+                assert size % 2 == 0
+                half = start + size // 2
+                upper, lower = slice(start, half), slice(half, start + size)
+                assert np.all(lams[upper].imag > 0)
+                assert np.array_equal(lams[lower], np.conj(lams[upper]))
+                assert np.array_equal(vecs[:, lower], np.conj(vecs[:, upper]))

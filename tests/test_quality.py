@@ -1,10 +1,12 @@
 """Spectral quality scores: derivative violations and Grassmann angles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from eigensieve import quality
-from eigensieve.constrained import ConstrainedSystem, compress
+from eigensieve.constrained import ConstrainedSystem, compress, observability
 from eigensieve.errors import (
     DerivativeBlockRangeError,
     IllConditionedMassError,
@@ -498,6 +500,7 @@ class TestDerivativeBlockRange:
         # norm read 0; a power-of-two scaling of the same vector is exact
         sys = canuto_hyperbolic(8)
         assert np.array_equal(quality._derivative_block(sys, k), _top_block(sys, k))
+        assert np.array_equal(quality._derivative_block(sys, k), observability(sys, k)[-sys.q :])
         for mode in quality_report(sys, k).modes:
             assert mode.s_norm > 0.0
             block = _top_block(sys, k) @ (sys.a @ mode.w)
@@ -556,3 +559,16 @@ def test_zero_floor_between_the_norm_bounds_uses_the_exact_norm(side):
     np.testing.assert_array_equal(np.abs(mode.w), np.eye(4)[2])
     assert "drift_norm" in sys.__dict__
     assert mode.zero_mode == (side < 1.0)
+
+
+def test_zero_floor_bracket_stays_finite_for_a_huge_drift():
+    # the column norm 1e155 squares past the largest float; a bracket end
+    # that overflowed to inf flagged both modes as zero modes with theta
+    # 0, although |A w| = 1e150 lies above 1e-13 |A|_2 = 1e142
+    a = [[1e155, 0.0, 0.0], [0.0, 0.0, 1e150], [0.0, -1e150, 0.0]]
+    sys = ConstrainedSystem(a=a, c=[[1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        modes = quality_report(sys).modes
+    assert [mode.zero_mode for mode in modes] == [False, False]
+    assert [abs(mode.lam) for mode in modes] == pytest.approx([1e150, 1e150])
