@@ -155,20 +155,16 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     prob = problems.get_problem(args.problem)
     system = prob.build(**{name: getattr(args, name) for name in prob.params})
     report = quality.quality_report(system, args.k, null_tol=args.null_tol)
-    header = ["rank", "re_lambda", "im_lambda", "s_norm", "theta", "zero_mode"]
-    rows = [
-        _split_lam(
-            {
-                "rank": rank,
-                "lam": mode.lam,
-                "s_norm": mode.s_norm,
-                "theta": mode.theta,
-                "zero_mode": mode.zero_mode,
-            }
-        )
-        for rank, mode in enumerate(report.modes)
-    ]
-    return header, rows
+    nmodes = report.lambdas.size
+    columns = {
+        "rank": range(nmodes),
+        "re_lambda": report.lambdas.real.tolist(),
+        "im_lambda": report.lambdas.imag.tolist(),
+        "s_norm": [None] * nmodes if report.s_norm is None else report.s_norm.tolist(),
+        "theta": report.theta.tolist(),
+        "zero_mode": report.zero_mode.tolist(),
+    }
+    return list(columns), [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _cmd_sweep_k(args: argparse.Namespace) -> tuple[list[str], list[dict]]:

@@ -160,19 +160,14 @@ def k_quality_sweep(
 
     def solve(sys, comp):
         report = _report(sys, comp, null_tol)
-        return report, np.array([m.lam for m in report.modes])
+        return report, report.lambdas
 
-    return [
-        KQualityRow(
-            k=k,
-            rank=rank,
-            lam=mode.lam,
-            abs_error=float(match.abs_errors[rank]),
-            rel_error=float(match.rel_errors[rank]),
-            s_norm=mode.s_norm,
-            theta=mode.theta,
-            zero_mode=mode.zero_mode,
+    rows = []
+    for k, report, lams, _, match in _depths(problem, n, k_max, null_tol, solve):
+        s_norm = [None] * lams.size if report.s_norm is None else report.s_norm.tolist()
+        columns = zip(
+            lams.tolist(), match.abs_errors.tolist(), match.rel_errors.tolist(), s_norm,
+            report.theta.tolist(), report.zero_mode.tolist(),
         )
-        for k, report, _, _, match in _depths(problem, n, k_max, null_tol, solve)
-        for rank, mode in enumerate(report.modes)
-    ]
+        rows.extend(KQualityRow(k, rank, *values) for rank, values in enumerate(columns))
+    return rows

@@ -79,7 +79,6 @@ __all__ = [
     "DEFAULT_THETA_THRESHOLD",
     "DEFAULT_ZERO_FLOOR",
     "DEFAULT_MASS_COND_LIMIT",
-    "ModeRecord",
     "QualityReport",
     "eigenpairs",
     "grassmann_distance",
@@ -149,40 +148,26 @@ def _times(op: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _score_modes(
     sys: ConstrainedSystem, comp: CompressedSystem, vecs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """``(w, s_norm, theta, zero_mode)`` of the columns of ``vecs``, as arrays.
+    """``(ws, s_norm, theta, zero_mode)`` of the columns of ``vecs``, as arrays.
 
-    Row i of ``w`` is ``M v`` of column i, and entry i of each score
+    Column i of ``ws`` is ``M v`` of column i, and entry i of each score
     array is its score.  ``s_norm`` is None with a mass operator, whose
-    state derivative is not ``A z``.  With real operators, a column that
-    is the exact conjugate of the one before it spans the same real
-    plane: it takes the conjugate of that mode's ``w`` and its
-    ``s_norm``, ``theta`` and ``zero_mode`` through one index map, so
-    ``W = M V`` and everything after it see one column per pair.  The
-    columns are scored ``_CHUNK`` at a time (``_score_chunk``), which
-    bounds the stacked copies.  ``|A|_2`` lies between the largest
-    column norm of A and the norm of its column norms; both are
-    overflow-safe (``_norms``), taken once per report, and widened by
-    1e-10 against rounding.
+    state derivative is not ``A z``.  The columns are scored ``_CHUNK``
+    at a time (``_score_chunk``), which bounds the stacked copies.
+    ``|A|_2`` lies between the largest column norm of A and the norm of
+    its column norms; both are overflow-safe (``_norms``), taken once
+    per report, and widened by 1e-10 against rounding.
     """
-    real = all(np.isrealobj(op) for op in (comp.m, sys.a, sys.c, sys.e) if op is not None)
     c_top = None if sys.e is not None else _derivative_block(sys, comp.k)
-    mirrored = np.zeros(vecs.shape[1], dtype=bool)
-    if real:
-        mirrored[1:] = np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
-    ws = _times(comp.m, vecs.compress(~mirrored, axis=1))
+    ws = _times(comp.m, vecs)
     columns = _norms(sys.a)
     ends = columns.max() * (1 - 1e-10), _norms(columns[:, None])[0] * (1 + 1e-10)
     chunks = [
         _score_chunk(sys, c_top, ws[:, start : start + _CHUNK], ends)
         for start in range(0, ws.shape[1], _CHUNK)
     ]
-    # a twin reads the column of the owner before it, conjugated in place:
-    # a conjugated copy of every twin row would raise the peak memory
-    own = np.cumsum(~mirrored) - 1
-    w = ws.T[own]
-    w.imag[mirrored] *= -1
-    s_norm, theta, zero = (None if p[0] is None else np.concatenate(p)[own] for p in zip(*chunks))
-    return w, s_norm, theta, zero
+    s_norm, theta, zero = (None if p[0] is None else np.concatenate(p) for p in zip(*chunks))
+    return ws, s_norm, theta, zero
 
 
 def _derivative_block(sys: ConstrainedSystem, k: int) -> np.ndarray:
@@ -216,15 +201,18 @@ def _score_chunk(
     None where ``c_top`` is None.  A zero mode has
     ``|A w| < DEFAULT_ZERO_FLOOR |A|_2 |w|``: ``ends`` bracket ``|A|_2``,
     and ``sys.drift_norm`` is computed only for a chunk that they leave
-    undecided, in the same floating-point expression.
+    undecided, in the same floating-point expression.  An exactly zero
+    ``A w`` is a zero mode also where that floor is 0, as for a zero
+    drift: it spans no subspace to take an angle to.
     """
     aws = _times(sys.a, ws)
     s_norm = None if c_top is None else _norms(_times(c_top, aws))
     aw_norms, w_norms = _norms(aws), np.linalg.norm(ws, axis=0)
     lo, hi = (DEFAULT_ZERO_FLOOR * end * w_norms for end in ends)
-    zero = aw_norms < lo
+    exact = aw_norms == 0.0
+    zero = exact | (aw_norms < lo)
     if not np.all(zero | (aw_norms >= hi)):
-        zero = aw_norms < DEFAULT_ZERO_FLOOR * sys.drift_norm * w_norms
+        zero = exact | (aw_norms < DEFAULT_ZERO_FLOOR * sys.drift_norm * w_norms)
     theta = np.zeros(ws.shape[1])
     live = np.flatnonzero(~zero)
     lhs = ws[:, live] if sys.e is None else _times(sys.e, ws[:, live])
@@ -328,21 +316,21 @@ def grassmann_distance(u1: np.ndarray, u2: np.ndarray) -> float:
 
 
 @dataclass(eq=False)
-class ModeRecord:
-    """One scored eigenpair: eigenvalue and lifted eigenvector w = M v."""
-
-    lam: complex
-    w: np.ndarray
-    s_norm: float | None
-    theta: float
-    zero_mode: bool
-
-
-@dataclass(eq=False)
 class QualityReport:
-    """Modes sorted best-first by angle score, plus run metadata."""
+    """Scored modes sorted best-first by angle score, as arrays, plus run metadata.
 
-    modes: list[ModeRecord]
+    Entry i of each array belongs to mode i of the report order:
+    ``lambdas`` (m,) complex128 eigenvalues, ``modes`` (m, N) whose row
+    i is the lifted eigenvector ``w = M v`` of mode i, ``s_norm`` (m,)
+    derivative scores or None for a generalized system, ``theta`` (m,)
+    angle scores and ``zero_mode`` (m,) bool flags.
+    """
+
+    lambdas: np.ndarray
+    modes: np.ndarray
+    s_norm: np.ndarray | None
+    theta: np.ndarray
+    zero_mode: np.ndarray
     meta: dict
 
 
@@ -358,25 +346,33 @@ def quality_report(
     ``|Im lam|`` then ``|Re lam|``.  The derivative score is
     ``|C A^k M v|`` (see the module docstring) and is omitted for
     generalized systems.  A mode is a zero mode when
-    ``|A M v| < DEFAULT_ZERO_FLOOR |A|_2 |M v|``.
+    ``|A M v| < DEFAULT_ZERO_FLOOR |A|_2 |M v|`` or ``A M v`` is exactly 0.
     """
     return _report(sys, compress(sys, k, null_tol), null_tol)
 
 
 def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> QualityReport:
-    """The ``quality_report`` of one compressed system, whatever produced it."""
+    """The ``quality_report`` of one compressed system, whatever produced it.
+
+    A system is real when A, C and E are.  Then an eigenvector that is
+    the exact conjugate of the one before it (a twin) spans the same
+    real plane: it takes its owner's scores through one index map, so
+    ``W = M V`` and everything after it see one column per pair, and
+    its row of ``modes`` is its owner's ``w`` conjugated in place.
+    """
     lams, vecs = eigenpairs(comp)
-    ws, s_norm, theta, zero = _score_modes(sys, comp, vecs)
-    records = [
-        ModeRecord(
-            lam=lams[i].item(),
-            w=ws[i],
-            s_norm=None if s_norm is None else s_norm[i].item(),
-            theta=theta[i].item(),
-            zero_mode=zero[i].item(),
-        )
-        for i in np.lexsort((np.abs(lams.real), np.abs(lams.imag), theta))
-    ]
+    real = all(np.isrealobj(op) for op in (sys.a, sys.c, sys.e) if op is not None)
+    twin = np.zeros(lams.size, dtype=bool)
+    if real:
+        twin[1:] = np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
+    ws, s_norm, theta, zero = _score_modes(sys, comp, vecs.compress(~twin, axis=1))
+    own = np.cumsum(~twin) - 1
+    order = np.lexsort((np.abs(lams.real), np.abs(lams.imag), theta[own]))
+    rows = own[order]
+    # one sorted copy of the owners' rows, the twins conjugated in place:
+    # a second copy would raise the peak memory
+    modes = ws.T[rows]
+    modes.imag[twin[order]] *= -1
 
     labels = dict(sys.labels or {})
     meta = {
@@ -385,6 +381,13 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> 
         "k": comp.k,
         "r": comp.r,
         "null_tol": null_tol,
-        "real_system": bool(np.isrealobj(sys.a) and (sys.e is None or np.isrealobj(sys.e))),
+        "real_system": real,
     }
-    return QualityReport(modes=records, meta=meta)
+    return QualityReport(
+        lambdas=lams[order],
+        modes=modes,
+        s_norm=None if s_norm is None else s_norm[rows],
+        theta=theta[rows],
+        zero_mode=zero[rows],
+        meta=meta,
+    )

@@ -191,7 +191,7 @@ def _retention(report: QualityReport) -> tuple[list[int], ReducedModel, np.ndarr
     cached = _RETENTION.get(report)
     if cached is not None:
         return cached
-    lams = np.array([m.lam for m in report.modes])
+    lams = report.lambdas
     real_system = bool(report.meta.get("real_system", True))
     partner = np.arange(lams.size)
     if real_system:
@@ -206,7 +206,8 @@ def _retention(report: QualityReport) -> tuple[list[int], ReducedModel, np.ndarr
             j = int(partner[j])
         sizes.append(len(order))
     lams = lams[order]
-    shapes = np.column_stack([report.modes[i].w for i in order])
+    # C-ordered columns: GEMM rounds a transposed operand differently
+    shapes = report.modes.T.take(order, axis=1)
     basis, mates = shapes, None
     if real_system:
         own = np.arange(len(order))
@@ -251,7 +252,7 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
     the first ``truncate`` of a report computes and every later one
     shares, so a report must not change once it has been truncated.
     Scores stay on the report: the theta of column j is
-    ``report.modes[model.indices[j]].theta``.
+    ``report.theta[model.indices[j]]``.
 
     |R|_F |R^-1|_F bounds the condition number of the retained columns
     from above.  A model raises ``RankDeficientBasisError`` when it
@@ -514,7 +515,7 @@ def reduction_sweep(
             r=int(r),
             size=size,
             rel_error=relative_l2_error(p_r, p_ref, weights),
-            theta_r=report.modes[int(r) - 1].theta,
+            theta_r=report.theta[int(r) - 1].item(),
         )
         for r, size, p_r in zip(r_values, sizes, states[-1, :, :n])
     ]

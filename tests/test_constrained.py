@@ -356,6 +356,13 @@ def test_depths_nest_and_their_spectra_are_well_formed(
         assert comp.r <= prev.r
         assert np.linalg.norm(comp.m - prev.m @ (prev.m_left @ comp.m)) < 1e-10
     for comp, (lams, vecs) in zip(comps, spectra):
+        # every depth keeps C z = 0 to the depth-1 rank cut; without a
+        # mass operator, a depth that A leaves invariant is the last to cut
+        decomposition = verify_decomposition(sys, comp)
+        assert decomposition.constraint_residual <= 1e-9 * np.linalg.norm(sys.c, 2)
+        assert decomposition.invariant == (decomposition.invariance_residual < 1e-10 * scale)
+        if e is None and decomposition.invariance_residual < 1e-12 * scale:
+            assert all(later.r == comp.r for later in comps[comp.k :])
         m_h = comp.m.conj().T
         assert comp.m.shape == (n, comp.r) and np.array_equal(comp.m_left, m_h)
         assert np.linalg.norm(m_h @ comp.m - np.eye(comp.r)) < 1e-12

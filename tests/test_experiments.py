@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigensieve.constrained import compress
 from eigensieve.experiments import k_quality_sweep, k_sweep, match_to_reference
-from eigensieve.problems import canuto_hyperbolic
+from eigensieve.problems import canuto_hyperbolic, get_problem
 from eigensieve.quality import quality_report
 
 
@@ -88,11 +90,12 @@ class TestKQualitySweep:
         sys = canuto_hyperbolic(16)
         rows = k_quality_sweep("canuto", n=16, k_max=4)
         for k in range(1, 5):
-            modes = quality_report(sys, k).modes
+            report = quality_report(sys, k)
             got = [row for row in rows if row.k == k]
-            assert [(r.lam, r.s_norm, r.theta, r.zero_mode) for r in got] == [
-                (m.lam, m.s_norm, m.theta, m.zero_mode) for m in modes
-            ]
+            assert [(r.lam, r.s_norm, r.theta, r.zero_mode) for r in got] == list(zip(
+                report.lambdas.tolist(), report.s_norm.tolist(), report.theta.tolist(),
+                report.zero_mode.tolist(),
+            ))
 
     def test_best_mode_is_spectrally_accurate(self):
         rows = k_quality_sweep("canuto", n=16, k_max=1)
@@ -105,3 +108,27 @@ class TestKQualitySweep:
     def test_problem_without_reference_rejected(self):
         with pytest.raises(ValueError, match="reference"):
             k_quality_sweep("orr-sommerfeld", n=32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=st.sampled_from(["heat", "canuto", "acoustic"]),
+    n=st.integers(4, 16),
+    k_max=st.integers(1, 4),
+)
+def test_sweeps_agree_with_each_depth_alone(problem, n, k_max):
+    # both sweeps walk one chain of depths; each depth matches the
+    # system compressed and reported at that depth alone
+    summary = k_sweep(problem, n, k_max)
+    grid = k_quality_sweep(problem, n, k_max)
+    sys = get_problem(problem).build(n=n)
+    assert [row.k for row in summary] == list(range(1, len(summary) + 1))
+    assert len(grid) == sum(row.r for row in summary)
+    for row in summary:
+        depth = [cell for cell in grid if cell.k == row.k]
+        assert row.r == compress(sys, row.k).r == len(depth)
+        assert [cell.rank for cell in depth] == list(range(row.r))
+        thetas = [cell.theta for cell in depth]
+        assert thetas == sorted(thetas)
+        lams = np.array([cell.lam for cell in depth])
+        assert lams.tobytes() == quality_report(sys, row.k).lambdas.tobytes()

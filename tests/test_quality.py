@@ -213,23 +213,31 @@ class TestDerivativeScore:
     def test_resolved_heat_mode_scores_tiny(self):
         report = quality_report(heat_dirichlet(48))
         # the third Dirichlet mode, sin(3 pi (x + 1) / 2), is well resolved
-        mode = min(report.modes, key=lambda m: abs(m.lam + (3.0 * np.pi / 2.0) ** 2))
-        worst = max(m.s_norm for m in report.modes)
-        assert mode.s_norm < 1e-8
+        mode = np.abs(report.lambdas + (3.0 * np.pi / 2.0) ** 2).argmin()
+        worst = report.s_norm.max()
+        assert report.s_norm[mode] < 1e-8
         assert worst > 1.0
-        assert worst / mode.s_norm > 1e4
+        assert worst / report.s_norm[mode] > 1e4
 
 
 class TestModeAngle:
     def test_exact_zero_mode_is_flagged(self):
         report = quality_report(_diag_zero_system())
         assert len(report.modes) == 3
-        for mode in report.modes:
-            if abs(mode.lam) < 1e-12:
-                assert mode.zero_mode and mode.theta == 0.0
-            else:
-                assert not mode.zero_mode
-                assert mode.theta < 1e-7
+        zero = np.abs(report.lambdas) < 1e-12
+        assert np.all(report.zero_mode[zero]) and np.all(report.theta[zero] == 0.0)
+        assert not np.any(report.zero_mode[~zero])
+        assert np.all(report.theta[~zero] < 1e-7)
+
+    def test_zero_drift_makes_every_mode_a_zero_mode(self):
+        # |A|_2 = 0 makes the floor 0, under which no norm lies strictly;
+        # an exactly zero A w still spans no subspace to take an angle to
+        report = quality_report(ConstrainedSystem(a=np.zeros((3, 3)), c=[[1.0, 0, 0]]))
+        assert len(report.modes) == 2
+        np.testing.assert_array_equal(report.lambdas, 0.0)
+        assert np.all(report.zero_mode)
+        np.testing.assert_array_equal(report.theta, 0.0)
+        np.testing.assert_array_equal(report.s_norm, 0.0)
 
     def test_exact_eigenvector_scores_zero_without_the_zero_flag(self):
         # The angle never rounds a nonzero angle to 0, but the unit
@@ -240,11 +248,10 @@ class TestModeAngle:
         a[:2, :2] = [[2.0, 1.0], [0.0, 1.0]]
         a[2, 2] = 2.3e-13
         report = quality_report(ConstrainedSystem(a=a, c=np.eye(4)[3:]))
-        exact = [m for m in report.modes if m.lam in (2.0, 2.3e-13)]
-        assert len(exact) == 2
-        for mode in exact:
-            assert mode.theta == 0.0
-            assert not mode.zero_mode
+        exact = np.isin(report.lambdas, (2.0, 2.3e-13))
+        assert np.count_nonzero(exact) == 2
+        np.testing.assert_array_equal(report.theta[exact], 0.0)
+        assert not np.any(report.zero_mode[exact])
 
     def test_misaligned_direction_scores_large(self):
         rng = np.random.default_rng(27)
@@ -263,9 +270,9 @@ class TestQualityReport:
     def test_hyperbolic_report_structure(self):
         report = quality_report(canuto_hyperbolic(16))
         assert len(report.modes) == 30
-        thetas = [m.theta for m in report.modes]
-        assert thetas == sorted(thetas)
-        assert all(m.s_norm is not None for m in report.modes)
+        assert report.modes.shape == (30, 32)
+        assert np.all(np.diff(report.theta) >= 0.0)
+        assert report.s_norm is not None and report.s_norm.shape == (30,)
         meta = report.meta
         assert meta["problem"] == "canuto"
         assert meta["n"] == 16 and meta["k"] == 1 and meta["r"] == 30
@@ -273,30 +280,30 @@ class TestQualityReport:
 
     def test_best_modes_match_the_exact_ladder(self):
         report = quality_report(canuto_hyperbolic(16))
-        good = [m for m in report.modes if m.theta < 1e-6]
-        assert len(good) == 2
+        good = report.lambdas[report.theta < 1e-6]
+        assert good.size == 2
         ref = canuto_reference(8)
-        for m in good:
-            rel = np.abs(ref - m.lam).min() / np.abs(m.lam)
+        for lam in good:
+            rel = np.abs(ref - lam).min() / np.abs(lam)
             assert rel < 1e-10
 
     def test_generalized_report_drops_derivative_score(self):
         report = quality_report(orr_sommerfeld(50))
         assert report.meta["real_system"] is False
         assert report.meta["r"] == 46
-        assert all(m.s_norm is None for m in report.modes)
+        assert report.s_norm is None
 
     def test_no_nonzero_mode_scores_exactly_zero(self):
         report = quality_report(canuto_hyperbolic(64))
-        assert all(m.theta > 0.0 for m in report.modes if not m.zero_mode)
+        assert np.all(report.theta[~report.zero_mode] > 0.0)
 
     def test_tollmien_schlichting_mode_scores_above_zero(self):
         target = 0.00373967 - 0.23752649j
         report = quality_report(orr_sommerfeld(110))
-        mode = min(report.modes, key=lambda m: abs(m.lam - target))
-        assert abs(mode.lam - target) < 5e-6
-        assert not mode.zero_mode
-        assert mode.theta > 0.0
+        mode = np.abs(report.lambdas - target).argmin()
+        assert abs(report.lambdas[mode] - target) < 5e-6
+        assert not report.zero_mode[mode]
+        assert report.theta[mode] > 0.0
 
 
 def _top_block(sys, k):
@@ -375,28 +382,28 @@ def test_scores_are_bit_identical_to_per_mode_products(build, n, k):
     expected = _per_mode_scores(sys, compress(sys, k))
     report = quality_report(sys, k)
     rank = {row[0]: i for i, row in enumerate(expected)}
-    assert len(rank) == len(report.modes)
-    assert {m.lam for m in report.modes} == set(rank)
+    lams = report.lambdas.tolist()
+    assert len(rank) == len(lams)
+    assert set(lams) == set(rank)
+    assert (report.s_norm is None) == (sys.e is not None)
     norm_a = sys.drift_norm
     norm_c = np.linalg.norm(_top_block(sys, k), 2)
     norm_e = 1.0 if sys.e is None else np.linalg.norm(sys.e, 2)
     floors = []
-    for mode in report.modes:
-        _, w, s_norm, theta, zero = expected[rank[mode.lam]]
+    for i, lam in enumerate(lams):
+        _, w, s_norm, theta, zero = expected[rank[lam]]
         lhs = w if sys.e is None else sys.e @ w
         w_norm = np.linalg.norm(w)
         floor = EPS * w_norm * (norm_a / _sigma_min(sys.a @ w) + norm_e / _sigma_min(lhs))
-        assert mode.zero_mode == zero
-        assert abs(mode.theta - theta) <= floor
-        if s_norm is None:
-            assert mode.s_norm is None
-        else:
-            assert abs(mode.s_norm - s_norm) <= 4 * EPS * norm_c * norm_a * w_norm
-        assert np.abs(mode.w - w).max() <= 8 * EPS
+        assert report.zero_mode[i] == zero
+        assert abs(report.theta[i] - theta) <= floor
+        if s_norm is not None:
+            assert abs(report.s_norm[i] - s_norm) <= 4 * EPS * norm_c * norm_a * w_norm
+        assert np.abs(report.modes[i] - w).max() <= 8 * EPS
         floors.append(floor)
-    thetas, floors = np.array([m.theta for m in report.modes]), np.array(floors)
+    thetas, floors = report.theta, np.array(floors)
     assert np.all(np.diff(thetas) >= 0.0)
-    order = np.array([rank[m.lam] for m in report.modes])
+    order = np.array([rank[lam] for lam in lams])
     i, j = np.nonzero(np.triu(order[:, None] > order[None, :]))  # i ahead of j here only
     assert np.all(np.abs(thetas[i] - thetas[j]) <= floors[i] + floors[j])
 
@@ -415,13 +422,14 @@ def test_conjugate_partners_score_the_same_by_construction(build, n, k):
         if np.array_equal(vecs[:, i], np.conj(vecs[:, i - 1]))
     ]
     assert len(twins) > len(lams) // 4
-    modes = {m.lam: m for m in quality_report(sys, k).modes}
+    report = quality_report(sys, k)
+    at = {lam: i for i, lam in enumerate(report.lambdas.tolist())}
     for partner_lam, lam in twins:
-        mode, partner = modes[lam], modes[partner_lam]
-        assert np.array_equal(mode.w, np.conj(partner.w))
-        assert mode.s_norm == partner.s_norm
-        assert mode.theta == partner.theta
-        assert mode.zero_mode == partner.zero_mode
+        mode, partner = at[lam], at[partner_lam]
+        assert np.array_equal(report.modes[mode], np.conj(report.modes[partner]))
+        assert report.s_norm[mode] == report.s_norm[partner]
+        assert report.theta[mode] == report.theta[partner]
+        assert report.zero_mode[mode] == report.zero_mode[partner]
 
 
 @pytest.mark.parametrize(
@@ -441,16 +449,18 @@ def test_real_and_complex_products_agree_within_their_floors(build, n, k, monkey
     comp = compress(sys, k)
     cast = ConstrainedSystem(a=sys.a.astype(complex), c=sys.c.astype(complex))
     monkeypatch.setattr(quality, "compress", lambda *args: comp)
-    real, plain = ({m.lam: m for m in quality_report(s, k).modes} for s in (sys, cast))
-    assert len(real) == comp.r and real.keys() == plain.keys()
+    real, plain = (quality_report(s, k) for s in (sys, cast))
+    assert real.meta["real_system"] and not plain.meta["real_system"]
+    at = {lam: i for i, lam in enumerate(real.lambdas.tolist())}
+    assert len(at) == comp.r and at.keys() == set(plain.lambdas.tolist())
     norm_a, norm_c = sys.drift_norm, np.linalg.norm(_top_block(sys, k), 2)
-    for lam, mode in plain.items():
-        other = real[lam]
-        w_norm = np.linalg.norm(mode.w)
-        floor = EPS * w_norm * (norm_a / _sigma_min(sys.a @ mode.w) + 1.0 / _sigma_min(mode.w))
-        assert other.zero_mode == mode.zero_mode
-        assert abs(other.theta - mode.theta) <= floor
-        assert abs(other.s_norm - mode.s_norm) <= 4 * EPS * norm_c * norm_a * w_norm
+    for j, (lam, w) in enumerate(zip(plain.lambdas.tolist(), plain.modes)):
+        i = at[lam]
+        w_norm = np.linalg.norm(w)
+        floor = EPS * w_norm * (norm_a / _sigma_min(sys.a @ w) + 1.0 / _sigma_min(w))
+        assert real.zero_mode[i] == plain.zero_mode[j]
+        assert abs(real.theta[i] - plain.theta[j]) <= floor
+        assert abs(real.s_norm[i] - plain.s_norm[j]) <= 4 * EPS * norm_c * norm_a * w_norm
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -461,12 +471,9 @@ def test_derivative_score_at_depth_measures_the_next_constraint(k):
     sys = canuto_hyperbolic(64)
     report = quality_report(sys, k)
     c_top = _top_block(sys, k)
-    floors = [
-        EPS * np.linalg.norm(c_top, 2) * sys.drift_norm * np.linalg.norm(m.w)
-        for m in report.modes
-    ]
-    assert np.median([m.s_norm for m in report.modes]) > 1e10 * np.median(floors)
-    ws = np.array([m.w for m in report.modes]).T
+    floors = EPS * np.linalg.norm(c_top, 2) * sys.drift_norm * np.linalg.norm(report.modes, axis=1)
+    assert np.median(report.s_norm) > 1e10 * np.median(floors)
+    ws = report.modes.T
     assert np.median(np.linalg.norm(sys.c @ (sys.a @ ws), axis=0)) < 1e-11
 
 
@@ -501,10 +508,11 @@ class TestDerivativeBlockRange:
         sys = canuto_hyperbolic(8)
         assert np.array_equal(quality._derivative_block(sys, k), _top_block(sys, k))
         assert np.array_equal(quality._derivative_block(sys, k), observability(sys, k)[-sys.q :])
-        for mode in quality_report(sys, k).modes:
-            assert mode.s_norm > 0.0
-            block = _top_block(sys, k) @ (sys.a @ mode.w)
-            assert mode.s_norm == pytest.approx(_scaled_norm(block), rel=1e-14)
+        report = quality_report(sys, k)
+        for w, s_norm in zip(report.modes, report.s_norm):
+            assert s_norm > 0.0
+            block = _top_block(sys, k) @ (sys.a @ w)
+            assert s_norm == pytest.approx(_scaled_norm(block), rel=1e-14)
 
     def test_norms_out_of_the_squares_range_are_rescaled(self):
         # in range, the plain norm's bits; below or above it, the norm of
@@ -524,10 +532,11 @@ class TestDerivativeBlockRange:
         # whose square a plain norm would overflow to inf
         a = np.array([[1e100, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
         sys = ConstrainedSystem(a=a, c=np.array([[1.0, 0.0, 0.0]]))
-        for mode in quality_report(sys, 3).modes:
-            block = _top_block(sys, 3) @ (sys.a @ mode.w)
-            assert np.isfinite(mode.s_norm)
-            assert mode.s_norm == pytest.approx(_scaled_norm(block), rel=1e-14)
+        report = quality_report(sys, 3)
+        for w, s_norm in zip(report.modes, report.s_norm):
+            block = _top_block(sys, 3) @ (sys.a @ w)
+            assert np.isfinite(s_norm)
+            assert s_norm == pytest.approx(_scaled_norm(block), rel=1e-14)
 
 
 def test_spectral_norms_are_skipped_when_their_bounds_decide():
@@ -554,11 +563,12 @@ def test_zero_floor_between_the_norm_bounds_uses_the_exact_norm(side):
     assert DEFAULT_ZERO_FLOOR * lower <= side * cut < DEFAULT_ZERO_FLOOR * upper
 
     sys = ConstrainedSystem(a=a, c=np.eye(4)[3:])
-    (mode,) = [m for m in quality_report(sys).modes if abs(m.lam) < 1.0]
-    assert mode.lam == side * cut
-    np.testing.assert_array_equal(np.abs(mode.w), np.eye(4)[2])
+    report = quality_report(sys)
+    (mode,) = np.flatnonzero(np.abs(report.lambdas) < 1.0)
+    assert report.lambdas[mode] == side * cut
+    np.testing.assert_array_equal(np.abs(report.modes[mode]), np.eye(4)[2])
     assert "drift_norm" in sys.__dict__
-    assert mode.zero_mode == (side < 1.0)
+    assert report.zero_mode[mode] == (side < 1.0)
 
 
 def test_zero_floor_bracket_stays_finite_for_a_huge_drift():
@@ -569,6 +579,6 @@ def test_zero_floor_bracket_stays_finite_for_a_huge_drift():
     sys = ConstrainedSystem(a=a, c=[[1.0, 0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        modes = quality_report(sys).modes
-    assert [mode.zero_mode for mode in modes] == [False, False]
-    assert [abs(mode.lam) for mode in modes] == pytest.approx([1e150, 1e150])
+        report = quality_report(sys)
+    assert report.zero_mode.tolist() == [False, False]
+    assert np.abs(report.lambdas) == pytest.approx([1e150, 1e150])

@@ -26,7 +26,7 @@ BLOCKS = [
 #: the simulation error and the ranks of the +-i pi pair.
 SCRIPT = "\n".join(re.findall(r"```python\n(.*?)```", TEXT, re.S)) + """
 print(repr(err))
-print(*[i for i, m in enumerate(report.modes) if abs(abs(m.lam) - np.pi) < 1e-6])
+print(*np.flatnonzero(np.abs(np.abs(report.lambdas) - np.pi) < 1e-6))
 """
 
 

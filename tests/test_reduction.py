@@ -30,7 +30,7 @@ from eigensieve.problems import (
     orr_sommerfeld,
     sine_ic,
 )
-from eigensieve.quality import ModeRecord, QualityReport, quality_report
+from eigensieve.quality import QualityReport, quality_report
 from eigensieve.reduction import (
     reduction_sweep,
     relative_l2_error,
@@ -46,12 +46,16 @@ def canuto_report():
 
 
 def _hand_report(lams, lifted, real_system=True):
-    basis = np.asarray(lifted, dtype=complex)
-    modes = [
-        ModeRecord(lam=lam, w=basis[:, i], s_norm=0.0, theta=float(i), zero_mode=False)
-        for i, lam in enumerate(lams)
-    ]
-    return QualityReport(modes=modes, meta={"real_system": real_system})
+    # mode i has eigenvalue lams[i], lifted vector lifted[:, i] and theta i
+    lams = np.asarray(lams, dtype=complex)
+    return QualityReport(
+        lambdas=lams,
+        modes=np.asarray(lifted, dtype=complex).T,
+        s_norm=np.zeros(lams.size),
+        theta=np.arange(lams.size, dtype=float),
+        zero_mode=np.zeros(lams.size, dtype=bool),
+        meta={"real_system": real_system},
+    )
 
 
 def _multi_pass_closure(report, r):
@@ -60,7 +64,7 @@ def _multi_pass_closure(report, r):
     nmodes = len(report.modes)
     selected = np.arange(nmodes) < r
     if report.meta.get("real_system", True):
-        lams = np.array([m.lam for m in report.modes])
+        lams = report.lambdas
         added = np.arange(r)
         while added.size:
             partners = np.abs(lams[None, :] - np.conj(lams[added])[:, None]).argmin(axis=1)
@@ -132,7 +136,7 @@ class TestTruncate:
     def test_shapes_are_lifted_report_vectors(self, canuto_report):
         model = truncate(canuto_report, 2)
         for col, idx in enumerate(model.indices):
-            np.testing.assert_array_equal(model.shapes[:, col], canuto_report.modes[idx].w)
+            np.testing.assert_array_equal(model.shapes[:, col], canuto_report.modes[idx])
 
     def test_restrict_lift_roundtrip(self, canuto_report):
         model = truncate(canuto_report, 4)
@@ -401,19 +405,21 @@ class TestSimulateModal:
     n=st.integers(2, 12),
     q=st.integers(1, 3),
     complex_drift=st.booleans(),
+    complex_constraint=st.booleans(),
     mass=st.booleans(),
     integers=st.booleans(),
     t=st.floats(0.0, 1.0),
 )
 def test_reduce_kernel_matches_least_squares_and_exponentials(
-    seed, n, q, complex_drift, mass, integers, t
+    seed, n, q, complex_drift, complex_constraint, mass, integers, t
 ):
     # random small systems, entries Gaussian or in {-2, ..., 2} (which
     # makes repeated eigenvalues and rank-deficient constraints), through
     # quality_report, truncate, simulate_modal and restrict: each call
     # returns finite output of its documented dtype or raises a typed
     # error, and the states are least squares on the complex lifted
-    # vectors followed by exp(lam t)
+    # vectors followed by exp(lam t); a complex drift or constraint makes
+    # a complex system, whose truncation pairs no modes
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -424,16 +430,21 @@ def test_reduce_kernel_matches_least_squares_and_exponentials(
     a = draw(n, n) + (1j * draw(n, n) if complex_drift else 0.0)
     e = np.eye(n) + 0.3 * draw(n, n) if mass else None
     x0 = rng.standard_normal(n)
+    q = min(q, n - 1)
+    c = draw(q, n) + (1j * draw(q, n) if complex_constraint else 0.0)
     try:
-        sys = ConstrainedSystem(a=a, c=draw(min(q, n - 1), n), e=e)
+        sys = ConstrainedSystem(a=a, c=c, e=e)
         report = quality_report(sys)
-        model = truncate(report, int(rng.integers(1, len(report.modes) + 1)))
+        r = int(rng.integers(1, len(report.modes) + 1))
+        model = truncate(report, r)
         result = simulate_modal(model, x0, [0.0, t])
         coeffs, residual = model.restrict(x0)
     except (EigensieveError, ValueError):
         return
     real = report.meta["real_system"]
-    assert real == (not complex_drift)
+    assert real == (not complex_drift and not complex_constraint)
+    if not real:
+        assert model.size == r
     assert result.states.dtype == (np.float64 if real else np.complex128)
     assert coeffs.dtype == np.complex128
     assert np.all(np.isfinite(result.states)) and np.all(np.isfinite(coeffs))
@@ -614,7 +625,7 @@ class TestReductionSweep:
         # the modes resolved to rounding level is set by rounding, so
         # the retained counts are taken from its position in the report
         _, report = acoustic64
-        lams = np.array([m.lam for m in report.modes])
+        lams = report.lambdas
         p = max(int(np.abs(lams - 1j * np.pi).argmin()),
                 int(np.abs(lams + 1j * np.pi).argmin()))
         # the last count keeps every mode: the full model
@@ -624,7 +635,7 @@ class TestReductionSweep:
         for row in rows:
             assert row.size >= row.r
             assert row.rel_error < 1e-9
-            assert row.theta_r == report.modes[row.r - 1].theta
+            assert row.theta_r == report.theta[row.r - 1]
         thetas = [row.theta_r for row in rows]
         assert thetas == sorted(thetas)
 
@@ -656,7 +667,7 @@ class TestReductionSweep:
             p_r = simulate_modal(model, x0, 1.0).states[-1][:n]
             err = relative_l2_error(p_r, p_ref, clenshaw_curtis(n))
             assert row.size == model.size
-            assert row.theta_r == report.modes[r - 1].theta
+            assert row.theta_r == report.theta[r - 1]
             assert abs(row.rel_error - err) <= 1e-12 * err + 4 * np.finfo(float).eps
 
     def test_rank_guard_raises_at_the_first_failing_count_in_list_order(self, monkeypatch):
@@ -664,9 +675,9 @@ class TestReductionSweep:
         # keeps it is rank deficient: 40 fails before 30 and before the
         # models are evolved
         report = quality_report(acoustic_wave(32))
-        modes = list(report.modes)
-        modes[20] = dataclasses.replace(modes[20], w=modes[3].w)
-        broken = QualityReport(modes=modes, meta=report.meta)
+        modes = report.modes.copy()
+        modes[20] = modes[3]
+        broken = dataclasses.replace(report, modes=modes)
         monkeypatch.setattr(reduction, "quality_report", lambda *args, **kwargs: broken)
         with pytest.raises(RankDeficientBasisError) as info:
             truncate(broken, 40)
