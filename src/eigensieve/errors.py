@@ -7,7 +7,6 @@ __all__ = [
     "UndefinedSubspaceError",
     "ZeroReferenceError",
     "DivergenceError",
-    "ImaginaryResidueError",
     "RankDeficientBasisError",
     "DerivativeBlockRangeError",
 ]
@@ -39,10 +38,6 @@ class DivergenceError(EigensieveError):
     Raised when fixed-step integration grows without bound, and when an
     exact modal coefficient ``exp(lam t)`` overflows.
     """
-
-
-class ImaginaryResidueError(EigensieveError):
-    """Reconstructed real field kept a non-negligible imaginary part."""
 
 
 class RankDeficientBasisError(EigensieveError):

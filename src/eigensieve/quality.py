@@ -111,13 +111,16 @@ def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, np.ndarray]:
     ``E_k^(-1) A_k`` behind the guard ``DEFAULT_MASS_COND_LIMIT`` on the
     condition number of ``E_k``.  ``vecs[:, i]`` is the eigenvector of
     ``lams[i]``, a unit column as LAPACK's geev returns it, in a
-    C-contiguous matrix.  Eigenvalues are ordered so complex conjugates
-    sit adjacent, positive imaginary part first; both arrays are complex
-    also for a real spectrum.
+    C-contiguous matrix; both arrays are complex also for a real
+    spectrum.  Eigenvalues are sorted by real part, then by ``|Im|``.
+    For a real operator geev returns each conjugate pair side by side,
+    its eigenvectors exact conjugates and the positive imaginary part
+    first, and the sort moves each pair as one unit, so they stay so:
+    pairs that tie on (Re, |Im|) keep geev's order of pairs.  For a
+    complex operator ties put Im >= 0 first.
     """
-    if comp.e_k is None:
-        lams, vecs = np.linalg.eig(comp.a_k)
-    else:
+    drift = comp.a_k
+    if comp.e_k is not None:
         sv = np.linalg.svd(comp.e_k, compute_uv=False)
         cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
         if cond > DEFAULT_MASS_COND_LIMIT:
@@ -125,10 +128,14 @@ def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, np.ndarray]:
                 f"compressed mass operator condition number {cond:.3e} "
                 f"exceeds limit {DEFAULT_MASS_COND_LIMIT:.1e}"
             )
-        lams, vecs = np.linalg.eig(np.linalg.solve(comp.e_k, comp.a_k))
+        drift = np.linalg.solve(comp.e_k, comp.a_k)
+    lams, vecs = np.linalg.eig(drift)
     # numpy returns real arrays when the whole spectrum is real
     lams = lams.astype(complex, copy=False)
-    order = np.lexsort((-lams.imag, np.abs(lams.imag), lams.real))
+    below = lams.imag < 0
+    # a pair's second half takes the geev position of its first
+    lead = np.arange(lams.size) - below if np.isrealobj(drift) else np.zeros(lams.size)
+    order = np.lexsort((below, lead, np.abs(lams.imag), lams.real))
     return lams[order], vecs.take(order, axis=1).astype(complex, copy=False)
 
 
@@ -359,6 +366,10 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> 
     real plane: it takes its owner's scores through one index map, so
     ``W = M V`` and everything after it see one column per pair, and
     its row of ``modes`` is its owner's ``w`` conjugated in place.
+    ``eigenpairs`` hands every pair over side by side, so each complex
+    mode is an owner or a twin, and a twin ties with its owner on every
+    sort key: the stable sort keeps it right after its owner, which is
+    where ``reduction`` reads the pairs from.
     """
     lams, vecs = eigenpairs(comp)
     real = all(np.isrealobj(op) for op in (sys.a, sys.c, sys.e) if op is not None)

@@ -2,7 +2,9 @@
 
 Reduced models keep the r best-scored modes of a quality report, close
 them under complex conjugation so real dynamics stay real, and evolve
-the retained modal coefficients exactly.  Every model of a report is a
+the retained modal coefficients exactly.  A real system's report holds
+each conjugate pair side by side (``quality.eigenpairs``), so closure
+takes at most the one mode after the cut.  Every model of a report is a
 leading block of one factorised basis, so a sweep over retained counts
 evolves all of its models in one pass: one projection, one prefix sum
 of the triangular inverse, one product (``_evolve``).  A real system is
@@ -16,6 +18,7 @@ advances 32 steps per product after the first 32.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
 
@@ -23,12 +26,7 @@ import numpy as np
 
 from .chebyshev import clenshaw_curtis
 from .constrained import DEFAULT_NULL_TOL
-from .errors import (
-    DivergenceError,
-    ImaginaryResidueError,
-    RankDeficientBasisError,
-    ZeroReferenceError,
-)
+from .errors import DivergenceError, RankDeficientBasisError, ZeroReferenceError
 from .problems import _IC_PROFILES, acoustic_reference, acoustic_wave
 from .quality import QualityReport, quality_report
 
@@ -48,24 +46,22 @@ __all__ = [
 class ReducedModel:
     """Retained eigenmodes of a quality report, conjugate-closed.
 
-    ``truncate`` makes every model.  Columns come in retention order,
-    the order in which a growing retained count takes in the report's
-    modes; it is report order wherever conjugate partners sit side by
-    side; ``indices`` names the report position of each column.
-    ``lambdas`` holds the eigenvalue of each column and ``shapes`` the
-    lifted mode vectors w = M v as columns, so modal coefficients c
-    lift to the state ``shapes @ c``.
+    ``truncate`` makes every model.  Column j is mode j of the report,
+    so its theta is ``report.theta[j]``.  ``lambdas`` holds the
+    eigenvalue of each column and ``shapes`` the lifted mode vectors
+    w = M v as columns, so modal coefficients c lift to the state
+    ``shapes @ c``.
 
     ``basis`` holds the columns that the model factorises and evolves.
-    For a real system whose retained modes are exact conjugate pairs
-    (w, conj(w)) and real modes it is float64: the pair at columns
-    j < m becomes sqrt(2) Re w and sqrt(2) Im w, w the vector of column
-    j, and a real mode keeps its w.  ``mates[j]`` is the other column
-    of j's pair, j itself for a real mode.  The sqrt(2) makes each pair
-    block a unitary image of [w, conj(w)], so every leading block of
-    ``basis`` has the singular values of that of ``shapes``.  Otherwise
-    (a complex system, or a hand-built report whose partners are not
-    exact conjugates) ``basis`` is ``shapes`` and ``mates`` is None.
+    For a real system, whose modes are exact conjugate pairs
+    (w, conj(w)) side by side and real modes, it is float64: the pair
+    at columns j, j + 1 becomes sqrt(2) Re w and sqrt(2) Im w, w the
+    vector of column j, and a real mode keeps its w.  ``mates[j]`` is
+    the other column of j's pair, j itself for a real mode.  The
+    sqrt(2) makes each pair block a unitary image of [w, conj(w)], so
+    every leading block of ``basis`` has the singular values of that of
+    ``shapes``.  For a complex system ``basis`` is ``shapes`` and
+    ``mates`` is None: a system is real exactly when ``mates`` is set.
     ``q`` and ``r_inv`` are a thin QR factorisation ``basis = q R`` and
     the inverse of its triangle, so restriction is a projection onto
     ``q`` and one triangular product.  The arrays are read-only leading
@@ -74,12 +70,10 @@ class ReducedModel:
 
     lambdas: np.ndarray
     shapes: np.ndarray
-    indices: tuple[int, ...]
     q: np.ndarray
     r_inv: np.ndarray
     basis: np.ndarray
     mates: np.ndarray | None
-    real_system: bool
 
     @property
     def size(self) -> int:
@@ -158,25 +152,24 @@ def _factor(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _RETENTION: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _retention(report: QualityReport) -> tuple[list[int], ReducedModel, np.ndarray]:
+def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndarray]:
     """``(sizes, model, bound)`` of a report.
 
-    One walk over the report lists its modes in the order a growing r
-    retains them: a mode not yet placed brings in the chain of its
-    conjugate partners, partner(i) = argmin_j |lam_j - conj(lam_i)| over
-    the whole report.  The distance to itself is 2|Im lam|, so a nearly
-    real mode is its own partner.  The map is fixed, so the closure of
-    the first r modes is that of the first r - 1 plus the chain of mode
-    r - 1: every selection is a prefix of the walk, of length
-    ``sizes[r - 1]``.  ``model`` holds every mode in that order; each
-    model ``truncate`` returns is a leading block of it.  Its arrays are
-    read-only, since every model of the report shares them.
+    ``model`` holds every mode of the report, in report order; each
+    model ``truncate`` returns is a leading block of it, of size
+    ``sizes[r - 1]`` for r retained modes.  Its arrays are read-only,
+    since every model of the report shares them.
 
-    For a real system the basis is real (see ``ReducedModel``) when the
-    partner map pairs each column with one other and back, and each
-    pair is an exact conjugate: the same bits up to the sign of the
-    imaginary parts, as ``eigenpairs`` and scoring hand them over.  A
-    real mode is then its own exact conjugate.
+    In a real system mode i is the second half of a pair when
+    Im lam_i < 0 and lam_i and w_i are the exact conjugates of
+    lam_(i-1) and w_(i-1), the same bits up to the sign of the
+    imaginary parts, as ``eigenpairs`` and scoring hand them over.
+    Every other mode must be the first half of a pair or have an
+    exactly real lam and w, or the report is malformed and raises
+    ``ValueError``.  A cut before a second half takes it in, so
+    ``sizes[r - 1]`` is r, or r + 1 when mode r is one.  The basis is
+    then real (see ``ReducedModel``).  A complex system pairs nothing:
+    ``sizes[r - 1]`` is r and the basis is complex.
 
     Only the leading N columns are factorised: more modes than state
     entries are dependent whatever they are.  ``bound[s - 1]`` is
@@ -191,51 +184,41 @@ def _retention(report: QualityReport) -> tuple[list[int], ReducedModel, np.ndarr
     cached = _RETENTION.get(report)
     if cached is not None:
         return cached
-    lams = report.lambdas
-    real_system = bool(report.meta.get("real_system", True))
-    partner = np.arange(lams.size)
-    if real_system:
-        partner = np.abs(lams[None, :] - np.conj(lams)[:, None]).argmin(axis=1)
-    placed = [False] * lams.size
-    order, sizes = [], []
-    for i in range(lams.size):
-        j = i
-        while not placed[j]:
-            placed[j] = True
-            order.append(j)
-            j = int(partner[j])
-        sizes.append(len(order))
-    lams = lams[order]
+    lams = report.lambdas.copy()
     # C-ordered columns: GEMM rounds a transposed operand differently
-    shapes = report.modes.T.take(order, axis=1)
+    shapes = np.ascontiguousarray(report.modes.T)
+    own = np.arange(lams.size)
+    # second[i]: mode i is the second half of a pair; second[m] stays False
+    second = np.zeros(lams.size + 1, dtype=bool)
     basis, mates = shapes, None
-    if real_system:
-        own = np.arange(len(order))
-        column = np.empty_like(own)
-        column[order] = own
-        mates = column[partner[order]]
-        if (
-            np.array_equal(mates[mates], own)
-            and np.array_equal(lams[mates], lams.conj())
-            and np.array_equal(shapes[:, mates], shapes.conj())
-        ):
-            # the second column of a pair holds sqrt(2) Im w of the first: -Im of its own
-            basis = np.where(mates < own, -shapes.imag, shapes.real)
-            basis *= np.where(mates == own, 1.0, np.sqrt(2.0))
-        else:
-            mates = None
+    if report.meta.get("real_system", True):
+        second[1:-1] = (
+            (lams.imag[1:] < 0)
+            & (lams[1:] == lams[:-1].conj())
+            & np.all(shapes[:, 1:] == shapes[:, :-1].conj(), axis=0)
+        )
+        first = second[1:]
+        real = (lams.imag == 0) & ~np.any(shapes.imag, axis=0)
+        placed = second[:-1] | first | real
+        if not placed.all():
+            raise ValueError(
+                f"mode {int(placed.argmin())} of a real system is complex but not half "
+                "of a pair: each complex mode must sit next to its exact conjugate"
+            )
+        mates = own + first - second[:-1]
+        # the second column of a pair holds sqrt(2) Im w of the first: -Im of its own
+        basis = np.where(second[:-1], -shapes.imag, shapes.real)
+        basis *= np.where(real, 1.0, np.sqrt(2.0))
+    sizes = own + 1 + second[1:]
     lead = basis[:, : basis.shape[0]]
     q, r_inv = _factor(lead)
     frob = [np.sqrt(np.cumsum(np.linalg.norm(x, axis=0) ** 2)) for x in (lead, r_inv)]
-    bound = np.full(len(order), np.inf)
+    bound = np.full(lams.size, np.inf)
     bound[: lead.shape[1]] = frob[0] * frob[1]
     for array in (lams, shapes, basis, q, r_inv, bound, mates):
         if array is not None:
             array.flags.writeable = False
-    model = ReducedModel(
-        lambdas=lams, shapes=shapes, indices=tuple(order), q=q, r_inv=r_inv,
-        basis=basis, mates=mates, real_system=real_system,
-    )
+    model = ReducedModel(lambdas=lams, shapes=shapes, q=q, r_inv=r_inv, basis=basis, mates=mates)
     cached = _RETENTION[report] = (sizes, model, bound)
     return cached
 
@@ -244,26 +227,32 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
     """Keep the r best-scored modes, minimally closed under conjugation.
 
     The report is already sorted best-first with zero modes leading, so
-    selection is positional.  For real systems any retained mode with a
-    genuinely complex eigenvalue pulls in its conjugate partner when the
-    cut would separate them, so the actual size may exceed r by one.
-    The model is a leading block of the report's retention order (see
-    ``ReducedModel``): its arrays are read-only views into arrays that
-    the first ``truncate`` of a report computes and every later one
-    shares, so a report must not change once it has been truncated.
-    Scores stay on the report: the theta of column j is
-    ``report.theta[model.indices[j]]``.
+    selection is positional.  A real system's report holds each
+    conjugate pair side by side, so a cut between the two halves of a
+    pair takes in the second, and the size may exceed r by one.  The
+    model's column j is mode j of the report (see ``ReducedModel``):
+    its arrays are read-only views into arrays that the first
+    ``truncate`` of a report computes and every later one shares, so a
+    report must not change once it has been truncated.  Scores stay on
+    the report: the theta of column j is ``report.theta[j]``.
 
     |R|_F |R^-1|_F bounds the condition number of the retained columns
     from above.  A model raises ``RankDeficientBasisError`` when it
     exceeds 1 / (eps max(N, size)), the cut below which least squares
-    would drop a direction of the retained span.
+    would drop a direction of the retained span.  A retained count
+    that is not an integer raises ``TypeError``, one outside 1..m
+    ``ValueError``, and so does a real system's report with a complex
+    mode that is not half of an exact conjugate pair.
     """
+    try:
+        r = operator.index(r)
+    except TypeError:
+        raise TypeError(f"retained count must be an integer, got r={r!r}") from None
     nmodes = len(report.modes)
     if not 1 <= r <= nmodes:
         raise ValueError(f"retained count must be in 1..{nmodes}, got r={r}")
     sizes, full, bound = _retention(report)
-    s = sizes[r - 1]
+    s = int(sizes[r - 1])
     limit = 1.0 / (np.finfo(float).eps * max(full.basis.shape[0], s))
     if not bound[s - 1] <= limit:
         raise RankDeficientBasisError(
@@ -273,12 +262,10 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
     return ReducedModel(
         lambdas=full.lambdas[:s],
         shapes=full.shapes[:, :s],
-        indices=full.indices[:s],
         q=full.q[:, :s],
         r_inv=full.r_inv[:s, :s],
         basis=full.basis[:, :s],
         mates=None if full.mates is None else full.mates[:s],
-        real_system=full.real_system,
     )
 
 
@@ -309,14 +296,16 @@ def _evolve(
     column m the same with j and m swapped.  A real mode is its own mate
     with a zero imaginary part.  One product of ``basis`` with every evolved
     coefficient gives every state: ``states[i, j]`` is size
-    ``sizes[j]`` at ``times[i]``.  ``residual`` is the relative
-    projection residual of the whole model.  Every size must pass the
-    checks of ``simulate_modal``, or the call raises; an imaginary
-    residue is reported for the first failing size in list order.
+    ``sizes[j]`` at ``times[i]``, float64 for a real basis and a real
+    ``x0``.  ``residual`` is the relative projection residual of the
+    whole model.  Every size must pass the checks of ``simulate_modal``,
+    or the call raises.
     """
     x0 = np.asarray(x0)
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     b, residual = model._project(x0)
     sizes = np.asarray(sizes)
     inside = np.arange(model.size) < sizes[:, None]
@@ -335,16 +324,6 @@ def _evolve(
             "exp(lam t) overflows at this end time"
         )
     states = (evolved.reshape(-1, model.size) @ model.basis.T).reshape(*evolved.shape[:2], -1)
-    if model.mates is None and model.real_system and np.isrealobj(x0):
-        scale = max(float(np.linalg.norm(x0)), np.finfo(float).tiny)
-        residues = np.abs(states.imag).max(axis=(0, 2), initial=0.0)
-        over = np.flatnonzero(residues > 1e-9 * scale)
-        if over.size:
-            raise ImaginaryResidueError(
-                f"imaginary residue {residues[over[0]]:.3e} exceeds 1e-9 * |x0|; "
-                "retained mode set is not closed under conjugation"
-            )
-        states = states.real
     return states, residual
 
 
@@ -360,14 +339,10 @@ def simulate_modal(
     warning, since the model then cannot represent its own initial
     condition.  States are float64 for a model of a real system and a
     real ``x0``, complex128 otherwise: a complex system evolves to
-    complex states by right.  A real system whose retained pairs are
-    exact conjugates evolves in real arithmetic (see ``_evolve``), so
-    its states are real by construction.  Otherwise (a hand-built
-    report whose partners are not exact conjugates) the states are
-    computed in complex arithmetic, and an imaginary part above
-    ``1e-9 |x0|`` raises ``ImaginaryResidueError``, because it means the
-    retained set was not conjugate-closed.  A coefficient ``exp(lam t)``
-    that overflows raises ``DivergenceError``, and a non-finite ``x0``
+    complex states by right.  A real system evolves in real arithmetic
+    (see ``_evolve``), so its states are real by construction.  A
+    coefficient ``exp(lam t)`` that overflows raises
+    ``DivergenceError``, and a non-finite ``x0`` or ``t``
     ``ValueError``.  This is the one-model case of the kernel that
     ``reduction_sweep`` runs on every retained count at once.
     """
@@ -403,12 +378,13 @@ def simulate_rk4(
     with the time of the first step past it; a NaN norm counts as
     growth.  For the neutrally stable and damped spectra this
     integrator is used to cross-check, such growth can only mean the
-    step violates the stability bound.  A non-finite ``a`` or ``x0``
-    raises ``ValueError``.  States are float64 for real inputs and
-    complex128 once ``a`` or ``x0`` is complex.
+    step violates the stability bound.  A ``t_end`` or ``dt`` that is
+    not positive and finite, or a non-finite ``a`` or ``x0``, raises
+    ``ValueError``.  States are float64 for real inputs and complex128
+    once ``a`` or ``x0`` is complex.
     """
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
+    if not (0 < t_end < np.inf and 0 < dt < np.inf):
+        raise ValueError("t_end and dt must be positive and finite")
     a = np.asarray(a)
     x = np.asarray(x0)
     x = x.astype(np.result_type(a, x, float), copy=False)
@@ -454,7 +430,13 @@ def simulate_rk4(
 
 
 def relative_l2_error(approx: np.ndarray, reference: np.ndarray, weights: np.ndarray) -> float:
-    """Quadrature-weighted relative L2 distance between two grid fields."""
+    """Quadrature-weighted relative L2 distance between two grid fields.
+
+    A non-finite entry in either field raises ``ValueError``, and a
+    reference of zero norm ``ZeroReferenceError``.
+    """
+    if not (np.all(np.isfinite(approx)) and np.all(np.isfinite(reference))):
+        raise ValueError("fields must be finite")
     ref_norm = np.sqrt(np.sum(weights * np.abs(reference) ** 2))
     if ref_norm == 0.0:
         raise ZeroReferenceError("reference field has zero norm")

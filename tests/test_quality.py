@@ -187,6 +187,21 @@ class TestEigenpairs:
         assert np.all(lams[0::2].imag > 0)
         np.testing.assert_allclose(lams[1::2], np.conj(lams[0::2]), rtol=0, atol=1e-12)
 
+    def test_tied_pairs_stay_side_by_side(self):
+        # A = diag(R, R, R, -1) repeats the pair +-i; the constraint cuts
+        # the real mode, so all six modes tie on (Re, |Im|): each pair
+        # stays one unit, its exact conjugates next to each other
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        a = np.diag([0.0] * 6 + [-1.0])
+        a[:6, :6] = np.kron(np.eye(3), rot)
+        sys = ConstrainedSystem(a=a, c=np.eye(7)[6:])
+        lams, vecs = eigenpairs(compress(sys, 1))
+        np.testing.assert_array_equal(lams, [1j, -1j] * 3)
+        np.testing.assert_array_equal(vecs[:, 1::2], np.conj(vecs[:, 0::2]))
+        report = quality_report(sys)
+        np.testing.assert_array_equal(report.lambdas, [1j, -1j] * 3)
+        np.testing.assert_array_equal(report.modes[1::2], np.conj(report.modes[0::2]))
+
     def test_real_spectrum_is_complex_with_unit_columns(self):
         comp = compress(heat_dirichlet(16), 1)
         lams, vecs = eigenpairs(comp)

@@ -17,7 +17,6 @@ from eigensieve.constrained import ConstrainedSystem, compress
 from eigensieve.errors import (
     DivergenceError,
     EigensieveError,
-    ImaginaryResidueError,
     RankDeficientBasisError,
     ZeroReferenceError,
 )
@@ -59,8 +58,9 @@ def _hand_report(lams, lifted, real_system=True):
 
 
 def _multi_pass_closure(report, r):
-    # reference selection: close the first r modes under the partner
-    # map pass by pass, then list them in report order
+    # reference selection: close the first r modes pass by pass under
+    # the nearest-conjugate map, argmin_j |lam_j - conj(lam_i)|, then
+    # list them in report order
     nmodes = len(report.modes)
     selected = np.arange(nmodes) < r
     if report.meta.get("real_system", True):
@@ -85,12 +85,18 @@ class TestTruncate:
             truncate(canuto_report, 0)
         with pytest.raises(ValueError, match="retained count"):
             truncate(canuto_report, 31)
+        assert truncate(canuto_report, np.int64(3)).size == 4
+
+    @pytest.mark.parametrize("r", [2.5, 2.0, "2", None])
+    def test_non_integer_count_raises(self, canuto_report, r):
+        with pytest.raises(TypeError, match="retained count must be an integer"):
+            truncate(canuto_report, r)
 
     def test_conjugate_partner_is_pulled_in(self, canuto_report):
         model = truncate(canuto_report, 1)
         assert model.size == 2
-        assert model.indices == (0, 1)
-        assert model.lambdas[1] == pytest.approx(np.conj(model.lambdas[0]), abs=1e-12)
+        np.testing.assert_array_equal(model.lambdas, canuto_report.lambdas[:2])
+        assert model.lambdas[1] == np.conj(model.lambdas[0])
 
     def test_closure_is_a_fixpoint(self, canuto_report):
         model = truncate(canuto_report, 3)
@@ -100,14 +106,14 @@ class TestTruncate:
             assert np.abs(lams - np.conj(lam)).min() < 1e-12
 
     def test_partner_of_an_added_partner_is_pulled_in(self):
-        # the conjugate of 1 - 1.1i is nearer 1 + 1.05i than 1 + 1i, so
-        # closing {0} adds mode 1, and closing {0, 1} then adds mode 2
+        # a real system pairs by position and exact bits, not by nearest
+        # conjugate: modes whose eigenvalues are only near conjugates of
+        # each other are no pair, and the report is rejected at the
+        # first of them, whatever the retained count
         report = _hand_report([1 + 1j, 1 - 1.1j, 1 + 1.05j, 5 - 5j], np.eye(4))
-        model = truncate(report, 1)
-        assert model.indices == (0, 1, 2)
-        assert all(type(i) is int for i in model.indices)
         for r in range(1, 5):
-            assert truncate(report, r).indices == _multi_pass_closure(report, r)
+            with pytest.raises(ValueError, match="mode 0 of a real system"):
+                truncate(report, r)
 
     @pytest.mark.parametrize(
         "build, n",
@@ -117,11 +123,13 @@ class TestTruncate:
              "orr-sommerfeld-50"],
     )
     def test_retention_prefixes_equal_the_multi_pass_closure(self, build, n):
+        # every report the library builds holds each pair side by side,
+        # so the nearest-conjugate closure of the first r modes is the
+        # leading block that truncate keeps
         report = quality_report(build(n))
         for r in range(1, len(report.modes) + 1):
             model = truncate(report, r)
-            assert model.indices == _multi_pass_closure(report, r)
-            assert model.size == len(model.indices)
+            assert tuple(range(model.size)) == _multi_pass_closure(report, r)
 
     def test_real_modes_are_their_own_partners(self):
         report = quality_report(heat_dirichlet(16))
@@ -135,8 +143,9 @@ class TestTruncate:
 
     def test_shapes_are_lifted_report_vectors(self, canuto_report):
         model = truncate(canuto_report, 2)
-        for col, idx in enumerate(model.indices):
-            np.testing.assert_array_equal(model.shapes[:, col], canuto_report.modes[idx])
+        np.testing.assert_array_equal(model.shapes, canuto_report.modes[: model.size].T)
+        # every model slices the C-ordered columns of the full model
+        assert reduction._retention(canuto_report)[1].shapes.flags.c_contiguous
 
     def test_restrict_lift_roundtrip(self, canuto_report):
         model = truncate(canuto_report, 4)
@@ -312,10 +321,12 @@ class TestSimulateModal:
         assert result.states.shape == (1, 1)
         assert result.states[0, 0] == pytest.approx(2.0 * np.exp(-1.0), abs=1e-12)
 
-    # exp(700) is finite, exp(710) is not
+    # exp(700) is finite, exp(710) is not; a lone complex mode makes a
+    # complex system
     @pytest.mark.parametrize("lam, t", [(1.0 + 0j, 710.0), (1e-14 + 3j, 1e300)])
     def test_overflowing_coefficient_raises(self, lam, t):
-        model = truncate(_hand_report([lam], np.ones((1, 1))), 1)
+        report = _hand_report([lam], np.ones((1, 1)), real_system=lam.imag == 0)
+        model = truncate(report, 1)
         if lam.imag == 0:
             assert np.isfinite(simulate_modal(model, np.array([2.0]), 700.0).states).all()
         with pytest.raises(DivergenceError, match="exp"):
@@ -332,12 +343,49 @@ class TestSimulateModal:
 
     def test_unbalanced_mode_set_raises(self):
         q = np.array([1.0 + 0j, 1j, 0.0, 0.0]) / np.sqrt(2.0)
-        # a real system's complex mode without its conjugate partner:
-        # it cannot take a real basis, and its states keep an imaginary part
-        model = truncate(_hand_report([2j], q[:, None]), 1)
-        assert model.mates is None and model.real_system
-        with pytest.raises(ImaginaryResidueError):
-            simulate_modal(model, np.array([1.0, 0.0, 0.0, 0.0]), 0.3)
+        # a real system's complex mode without its exact conjugate next
+        # to it cannot take a real basis: the report is malformed
+        with pytest.raises(ValueError, match="mode 0 of a real system"):
+            truncate(_hand_report([2j], q[:, None]), 1)
+        # a pair with a conjugate eigenvalue but a vector that is not the
+        # exact conjugate is no pair either
+        lifted = np.column_stack([q, np.conj(q) * (1 + 1e-15)])
+        with pytest.raises(ValueError, match="mode 0 of a real system"):
+            truncate(_hand_report([2j, -2j], lifted), 2)
+        # the same lone mode of a complex system evolves to complex states
+        model = truncate(_hand_report([2j], q[:, None], real_system=False), 1)
+        result = simulate_modal(model, np.array([1.0, 0.0, 0.0, 0.0]), 0.3)
+        assert result.states.dtype == np.complex128
+        np.testing.assert_allclose(result.states[0], q * (np.conj(q[0]) * np.exp(0.6j)), atol=1e-15)
+
+    def test_repeated_conjugate_pair_keeps_every_model_real(self):
+        # A = diag(R, R, -1) has the pair +-i twice; the constraint cuts
+        # the real mode, so the report is two copies of the pair and each
+        # model keeps whole pairs: float64 states equal M expm(t A_k) M^H x0
+        from scipy.linalg import block_diag, expm
+
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        sys = ConstrainedSystem(a=block_diag(rot, rot, [[-1.0]]), c=np.eye(5)[4:])
+        report = quality_report(sys)
+        comp = compress(sys, 1)
+        x0 = np.array([1.0, -0.5, 2.0, 0.25, 0.0])
+        t = np.array([0.0, 0.6, 1.0])
+        for r, size in zip(range(1, 5), (2, 2, 4, 4)):
+            model = truncate(report, r)
+            assert model.size == size
+            lams = model.lambdas
+            assert np.array_equal(lams[1::2], np.conj(lams[::2]))
+            result = simulate_modal(model, x0, t)
+            assert result.states.dtype == np.float64
+            # the model's span is M's span projected onto its retained modes
+            coeffs, _ = model.restrict(x0)
+            for row, ti in zip(result.states, t):
+                full = comp.m @ (expm(ti * comp.a_k) @ (comp.m_left @ x0))
+                kept = model.shapes @ (np.exp(lams * ti) * coeffs)
+                np.testing.assert_allclose(row, kept.real, rtol=0, atol=1e-12)
+                assert np.abs(kept.imag).max() <= 1e-12
+                if size == 4:
+                    np.testing.assert_allclose(row, full.real, rtol=0, atol=1e-12)
 
     def test_complex_system_evolves_to_complex_states(self):
         # x0 in the retained span evolves as M expm(t E_k^-1 A_k) M^H x0
@@ -345,7 +393,7 @@ class TestSimulateModal:
 
         sys = orr_sommerfeld(40)
         model = truncate(quality_report(sys), 5)
-        assert model.mates is None and not model.real_system
+        assert model.mates is None
         rng = np.random.default_rng(45)
         x0 = model.shapes @ (rng.standard_normal(5) + 1j * rng.standard_normal(5))
         t = np.array([0.0, 0.5, 2.0])
@@ -398,6 +446,14 @@ class TestSimulateModal:
         with pytest.raises(ValueError, match="finite"):
             simulate_modal(model, x0, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_raises(self, canuto_report, bad):
+        model = truncate(canuto_report, 4)
+        x0 = np.ones(model.shapes.shape[0])
+        for t in (bad, [0.0, 0.5, bad]):
+            with pytest.raises(ValueError, match="times must be finite"):
+                simulate_modal(model, x0, t)
+
 
 @settings(max_examples=120, deadline=None)
 @given(
@@ -408,10 +464,11 @@ class TestSimulateModal:
     complex_constraint=st.booleans(),
     mass=st.booleans(),
     integers=st.booleans(),
+    repeated=st.booleans(),
     t=st.floats(0.0, 1.0),
 )
 def test_reduce_kernel_matches_least_squares_and_exponentials(
-    seed, n, q, complex_drift, complex_constraint, mass, integers, t
+    seed, n, q, complex_drift, complex_constraint, mass, integers, repeated, t
 ):
     # random small systems, entries Gaussian or in {-2, ..., 2} (which
     # makes repeated eigenvalues and rank-deficient constraints), through
@@ -419,7 +476,10 @@ def test_reduce_kernel_matches_least_squares_and_exponentials(
     # returns finite output of its documented dtype or raises a typed
     # error, and the states are least squares on the complex lifted
     # vectors followed by exp(lam t); a complex drift or constraint makes
-    # a complex system, whose truncation pairs no modes
+    # a complex system, whose truncation pairs no modes.  A repeated
+    # drift blockdiag(b, b) repeats each eigenvalue of b.  Once the
+    # library has built a report, truncating and evolving it may raise
+    # only the documented numerical errors
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -428,6 +488,9 @@ def test_reduce_kernel_matches_least_squares_and_exponentials(
         return rng.standard_normal(shape)
 
     a = draw(n, n) + (1j * draw(n, n) if complex_drift else 0.0)
+    if repeated:
+        a = np.block([[a, np.zeros_like(a)], [np.zeros_like(a), a]])
+        n = 2 * n
     e = np.eye(n) + 0.3 * draw(n, n) if mass else None
     x0 = rng.standard_normal(n)
     q = min(q, n - 1)
@@ -435,11 +498,14 @@ def test_reduce_kernel_matches_least_squares_and_exponentials(
     try:
         sys = ConstrainedSystem(a=a, c=c, e=e)
         report = quality_report(sys)
+    except (EigensieveError, ValueError):
+        return
+    try:
         r = int(rng.integers(1, len(report.modes) + 1))
         model = truncate(report, r)
         result = simulate_modal(model, x0, [0.0, t])
         coeffs, residual = model.restrict(x0)
-    except (EigensieveError, ValueError):
+    except (RankDeficientBasisError, DivergenceError):
         return
     real = report.meta["real_system"]
     assert real == (not complex_drift and not complex_constraint)
@@ -555,6 +621,13 @@ class TestSimulateRk4:
         with pytest.raises(ValueError):
             simulate_rk4(np.eye(2), np.ones(2), 1.0, -0.1)
 
+    @pytest.mark.parametrize("t_end, dt", [
+        (np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (1.0, np.nan), (-np.inf, 0.1),
+    ])
+    def test_non_finite_times_raise(self, t_end, dt):
+        with pytest.raises(ValueError, match="t_end and dt must be positive and finite"):
+            simulate_rk4(np.eye(2), np.ones(2), t_end, dt)
+
     def test_unstable_step_aborts(self):
         with pytest.raises(DivergenceError):
             simulate_rk4(np.array([[5.0]]), np.array([1.0]), 10.0, 1.0)
@@ -617,6 +690,15 @@ class TestRelativeL2Error:
         err = relative_l2_error(np.array([1j, 0.0]), np.array([0.0, 0j]) + 1.0, w)
         assert err == pytest.approx(np.sqrt(3.0) / np.sqrt(2.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("side", ["approx", "reference"])
+    def test_non_finite_field_raises(self, bad, side):
+        w = clenshaw_curtis(4)
+        fields = {"approx": np.ones(4, dtype=complex), "reference": np.ones(4, dtype=complex)}
+        fields[side][2] = bad
+        with pytest.raises(ValueError, match="fields must be finite"):
+            relative_l2_error(fields["approx"], fields["reference"], w)
+
 
 class TestReductionSweep:
     def test_single_wave_initial_condition_is_captured_tiny(self, acoustic64):
@@ -671,12 +753,13 @@ class TestReductionSweep:
             assert abs(row.rel_error - err) <= 1e-12 * err + 4 * np.finfo(float).eps
 
     def test_rank_guard_raises_at_the_first_failing_count_in_list_order(self, monkeypatch):
-        # mode 20 takes the lifted vector of mode 3, so every model that
-        # keeps it is rank deficient: 40 fails before 30 and before the
-        # models are evolved
+        # the pair at modes 20, 21 takes the lifted vectors of the pair
+        # at modes 2, 3, so every model that keeps it is rank deficient:
+        # 40 fails before 30 and before the models are evolved
         report = quality_report(acoustic_wave(32))
+        assert np.array_equal(report.lambdas[[3, 21]], np.conj(report.lambdas[[2, 20]]))
         modes = report.modes.copy()
-        modes[20] = modes[3]
+        modes[20:22] = modes[2:4]
         broken = dataclasses.replace(report, modes=modes)
         monkeypatch.setattr(reduction, "quality_report", lambda *args, **kwargs: broken)
         with pytest.raises(RankDeficientBasisError) as info:
