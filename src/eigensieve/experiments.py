@@ -111,11 +111,14 @@ def k_sweep(
 
     Stops early, with the rows collected so far, if some depth leaves
     no feasible subspace at all.  Requires a problem with an analytic
-    reference spectrum.
+    reference spectrum.  Each diagonal block of a depth's compressed
+    drift (one, or the two parity halves of a mirrored system) is solved
+    on its own.
     """
 
     def solve(sys, comp):
-        return comp, eigvals(comp.a_k).astype(complex, copy=False)
+        lams = [eigvals(comp.a_k[part, part]) for part in comp.slices]
+        return comp, np.concatenate(lams).astype(complex, copy=False)
 
     rows: list[KSweepRow] = []
     for k, comp, lams, reference, match in _depths(problem, n, k_max, null_tol, solve):

@@ -54,7 +54,8 @@ def heat_dirichlet(n: int) -> ConstrainedSystem:
 
     Drift is the full second-derivative matrix; the two constraint rows
     sample the solution at x = +1 and x = -1.  The exact spectrum is
-    ``-(m pi / 2)^2``.
+    ``-(m pi / 2)^2``.  The system is symmetric under x -> -x on the
+    symmetric grid, so it declares ``mirror=(1,)``.
     """
     if n < 4:
         raise ValueError(f"need at least 4 grid points, got n={n}")
@@ -63,7 +64,7 @@ def heat_dirichlet(n: int) -> ConstrainedSystem:
     c[0, 0] = 1.0
     c[1, n - 1] = 1.0
     labels = {"problem": "heat", "n": n, "grid": cheb_points(n)}
-    return ConstrainedSystem(a=a, c=c, labels=labels)
+    return ConstrainedSystem(a=a, c=c, labels=labels, mirror=(1,))
 
 
 def heat_reference(count: int) -> np.ndarray:
@@ -79,7 +80,10 @@ def canuto_hyperbolic(n: int) -> ConstrainedSystem:
     drift ``A = -[[1/2, 1], [1, 1/2]] (x) D``, and the first field
     pinned at both endpoints.  The analytic eigenvalues are
     ``i (3 pi / 8) k`` for integer k, so eigenvalues off the imaginary
-    axis are discretization artifacts by construction.
+    axis are discretization artifacts by construction.  No reflection
+    blockdiag(+-J, +-J) of the fields commutes with the drift (JDJ = -D
+    flips the sign of a diagonal block whatever the signs), so the
+    system declares no mirror.
     """
     if n < 4:
         raise ValueError(f"need at least 4 grid points per field, got n={n}")
@@ -110,6 +114,7 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
 
     with clamped walls: value and slope vanish at z = +1 and z = -1,
     stated as four constraint rows (rows of I and of D at both ends).
+    The base profile is even, so the system declares ``mirror=(1,)``.
     A pair of parameters for which one of these coefficients overflows
     is rejected with ``ValueError``.
     """
@@ -149,7 +154,7 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
         "reynolds": reynolds,
         "grid": z,
     }
-    return ConstrainedSystem(a=a, c=c, e=e, labels=labels)
+    return ConstrainedSystem(a=a, c=c, e=e, labels=labels, mirror=(1,))
 
 
 def acoustic_wave(n: int) -> ConstrainedSystem:
@@ -157,7 +162,9 @@ def acoustic_wave(n: int) -> ConstrainedSystem:
 
     State is (p, u) with drift ``[[0, D], [D, 0]]`` and the two
     constraint rows sampling p at x = +1 and x = -1.  The spectrum is
-    ``+-i m pi / 2`` plus one zero mode (p = 0, u constant).
+    ``+-i m pi / 2`` plus one zero mode (p = 0, u constant).  D maps
+    even fields to odd ones, so the system declares ``mirror=(1, -1)``:
+    p even with u odd is one half, p odd with u even the other.
     """
     if n < 4:
         raise ValueError(f"need at least 4 grid points per field, got n={n}")
@@ -168,7 +175,7 @@ def acoustic_wave(n: int) -> ConstrainedSystem:
     c[0, 0] = 1.0
     c[1, n - 1] = 1.0
     labels = {"problem": "acoustic", "n": n, "grid": cheb_points(n)}
-    return ConstrainedSystem(a=a, c=c, labels=labels)
+    return ConstrainedSystem(a=a, c=c, labels=labels, mirror=(1, -1))
 
 
 def acoustic_spectrum(count: int) -> np.ndarray:

@@ -53,6 +53,14 @@ has finite ends.  The SVD of A is computed only when some mode falls
 inside the bracket, and then the comparison is the same floating-point
 expression as without it.
 
+The eigen solve takes each diagonal block of the compressed system on
+its own: a mirrored system (``constrained.ConstrainedSystem.mirror``)
+has two, its even and its odd half, and two solves of half the size
+take about a quarter of the flops of one.  The split is an orthogonal
+similarity, so it is as backward stable as the unsplit solve.  Scoring
+still reads the full A, so the scores mean what they mean without a
+mirror.
+
 Scoring is a few matrix products.  ``eigenpairs`` hands over the
 eigenvectors as one matrix, and ``W = M V`` is one product over one
 column per conjugate pair; then, for each chunk of ``_CHUNK`` of those
@@ -106,37 +114,51 @@ _CHUNK = 32
 def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, np.ndarray]:
     """Full spectrum of the compressed system: ``(lams, vecs)``, complex128 arrays.
 
-    A mass operator turns this into the pencil problem
-    ``lambda E_k v = A_k v``, solved here as the standard problem for
-    ``E_k^(-1) A_k`` behind the guard ``DEFAULT_MASS_COND_LIMIT`` on the
-    condition number of ``E_k``.  ``vecs[:, i]`` is the eigenvector of
-    ``lams[i]``, a unit column as LAPACK's geev returns it, in a
-    C-contiguous matrix; both arrays are complex also for a real
-    spectrum.  Eigenvalues are sorted by real part, then by ``|Im|``.
-    For a real operator geev returns each conjugate pair side by side,
-    its eigenvectors exact conjugates and the positive imaginary part
+    Each diagonal block of the compressed system (``comp.slices``) is
+    solved on its own: one block without a mirror, the even and the odd
+    half with one.  A mass operator turns a block into the pencil
+    problem ``lambda E_k v = A_k v``, solved here as the standard
+    problem for ``E_k^(-1) A_k`` behind the guard
+    ``DEFAULT_MASS_COND_LIMIT`` on the condition number of ``E_k``,
+    read from the singular values of all its blocks.  ``vecs[:, i]`` is
+    the eigenvector of ``lams[i]``, a unit column as LAPACK's geev
+    returns it and zero outside its block, in a C-contiguous r x r
+    matrix; both arrays are complex also for a real spectrum.
+    Eigenvalues are sorted by real part, then by ``|Im|``.  For a real
+    operator geev returns each conjugate pair side by side, its
+    eigenvectors exact conjugates and the positive imaginary part
     first, and the sort moves each pair as one unit, so they stay so:
-    pairs that tie on (Re, |Im|) keep geev's order of pairs.  For a
-    complex operator ties put Im >= 0 first.
+    pairs that tie on (Re, |Im|) keep geev's order of pairs, the even
+    half's before the odd half's.  For a complex operator ties put
+    Im >= 0 first.
     """
-    drift = comp.a_k
+    parts = comp.slices
+    drifts = [comp.a_k[part, part] for part in parts]
     if comp.e_k is not None:
-        sv = np.linalg.svd(comp.e_k, compute_uv=False)
-        cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+        masses = [comp.e_k[part, part] for part in parts]
+        sv = np.concatenate([np.linalg.svd(mass, compute_uv=False) for mass in masses])
+        cond = np.inf if sv.min() == 0.0 else float(sv.max() / sv.min())
         if cond > DEFAULT_MASS_COND_LIMIT:
             raise IllConditionedMassError(
                 f"compressed mass operator condition number {cond:.3e} "
                 f"exceeds limit {DEFAULT_MASS_COND_LIMIT:.1e}"
             )
-        drift = np.linalg.solve(comp.e_k, comp.a_k)
-    lams, vecs = np.linalg.eig(drift)
+        drifts = [np.linalg.solve(mass, drift) for mass, drift in zip(masses, drifts)]
+    solved = [np.linalg.eig(drift) for drift in drifts]
     # numpy returns real arrays when the whole spectrum is real
-    lams = lams.astype(complex, copy=False)
+    lams = np.concatenate([lam for lam, _ in solved]).astype(complex, copy=False)
     below = lams.imag < 0
-    # a pair's second half takes the geev position of its first
-    lead = np.arange(lams.size) - below if np.isrealobj(drift) else np.zeros(lams.size)
+    # a pair's second half takes the position of its first
+    real = all(np.isrealobj(drift) for drift in drifts)
+    lead = np.arange(lams.size) - below if real else np.zeros(lams.size)
     order = np.lexsort((below, lead, np.abs(lams.imag), lams.real))
-    return lams[order], vecs.take(order, axis=1).astype(complex, copy=False)
+    # each block's vectors go straight to their sorted columns
+    column = np.empty(lams.size, dtype=int)
+    column[order] = np.arange(lams.size)
+    vecs = np.zeros((comp.r, comp.r), dtype=complex)
+    for part, (_, vec) in zip(parts, solved):
+        vecs[part, column[part]] = vec
+    return lams[order], vecs
 
 
 def _times(op: np.ndarray, x: np.ndarray) -> np.ndarray:

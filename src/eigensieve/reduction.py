@@ -379,12 +379,15 @@ def simulate_rk4(
     growth.  For the neutrally stable and damped spectra this
     integrator is used to cross-check, such growth can only mean the
     step violates the stability bound.  A ``t_end`` or ``dt`` that is
-    not positive and finite, or a non-finite ``a`` or ``x0``, raises
-    ``ValueError``.  States are float64 for real inputs and complex128
-    once ``a`` or ``x0`` is complex.
+    not positive and finite, a ratio ``t_end / dt`` that overflows, or
+    a non-finite ``a`` or ``x0``, raises ``ValueError``.  States are
+    float64 for real inputs and complex128 once ``a`` or ``x0`` is
+    complex.
     """
     if not (0 < t_end < np.inf and 0 < dt < np.inf):
         raise ValueError("t_end and dt must be positive and finite")
+    if not t_end / dt < np.inf:
+        raise ValueError(f"t_end / dt must be finite, got {t_end:g} / {dt:g}")
     a = np.asarray(a)
     x = np.asarray(x0)
     x = x.astype(np.result_type(a, x, float), copy=False)

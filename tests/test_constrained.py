@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from eigensieve.constrained import (
     ConstrainedSystem,
@@ -227,17 +228,34 @@ def _mass_system(seed, n=9, q=2):
 
 class TestDepthRecursion:
     @pytest.mark.parametrize(
-        "sys",
-        [canuto_hyperbolic(16), acoustic_wave(16), orr_sommerfeld(20), _mass_system(0)],
-        ids=["canuto", "acoustic", "orr-sommerfeld", "random-mass"],
+        "sys", [canuto_hyperbolic(16), _mass_system(0)], ids=["canuto", "random-mass"]
     )
     def test_depth_one_is_the_scaled_constraint_nullspace(self, sys):
         comp = compress(sys, 1)
         m = nullspace_basis(sys.c / np.linalg.norm(sys.c))
+        assert comp.blocks == (comp.r,)
         assert np.array_equal(comp.m, m)
         assert np.array_equal(comp.a_k, (m.conj().T @ sys.a) @ m)
         if sys.e is not None:
             assert np.array_equal(comp.e_k, (m.conj().T @ sys.e) @ m)
+
+    @pytest.mark.parametrize(
+        "sys", [acoustic_wave(16), orr_sommerfeld(20)], ids=["acoustic", "orr-sommerfeld"]
+    )
+    def test_mirror_keeps_the_depth_one_space(self, sys):
+        # a mirrored system's depth 1 is the same subspace in a basis of
+        # even and odd columns, with block-diagonal operators
+        comp = compress(sys, 1)
+        m = nullspace_basis(sys.c / np.linalg.norm(sys.c))
+        assert comp.m.shape == m.shape and len(comp.blocks) == 2 and sum(comp.blocks) == comp.r
+        assert np.linalg.norm(comp.m @ comp.m_left - m @ m.conj().T, 2) <= 1e-12
+        even, odd = comp.slices
+        for op, op_k in ((sys.a, comp.a_k), (sys.e, comp.e_k)):
+            if op is None:
+                continue
+            assert not op_k[even, odd].any() and not op_k[odd, even].any()
+            restricted = comp.m_left @ op @ comp.m
+            np.testing.assert_allclose(op_k, restricted, atol=1e-12 * np.abs(op).max())
 
     def test_each_depth_keeps_the_states_whose_derivative_stays_feasible(self):
         for seed in range(3):
@@ -379,3 +397,120 @@ def test_depths_nest_and_their_spectra_are_well_formed(
             assert np.array_equal(np.sort(np.r_[upper, lower]), np.flatnonzero(lams.imag != 0))
             assert np.array_equal(lams[lower], np.conj(lams[upper]))
             assert np.array_equal(vecs[:, lower], np.conj(vecs[:, upper]))
+
+
+def _reflect(x, mirror):
+    """Q x for Q = blockdiag(s_f J), the fields the equal blocks of x's rows."""
+    fields = np.reshape(x, (len(mirror), x.shape[0] // len(mirror)) + x.shape[1:])[:, ::-1]
+    return (fields * np.reshape(mirror, (-1,) + (1,) * (x.ndim))).reshape(x.shape)
+
+
+class TestMirror:
+    @pytest.mark.parametrize("mirror", [(1, 1), (1, -1)])
+    def test_canuto_is_not_mirror_symmetric(self, mirror):
+        # its drift anticommutes with every such Q
+        sys = canuto_hyperbolic(8)
+        with pytest.raises(ValueError, match="not symmetric"):
+            ConstrainedSystem(a=sys.a, c=sys.c, mirror=mirror)
+
+    @pytest.mark.parametrize("mirror", [(), (1, 1, 1), (1, 0), (2,)])
+    def test_malformed_mirror_raises(self, mirror):
+        sys = heat_dirichlet(8)
+        with pytest.raises(ValueError, match="one sign"):
+            ConstrainedSystem(a=sys.a, c=sys.c, mirror=mirror)
+
+    def test_constraint_rows_must_map_onto_themselves(self):
+        # e_0 + 2 e_(n-1) is neither even nor odd, and Q moves its span
+        sys = heat_dirichlet(8)
+        c = np.zeros((1, 8))
+        c[0, 0], c[0, -1] = 1.0, 2.0
+        with pytest.raises(ValueError, match="constraint rows"):
+            ConstrainedSystem(a=sys.a, c=c, mirror=(1,))
+
+    @pytest.mark.parametrize(
+        "build, mirror",
+        [(heat_dirichlet, (1,)), (orr_sommerfeld, (1,)), (acoustic_wave, (1, -1))],
+        ids=["heat", "orr-sommerfeld", "acoustic"],
+    )
+    def test_problems_declare_their_mirror(self, build, mirror):
+        for n in (10, 11):
+            sys = build(n)
+            assert sys.mirror == mirror
+            comp = compress(sys, 2)
+            assert len(comp.blocks) == 2 and min(comp.blocks) > 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 7),
+    signs=st.sampled_from([(1,), (-1,), (1, 1), (1, -1), (-1, -1)]),
+    q=st.integers(1, 3),
+    k_max=st.integers(1, 4),
+    complex_entries=st.booleans(),
+    mass=st.booleans(),
+)
+def test_mirrored_depths_match_the_unsplit_system(
+    seed, size, signs, q, k_max, complex_entries, mass
+):
+    # random systems that commute with Q, constraint rows of both
+    # parities mixed by a random matrix: split and unsplit compression
+    # keep the same rank at every depth and the same spectrum, and every
+    # lifted basis column is exactly even or exactly odd
+    rng = np.random.default_rng(seed)
+    n = size * len(signs)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_entries else x
+
+    def symmetric(b):
+        return (b + _reflect(_reflect(b, signs).T, signs).T) / 2
+
+    a = symmetric(draw(n, n))
+    e = None
+    if mass:
+        g = symmetric(draw(n, n))
+        e = np.eye(n) + 0.1 * g / np.linalg.norm(g, 2)
+    parity = rng.integers(0, 2, size=min(q, n - 1))
+    rows = draw(parity.size, n)
+    rows = (rows + np.where(parity[:, None], -1, 1) * _reflect(rows.T, signs).T) / 2
+    c = draw(parity.size, parity.size) @ rows
+    try:
+        plain = ConstrainedSystem(a=a, c=c, e=e)
+    except ValueError:
+        return
+    sv = np.linalg.svd(c, compute_uv=False)
+    try:
+        split = ConstrainedSystem(a=a, c=c, e=e, mirror=signs)
+    except ValueError:
+        # only a constraint rank that the cut cannot tell may be refused
+        assert sv[-1] <= 1e-9 * sv[0]
+        return
+    scale = np.linalg.norm(a, 2)
+    plain_comps = list(compress_depths(plain, k_max))
+    split_comps = list(compress_depths(split, k_max))
+    assert [comp.r for comp in split_comps] == [comp.r for comp in plain_comps]
+    for one, two in zip(plain_comps, split_comps):
+        assert one.blocks == (one.r,) and len(two.blocks) == 2 and sum(two.blocks) == two.r
+        for part in two.slices:
+            block = two.m[:, part]
+            image = _reflect(block, signs)
+            assert np.array_equal(image, block) or np.array_equal(image, -block)
+        assert np.linalg.norm(two.m @ two.m_left - one.m @ one.m_left, 2) <= 1e-8
+        try:
+            (lams_one, _), (lams_two, vecs) = eigenpairs(one), eigenpairs(two)
+        except EigensieveError:
+            continue
+        rows_, cols_ = linear_sum_assignment(np.abs(lams_one[:, None] - lams_two[None, :]))
+        assert np.abs(lams_one[rows_] - lams_two[cols_]).max() <= 1e-10 * scale
+        # each eigenvector lives in one block, and a real system's pairs
+        # still sit side by side as exact conjugates
+        in_block = np.array([np.any(vecs[part], axis=0) for part in two.slices])
+        assert np.all(in_block.sum(axis=0) == 1)
+        assert np.array_equal(in_block.sum(axis=1), two.blocks)
+        if not complex_entries:
+            upper = np.flatnonzero(lams_two.imag > 0)
+            assert np.array_equal(np.sort(np.r_[upper, upper + 1]), np.flatnonzero(lams_two.imag))
+            assert np.array_equal(lams_two[upper + 1], np.conj(lams_two[upper]))
+            assert np.array_equal(vecs[:, upper + 1], np.conj(vecs[:, upper]))

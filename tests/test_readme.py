@@ -74,5 +74,6 @@ def test_python_examples_run_and_print_the_quoted_numbers(child_env):
     assert proc.returncode == 0, proc.stderr
     err, ranks = proc.stdout.splitlines()[-2:]
     assert _agree(err, re.search(r"# err is (\S+) at OPENBLAS_NUM_THREADS=1", TEXT)[1])
-    first, second = re.search(r"it ranks (\d+)th and (\d+)th", TEXT).groups()
+    ordinal = r"(\d+)(?:st|nd|rd|th)"
+    first, second = re.search(rf"it ranks {ordinal} and {ordinal}", TEXT).groups()
     assert ranks.split() == [str(int(first) - 1), str(int(second) - 1)]

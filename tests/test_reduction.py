@@ -628,6 +628,11 @@ class TestSimulateRk4:
         with pytest.raises(ValueError, match="t_end and dt must be positive and finite"):
             simulate_rk4(np.eye(2), np.ones(2), t_end, dt)
 
+    def test_overflowing_step_count_raises(self):
+        # t_end / dt is inf: rejected before any state is allocated
+        with pytest.raises(ValueError, match="t_end / dt must be finite"):
+            simulate_rk4(-np.eye(1), np.ones(1), 1e300, 1e-300)
+
     def test_unstable_step_aborts(self):
         with pytest.raises(DivergenceError):
             simulate_rk4(np.array([[5.0]]), np.array([1.0]), 10.0, 1.0)
@@ -753,13 +758,16 @@ class TestReductionSweep:
             assert abs(row.rel_error - err) <= 1e-12 * err + 4 * np.finfo(float).eps
 
     def test_rank_guard_raises_at_the_first_failing_count_in_list_order(self, monkeypatch):
-        # the pair at modes 20, 21 takes the lifted vectors of the pair
-        # at modes 2, 3, so every model that keeps it is rank deficient:
-        # 40 fails before 30 and before the models are evolved
+        # the pair that starts at mode 20 or 21 takes the lifted vectors
+        # of the first pair, so every model that keeps it is rank
+        # deficient: 40 fails before 30 and before the models are evolved
         report = quality_report(acoustic_wave(32))
-        assert np.array_equal(report.lambdas[[3, 21]], np.conj(report.lambdas[[2, 20]]))
+        upper = np.flatnonzero(report.lambdas.imag > 0)
+        first, late = upper[0], upper[(upper == 20) | (upper == 21)][0]
+        pairs = np.array([first, late])
+        assert np.array_equal(report.lambdas[pairs + 1], np.conj(report.lambdas[pairs]))
         modes = report.modes.copy()
-        modes[20:22] = modes[2:4]
+        modes[late : late + 2] = modes[first : first + 2]
         broken = dataclasses.replace(report, modes=modes)
         monkeypatch.setattr(reduction, "quality_report", lambda *args, **kwargs: broken)
         with pytest.raises(RankDeficientBasisError) as info:

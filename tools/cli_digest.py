@@ -38,7 +38,18 @@ depth 2 and deeper: the ``analyze --k`` commands with k >= 2 (the
 Orr-Sommerfeld one runs the mass-operator path) and the ``sweep-k``
 commands with ``--k-max`` >= 2.  Every ``reduce``, every ``analyze`` at
 k = 1 and every benchmark command but the ``sweep-k`` ones keep their
-bytes.
+bytes.  A change to how a mirrored system is split into its even and
+odd halves (``ConstrainedSystem.mirror``) moves the outputs of the
+problems that declare a mirror, ``acoustic``, ``heat`` and
+``orr-sommerfeld``, and no other: every ``canuto`` line, every exit
+code, ``problems`` and the ``rank``, ``k`` and ``r`` columns keep their
+bytes.  Within those problems it may move the eigenvalue, score and
+error columns, the ``sweep-k`` summaries, and also ``zero_mode`` and
+``size``: acoustic's exact zero mode (p = 0, u constant) and its
+spurious twin fall into different halves, so the split resolves the
+zero mode and flags it, and a report that leads with that real mode
+shifts where its conjugate pairs start, and with it the size of a
+model cut between two halves of a pair.
 
     python3 tools/cli_digest.py
 """

@@ -1,0 +1,238 @@
+"""Time the pipeline's stages on fixed problems and write ``BENCH_<sha>.json``.
+
+    python3 tools/stage_times.py                      # BENCH_<short sha of HEAD>.json
+    python3 tools/stage_times.py --out BENCH_x.json --repeats 15
+
+The package is imported from the ``src`` tree next to this script, in
+process, with one BLAS thread unless the environment already sets the
+thread variables.  Each case runs once untimed, then ``--repeats``
+times (at least 9); every stage gets the median and the quartiles of
+its repeats, and so does the whole case.  Before each repeat a fixed
+kernel (``_calibrate``) is timed, and its median and quartiles go
+with the case: on a shared host they say how fast the host ran, so
+two files are compared through them.  The stages are those of the
+pipeline:
+
+* ``build``: the problem's operators and constraint rows;
+* ``compress``: the feasible subspace of each depth and the restricted
+  operators;
+* ``eig``: the eigen solve (``quality.eigenpairs``);
+* ``score``: scoring and sorting the modes, the rest of the report;
+* ``reference``: the analytic time-domain reference of ``reduce``;
+* ``retain``: truncation and simulation, the rest of ``reduce``.
+
+The cases are acoustic n=256, Orr-Sommerfeld n=110 and canuto n=64 at
+depth 1; canuto n=64 at every depth 1..25 from one pass, the work of
+``sweep-k --grid`` without its reference matching; and ``reduce`` on
+acoustic n=128 with the benchmark's retained counts (seed 1).  A stage
+is timed by wrapping the module attribute that the package looks up
+at call time, as the benchmark's tracer does, and a wrapper's time
+excludes that of the wrappers it calls.  The file also records the
+environment: Python, numpy, the BLAS, the thread variables and
+``PYTHONDONTWRITEBYTECODE``.  Stdlib and numpy only.
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from collections import defaultdict
+from contextlib import contextmanager
+from pathlib import Path
+from time import perf_counter
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from eigensieve import constrained, problems, quality, reduction  # noqa: E402
+
+STAGES = ("build", "compress", "eig", "score", "reference", "retain")
+
+
+class Clock:
+    """Self time per stage of the wrapped calls made inside ``patched``."""
+
+    def __init__(self):
+        self.times = defaultdict(float)
+        self._children: list[float] = []
+
+    @contextmanager
+    def patched(self, sites):
+        saved = [(module, attr, getattr(module, attr)) for module, attr, _ in sites]
+        try:
+            for module, attr, stage in sites:
+                setattr(module, attr, self._wrap(getattr(module, attr), stage))
+            yield self
+        finally:
+            for module, attr, fn in saved:
+                setattr(module, attr, fn)
+
+    def _wrap(self, fn, stage):
+        def timed(*args, **kwargs):
+            self._children.append(0.0)
+            start = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = perf_counter() - start
+                self.times[stage] += elapsed - self._children.pop()
+                if self._children:
+                    self._children[-1] += elapsed
+        return timed
+
+
+def _report_stages(build, n):
+    """Build, then ``quality_report`` at depth 1: compress, eig and score."""
+    clock = Clock()
+    sites = [(quality, "compress", "compress"), (quality, "eigenpairs", "eig")]
+    with clock.patched(sites):
+        start = perf_counter()
+        sys_ = build(n)
+        built = perf_counter()
+        quality.quality_report(sys_, 1)
+        end = perf_counter()
+    times = dict(clock.times, build=built - start)
+    times["score"] = end - built - times["compress"] - times["eig"]
+    return times, end - start
+
+
+def _sweep_stages(n=64, k_max=25):
+    """canuto at every depth 1..k_max from one ``compress_depths`` pass."""
+    clock = Clock()
+    with clock.patched([(quality, "eigenpairs", "eig")]):
+        start = perf_counter()
+        sys_ = problems.canuto_hyperbolic(n)
+        times = {"build": perf_counter() - start, "compress": 0.0, "score": 0.0}
+        depths = constrained.compress_depths(sys_, k_max)
+        while True:
+            mark = perf_counter()
+            comp = next(depths, None)
+            times["compress"] += perf_counter() - mark
+            if comp is None:
+                break
+            mark = perf_counter()
+            quality._report(sys_, comp, constrained.DEFAULT_NULL_TOL)
+            times["score"] += perf_counter() - mark
+        end = perf_counter()
+    times["eig"] = clock.times["eig"]
+    times["score"] -= times["eig"]
+    return times, end - start
+
+
+def _reduce_stages(n=workloads.REDUCE_N):
+    """``reduction_sweep`` of acoustic n with the benchmark's retained counts."""
+    clock = Clock()
+    sites = [
+        (reduction, "acoustic_wave", "build"),
+        (reduction, "acoustic_reference", "reference"),
+        (reduction, "quality_report", "score"),
+        (quality, "compress", "compress"),
+        (quality, "eigenpairs", "eig"),
+    ]
+    counts = workloads.r_list(1)
+    with clock.patched(sites):
+        start = perf_counter()
+        reduction.reduction_sweep(n, "bump", counts, t_end=workloads.T_END)
+        total = perf_counter() - start
+    times = dict(clock.times)
+    times["retain"] = total - sum(times.values())
+    return times, total
+
+
+CASES = {
+    "acoustic n=256, k=1": lambda: _report_stages(problems.acoustic_wave, 256),
+    "orr-sommerfeld n=110, k=1": lambda: _report_stages(problems.orr_sommerfeld, 110),
+    "canuto n=64, k=1": lambda: _report_stages(problems.canuto_hyperbolic, 64),
+    "canuto n=64, k=1..25": _sweep_stages,
+    "reduce acoustic n=128": _reduce_stages,
+}
+
+
+def _calibrate():
+    """Seconds of a fixed kernel, the eigenvalues of a seeded 160 x 160 matrix."""
+    a = np.random.default_rng(0).standard_normal((160, 160))
+    start = perf_counter()
+    np.linalg.eigvals(a)
+    return perf_counter() - start
+
+
+def _summary(samples):
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def _environment():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_configuration": blas.get("openblas configuration"),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        **{var: os.environ.get(var) for var in (*THREAD_VARS, "PYTHONDONTWRITEBYTECODE")},
+    }
+
+
+def _short_sha():
+    proc = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, capture_output=True, text=True
+    )
+    if proc.returncode != 0:
+        raise SystemExit("not a git checkout: name the output with --out")
+    return proc.stdout.strip()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="output file, default BENCH_<short sha>.json")
+    parser.add_argument("--repeats", type=int, default=9)
+    args = parser.parse_args()
+    if args.repeats < 9:
+        parser.error("need at least 9 repeats")
+    out = args.out or ROOT / f"BENCH_{_short_sha()}.json"
+    cases = {}
+    for name, case in CASES.items():
+        case()
+        runs, calibration = [], []
+        for _ in range(args.repeats):
+            calibration.append(_calibrate())
+            runs.append(case())
+        stages = {
+            stage: _summary([times.get(stage, 0.0) for times, _ in runs])
+            for stage in STAGES
+            if any(stage in times for times, _ in runs)
+        }
+        cases[name] = {
+            "stages_s": stages,
+            "total_s": _summary([total for _, total in runs]),
+            "calibration_s": _summary(calibration),
+        }
+        print(f"{name}: total {cases[name]['total_s']['median']:.4f} s, "
+              + ", ".join(f"{s} {v['median']:.4f}" for s, v in stages.items())
+              + f"; calibration {cases[name]['calibration_s']['median']:.4f} s", flush=True)
+    record = {
+        "tree": out.stem.removeprefix("BENCH_"),
+        "tool": "tools/stage_times.py",
+        "repeats": args.repeats,
+        "environment": _environment(),
+        "cases": cases,
+    }
+    out.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
