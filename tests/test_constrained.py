@@ -408,7 +408,7 @@ def _reflect(x, mirror):
 class TestMirror:
     @pytest.mark.parametrize("mirror", [(1, 1), (1, -1)])
     def test_canuto_is_not_mirror_symmetric(self, mirror):
-        # its drift anticommutes with every such Q
+        # no reflection of its fields commutes with its drift
         sys = canuto_hyperbolic(8)
         with pytest.raises(ValueError, match="not symmetric"):
             ConstrainedSystem(a=sys.a, c=sys.c, mirror=mirror)
