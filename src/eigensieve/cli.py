@@ -129,8 +129,6 @@ def _g17(x: float) -> str:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -155,12 +153,11 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     prob = problems.get_problem(args.problem)
     system = prob.build(**{name: getattr(args, name) for name in prob.params})
     report = quality.quality_report(system, args.k, null_tol=args.null_tol)
-    nmodes = report.lambdas.size
     columns = {
-        "rank": range(nmodes),
+        "rank": range(report.lambdas.size),
         "re_lambda": report.lambdas.real.tolist(),
         "im_lambda": report.lambdas.imag.tolist(),
-        "s_norm": [None] * nmodes if report.s_norm is None else report.s_norm.tolist(),
+        "s_norm": report.s_norm.tolist(),
         "theta": report.theta.tolist(),
         "zero_mode": report.zero_mode.tolist(),
     }

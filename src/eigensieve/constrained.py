@@ -13,7 +13,9 @@ of powers of A, whose late blocks lose rank to rounding.  The rank cut
 is ``null_tol`` times the largest singular value of C at depth 1, and
 ``null_tol |A|_2`` below it.  The operators are restricted to an
 orthonormal basis of V_k, which removes the constraints from the
-model.
+model.  Each depth also keeps the orthonormal complement P_k of
+E V_k that its next step reads, so the next depth's constraint
+violation of a state is one product with P_k*.
 
 A system may declare a mirror symmetry: one sign s_f per field, for
 Q = blockdiag(s_f J) with J the reversal of a field's grid.  When Q
@@ -154,9 +156,9 @@ def observability(sys: ConstrainedSystem, k: int) -> np.ndarray:
     """Stack the first k implicit-constraint blocks: ``[C; CA; ...; C A^(k-1)]``, ``(k q, n)``.
 
     Block i is block i-1 right-multiplied by A, so each block is the
-    exact floating-point product of its predecessor, and the last one
-    has the bits of ``functools.reduce(np.matmul, [A] * (k - 1), C)``.
-    Compression does not use the stack.
+    exact floating-point product of its predecessor.  Neither
+    compression nor scoring uses the stack: only the benchmark tracer
+    and tests call it.
     """
     if k < 1:
         raise ValueError(f"stack depth must be >= 1, got k={k}")
@@ -280,11 +282,16 @@ class CompressedSystem:
     diagonal blocks of sizes ``blocks`` (``slices``): one block of size
     r for a system without a mirror, the even and the odd half for a
     mirrored one, whose columns of ``m`` have their parity exactly.
-    ``m_left`` is ``m*``.
+    ``m_left`` is ``m*``.  ``p``, n x (n - r), is the orthonormal
+    complement of ``E m`` (``E = I`` without a mass operator) that the
+    recursion reads to cut the next depth, lifted like ``m``:
+    ``|p* A w|`` is the part of ``A w`` outside ``E V_k``, how far a
+    state w of this depth violates the next depth's constraint.
     """
 
     m: np.ndarray
     m_left: np.ndarray
+    p: np.ndarray
     a_k: np.ndarray
     e_k: np.ndarray | None
     k: int
@@ -303,12 +310,14 @@ def _slices(blocks: tuple[int, ...]) -> list[slice]:
 
 def _walk(
     sys: ConstrainedSystem, half: _Half, c: np.ndarray, tol: float, scale: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Yield ``(M_k, A_k, E_k)`` of each depth on one half, in the half's coordinates.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Yield ``(M_k, P_k, A_k, E_k)`` of each depth on one half, in the half's coordinates.
 
     Depth 1 is the nullspace of ``c U``, cut at ``tol`` times ``scale``;
     each later depth is one step of the recursion on the operators
-    restricted to the half (see ``compress_depths``).
+    restricted to the half (see ``compress_depths``).  ``P_k`` is the
+    orthonormal complement of ``E M_k`` that the step from depth k
+    reads; a depth that leaves the half no state has the whole half.
     """
     p, m = _split(half.cols(c), tol, scale)
     a = half.rows(half.cols(sys.a))
@@ -316,9 +325,9 @@ def _walk(
     a_k = m.conj().T @ a @ m
     e_k = None if e is None else m.conj().T @ e @ m
     while True:
-        yield m, a_k, e_k
-        if e is not None and m.shape[1]:
-            p = nullspace_basis((e @ m).conj().T, tol)
+        if e is not None:
+            p = nullspace_basis((e @ m).conj().T, tol) if m.shape[1] else np.eye(len(a))
+        yield m, p, a_k, e_k
         _, s, vh = np.linalg.svd((p.conj().T @ a) @ m)
         cut = int(np.count_nonzero(s > tol * sys.drift_norm))
         if e is None:
@@ -329,20 +338,34 @@ def _walk(
         e_k = None if e_k is None else n_k.conj().T @ e_k @ n_k
 
 
+def _lift(n: int, halves: list[_Half], parts: tuple) -> np.ndarray:
+    """``[U_+ X_+, U_- X_-]``: each half's ``X`` lifted to the n-dimensional state space."""
+    sizes = tuple(x.shape[1] for x in parts)
+    out = np.empty((n, sum(sizes)), dtype=np.result_type(*parts))
+    for half, x, cols in zip(halves, parts, _slices(sizes)):
+        half.lift(x, out[:, cols])
+    return out
+
+
 def _assemble(n: int, halves: list[_Half], parts: tuple, k: int) -> CompressedSystem:
-    """The depth-k system of each half's ``(M_k, A_k, E_k)``: M lifted, A_k, E_k block diagonal."""
-    ms, a_ks, e_ks = zip(*parts)
+    """The depth-k system of each half's ``(M_k, P_k, A_k, E_k)``.
+
+    M and P are lifted to the state space; A_k and E_k are block diagonal.
+    """
+    ms, ps, a_ks, e_ks = zip(*parts)
     blocks = tuple(m_h.shape[1] for m_h in ms)
     r = sum(blocks)
-    m = np.empty((n, r), dtype=np.result_type(*ms))
+    m = _lift(n, halves, ms)
     a_k = np.zeros((r, r), dtype=np.result_type(*a_ks))
     e_k = None if e_ks[0] is None else np.zeros((r, r), dtype=np.result_type(*e_ks))
-    for half, part, m_h, a_h, e_h in zip(halves, _slices(blocks), ms, a_ks, e_ks):
-        half.lift(m_h, m[:, part])
+    for part, a_h, e_h in zip(_slices(blocks), a_ks, e_ks):
         a_k[part, part] = a_h
         if e_k is not None:
             e_k[part, part] = e_h
-    return CompressedSystem(m=m, m_left=m.conj().T, a_k=a_k, e_k=e_k, k=k, r=r, blocks=blocks)
+    return CompressedSystem(
+        m=m, m_left=m.conj().T, p=_lift(n, halves, ps), a_k=a_k, e_k=e_k, k=k, r=r,
+        blocks=blocks,
+    )
 
 
 def compress_depths(
@@ -360,9 +383,11 @@ def compress_depths(
     ``nullspace_basis``; then ``M_{k+1} = M_k N_k`` and
     ``A_{k+1} = N_k* A_k N_k``.  Without E, P is the row space of C plus
     the directions each step removed, so the defect has only
-    ``n - r_k`` rows; with E, P is the nullspace of ``(E M_k)*``.
-    Nothing past depth k is computed before depth k+1 is asked for, and
-    the walk stops early once a depth leaves no state.
+    ``n - r_k`` rows; with E, P is the nullspace of ``(E M_k)*``.  Each
+    depth carries its P (``CompressedSystem.p``), from which
+    ``quality`` takes the derivative score.  Nothing past depth k is
+    computed before depth k+1 is asked for, and the walk stops early
+    once a depth leaves no state.
 
     A mirrored system walks its even and odd halves side by side, each
     on the operators restricted to it, with the rank cuts of the
@@ -379,7 +404,7 @@ def compress_depths(
     halves = _halves(sys.n, sys.mirror)
     walks = zip(*(_walk(sys, half, c, tol, scale) for half in halves))
     for k, parts in zip(range(1, k_max + 1), walks):
-        if not any(m.shape[1] for m, _, _ in parts):
+        if not any(m.shape[1] for m, *_ in parts):
             return
         yield _assemble(sys.n, halves, parts, k)
 

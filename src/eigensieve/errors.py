@@ -8,7 +8,6 @@ __all__ = [
     "ZeroReferenceError",
     "DivergenceError",
     "RankDeficientBasisError",
-    "DerivativeBlockRangeError",
 ]
 
 
@@ -42,12 +41,3 @@ class DivergenceError(EigensieveError):
 
 class RankDeficientBasisError(EigensieveError):
     """Retained lifted mode vectors are linearly dependent to working precision."""
-
-
-class DerivativeBlockRangeError(EigensieveError):
-    """The row block C A^(k-1) of the derivative score left the floating-point range.
-
-    Raised when no entry of the block is a normal number (it underflowed
-    to zeros and subnormals) or some entry is not finite, so every
-    ``s_norm`` of the depth would read 0, lack precision or be undefined.
-    """

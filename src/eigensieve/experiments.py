@@ -142,7 +142,7 @@ class KQualityRow:
     lam: complex
     abs_error: float
     rel_error: float
-    s_norm: float | None
+    s_norm: float
     theta: float
     zero_mode: bool
 
@@ -167,10 +167,9 @@ def k_quality_sweep(
 
     rows = []
     for k, report, lams, _, match in _depths(problem, n, k_max, null_tol, solve):
-        s_norm = [None] * lams.size if report.s_norm is None else report.s_norm.tolist()
         columns = zip(
-            lams.tolist(), match.abs_errors.tolist(), match.rel_errors.tolist(), s_norm,
-            report.theta.tolist(), report.zero_mode.tolist(),
+            lams.tolist(), match.abs_errors.tolist(), match.rel_errors.tolist(),
+            report.s_norm.tolist(), report.theta.tolist(), report.zero_mode.tolist(),
         )
         rows.extend(KQualityRow(k, rank, *values) for rank, values in enumerate(columns))
     return rows

@@ -2,7 +2,7 @@
 
 Two scores are attached to every computed eigenpair, and both read
 only the lifted eigenvector ``w = M v``.  The derivative score is the
-norm ``|C A^k w|`` of the first implicit-constraint violation that the
+size ``|P_k* A w|`` of the first implicit-constraint violation that the
 depth-k basis leaves free; the angle score is the Grassmann distance
 between the real spans of ``w`` and of its image ``A w`` under the
 drift.  Well-resolved eigenmodes make both tiny; discretization
@@ -10,20 +10,20 @@ artifacts do not, which is what makes the scores usable as a screen.
 ``quality_report`` is the one entry point: it compresses, solves and
 scores every mode of a system.
 
-At depth k, M spans the states whose first k-1 derivatives keep
-``C z = 0`` (``constrained.compress_depths``).  Without a mass operator
-that is the nullspace of ``[C; C A; ...; C A^(k-1)]``, so every
-``C A^i w`` with i < k vanishes up to the rank cut and the first
-constraint a mode can still violate is ``C A^k w``.  It is formed as
-``(C A^(k-1)) (A w)``: the row block ``C A^(k-1)``, the last block of
-that stack, once per report, unscaled, so ``s_norm`` carries the
-growth of ``A^k`` and compares modes of one depth, not across depths.
-A block with no normal entry or a non-finite one raises
-``DerivativeBlockRangeError``, and a score whose squares underflow or
-overflow is taken again on a rescaled vector, so a tiny score never
-reads 0 and a finite one never reads infinite.
-At k = 1 the block is C itself and the score is ``|C A w|``.  With a
-mass operator the derivative is not ``A z`` and there is no ``s_norm``.
+At depth k, M spans V_k, the states whose first k-1 derivatives keep
+``C z = 0`` (``constrained.compress_depths``), and the next depth keeps
+those whose ``A z`` lies in ``E V_k`` (``E = I`` without a mass
+operator).  ``P_k`` is the orthonormal complement of ``E V_k`` that the
+recursion builds for that step (``CompressedSystem.p``), so
+``s_norm = |P_k* (A w)|`` is the part of the mode's derivative that
+leaves the feasible subspace: the next depth's constraint violation in
+the recursion's own coordinates (Wong 1974; Van Dooren 1981).  P_k is
+orthonormal, so ``s_norm <= |A|_2 |w|`` at every depth, and scores of
+different depths are comparable.  At k = 1 without a mass operator P_1
+spans the rows of C, and the score is ``|C A w|`` for orthonormal rows;
+with one, it is the part of ``A w`` outside ``E V_1``.  A score whose
+squares underflow or overflow is taken again on a rescaled vector, so
+a tiny score never reads 0 and a finite one never reads infinite.
 
 The angle is computed from sines as well as cosines of the principal
 angles, so it resolves angles down to about machine precision: a
@@ -64,7 +64,7 @@ mirror.
 Scoring is a few matrix products.  ``eigenpairs`` hands over the
 eigenvectors as one matrix, and ``W = M V`` is one product over one
 column per conjugate pair; then, for each chunk of ``_CHUNK`` of those
-columns, ``A W``, ``C A W`` and ``E W`` are one product each, and the
+columns, ``A W``, ``P_k* (A W)`` and ``E W`` are one product each, and the
 norms, the zero-floor test and the angles are stacked numpy calls.  A
 real operator multiplies a complex block as one float64 product on
 the block's interleaved real view (``_times``), not as a complex
@@ -75,13 +75,11 @@ is a one-pair call of the same angle kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import repeat
 
 import numpy as np
 
 from .constrained import DEFAULT_NULL_TOL, CompressedSystem, ConstrainedSystem, compress
-from .errors import DerivativeBlockRangeError, IllConditionedMassError, UndefinedSubspaceError
+from .errors import IllConditionedMassError, UndefinedSubspaceError
 
 __all__ = [
     "DEFAULT_THETA_THRESHOLD",
@@ -176,58 +174,34 @@ def _times(op: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _score_modes(
     sys: ConstrainedSystem, comp: CompressedSystem, vecs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(ws, s_norm, theta, zero_mode)`` of the columns of ``vecs``, as arrays.
 
     Column i of ``ws`` is ``M v`` of column i, and entry i of each score
-    array is its score.  ``s_norm`` is None with a mass operator, whose
-    state derivative is not ``A z``.  The columns are scored ``_CHUNK``
-    at a time (``_score_chunk``), which bounds the stacked copies.
-    ``|A|_2`` lies between the largest column norm of A and the norm of
-    its column norms; both are overflow-safe (``_norms``), taken once
-    per report, and widened by 1e-10 against rounding.
+    array is its score.  The columns are scored ``_CHUNK`` at a time
+    (``_score_chunk``), which bounds the stacked copies.  ``|A|_2`` lies
+    between the largest column norm of A and the norm of its column
+    norms; both are overflow-safe (``_norms``), taken once per report,
+    and widened by 1e-10 against rounding.
     """
-    c_top = None if sys.e is not None else _derivative_block(sys, comp.k)
     ws = _times(comp.m, vecs)
+    p_adj = comp.p.conj().T
     columns = _norms(sys.a)
     ends = columns.max() * (1 - 1e-10), _norms(columns[:, None])[0] * (1 + 1e-10)
     chunks = [
-        _score_chunk(sys, c_top, ws[:, start : start + _CHUNK], ends)
+        _score_chunk(sys, p_adj, ws[:, start : start + _CHUNK], ends)
         for start in range(0, ws.shape[1], _CHUNK)
     ]
-    s_norm, theta, zero = (None if p[0] is None else np.concatenate(p) for p in zip(*chunks))
+    s_norm, theta, zero = (np.concatenate(part) for part in zip(*chunks))
     return ws, s_norm, theta, zero
 
 
-def _derivative_block(sys: ConstrainedSystem, k: int) -> np.ndarray:
-    """The row block ``C A^(k-1)``, formed alone.
-
-    It is ``C`` right-multiplied by A, k - 1 times, the product sequence
-    whose partial products ``constrained.observability`` stacks, so its
-    bits are the stack's last block without the k - 1 blocks before
-    it.  A block with no entry in the normal floating-point range (all
-    zero or subnormal, having underflowed) or with a non-finite entry
-    would make every ``s_norm`` a silent 0, a number without precision
-    or not a number, so it raises ``DerivativeBlockRangeError``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        block = reduce(np.matmul, repeat(sys.a, k - 1), sys.c)
-    peak = np.abs(block).max()
-    if not np.finfo(float).tiny <= peak < np.inf:
-        raise DerivativeBlockRangeError(
-            f"the depth-{k} constraint block C A^{k - 1} has largest entry {peak:.3e}, "
-            "outside the normal floating-point range, so its derivative scores are not resolved"
-        )
-    return block
-
-
 def _score_chunk(
-    sys: ConstrainedSystem, c_top: np.ndarray | None, ws: np.ndarray, ends: tuple[float, float]
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    sys: ConstrainedSystem, p_adj: np.ndarray, ws: np.ndarray, ends: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(s_norm, theta, zero_mode)`` arrays of the columns of ``ws``, one product per operator.
 
-    ``s_norm`` is ``|(C A^(k-1)) (A w)|`` with ``c_top = C A^(k-1)``, and
-    None where ``c_top`` is None.  A zero mode has
+    ``s_norm`` is ``|P_k* (A w)|`` with ``p_adj = P_k*``.  A zero mode has
     ``|A w| < DEFAULT_ZERO_FLOOR |A|_2 |w|``: ``ends`` bracket ``|A|_2``,
     and ``sys.drift_norm`` is computed only for a chunk that they leave
     undecided, in the same floating-point expression.  An exactly zero
@@ -235,7 +209,7 @@ def _score_chunk(
     drift: it spans no subspace to take an angle to.
     """
     aws = _times(sys.a, ws)
-    s_norm = None if c_top is None else _norms(_times(c_top, aws))
+    s_norm = _norms(_times(p_adj, aws))
     aw_norms, w_norms = _norms(aws), np.linalg.norm(ws, axis=0)
     lo, hi = (DEFAULT_ZERO_FLOOR * end * w_norms for end in ends)
     exact = aw_norms == 0.0
@@ -351,13 +325,13 @@ class QualityReport:
     Entry i of each array belongs to mode i of the report order:
     ``lambdas`` (m,) complex128 eigenvalues, ``modes`` (m, N) whose row
     i is the lifted eigenvector ``w = M v`` of mode i, ``s_norm`` (m,)
-    derivative scores or None for a generalized system, ``theta`` (m,)
+    derivative scores, ``theta`` (m,)
     angle scores and ``zero_mode`` (m,) bool flags.
     """
 
     lambdas: np.ndarray
     modes: np.ndarray
-    s_norm: np.ndarray | None
+    s_norm: np.ndarray
     theta: np.ndarray
     zero_mode: np.ndarray
     meta: dict
@@ -373,8 +347,7 @@ def quality_report(
 
     Modes are sorted by ascending angle score, ties broken by ascending
     ``|Im lam|`` then ``|Re lam|``.  The derivative score is
-    ``|C A^k M v|`` (see the module docstring) and is omitted for
-    generalized systems.  A mode is a zero mode when
+    ``|P_k* A M v|`` (see the module docstring).  A mode is a zero mode when
     ``|A M v| < DEFAULT_ZERO_FLOOR |A|_2 |M v|`` or ``A M v`` is exactly 0.
     """
     return _report(sys, compress(sys, k, null_tol), null_tol)
@@ -419,7 +392,7 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> 
     return QualityReport(
         lambdas=lams[order],
         modes=modes,
-        s_norm=None if s_norm is None else s_norm[rows],
+        s_norm=s_norm[rows],
         theta=theta[rows],
         zero_mode=zero[rows],
         meta=meta,

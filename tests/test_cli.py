@@ -6,10 +6,13 @@ import sys
 from importlib.resources import files
 
 import jsonschema
+import numpy as np
 import pytest
 
 from eigensieve import cli
 from eigensieve.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from eigensieve.problems import canuto_hyperbolic
+from eigensieve.quality import quality_report
 
 
 def run_cli(capsys, *args):
@@ -46,13 +49,13 @@ class TestAnalyze:
             assert float(cells[1]) == row["re_lambda"]
             assert float(cells[4]) == row["theta"]
 
-    def test_generalized_problem_blanks_the_derivative_score(self, capsys):
+    def test_generalized_problem_prints_a_derivative_score(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "--problem", "orr-sommerfeld", "--n", "16"
         )
         assert code == EXIT_OK
-        for line in out.strip().split("\n")[1:]:
-            assert line.split(",")[3] == ""
+        scores = [float(line.split(",")[3]) for line in out.strip().split("\n")[1:]]
+        assert len(scores) == 12 and all(0.0 <= score < np.inf for score in scores)
 
     def test_json_meta_echoes_configuration(self, capsys):
         code, out, _ = run_cli(
@@ -72,6 +75,18 @@ class TestAnalyze:
             capsys, "analyze", "--problem", "acoustic", "--n", "8", "--format", "json"
         )
         jsonschema.validate(json.loads(out), load_schema("analyze.schema.json"))
+
+    def test_generalized_json_matches_schema(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "analyze", "--problem", "orr-sommerfeld", "--n", "16", "--format", "json"
+        )
+        schema = load_schema("analyze.schema.json")
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        # every mode has a derivative score, so the schema admits no null
+        payload["rows"][0]["s_norm"] = None
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema)
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
@@ -117,7 +132,11 @@ class TestSweepK:
         _, out, _ = run_cli(
             capsys, "sweep-k", "--n", "8", "--k-max", "2", "--grid", "--format", "json"
         )
-        jsonschema.validate(json.loads(out), schema)
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        payload["rows"][0]["s_norm"] = None
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema)
 
 
 class TestReduce:
@@ -322,12 +341,18 @@ class TestExitCodes:
         assert err.startswith("error:") and "exp(lam t)" in err
 
     def test_numerical_error_underflowed_derivative_block(self, capsys):
+        # the block C A^299 underflows, but the score no longer forms it:
+        # it is |P_k* A w|, finite and at most |A|_2 |w| at any depth
         code, out, err = run_cli(
             capsys, "analyze", "--problem", "canuto", "--n", "8", "--k", "300"
         )
-        assert code == EXIT_NUMERICAL
-        assert out == ""
-        assert err.startswith("error:") and "C A^299" in err
+        assert code == EXIT_OK and err == ""
+        system = canuto_hyperbolic(8)
+        report = quality_report(system, 300)
+        bounds = system.drift_norm * np.linalg.norm(report.modes, axis=1)
+        scores = [float(line.split(",")[3]) for line in out.strip().split("\n")[1:]]
+        assert len(scores) == bounds.size
+        assert all(0.0 <= score <= (1 + 1e-12) * bound for score, bound in zip(scores, bounds))
 
     def test_numerical_error_trivial_subspace(self, capsys):
         code, _, err = run_cli(

@@ -387,6 +387,11 @@ def test_depths_nest_and_their_spectra_are_well_formed(
         assert np.linalg.norm(comp.a_k - m_h @ a @ comp.m) <= 1e-10 * scale
         if e is not None:
             assert np.linalg.norm(comp.e_k - m_h @ e @ comp.m) <= 1e-10 * np.linalg.norm(e, 2)
+        # p is an orthonormal complement of E M (M without a mass operator)
+        image = comp.m if e is None else e @ comp.m
+        assert comp.p.shape == (n, n - comp.r)
+        assert np.linalg.norm(comp.p.conj().T @ comp.p - np.eye(n - comp.r)) < 1e-12
+        assert np.linalg.norm(comp.p.conj().T @ image) <= 1e-12 * np.linalg.norm(image, 2)
         assert lams.dtype == vecs.dtype == np.complex128 and vecs.shape == (comp.r, comp.r)
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
         if not complex_entries:
@@ -498,6 +503,9 @@ def test_mirrored_depths_match_the_unsplit_system(
             image = _reflect(block, signs)
             assert np.array_equal(image, block) or np.array_equal(image, -block)
         assert np.linalg.norm(two.m @ two.m_left - one.m @ one.m_left, 2) <= 1e-8
+        # the lifted complement is the unsplit one
+        p_one, p_two = one.p @ one.p.conj().T, two.p @ two.p.conj().T
+        assert np.linalg.norm(p_two - p_one, 2) <= 1e-8
         try:
             (lams_one, _), (lams_two, vecs) = eigenpairs(one), eigenpairs(two)
         except EigensieveError:

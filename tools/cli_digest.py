@@ -5,11 +5,11 @@ the ``src`` tree next to this script, with ``OPENBLAS_NUM_THREADS=1``
 unless the environment already sets it.  Running the script on two
 checkouts and diffing the output checks a claim that a change keeps
 the CLI's bytes.  The fixed list covers every subcommand and every
-problem, CSV and JSON, two numerical failures (exit 3: a depth that
-leaves no state, and a depth whose derivative block C A^(k-1) has
-underflowed), four usage errors (exit 2) and a ``reduce`` with an
-unsorted, repeated retained count list, so a change of exit code shows
-in the diff; after it come the commands of every benchmark workload,
+problem, CSV and JSON, a numerical failure (exit 3: a depth that
+leaves no state), a depth of 300 past the underflow of C A^299, whose
+derivative scores must stay finite, four usage errors (exit 2) and a
+``reduce`` with an unsorted, repeated retained count list, so a change
+of exit code shows in the diff; after it come the commands of every benchmark workload,
 built by ``perfbench/workloads.py`` with seed ``SEED``.
 
 Each line ``<exit code> <sha256> <command>`` digests a command's whole
