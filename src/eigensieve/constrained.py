@@ -274,34 +274,102 @@ def _halves(n: int, mirror: tuple[int, ...] | None) -> list[_Half]:
     return halves
 
 
+@dataclass(frozen=True, eq=False)
+class _HalfSystem:
+    """One diagonal block of a compressed system, in the coordinates of its half.
+
+    ``basis`` is the half's basis U (``_Half``), ``a = U^T A U`` and
+    ``e = U^T E U`` the operators restricted to the half, and ``m``,
+    ``p``, ``a_k`` and ``e_k`` the half's M_k, P_k, A_k and E_k.  Without
+    a mirror U is the identity, so ``a`` and ``e`` are the system's own
+    arrays and the rest are the depth's arrays themselves.
+    """
+
+    basis: _Half
+    a: np.ndarray
+    e: np.ndarray | None
+    m: np.ndarray
+    p: np.ndarray
+    a_k: np.ndarray
+    e_k: np.ndarray | None
+
+
 @dataclass(eq=False)
 class CompressedSystem:
     """Restriction of a constrained system to a depth-k feasible subspace.
 
-    ``a_k = m* A m`` and ``e_k = m* E m`` are block diagonal, with the
-    diagonal blocks of sizes ``blocks`` (``slices``): one block of size
-    r for a system without a mirror, the even and the odd half for a
-    mirrored one, whose columns of ``m`` have their parity exactly.
-    ``m_left`` is ``m*``.  ``p``, n x (n - r), is the orthonormal
-    complement of ``E m`` (``E = I`` without a mass operator) that the
-    recursion reads to cut the next depth, lifted like ``m``:
-    ``|p* A w|`` is the part of ``A w`` outside ``E V_k``, how far a
-    state w of this depth violates the next depth's constraint.
+    ``halves`` holds one ``_HalfSystem`` per diagonal block of the
+    compressed operators: one for a system without a mirror, the even
+    and the odd half for a mirrored one.  Each keeps its pieces in its
+    half's coordinates, where ``quality`` scores them, and the arrays
+    of the whole state space are assembled from them on first access
+    and kept.  ``m`` is ``[U_+ M_+, U_- M_-]``, whose columns have their
+    parity exactly, and ``m_left`` is ``m*``.  ``a_k = m* A m`` and
+    ``e_k = m* E m`` are block diagonal, with the diagonal blocks of
+    sizes ``blocks`` (``slices``).  ``p``, n x (n - r), is the
+    orthonormal complement of ``E m`` (``E = I`` without a mass
+    operator) that the recursion reads to cut the next depth, lifted
+    like ``m``: ``|p* A w|`` is the part of ``A w`` outside ``E V_k``,
+    how far a state w of this depth violates the next depth's
+    constraint.
     """
 
-    m: np.ndarray
-    m_left: np.ndarray
-    p: np.ndarray
-    a_k: np.ndarray
-    e_k: np.ndarray | None
+    halves: tuple[_HalfSystem, ...]
     k: int
-    r: int
-    blocks: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return sum(half.a.shape[0] for half in self.halves)
+
+    @property
+    def r(self) -> int:
+        return sum(self.blocks)
+
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        return tuple(half.m.shape[1] for half in self.halves)
 
     @property
     def slices(self) -> list[slice]:
         """Index range of each diagonal block, in ``blocks`` order."""
         return _slices(self.blocks)
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return self._lift([half.m for half in self.halves])
+
+    @cached_property
+    def m_left(self) -> np.ndarray:
+        return self.m.conj().T
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        return self._lift([half.p for half in self.halves])
+
+    @cached_property
+    def a_k(self) -> np.ndarray:
+        return self._diagonal([half.a_k for half in self.halves])
+
+    @cached_property
+    def e_k(self) -> np.ndarray | None:
+        if self.halves[0].e_k is None:
+            return None
+        return self._diagonal([half.e_k for half in self.halves])
+
+    def _lift(self, parts: list[np.ndarray]) -> np.ndarray:
+        """``[U_+ X_+, U_- X_-]``: each half's ``X`` lifted to the n-dimensional state space."""
+        sizes = tuple(x.shape[1] for x in parts)
+        out = np.empty((self.n, sum(sizes)), dtype=np.result_type(*parts))
+        for half, x, cols in zip(self.halves, parts, _slices(sizes)):
+            half.basis.lift(x, out[:, cols])
+        return out
+
+    def _diagonal(self, parts: list[np.ndarray]) -> np.ndarray:
+        """The block diagonal matrix of each half's block."""
+        out = np.zeros((self.r, self.r), dtype=np.result_type(*parts))
+        for part, x in zip(self.slices, parts):
+            out[part, part] = x
+        return out
 
 
 def _slices(blocks: tuple[int, ...]) -> list[slice]:
@@ -310,8 +378,8 @@ def _slices(blocks: tuple[int, ...]) -> list[slice]:
 
 def _walk(
     sys: ConstrainedSystem, half: _Half, c: np.ndarray, tol: float, scale: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Yield ``(M_k, P_k, A_k, E_k)`` of each depth on one half, in the half's coordinates.
+) -> Iterator[_HalfSystem]:
+    """Yield the ``_HalfSystem`` of each depth on one half, in the half's coordinates.
 
     Depth 1 is the nullspace of ``c U``, cut at ``tol`` times ``scale``;
     each later depth is one step of the recursion on the operators
@@ -327,7 +395,7 @@ def _walk(
     while True:
         if e is not None:
             p = nullspace_basis((e @ m).conj().T, tol) if m.shape[1] else np.eye(len(a))
-        yield m, p, a_k, e_k
+        yield _HalfSystem(half, a, e, m, p, a_k, e_k)
         _, s, vh = np.linalg.svd((p.conj().T @ a) @ m)
         cut = int(np.count_nonzero(s > tol * sys.drift_norm))
         if e is None:
@@ -336,36 +404,6 @@ def _walk(
         m = m @ n_k
         a_k = n_k.conj().T @ a_k @ n_k
         e_k = None if e_k is None else n_k.conj().T @ e_k @ n_k
-
-
-def _lift(n: int, halves: list[_Half], parts: tuple) -> np.ndarray:
-    """``[U_+ X_+, U_- X_-]``: each half's ``X`` lifted to the n-dimensional state space."""
-    sizes = tuple(x.shape[1] for x in parts)
-    out = np.empty((n, sum(sizes)), dtype=np.result_type(*parts))
-    for half, x, cols in zip(halves, parts, _slices(sizes)):
-        half.lift(x, out[:, cols])
-    return out
-
-
-def _assemble(n: int, halves: list[_Half], parts: tuple, k: int) -> CompressedSystem:
-    """The depth-k system of each half's ``(M_k, P_k, A_k, E_k)``.
-
-    M and P are lifted to the state space; A_k and E_k are block diagonal.
-    """
-    ms, ps, a_ks, e_ks = zip(*parts)
-    blocks = tuple(m_h.shape[1] for m_h in ms)
-    r = sum(blocks)
-    m = _lift(n, halves, ms)
-    a_k = np.zeros((r, r), dtype=np.result_type(*a_ks))
-    e_k = None if e_ks[0] is None else np.zeros((r, r), dtype=np.result_type(*e_ks))
-    for part, a_h, e_h in zip(_slices(blocks), a_ks, e_ks):
-        a_k[part, part] = a_h
-        if e_k is not None:
-            e_k[part, part] = e_h
-    return CompressedSystem(
-        m=m, m_left=m.conj().T, p=_lift(n, halves, ps), a_k=a_k, e_k=e_k, k=k, r=r,
-        blocks=blocks,
-    )
 
 
 def compress_depths(
@@ -394,8 +432,9 @@ def compress_depths(
     unsplit system: ``tol`` times the largest singular value of
     ``C / |C|_F`` at depth 1 and ``tol |A|_2`` for the defect.  With E,
     each half's P is the nullspace of its own block of ``(E M_k)*``.
-    Each depth's M is ``[U_+ M_+, U_- M_-]`` and its operators are block
-    diagonal (``CompressedSystem``).
+    Each depth keeps both halves' pieces in their own coordinates; its
+    M is ``[U_+ M_+, U_- M_-]`` and its operators are block diagonal,
+    assembled only when read (``CompressedSystem``).
     """
     if k_max < 1:
         raise ValueError(f"depth must be >= 1, got k={k_max}")
@@ -404,9 +443,9 @@ def compress_depths(
     halves = _halves(sys.n, sys.mirror)
     walks = zip(*(_walk(sys, half, c, tol, scale) for half in halves))
     for k, parts in zip(range(1, k_max + 1), walks):
-        if not any(m.shape[1] for m, *_ in parts):
+        if not any(part.m.shape[1] for part in parts):
             return
-        yield _assemble(sys.n, halves, parts, k)
+        yield CompressedSystem(halves=parts, k=k)
 
 
 def compress(sys: ConstrainedSystem, k: int, tol: float = DEFAULT_NULL_TOL) -> CompressedSystem:

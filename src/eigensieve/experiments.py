@@ -117,7 +117,7 @@ def k_sweep(
     """
 
     def solve(sys, comp):
-        lams = [eigvals(comp.a_k[part, part]) for part in comp.slices]
+        lams = [eigvals(half.a_k) for half in comp.halves]
         return comp, np.concatenate(lams).astype(complex, copy=False)
 
     rows: list[KSweepRow] = []

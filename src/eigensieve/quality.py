@@ -1,7 +1,8 @@
 """Per-mode quality scores for compressed spectra.
 
 Two scores are attached to every computed eigenpair, and both read
-only the lifted eigenvector ``w = M v``.  The derivative score is the
+only the eigenvector ``w = M v`` of the state space (computed in the
+coordinates of its parity half, see below).  The derivative score is the
 size ``|P_k* A w|`` of the first implicit-constraint violation that the
 depth-k basis leaves free; the angle score is the Grassmann distance
 between the real spans of ``w`` and of its image ``A w`` under the
@@ -53,22 +54,32 @@ has finite ends.  The SVD of A is computed only when some mode falls
 inside the bracket, and then the comparison is the same floating-point
 expression as without it.
 
-The eigen solve takes each diagonal block of the compressed system on
-its own: a mirrored system (``constrained.ConstrainedSystem.mirror``)
-has two, its even and its odd half, and two solves of half the size
-take about a quarter of the flops of one.  The split is an orthogonal
-similarity, so it is as backward stable as the unsplit solve.  Scoring
-still reads the full A, so the scores mean what they mean without a
-mirror.
+The eigen solve and scoring take each diagonal block of the
+compressed system on its own: a mirrored system
+(``constrained.ConstrainedSystem.mirror``) has two, its even and its
+odd half, and two solves of half the size take about a quarter of the
+flops of one.  The split is an orthogonal similarity, so it is as
+backward stable as the unsplit solve.  A half's basis U is real and
+orthonormal, and A and E commute with the mirror, so ``A U = U A_h``
+and ``E U = U E_h`` with ``A_h = U^T A U``: for ``w = U w_h``, ``|A w|``,
+``|P_k* A w|`` and the principal angles between the spans of ``w`` and
+``A w`` are those of ``w_h`` and ``A_h w_h``, and each half is scored
+in its own coordinates, on half as many rows.  Only the rounding
+differs from scoring the lifted vectors with the whole A, and each
+score stays within a small multiple of its floor of that.  The
+zero-floor bracket is still taken on the whole A, and only the rows of
+``modes`` are lifted to the state space.  A system without a mirror is
+the one-half case: U is the identity and ``A_h`` is A itself.
 
-Scoring is a few matrix products.  ``eigenpairs`` hands over the
-eigenvectors as one matrix, and ``W = M V`` is one product over one
-column per conjugate pair; then, for each chunk of ``_CHUNK`` of those
-columns, ``A W``, ``P_k* (A W)`` and ``E W`` are one product each, and the
-norms, the zero-floor test and the angles are stacked numpy calls.  A
-real operator multiplies a complex block as one float64 product on
-the block's interleaved real view (``_times``), not as a complex
-product with an operator cast to complex128.  ``grassmann_distance``
+Scoring is a few matrix products.  ``eigenpairs`` hands over each
+block's eigenvectors in the block's coordinates, and per half
+``W_h = M_h V_h`` is one product over one column per conjugate pair;
+then, for each chunk of ``_CHUNK`` of those columns, ``A_h W_h``,
+``P_h* (A_h W_h)`` and ``E_h W_h`` are one product each, and the norms,
+the zero-floor test and the angles are stacked numpy calls.  A real
+operator multiplies a complex block as one float64 product on the
+block's interleaved real view (``_times``), not as a complex product
+with an operator cast to complex128.  ``grassmann_distance``
 is a one-pair call of the same angle kernel.
 """
 
@@ -78,7 +89,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constrained import DEFAULT_NULL_TOL, CompressedSystem, ConstrainedSystem, compress
+from .constrained import (
+    DEFAULT_NULL_TOL,
+    CompressedSystem,
+    ConstrainedSystem,
+    _HalfSystem,
+    _slices,
+    compress,
+)
 from .errors import IllConditionedMassError, UndefinedSubspaceError
 
 __all__ = [
@@ -109,20 +127,22 @@ DEFAULT_MASS_COND_LIMIT = 1e12
 _CHUNK = 32
 
 
-def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of the compressed system: ``(lams, vecs)``, complex128 arrays.
+def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Full spectrum of the compressed system: ``(lams, blocks)``.
 
-    Each diagonal block of the compressed system (``comp.slices``) is
+    Each diagonal block of the compressed system (``comp.halves``) is
     solved on its own: one block without a mirror, the even and the odd
     half with one.  A mass operator turns a block into the pencil
     problem ``lambda E_k v = A_k v``, solved here as the standard
     problem for ``E_k^(-1) A_k`` behind the guard
     ``DEFAULT_MASS_COND_LIMIT`` on the condition number of ``E_k``,
-    read from the singular values of all its blocks.  ``vecs[:, i]`` is
-    the eigenvector of ``lams[i]``, a unit column as LAPACK's geev
-    returns it and zero outside its block, in a C-contiguous r x r
-    matrix; both arrays are complex also for a real spectrum.
-    Eigenvalues are sorted by real part, then by ``|Im|``.  For a real
+    read from the singular values of all its blocks.  ``lams`` holds
+    all r eigenvalues, complex128 also for a real spectrum, sorted by
+    real part, then by ``|Im|``.  ``blocks`` holds one ``(at, vecs)``
+    per diagonal block: ``at`` the ascending positions in ``lams`` of
+    the block's eigenvalues, and column j of the complex128 matrix
+    ``vecs`` the eigenvector of ``lams[at[j]]`` in the block's own
+    coordinates, a unit column as LAPACK's geev returns it.  For a real
     operator geev returns each conjugate pair side by side, its
     eigenvectors exact conjugates and the positive imaginary part
     first, and the sort moves each pair as one unit, so they stay so:
@@ -130,10 +150,9 @@ def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, np.ndarray]:
     half's before the odd half's.  For a complex operator ties put
     Im >= 0 first.
     """
-    parts = comp.slices
-    drifts = [comp.a_k[part, part] for part in parts]
-    if comp.e_k is not None:
-        masses = [comp.e_k[part, part] for part in parts]
+    drifts = [half.a_k for half in comp.halves]
+    if comp.halves[0].e_k is not None:
+        masses = [half.e_k for half in comp.halves]
         sv = np.concatenate([np.linalg.svd(mass, compute_uv=False) for mass in masses])
         cond = np.inf if sv.min() == 0.0 else float(sv.max() / sv.min())
         if cond > DEFAULT_MASS_COND_LIMIT:
@@ -150,13 +169,11 @@ def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, np.ndarray]:
     real = all(np.isrealobj(drift) for drift in drifts)
     lead = np.arange(lams.size) - below if real else np.zeros(lams.size)
     order = np.lexsort((below, lead, np.abs(lams.imag), lams.real))
-    # each block's vectors go straight to their sorted columns
-    column = np.empty(lams.size, dtype=int)
-    column[order] = np.arange(lams.size)
-    vecs = np.zeros((comp.r, comp.r), dtype=complex)
-    for part, (_, vec) in zip(parts, solved):
-        vecs[part, column[part]] = vec
-    return lams[order], vecs
+    blocks = []
+    for part, (_, vec) in zip(comp.slices, solved):
+        at = np.flatnonzero((order >= part.start) & (order < part.stop))
+        blocks.append((at, vec[:, order[at] - part.start].astype(complex, copy=False)))
+    return lams[order], blocks
 
 
 def _times(op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -173,23 +190,18 @@ def _times(op: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _score_modes(
-    sys: ConstrainedSystem, comp: CompressedSystem, vecs: np.ndarray
+    sys: ConstrainedSystem, half: _HalfSystem, vecs: np.ndarray, ends: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(ws, s_norm, theta, zero_mode)`` of the columns of ``vecs``, as arrays.
+    """``(ws, s_norm, theta, zero_mode)`` of the columns of ``vecs``, in the half's coordinates.
 
-    Column i of ``ws`` is ``M v`` of column i, and entry i of each score
-    array is its score.  The columns are scored ``_CHUNK`` at a time
-    (``_score_chunk``), which bounds the stacked copies.  ``|A|_2`` lies
-    between the largest column norm of A and the norm of its column
-    norms; both are overflow-safe (``_norms``), taken once per report,
-    and widened by 1e-10 against rounding.
+    Column i of ``ws`` is ``M_h v`` of column i, and entry i of each
+    score array is its score.  The columns are scored ``_CHUNK`` at a
+    time (``_score_chunk``), which bounds the stacked copies.
     """
-    ws = _times(comp.m, vecs)
-    p_adj = comp.p.conj().T
-    columns = _norms(sys.a)
-    ends = columns.max() * (1 - 1e-10), _norms(columns[:, None])[0] * (1 + 1e-10)
+    ws = _times(half.m, vecs)
+    p_adj = half.p.conj().T
     chunks = [
-        _score_chunk(sys, p_adj, ws[:, start : start + _CHUNK], ends)
+        _score_chunk(sys, half, p_adj, ws[:, start : start + _CHUNK], ends)
         for start in range(0, ws.shape[1], _CHUNK)
     ]
     s_norm, theta, zero = (np.concatenate(part) for part in zip(*chunks))
@@ -197,18 +209,24 @@ def _score_modes(
 
 
 def _score_chunk(
-    sys: ConstrainedSystem, p_adj: np.ndarray, ws: np.ndarray, ends: tuple[float, float]
+    sys: ConstrainedSystem,
+    half: _HalfSystem,
+    p_adj: np.ndarray,
+    ws: np.ndarray,
+    ends: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(s_norm, theta, zero_mode)`` arrays of the columns of ``ws``, one product per operator.
 
-    ``s_norm`` is ``|P_k* (A w)|`` with ``p_adj = P_k*``.  A zero mode has
-    ``|A w| < DEFAULT_ZERO_FLOOR |A|_2 |w|``: ``ends`` bracket ``|A|_2``,
-    and ``sys.drift_norm`` is computed only for a chunk that they leave
-    undecided, in the same floating-point expression.  An exactly zero
-    ``A w`` is a zero mode also where that floor is 0, as for a zero
-    drift: it spans no subspace to take an angle to.
+    ``ws`` and the operators are the half's: ``A_h = U^T A U``,
+    ``E_h`` and ``p_adj = P_h*``, so ``s_norm`` is ``|P_h* (A_h w)|``.
+    A zero mode has ``|A w| < DEFAULT_ZERO_FLOOR |A|_2 |w|``: ``ends``
+    bracket ``|A|_2`` of the whole drift, and ``sys.drift_norm`` is
+    computed only for a chunk that they leave undecided, in the same
+    floating-point expression.  An exactly zero ``A w`` is a zero mode
+    also where that floor is 0, as for a zero drift: it spans no
+    subspace to take an angle to.
     """
-    aws = _times(sys.a, ws)
+    aws = _times(half.a, ws)
     s_norm = _norms(_times(p_adj, aws))
     aw_norms, w_norms = _norms(aws), np.linalg.norm(ws, axis=0)
     lo, hi = (DEFAULT_ZERO_FLOOR * end * w_norms for end in ends)
@@ -218,7 +236,7 @@ def _score_chunk(
         zero = exact | (aw_norms < DEFAULT_ZERO_FLOOR * sys.drift_norm * w_norms)
     theta = np.zeros(ws.shape[1])
     live = np.flatnonzero(~zero)
-    lhs = ws[:, live] if sys.e is None else _times(sys.e, ws[:, live])
+    lhs = ws[:, live] if half.e is None else _times(half.e, ws[:, live])
     theta[live] = _grassmann_distances(lhs.T, aws[:, live].T)
     return s_norm, theta, zero
 
@@ -243,7 +261,8 @@ def _norms(x: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(x, axis=0)
     redo = np.flatnonzero(~((norms >= _SQUARES_UNDERFLOW) & (norms < _SQUARES_OVERFLOW)))
     if redo.size:
-        peak = np.abs(x[:, redo]).max(axis=0)
+        # a column of no entries (a half without constraint rows) has norm 0
+        peak = np.abs(x[:, redo]).max(axis=0, initial=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             rescaled = peak * np.linalg.norm(x[:, redo] / np.where(peak > 0, peak, 1.0), axis=0)
         # a column holding inf or nan keeps its plain norm
@@ -356,29 +375,52 @@ def quality_report(
 def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> QualityReport:
     """The ``quality_report`` of one compressed system, whatever produced it.
 
-    A system is real when A, C and E are.  Then an eigenvector that is
+    Each half is scored in its own coordinates (``_score_modes``), and
+    only the report's ``modes`` rows are lifted to the state space.  A
+    system is real when A, C and E are.  Then an eigenvector that is
     the exact conjugate of the one before it (a twin) spans the same
     real plane: it takes its owner's scores through one index map, so
-    ``W = M V`` and everything after it see one column per pair, and
-    its row of ``modes`` is its owner's ``w`` conjugated in place.
+    ``W_h = M_h V_h`` and everything after it see one column per pair,
+    and its row of ``modes`` is its owner's ``w`` conjugated in place.
     ``eigenpairs`` hands every pair over side by side, so each complex
     mode is an owner or a twin, and a twin ties with its owner on every
     sort key: the stable sort keeps it right after its owner, which is
-    where ``reduction`` reads the pairs from.
+    where ``reduction`` reads the pairs from.  ``|A|_2`` of the
+    zero-floor test lies between the largest column norm of A and the
+    norm of its column norms; both are overflow-safe (``_norms``),
+    taken once per report on the whole drift, and widened by 1e-10
+    against rounding.
     """
-    lams, vecs = eigenpairs(comp)
+    lams, blocks = eigenpairs(comp)
     real = all(np.isrealobj(op) for op in (sys.a, sys.c, sys.e) if op is not None)
+    columns = _norms(sys.a)
+    ends = columns.max() * (1 - 1e-10), _norms(columns[:, None])[0] * (1 + 1e-10)
     twin = np.zeros(lams.size, dtype=bool)
-    if real:
-        twin[1:] = np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
-    ws, s_norm, theta, zero = _score_modes(sys, comp, vecs.compress(~twin, axis=1))
-    own = np.cumsum(~twin) - 1
+    owners, scored = [], []
+    for half, (at, vecs) in zip(comp.halves, blocks):
+        mine = np.zeros(at.size, dtype=bool)
+        if real:
+            # a twin is the exact conjugate of the mode right before it in lams
+            mine[1:] = (np.diff(at) == 1) & np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
+        twin[at] = mine
+        owners.append(at[~mine])
+        if owners[-1].size:
+            scored.append((half, *_score_modes(sys, half, vecs.compress(~mine, axis=1), ends)))
+    # owner scores half after half; own[i] is the slot of mode i's owner
+    slot = np.empty(lams.size, dtype=int)
+    slot[np.concatenate(owners)] = np.arange(lams.size - np.count_nonzero(twin))
+    own = slot[np.maximum.accumulate(np.where(twin, 0, np.arange(lams.size)))]
+    halves, ws, s_norm, theta, zero = zip(*scored)
+    s_norm, theta, zero = (np.concatenate(x) for x in (s_norm, theta, zero))
     order = np.lexsort((np.abs(lams.real), np.abs(lams.imag), theta[own]))
     rows = own[order]
-    # one sorted copy of the owners' rows, the twins conjugated in place:
-    # a second copy would raise the peak memory
-    modes = ws.T[rows]
-    modes.imag[twin[order]] *= -1
+    # each owner's w lifted once, then one sorted copy with the twins
+    # conjugated in place: a masked copy would raise the peak memory
+    lifted = np.empty((s_norm.size, comp.n), dtype=complex)
+    for half, w, part in zip(halves, ws, _slices(tuple(w.shape[1] for w in ws))):
+        half.basis.lift(w, lifted[part].T)
+    modes = lifted[rows]
+    np.negative(modes.imag, out=modes.imag, where=twin[order][:, None])
 
     labels = dict(sys.labels or {})
     meta = {

@@ -379,8 +379,10 @@ def simulate_rk4(
     growth.  For the neutrally stable and damped spectra this
     integrator is used to cross-check, such growth can only mean the
     step violates the stability bound.  A ``t_end`` or ``dt`` that is
-    not positive and finite, a ratio ``t_end / dt`` that overflows, or
-    a non-finite ``a`` or ``x0``, raises ``ValueError``.  States are
+    not positive and finite, a ratio ``t_end / dt`` that overflows, a
+    step count whose ``(steps + 1, N)`` state array cannot be
+    allocated, or a non-finite ``a`` or ``x0``, raises ``ValueError``
+    before any step is taken.  States are
     float64 for real inputs and complex128 once ``a`` or ``x0`` is
     complex.
     """
@@ -396,8 +398,15 @@ def simulate_rk4(
     steps = max(1, int(round(t_end / dt)))
     h = t_end / steps
     limit = 1e6 * max(float(np.linalg.norm(x)), np.finfo(float).tiny)
-    times = np.linspace(0.0, t_end, steps + 1)
-    states = np.empty((steps + 1, x.size), dtype=x.dtype)
+    try:
+        states = np.empty((steps + 1, x.size), dtype=x.dtype)
+        times = np.linspace(0.0, t_end, steps + 1)
+    except (MemoryError, ValueError):
+        nbytes = (steps + 1) * x.size * x.dtype.itemsize
+        raise ValueError(
+            f"t_end / dt = {t_end:g} / {dt:g} takes {steps} steps, whose "
+            f"({steps + 1}, {x.size}) state array of {nbytes:.3e} bytes cannot be allocated"
+        ) from None
     states[0] = x
 
     def check(start: int, stop: int) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
 from eigensieve.constrained import (
@@ -219,11 +220,73 @@ class TestCompression:
         )
 
 
+def _stacked(comp, blocks):
+    """``eigenpairs``' vectors as one r x r matrix in sorted order, zero outside each block.
+
+    Checks on the way that each block holds complex128 columns for its
+    ascending positions, and that the blocks cover every position once.
+    """
+    ats = np.concatenate([at for at, _ in blocks])
+    assert np.array_equal(np.sort(ats), np.arange(comp.r))
+    vecs = np.zeros((comp.r, comp.r), dtype=complex)
+    for part, (at, block) in zip(comp.slices, blocks):
+        assert block.dtype == np.complex128 and block.shape == (part.stop - part.start, at.size)
+        assert np.all(np.diff(at) > 0)
+        vecs[part, at] = block
+    return vecs
+
+
 def _mass_system(seed, n=9, q=2):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     e = np.eye(n) + 0.3 * rng.standard_normal((n, n))
     return ConstrainedSystem(a=a, c=rng.standard_normal((q, n)), e=e)
+
+
+def _dense_basis(half, n):
+    """A half's basis U as a dense n x n_h matrix (the identity without a mirror)."""
+    if half.idx is None:
+        return np.eye(n)
+    u = np.zeros((n, half.idx.size))
+    cols = np.arange(half.idx.size)
+    u[half.idx, cols] = half.w
+    # the centre of an odd-length field is (e_c + e_c) / 2
+    u[half.mir, cols] += half.sgn * half.w
+    return u
+
+
+@pytest.mark.parametrize(
+    "build, n, k",
+    [
+        (acoustic_wave, 17, 2), (heat_dirichlet, 12, 2),
+        (orr_sommerfeld, 20, 1), (canuto_hyperbolic, 16, 2),
+    ],
+    ids=["acoustic-odd", "heat", "orr-sommerfeld", "canuto"],
+)
+def test_state_space_arrays_are_assembled_on_demand(build, n, k):
+    # compress_depths keeps each half's pieces in its own coordinates and
+    # lifts nothing; m, m_left, p, a_k and e_k are assembled on first
+    # access, once, and equal each half's piece lifted by its basis U as
+    # a dense product, [U_+ X_+, U_- X_-], or the block diagonal
+    sys = build(n)
+    for comp in compress_depths(sys, k):
+        assert not {"m", "m_left", "p", "a_k", "e_k"} & comp.__dict__.keys()
+    halves = comp.halves
+    dense = [_dense_basis(half.basis, sys.n) for half in halves]
+    np.testing.assert_array_equal(comp.m, np.hstack([u @ h.m for u, h in zip(dense, halves)]))
+    np.testing.assert_array_equal(comp.p, np.hstack([u @ h.p for u, h in zip(dense, halves)]))
+    assert comp.m is comp.m and comp.p is comp.p and comp.a_k is comp.a_k
+    assert np.array_equal(comp.m_left, comp.m.conj().T)
+    np.testing.assert_array_equal(comp.a_k, block_diag(*[h.a_k for h in halves]))
+    if sys.e is None:
+        assert comp.e_k is None and all(h.e is None and h.e_k is None for h in halves)
+    else:
+        np.testing.assert_array_equal(comp.e_k, block_diag(*[h.e_k for h in halves]))
+    for u, half in zip(dense, halves):
+        for op, op_h in ((sys.a, half.a), (sys.e, half.e)):
+            if op is not None:
+                np.testing.assert_allclose(op_h, u.T @ op @ u, rtol=0, atol=1e-13 * np.abs(op).max())
+    assert comp.n == sys.n and comp.blocks == tuple(h.m.shape[1] for h in halves)
 
 
 class TestDepthRecursion:
@@ -373,7 +436,8 @@ def test_depths_nest_and_their_spectra_are_well_formed(
     for prev, comp in zip(comps, comps[1:]):
         assert comp.r <= prev.r
         assert np.linalg.norm(comp.m - prev.m @ (prev.m_left @ comp.m)) < 1e-10
-    for comp, (lams, vecs) in zip(comps, spectra):
+    for comp, (lams, blocks) in zip(comps, spectra):
+        vecs = _stacked(comp, blocks)
         # every depth keeps C z = 0 to the depth-1 rank cut; without a
         # mass operator, a depth that A leaves invariant is the last to cut
         decomposition = verify_decomposition(sys, comp)
@@ -392,7 +456,7 @@ def test_depths_nest_and_their_spectra_are_well_formed(
         assert comp.p.shape == (n, n - comp.r)
         assert np.linalg.norm(comp.p.conj().T @ comp.p - np.eye(n - comp.r)) < 1e-12
         assert np.linalg.norm(comp.p.conj().T @ image) <= 1e-12 * np.linalg.norm(image, 2)
-        assert lams.dtype == vecs.dtype == np.complex128 and vecs.shape == (comp.r, comp.r)
+        assert lams.dtype == np.complex128 and vecs.shape == (comp.r, comp.r)
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
         if not complex_entries:
             # a real problem's eigenpairs come as exact conjugates side by
@@ -507,9 +571,10 @@ def test_mirrored_depths_match_the_unsplit_system(
         p_one, p_two = one.p @ one.p.conj().T, two.p @ two.p.conj().T
         assert np.linalg.norm(p_two - p_one, 2) <= 1e-8
         try:
-            (lams_one, _), (lams_two, vecs) = eigenpairs(one), eigenpairs(two)
+            (lams_one, _), (lams_two, blocks) = eigenpairs(one), eigenpairs(two)
         except EigensieveError:
             continue
+        vecs = _stacked(two, blocks)
         rows_, cols_ = linear_sum_assignment(np.abs(lams_one[:, None] - lams_two[None, :]))
         assert np.abs(lams_one[rows_] - lams_two[cols_]).max() <= 1e-10 * scale
         # each eigenvector lives in one block, and a real system's pairs

@@ -3,9 +3,10 @@
 Each ``$ eigensieve ...`` block, and the ``python`` blocks as one
 script, run in a fresh interpreter at one BLAS thread, the setting the
 README's outputs were produced with.  Numbers must agree to 1e-9
-relative, or 1e-14 absolute below 1e-10, so a change that moves an
-example by more than rounding fails here until the README is
-refreshed.  A ``...`` line ends the lines that are compared.
+relative, also at rounding level, and an exact 0 must stay exact, so a
+change that moves an example, even a rounding-level score, fails here
+until the README is refreshed.  A ``...`` line ends the lines that are
+compared.
 """
 
 import re
@@ -39,8 +40,8 @@ def _agree(got: str, want: str) -> bool:
         g, w = float(got), float(want)
     except ValueError:
         return got == want
-    if abs(w) < 1e-10:
-        return abs(g - w) <= 1e-14
+    if w == 0.0:
+        return g == 0.0
     return abs(g - w) <= 1e-9 * abs(w)
 
 

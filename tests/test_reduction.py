@@ -633,6 +633,13 @@ class TestSimulateRk4:
         with pytest.raises(ValueError, match="t_end / dt must be finite"):
             simulate_rk4(-np.eye(1), np.ones(1), 1e300, 1e-300)
 
+    @pytest.mark.parametrize("t_end", [1e11, 1e15], ids=["1.6e15-bytes", "1.6e19-bytes"])
+    def test_unallocatable_state_array_raises(self, t_end):
+        # 1e14 and 1e18 steps of two float64 states need 1.6 and 16000
+        # petabytes, past any address space: refused before any stepping
+        with pytest.raises(ValueError, match=r"takes \d+ steps, whose .* bytes cannot be allocated"):
+            simulate_rk4(-np.eye(2), np.ones(2), t_end, 1e-3)
+
     def test_unstable_step_aborts(self):
         with pytest.raises(DivergenceError):
             simulate_rk4(np.array([[5.0]]), np.array([1.0]), 10.0, 1.0)

@@ -9,8 +9,10 @@ thread variables.  Each case runs once untimed, then ``--repeats``
 times (at least 9); every stage gets the median and the quartiles of
 its repeats, and so does the whole case.  Before each repeat a fixed
 kernel (``_calibrate``) is timed, and its median and quartiles go
-with the case: on a shared host they say how fast the host ran, so
-two files are compared through them.  The stages are those of the
+with the case: on a shared host they say how fast the host ran.  Each
+stage's median and the case's total are also written divided by the
+case's calibration median (``stages_rel``, ``total_rel``), the numbers
+to compare between two files.  The stages are those of the
 pipeline:
 
 * ``build``: the problem's operators and constraint rows;
@@ -28,6 +30,8 @@ acoustic n=128 with the benchmark's retained counts (seed 1).  A stage
 is timed by wrapping the module attribute that the package looks up
 at call time, as the benchmark's tracer does, and a wrapper's time
 excludes that of the wrappers it calls.  The file also records the
+measured tree, ``git rev-parse HEAD`` of the checkout the script runs
+from and whether that checkout had uncommitted changes, and the
 environment: Python, numpy, the BLAS, the thread variables and
 ``PYTHONDONTWRITEBYTECODE``.  Stdlib and numpy only.
 """
@@ -185,13 +189,19 @@ def _environment():
     }
 
 
-def _short_sha():
-    proc = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, capture_output=True, text=True
-    )
+def _git(*args):
+    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit("not a git checkout: name the output with --out")
+        raise SystemExit(f"git {' '.join(args)} failed in {ROOT}: {proc.stderr.strip()}")
     return proc.stdout.strip()
+
+
+def _tree():
+    """The measured checkout: its HEAD and whether tracked files differ from it."""
+    return {
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+    }
 
 
 def main() -> int:
@@ -201,7 +211,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.repeats < 9:
         parser.error("need at least 9 repeats")
-    out = args.out or ROOT / f"BENCH_{_short_sha()}.json"
+    tree = _tree()
+    out = args.out or ROOT / f"BENCH_{tree['commit'][:7]}.json"
     cases = {}
     for name, case in CASES.items():
         case()
@@ -214,16 +225,23 @@ def main() -> int:
             for stage in STAGES
             if any(stage in times for times, _ in runs)
         }
+        total, calibration = _summary([total for _, total in runs]), _summary(calibration)
         cases[name] = {
             "stages_s": stages,
-            "total_s": _summary([total for _, total in runs]),
-            "calibration_s": _summary(calibration),
+            "total_s": total,
+            "calibration_s": calibration,
+            "stages_rel": {
+                stage: summary["median"] / calibration["median"]
+                for stage, summary in stages.items()
+            },
+            "total_rel": total["median"] / calibration["median"],
         }
         print(f"{name}: total {cases[name]['total_s']['median']:.4f} s, "
               + ", ".join(f"{s} {v['median']:.4f}" for s, v in stages.items())
               + f"; calibration {cases[name]['calibration_s']['median']:.4f} s", flush=True)
     record = {
-        "tree": out.stem.removeprefix("BENCH_"),
+        "tree": tree["commit"],
+        "dirty": tree["dirty"],
         "tool": "tools/stage_times.py",
         "repeats": args.repeats,
         "environment": _environment(),
