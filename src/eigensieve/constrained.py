@@ -301,10 +301,12 @@ class CompressedSystem:
     ``halves`` holds one ``_HalfSystem`` per diagonal block of the
     compressed operators: one for a system without a mirror, the even
     and the odd half for a mirrored one.  Each keeps its pieces in its
-    half's coordinates, where ``quality`` scores them, and the arrays
-    of the whole state space are assembled from them on first access
-    and kept.  ``m`` is ``[U_+ M_+, U_- M_-]``, whose columns have their
-    parity exactly, and ``m_left`` is ``m*``.  ``a_k = m* A m`` and
+    half's coordinates, where ``quality`` scores them.  The arrays of
+    the whole state space are assembled from them on every read and
+    not stored, so a depth holds no second copy of its pieces; a caller
+    that reads one many times keeps it in a variable.  ``m`` is
+    ``[U_+ M_+, U_- M_-]``, whose columns have their parity exactly,
+    and ``m_left`` is ``m*``.  ``a_k = m* A m`` and
     ``e_k = m* E m`` are block diagonal, with the diagonal blocks of
     sizes ``blocks`` (``slices``).  ``p``, n x (n - r), is the
     orthonormal complement of ``E m`` (``E = I`` without a mass
@@ -334,23 +336,23 @@ class CompressedSystem:
         """Index range of each diagonal block, in ``blocks`` order."""
         return _slices(self.blocks)
 
-    @cached_property
+    @property
     def m(self) -> np.ndarray:
         return self._lift([half.m for half in self.halves])
 
-    @cached_property
+    @property
     def m_left(self) -> np.ndarray:
         return self.m.conj().T
 
-    @cached_property
+    @property
     def p(self) -> np.ndarray:
         return self._lift([half.p for half in self.halves])
 
-    @cached_property
+    @property
     def a_k(self) -> np.ndarray:
         return self._diagonal([half.a_k for half in self.halves])
 
-    @cached_property
+    @property
     def e_k(self) -> np.ndarray | None:
         if self.halves[0].e_k is None:
             return None
@@ -486,10 +488,11 @@ def verify_decomposition(
     sys: ConstrainedSystem, comp: CompressedSystem, tol: float = 1e-10
 ) -> DecompositionReport:
     """Measure ``|C M|`` and ``|N* A M|`` for an orthonormal complement N of M."""
-    u, _, _ = np.linalg.svd(comp.m, full_matrices=True)
+    m = comp.m
+    u, _, _ = np.linalg.svd(m, full_matrices=True)
     n_comp = u[:, comp.r :]
-    c_res = float(np.linalg.norm(sys.c @ comp.m, 2))
-    inv_res = float(np.linalg.norm(n_comp.conj().T @ (sys.a @ comp.m), 2))
+    c_res = float(np.linalg.norm(sys.c @ m, 2))
+    inv_res = float(np.linalg.norm(n_comp.conj().T @ (sys.a @ m), 2))
     return DecompositionReport(
         constraint_residual=c_res,
         invariance_residual=inv_res,

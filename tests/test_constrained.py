@@ -265,17 +265,17 @@ def _dense_basis(half, n):
 )
 def test_state_space_arrays_are_assembled_on_demand(build, n, k):
     # compress_depths keeps each half's pieces in its own coordinates and
-    # lifts nothing; m, m_left, p, a_k and e_k are assembled on first
-    # access, once, and equal each half's piece lifted by its basis U as
-    # a dense product, [U_+ X_+, U_- X_-], or the block diagonal
+    # lifts nothing; m, m_left, p, a_k and e_k are assembled on each
+    # read, stored nowhere, and equal each half's piece lifted by its
+    # basis U as a dense product, [U_+ X_+, U_- X_-], or the block diagonal
     sys = build(n)
-    for comp in compress_depths(sys, k):
-        assert not {"m", "m_left", "p", "a_k", "e_k"} & comp.__dict__.keys()
+    comps = list(compress_depths(sys, k))
+    assert [vars(comp).keys() for comp in comps] == [{"halves", "k"}] * k
+    comp = comps[-1]
     halves = comp.halves
     dense = [_dense_basis(half.basis, sys.n) for half in halves]
     np.testing.assert_array_equal(comp.m, np.hstack([u @ h.m for u, h in zip(dense, halves)]))
     np.testing.assert_array_equal(comp.p, np.hstack([u @ h.p for u, h in zip(dense, halves)]))
-    assert comp.m is comp.m and comp.p is comp.p and comp.a_k is comp.a_k
     assert np.array_equal(comp.m_left, comp.m.conj().T)
     np.testing.assert_array_equal(comp.a_k, block_diag(*[h.a_k for h in halves]))
     if sys.e is None:
@@ -287,6 +287,7 @@ def test_state_space_arrays_are_assembled_on_demand(build, n, k):
             if op is not None:
                 np.testing.assert_allclose(op_h, u.T @ op @ u, rtol=0, atol=1e-13 * np.abs(op).max())
     assert comp.n == sys.n and comp.blocks == tuple(h.m.shape[1] for h in halves)
+    assert vars(comp).keys() == {"halves", "k"}
 
 
 class TestDepthRecursion:
