@@ -1,6 +1,7 @@
 """Spectral quality scores: derivative violations and Grassmann angles."""
 
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -491,14 +492,17 @@ def test_real_and_complex_products_agree_within_their_floors(build, n, k, monkey
     """A real system scores on float64 views; with A and C cast to complex, on plain ``@``.
 
     The cast system scores every conjugate twin itself.  Both runs
-    share one compression, so they score the same eigenpairs; each
+    share one compression, whose drift blocks ``A_h`` the cast run
+    reads cast to complex, so they score the same eigenpairs; each
     theta lies within the floor f of the other run's, and each
     ``s_norm`` within ``S_NORM_FLOOR eps |A|_2 |w|``.
     """
     sys = build(n)
     comp = compress(sys, k)
     cast = ConstrainedSystem(a=sys.a.astype(complex), c=sys.c.astype(complex))
-    monkeypatch.setattr(quality, "compress", lambda *args: comp)
+    halves = tuple(replace(half, a=half.a.astype(complex)) for half in comp.halves)
+    cast_comp = CompressedSystem(halves=halves, k=k)
+    monkeypatch.setattr(quality, "compress", lambda s, *args: cast_comp if s is cast else comp)
     real, plain = (quality_report(s, k) for s in (sys, cast))
     assert real.meta["real_system"] and not plain.meta["real_system"]
     at = {lam: i for i, lam in enumerate(real.lambdas.tolist())}
