@@ -65,8 +65,8 @@ and ``E U = U E_h`` with ``A_h = U^T A U``: for ``w = U w_h``, ``|A w|``,
 ``|P_k* A w|`` and the principal angles between the spans of ``w`` and
 ``A w`` are those of ``w_h`` and ``A_h w_h``, and each half is scored
 in its own coordinates, on half as many rows.  Only the rounding
-differs from scoring the lifted vectors with the whole A, and each
-score stays within a small multiple of its floor of that.  The
+differs from scoring the lifted vectors with the whole A: each score
+lies within a few times its rounding floor of that one.  The
 zero-floor bracket is still taken on the whole A, and only the rows of
 ``modes`` are lifted to the state space.  A system without a mirror is
 the one-half case: U is the identity and ``A_h`` is A itself.
