@@ -32,7 +32,7 @@ without a mirror is the one-block case of the same recursion.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -78,6 +78,9 @@ class ConstrainedSystem:
     ranks of C on the two halves, counted above ``DEFAULT_NULL_TOL``
     times the largest singular value of C, add up to q.  The field
     layout is not stored anywhere else, so nothing is inferred.
+
+    ``a``, ``c`` and ``e`` must be finite: a nan or an infinite entry
+    raises ``ValueError`` naming its matrix before any factorisation.
     """
 
     a: np.ndarray
@@ -99,13 +102,16 @@ class ConstrainedSystem:
         q, n = self.c.shape
         if q >= n:
             raise ValueError(f"need fewer constraints than states, got q={q}, n={n}")
-        sv = np.linalg.svd(self.c, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= max(q, n) * _EPS * sv[0]:
-            raise ValueError("constraint matrix is row rank deficient")
         if self.e is not None:
             self.e = np.asarray(self.e)
             if self.e.shape != self.a.shape:
                 raise ValueError("mass matrix must match the drift matrix shape")
+        for name, op in (("drift", self.a), ("constraint", self.c), ("mass", self.e)):
+            if op is not None and not np.isfinite(op).all():
+                raise ValueError(f"the {name} matrix has a non-finite entry")
+        sv = np.linalg.svd(self.c, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] <= max(q, n) * _EPS * sv[0]:
+            raise ValueError("constraint matrix is row rank deficient")
         if self.mirror is not None:
             self.mirror = tuple(self.mirror)
             self._check_mirror(sv[0])
@@ -129,8 +135,8 @@ class ConstrainedSystem:
                 raise ValueError(f"the {name} matrix is not symmetric under mirror {self.mirror}")
         cut = DEFAULT_NULL_TOL * c_norm
         ranks = sum(
-            np.count_nonzero(np.linalg.svd(half.cols(self.c), compute_uv=False) > cut)
-            for half in _halves(self.n, self.mirror)
+            np.count_nonzero(np.linalg.svd(_project(sigma, self.c.T).T, compute_uv=False) > cut)
+            for sigma in _halves(self.n, self.mirror)
         )
         if ranks != self.q:
             raise ValueError(
@@ -209,83 +215,79 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
     return basis * (np.conj(pivots) / np.abs(pivots))[None, :]
 
 
-@dataclass(frozen=True)
-class _Half:
-    """One parity half of a mirrored state space, as index maps.
+def _halves(n: int, mirror: tuple[int, ...] | None) -> list[np.ndarray | None]:
+    """The field signs of each nonempty parity half under ``mirror``, even (Q z = z) first.
 
-    Column i of the half's basis U is ``w_i (e_idx_i + sgn_i e_mir_i)``:
-    (e_j +- e_(n-1-j)) / sqrt(2) within a field, or the centre e_c of
-    an odd-length field as (e_c + e_c) / 2.  U is applied by gathers and
-    scatters, never as a dense product, so a lifted column has its
-    parity exactly.  With ``idx`` None, U is the identity: the one
-    half of a system without a mirror.
-    """
-
-    idx: np.ndarray | None = None
-    mir: np.ndarray | None = None
-    sgn: np.ndarray | None = None
-    w: np.ndarray | None = None
-
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        """``U^T x``."""
-        if self.idx is None:
-            return x
-        return self.w[:, None] * (x[self.idx] + self.sgn[:, None] * x[self.mir])
-
-    def cols(self, x: np.ndarray) -> np.ndarray:
-        """``x U``."""
-        if self.idx is None:
-            return x
-        return (x[:, self.idx] + x[:, self.mir] * self.sgn) * self.w
-
-    def lift(self, y: np.ndarray, out: np.ndarray) -> None:
-        """Write ``U y`` into ``out``."""
-        if self.idx is None:
-            out[...] = y
-            return
-        out[...] = 0
-        out[self.idx] = self.w[:, None] * y
-        out[self.mir] += (self.sgn * self.w)[:, None] * y
-
-
-def _halves(n: int, mirror: tuple[int, ...] | None) -> list[_Half]:
-    """The nonempty parity halves under ``mirror``, even (Q z = z) first.
-
-    Without a mirror the one half is the whole space.
+    Within field f the half holds the states with J z_f = sigma_f z_f,
+    so its basis U is that of ``_project`` and ``_embed``.  Without a
+    mirror the one half is the whole space, ``None``, and U is the
+    identity.
     """
     if mirror is None:
-        return [_Half()]
+        return [None]
     size = n // len(mirror)
-    starts = np.arange(len(mirror))[:, None] * size
-    pairs = np.arange(size // 2)
-    halves = []
-    for parity in (1, -1):
-        # within field f the half has J z_f = sigma_f z_f
-        sigma = parity * np.array(mirror)
-        idx, mir = (starts + pairs).ravel(), (starts + size - 1 - pairs).ravel()
-        sgn, w = np.repeat(sigma, pairs.size).astype(float), np.full(idx.size, np.sqrt(0.5))
-        if size % 2:
-            # the centre of a field with sigma = 1, as (e_c + e_c) / 2
-            centres = starts[sigma == 1, 0] + size // 2
-            idx, mir = np.r_[idx, centres], np.r_[mir, centres]
-            sgn, w = np.r_[sgn, np.ones(centres.size)], np.r_[w, np.full(centres.size, 0.5)]
-        if idx.size:
-            halves.append(_Half(idx, mir, sgn, w))
-    return halves
+    halves = [parity * np.array(mirror, dtype=float) for parity in (1, -1)]
+    # a half is empty only when every field is one point that it negates
+    return [sigma for sigma in halves if size > 1 or sigma.max() > 0]
+
+
+def _project(sigma: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """``U^T x`` for the half of field signs ``sigma``, the rows of x being the state axis.
+
+    The state axis is read as (field, position).  Column j < size // 2
+    of U within field f is (e_j + sigma_f e_(size-1-j)) / sqrt(2), so
+    its row of ``U^T x`` is the field's leading half plus sigma_f times
+    its reversed view, over sqrt(2); the pairs come field by field,
+    then the centre e_c of each odd-length field with sigma_f = 1, whose
+    row is x_c.  ``x U`` is ``_project(sigma, x.T).T``.  For a half of a
+    mirror the result is a new C-contiguous array.
+    """
+    if sigma is None:
+        return x
+    fields = x.reshape(sigma.size, len(x) // sigma.size, x.shape[1])
+    pairs = fields.shape[1] // 2
+    tail = fields[:, ::-1][:, :pairs]
+    rows = np.sqrt(0.5) * (fields[:, :pairs] + sigma[:, None, None] * tail)
+    centres = fields[sigma > 0, pairs] if fields.shape[1] % 2 else fields[:0, 0]
+    return np.concatenate([rows.reshape(-1, x.shape[1]), centres])
+
+
+def _embed(sigma: np.ndarray | None, y: np.ndarray, out: np.ndarray) -> None:
+    """Write ``U y`` into ``out`` for the half of field signs ``sigma`` (see ``_project``).
+
+    Each field's leading half takes the pair rows of y over sqrt(2)
+    and its reversed view adds sigma_f times them to zeros; the centre
+    of a field with sigma_f = 1 takes its row of y.  U is applied by
+    slicing, never as a dense product, so a lifted column has its
+    parity exactly.  ``out`` may be any view of an n-row array:
+    splitting its row axis into (field, position) is always a view.
+    """
+    if sigma is None:
+        out[...] = y
+        return
+    fields = out.reshape(sigma.size, len(out) // sigma.size, y.shape[1])
+    pairs = fields.shape[1] // 2
+    lead = y[: sigma.size * pairs].reshape(sigma.size, pairs, y.shape[1])
+    out[...] = 0
+    fields[:, :pairs] = np.sqrt(0.5) * lead
+    fields[:, ::-1][:, :pairs] += (sigma * np.sqrt(0.5))[:, None, None] * lead
+    if fields.shape[1] % 2:
+        fields[sigma > 0, pairs] = y[sigma.size * pairs :]
 
 
 @dataclass(frozen=True, eq=False)
 class _HalfSystem:
     """One diagonal block of a compressed system, in the coordinates of its half.
 
-    ``basis`` is the half's basis U (``_Half``), ``a = U^T A U`` and
+    ``basis`` is the half's field signs sigma, which define its basis U
+    (``_project``), or None for the identity; ``a = U^T A U`` and
     ``e = U^T E U`` the operators restricted to the half, and ``m``,
     ``p``, ``a_k`` and ``e_k`` the half's M_k, P_k, A_k and E_k.  Without
     a mirror U is the identity, so ``a`` and ``e`` are the system's own
     arrays and the rest are the depth's arrays themselves.
     """
 
-    basis: _Half
+    basis: np.ndarray | None
     a: np.ndarray
     e: np.ndarray | None
     m: np.ndarray
@@ -358,12 +360,15 @@ class CompressedSystem:
             return None
         return self._diagonal([half.e_k for half in self.halves])
 
-    def _lift(self, parts: list[np.ndarray]) -> np.ndarray:
-        """``[U_+ X_+, U_- X_-]``: each half's ``X`` lifted to the n-dimensional state space."""
+    def _lift(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """``[U_+ X_+, U_- X_-]``: each half's ``X`` lifted to the n-dimensional state space.
+
+        ``m``, ``p`` and the rows of a report's ``modes`` are lifted here.
+        """
         sizes = tuple(x.shape[1] for x in parts)
         out = np.empty((self.n, sum(sizes)), dtype=np.result_type(*parts))
         for half, x, cols in zip(self.halves, parts, _slices(sizes)):
-            half.basis.lift(x, out[:, cols])
+            _embed(half.basis, x, out[:, cols])
         return out
 
     def _diagonal(self, parts: list[np.ndarray]) -> np.ndarray:
@@ -379,7 +384,7 @@ def _slices(blocks: tuple[int, ...]) -> list[slice]:
 
 
 def _walk(
-    sys: ConstrainedSystem, half: _Half, c: np.ndarray, tol: float, scale: float
+    sys: ConstrainedSystem, sigma: np.ndarray | None, c: np.ndarray, tol: float, scale: float
 ) -> Iterator[_HalfSystem]:
     """Yield the ``_HalfSystem`` of each depth on one half, in the half's coordinates.
 
@@ -389,15 +394,16 @@ def _walk(
     orthonormal complement of ``E M_k`` that the step from depth k
     reads; a depth that leaves the half no state has the whole half.
     """
-    p, m = _split(half.cols(c), tol, scale)
-    a = half.rows(half.cols(sys.a))
-    e = None if sys.e is None else half.rows(half.cols(sys.e))
+    p, m = _split(_project(sigma, c.T).T, tol, scale)
+    a, e = (
+        None if op is None else _project(sigma, _project(sigma, op.T).T) for op in (sys.a, sys.e)
+    )
     a_k = m.conj().T @ a @ m
     e_k = None if e is None else m.conj().T @ e @ m
     while True:
         if e is not None:
             p = nullspace_basis((e @ m).conj().T, tol) if m.shape[1] else np.eye(len(a))
-        yield _HalfSystem(half, a, e, m, p, a_k, e_k)
+        yield _HalfSystem(sigma, a, e, m, p, a_k, e_k)
         _, s, vh = np.linalg.svd((p.conj().T @ a) @ m)
         cut = int(np.count_nonzero(s > tol * sys.drift_norm))
         if e is None:
@@ -442,8 +448,7 @@ def compress_depths(
         raise ValueError(f"depth must be >= 1, got k={k_max}")
     c = sys.c / np.linalg.norm(sys.c)
     scale = np.linalg.norm(c, 2)
-    halves = _halves(sys.n, sys.mirror)
-    walks = zip(*(_walk(sys, half, c, tol, scale) for half in halves))
+    walks = zip(*(_walk(sys, sigma, c, tol, scale) for sigma in _halves(sys.n, sys.mirror)))
     for k, parts in zip(range(1, k_max + 1), walks):
         if not any(part.m.shape[1] for part in parts):
             return

@@ -1,5 +1,8 @@
 """Constraint stacking, nullspace extraction, and subspace compression."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,8 @@ from scipy.optimize import linear_sum_assignment
 
 from eigensieve.constrained import (
     ConstrainedSystem,
+    _embed,
+    _project,
     compress,
     compress_depths,
     nullspace_basis,
@@ -53,6 +58,19 @@ class TestSystemValidation:
     def test_rejects_mismatched_mass_shape(self):
         with pytest.raises(ValueError, match="mass"):
             ConstrainedSystem(a=np.eye(4), c=np.eye(1, 4), e=np.eye(3))
+
+    @pytest.mark.parametrize("mirror", [None, (1,)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name, field", [("drift", "a"), ("constraint", "c"), ("mass", "e")])
+    def test_rejects_non_finite_entries(self, name, field, value, mirror):
+        # checked before the SVD of C and the mirror check, without a warning
+        sys = heat_dirichlet(8)
+        ops = {"a": sys.a.copy(), "c": sys.c.copy(), "e": np.eye(sys.n)}
+        ops[field][1, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"the {name} matrix has a non-finite entry"):
+                ConstrainedSystem(**ops, mirror=mirror)
 
     def test_shape_properties_and_drift_norm(self):
         sys = _random_system(0)
@@ -243,16 +261,58 @@ def _mass_system(seed, n=9, q=2):
     return ConstrainedSystem(a=a, c=rng.standard_normal((q, n)), e=e)
 
 
-def _dense_basis(half, n):
-    """A half's basis U as a dense n x n_h matrix (the identity without a mirror)."""
-    if half.idx is None:
-        return np.eye(n)
-    u = np.zeros((n, half.idx.size))
-    cols = np.arange(half.idx.size)
-    u[half.idx, cols] = half.w
-    # the centre of an odd-length field is (e_c + e_c) / 2
-    u[half.mir, cols] += half.sgn * half.w
-    return u
+def _dense_basis(sigma, size):
+    """The basis U of the half with field signs sigma, built column by column from its definition.
+
+    Within field f, column j < size // 2 is (e_j + sigma_f e_(size-1-j)) / sqrt(2),
+    field by field; after them comes e_c, the centre of each odd-length field
+    with sigma_f = 1.  Without signs U is the identity on one field.
+    """
+    if sigma is None:
+        return np.eye(size)
+    n = len(sigma) * size
+    cols = []
+    for f, sign in enumerate(sigma):
+        for j in range(size // 2):
+            col = np.zeros(n)
+            col[f * size + j] = np.sqrt(0.5)
+            col[f * size + size - 1 - j] = sign * np.sqrt(0.5)
+            cols.append(col)
+    for f, sign in enumerate(sigma):
+        if size % 2 and sign == 1:
+            cols.append(np.eye(n)[f * size + size // 2])
+    return np.reshape(cols, (-1, n)).T
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+@pytest.mark.parametrize("fields", [1, 2, 3])
+def test_half_basis_is_applied_by_slicing(fields, size):
+    # for every sign pattern, _embed is U y bit for bit, also into a
+    # column slice of a larger array, and _project is a C-contiguous U^T x
+    # to rounding, and x U as U^T of x.T transposed back
+    rng = np.random.default_rng(7 * fields + size)
+    n = fields * size
+
+    def draw(rows, cols, dtype):
+        x = rng.standard_normal((rows, cols))
+        return x + 1j * rng.standard_normal(x.shape) if dtype is complex else x
+
+    for signs in itertools.product((1.0, -1.0), repeat=fields):
+        sigma = np.array(signs)
+        u = _dense_basis(sigma, size)
+        for dtype in (float, complex):
+            y = draw(u.shape[1], 3, dtype)
+            out = np.full((n, 5), np.nan, dtype=dtype)
+            _embed(sigma, y, out[:, 1:4])
+            assert np.array_equal(out[:, 1:4], u @ y)
+            assert np.isnan(out[:, [0, 4]]).all()
+            x = draw(n, 4, dtype)
+            atol = 4 * np.finfo(float).eps * np.abs(x).max()
+            u_t_x = _project(sigma, x)
+            np.testing.assert_allclose(u_t_x, u.T @ x, rtol=0, atol=atol)
+            assert u_t_x.flags.c_contiguous
+            x_t = np.ascontiguousarray(x.T)
+            np.testing.assert_allclose(_project(sigma, x_t.T).T, x_t @ u, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize(
@@ -273,7 +333,8 @@ def test_state_space_arrays_are_assembled_on_demand(build, n, k):
     assert [vars(comp).keys() for comp in comps] == [{"halves", "k"}] * k
     comp = comps[-1]
     halves = comp.halves
-    dense = [_dense_basis(half.basis, sys.n) for half in halves]
+    size = sys.n // len(sys.mirror) if sys.mirror else sys.n
+    dense = [_dense_basis(half.basis, size) for half in halves]
     np.testing.assert_array_equal(comp.m, np.hstack([u @ h.m for u, h in zip(dense, halves)]))
     np.testing.assert_array_equal(comp.p, np.hstack([u @ h.p for u, h in zip(dense, halves)]))
     assert np.array_equal(comp.m_left, comp.m.conj().T)

@@ -14,7 +14,6 @@ from eigensieve.constrained import (
     DEFAULT_NULL_TOL,
     CompressedSystem,
     ConstrainedSystem,
-    _Half,
     _HalfSystem,
     compress,
 )
@@ -642,7 +641,7 @@ def test_mirrored_scores_match_the_unmirrored_operators(
     split = quality._report(sys, comp, DEFAULT_NULL_TOL)
     plain = ConstrainedSystem(a=a, c=c, e=e)
     whole = CompressedSystem(
-        halves=(_HalfSystem(_Half(), a, e, comp.m, comp.p, comp.a_k, comp.e_k),), k=k
+        halves=(_HalfSystem(None, a, e, comp.m, comp.p, comp.a_k, comp.e_k),), k=k
     )
     one_block = lams, [(np.arange(comp.r), _stacked(comp, blocks))]
     with mock.patch.object(quality, "eigenpairs", lambda _: one_block):
@@ -669,7 +668,7 @@ def test_mirrored_scores_match_the_unmirrored_operators(
     ids=["acoustic", "acoustic-odd", "heat-odd", "orr-sommerfeld"],
 )
 def test_mirrored_modes_have_their_parity_exactly(build, n, k):
-    # each row of modes is lifted from one half by gathers and scatters,
+    # each row of modes is lifted from one half by slicing,
     # so Q w is w or -w bit for bit, and both parities occur
     sys = build(n)
     q = _mirror_matrix(sys.n, sys.mirror)

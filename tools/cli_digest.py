@@ -9,7 +9,9 @@ problem, CSV and JSON, a numerical failure (exit 3: a depth that
 leaves no state), a depth of 300 past the underflow of C A^299, whose
 derivative scores must stay finite, four usage errors (exit 2) and a
 ``reduce`` with an unsorted, repeated retained count list, so a change
-of exit code shows in the diff; after it come the commands of every benchmark workload,
+of exit code shows in the diff, and five mirrored problems on grids of
+odd length, whose halves hold the centre point of each field; after
+it come the commands of every benchmark workload,
 built by ``perfbench/workloads.py`` with seed ``SEED``.
 
 Each line ``<exit code> <sha256> <command>`` digests a command's whole
@@ -98,6 +100,11 @@ COMMANDS = [
     "reduce --n 32 --ic bump --r-list 12,2,12,62",
     "analyze --problem heat --n 8 --out .",
     "sweep-k --problem orr-sommerfeld --n 16 --k-max 2",
+    "analyze --problem heat --n 9 --k 2",
+    "analyze --problem acoustic --n 17 --k 2 --format json",
+    "analyze --problem orr-sommerfeld --n 31",
+    "reduce --n 17 --ic sine --r-list 4,9,32",
+    "sweep-k --problem acoustic --n 17 --k-max 3 --grid",
 ]
 
 
