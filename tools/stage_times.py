@@ -19,7 +19,9 @@ pipeline:
 * ``compress``: the feasible subspace of each depth and the restricted
   operators;
 * ``eig``: the eigen solve (``quality.eigenpairs``);
-* ``score``: scoring and sorting the modes, the rest of the report;
+* ``score``: per-mode scoring (``quality._score_modes``);
+* ``sort``: the rest of the report, the mode order and the lift of
+  each scored eigenvector to the state space;
 * ``reference``: the analytic time-domain reference of ``reduce``;
 * ``retain``: truncation and simulation, the rest of ``reduce``.
 
@@ -34,14 +36,22 @@ measured tree, ``git rev-parse HEAD`` of the checkout the script runs
 from and whether that checkout had uncommitted changes, and the
 environment: Python, numpy, the BLAS, the thread variables and
 ``PYTHONDONTWRITEBYTECODE``.  Stdlib and numpy only.
+
+Each case also records the minor page faults of each repeat
+(``resource.getrusage(RUSAGE_SELF).ru_minflt`` around it; median and
+quartiles in ``minflt``) and, from one more untimed run under
+``tracemalloc``, the peak of the memory it traced
+(``tracemalloc_peak_mb``, counted in MB of 1e6 bytes).
 """
 
 import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
+import tracemalloc
 from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
@@ -60,7 +70,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from eigensieve import constrained, problems, quality, reduction  # noqa: E402
 
-STAGES = ("build", "compress", "eig", "score", "reference", "retain")
+STAGES = ("build", "compress", "eig", "score", "sort", "reference", "retain")
 
 
 class Clock:
@@ -96,9 +106,13 @@ class Clock:
 
 
 def _report_stages(build, n):
-    """Build, then ``quality_report`` at depth 1: compress, eig and score."""
+    """Build, then ``quality_report`` at depth 1: compress, eig, score and sort."""
     clock = Clock()
-    sites = [(quality, "compress", "compress"), (quality, "eigenpairs", "eig")]
+    sites = [
+        (quality, "compress", "compress"),
+        (quality, "eigenpairs", "eig"),
+        (quality, "_score_modes", "score"),
+    ]
     with clock.patched(sites):
         start = perf_counter()
         sys_ = build(n)
@@ -106,17 +120,17 @@ def _report_stages(build, n):
         quality.quality_report(sys_, 1)
         end = perf_counter()
     times = dict(clock.times, build=built - start)
-    times["score"] = end - built - times["compress"] - times["eig"]
+    times["sort"] = end - built - times["compress"] - times["eig"] - times["score"]
     return times, end - start
 
 
 def _sweep_stages(n=64, k_max=25):
     """canuto at every depth 1..k_max from one ``compress_depths`` pass."""
     clock = Clock()
-    with clock.patched([(quality, "eigenpairs", "eig")]):
+    with clock.patched([(quality, "eigenpairs", "eig"), (quality, "_score_modes", "score")]):
         start = perf_counter()
         sys_ = problems.canuto_hyperbolic(n)
-        times = {"build": perf_counter() - start, "compress": 0.0, "score": 0.0}
+        times = {"build": perf_counter() - start, "compress": 0.0, "sort": 0.0}
         depths = constrained.compress_depths(sys_, k_max)
         while True:
             mark = perf_counter()
@@ -126,10 +140,10 @@ def _sweep_stages(n=64, k_max=25):
                 break
             mark = perf_counter()
             quality._report(sys_, comp, constrained.DEFAULT_NULL_TOL)
-            times["score"] += perf_counter() - mark
+            times["sort"] += perf_counter() - mark
         end = perf_counter()
-    times["eig"] = clock.times["eig"]
-    times["score"] -= times["eig"]
+    times["eig"], times["score"] = clock.times["eig"], clock.times["score"]
+    times["sort"] -= times["eig"] + times["score"]
     return times, end - start
 
 
@@ -139,9 +153,10 @@ def _reduce_stages(n=workloads.REDUCE_N):
     sites = [
         (reduction, "acoustic_wave", "build"),
         (reduction, "acoustic_reference", "reference"),
-        (reduction, "quality_report", "score"),
+        (reduction, "quality_report", "sort"),
         (quality, "compress", "compress"),
         (quality, "eigenpairs", "eig"),
+        (quality, "_score_modes", "score"),
     ]
     counts = workloads.r_list(1)
     with clock.patched(sites):
@@ -168,6 +183,20 @@ def _calibrate():
     start = perf_counter()
     np.linalg.eigvals(a)
     return perf_counter() - start
+
+
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _traced_peak_mb(case):
+    """Peak MB of the memory ``tracemalloc`` traces over one run of ``case``."""
+    tracemalloc.start()
+    try:
+        case()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def _summary(samples):
@@ -216,10 +245,12 @@ def main() -> int:
     cases = {}
     for name, case in CASES.items():
         case()
-        runs, calibration = [], []
+        runs, calibration, faults = [], [], []
         for _ in range(args.repeats):
             calibration.append(_calibrate())
+            before = _minflt()
             runs.append(case())
+            faults.append(_minflt() - before)
         stages = {
             stage: _summary([times.get(stage, 0.0) for times, _ in runs])
             for stage in STAGES
@@ -235,10 +266,14 @@ def main() -> int:
                 for stage, summary in stages.items()
             },
             "total_rel": total["median"] / calibration["median"],
+            "minflt": _summary(faults),
+            "tracemalloc_peak_mb": _traced_peak_mb(case),
         }
         print(f"{name}: total {cases[name]['total_s']['median']:.4f} s, "
               + ", ".join(f"{s} {v['median']:.4f}" for s, v in stages.items())
-              + f"; calibration {cases[name]['calibration_s']['median']:.4f} s", flush=True)
+              + f"; calibration {cases[name]['calibration_s']['median']:.4f} s"
+              + f"; minflt {cases[name]['minflt']['median']:.0f}"
+              + f", traced peak {cases[name]['tracemalloc_peak_mb']:.1f} MB", flush=True)
     record = {
         "tree": tree["commit"],
         "dirty": tree["dirty"],
