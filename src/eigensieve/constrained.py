@@ -363,7 +363,8 @@ class CompressedSystem:
     def _lift(self, parts: Sequence[np.ndarray]) -> np.ndarray:
         """``[U_+ X_+, U_- X_-]``: each half's ``X`` lifted to the n-dimensional state space.
 
-        ``m``, ``p`` and the rows of a report's ``modes`` are lifted here.
+        ``m`` and ``p`` are lifted here; a quality report writes its
+        owner rows through ``_embed`` itself.
         """
         sizes = tuple(x.shape[1] for x in parts)
         out = np.empty((self.n, sum(sizes)), dtype=np.result_type(*parts))

@@ -71,10 +71,16 @@ and ``E U = U E_h`` with ``A_h = U^T A U``: for ``w = U w_h``, ``|A w|``,
 in its own coordinates, on half as many rows.  Only the rounding
 differs from scoring the lifted vectors with the whole A: each score
 lies within a few times its rounding floor of that one.  The
-zero-floor bracket is still taken on the whole A, and only the rows of
-``modes`` are lifted to the state space, by the lift that assembles
-``CompressedSystem.m``.  A system without a mirror is
-the one-half case: U is the identity and ``A_h`` is A itself.
+zero-floor bracket is still taken on the whole A.  A system without a
+mirror is the one-half case: U is the identity and ``A_h`` is A itself.
+
+Each mode vector is stored once.  A report lifts the ``w`` of each
+scored column, one per conjugate pair and per real mode of a real
+system, to the state space by the slicing that assembles
+``CompressedSystem.m`` (``constrained._embed``), straight into its row
+of ``QualityReport.owners``.  ``QualityReport.modes``, one row per
+mode with each twin's row conjugated, is gathered from them on its
+first read; ``reduction`` reads the owners and never builds it.
 
 Scoring is a few matrix products.  ``eigenpairs`` hands over each
 block's eigenvectors in the block's coordinates, and per half
@@ -91,6 +97,7 @@ is a one-pair call of the same angle kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,7 +105,9 @@ from .constrained import (
     DEFAULT_NULL_TOL,
     CompressedSystem,
     ConstrainedSystem,
+    _embed,
     _HalfSystem,
+    _slices,
     compress,
 )
 from .errors import IllConditionedMassError, UndefinedSubspaceError
@@ -165,18 +174,20 @@ def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, list[tuple[np.ndarra
                 f"exceeds limit {DEFAULT_MASS_COND_LIMIT:.1e}"
             )
         drifts = [np.linalg.solve(mass, drift) for mass, drift in zip(masses, drifts)]
-    solved = [np.linalg.eig(drift) for drift in drifts]
+    lams, vecs = zip(*(np.linalg.eig(drift) for drift in drifts))
     # numpy returns real arrays when the whole spectrum is real
-    lams = np.concatenate([lam for lam, _ in solved]).astype(complex, copy=False)
+    lams = np.concatenate(lams).astype(complex, copy=False)
     below = lams.imag < 0
     # a pair's second half takes the position of its first
     real = all(np.isrealobj(drift) for drift in drifts)
     lead = np.arange(lams.size) - below if real else np.zeros(lams.size)
     order = np.lexsort((below, lead, np.abs(lams.imag), lams.real))
-    blocks = []
-    for part, (_, vec) in zip(comp.slices, solved):
+    vecs, blocks = list(vecs), []
+    for i, part in enumerate(comp.slices):
         at = np.flatnonzero((order >= part.start) & (order < part.stop))
-        blocks.append((at, vec[:, order[at] - part.start].astype(complex, copy=False)))
+        blocks.append((at, vecs[i][:, order[at] - part.start].astype(complex, copy=False)))
+        # the unsorted block goes as soon as its sorted copy exists
+        vecs[i] = None
     return lams[order], blocks
 
 
@@ -347,18 +358,35 @@ class QualityReport:
     """Scored modes sorted best-first by angle score, as arrays, plus run metadata.
 
     Entry i of each array belongs to mode i of the report order:
-    ``lambdas`` (m,) complex128 eigenvalues, ``modes`` (m, N) whose row
-    i is the lifted eigenvector ``w = M v`` of mode i, ``s_norm`` (m,)
-    derivative scores, ``theta`` (m,)
-    angle scores and ``zero_mode`` (m,) bool flags.
+    ``lambdas`` (m,) complex128 eigenvalues, ``s_norm`` (m,) derivative
+    scores, ``theta`` (m,) angle scores and ``zero_mode`` (m,) bool
+    flags.  Each lifted eigenvector ``w = M v`` is stored once: row j of
+    ``owners`` (o, N) complex128 is the ``w`` of one scored column, one
+    per conjugate pair and per real mode of a real system, one per mode
+    of a complex one.  ``rows`` (m,) int holds the owner row of mode i.
+    Only the two modes of a conjugate pair share a row, side by side:
+    the second (the twin) has its owner's ``w`` conjugated.  ``modes``
+    (m, N), whose row i is the ``w`` of mode i, is built from them on
+    its first read and kept, read-only.
     """
 
     lambdas: np.ndarray
-    modes: np.ndarray
+    owners: np.ndarray
+    rows: np.ndarray
     s_norm: np.ndarray
     theta: np.ndarray
     zero_mode: np.ndarray
     meta: dict
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        # one gather, then the twins conjugated in place: a masked copy
+        # would raise the peak memory
+        modes = self.owners[self.rows]
+        twin = np.r_[False, self.rows[1:] == self.rows[:-1]]
+        np.negative(modes.imag, out=modes.imag, where=twin[:, None])
+        modes.flags.writeable = False
+        return modes
 
 
 def quality_report(
@@ -381,12 +409,15 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> 
     """The ``quality_report`` of one compressed system, whatever produced it.
 
     Each half is scored in its own coordinates (``_score_modes``), and
-    only the report's ``modes`` rows are lifted to the state space.  A
+    its block of eigenvectors is dropped as soon as it is scored.  A
     system is real when A, C and E are.  Then an eigenvector that is
     the exact conjugate of the one before it (a twin) spans the same
     real plane: it takes its owner's scores through one index map, so
-    ``W_h = M_h V_h`` and everything after it see one column per pair,
-    and its row of ``modes`` is its owner's ``w`` conjugated in place.
+    ``W_h = M_h V_h`` and everything after it see one column per pair.
+    Each scored column's ``w`` is lifted to the state space once,
+    straight into its row of ``owners`` through a transposed view of the
+    rows (``constrained._embed``); a twin's entry of ``rows`` points at
+    its owner's row, and ``QualityReport.modes`` conjugates it there.
     ``eigenpairs`` hands every pair over side by side, so each complex
     mode is an owner or a twin, and a twin ties with its owner on every
     sort key: the stable sort keeps it right after its owner, which is
@@ -401,27 +432,27 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> 
     columns = _norms(sys.a)
     ends = columns.max() * (1 - 1e-10), _norms(columns[:, None])[0] * (1 + 1e-10)
     twin = np.zeros(lams.size, dtype=bool)
-    owners, scored = [], []
-    for half, (at, vecs) in zip(comp.halves, blocks):
-        mine = np.zeros(at.size, dtype=bool)
+    scored = []
+    for half in comp.halves:
+        at, vecs = blocks.pop(0)
         if real:
             # a twin is the exact conjugate of the mode right before it in lams
-            mine[1:] = (np.diff(at) == 1) & np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
-        twin[at] = mine
-        owners.append(at[~mine])
-        scored.append(_score_modes(sys, half, vecs.compress(~mine, axis=1), ends))
-    # owner scores half after half; own[i] is the slot of mode i's owner
+            twin[at[1:]] = (np.diff(at) == 1) & np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
+        mine = ~twin[at]
+        scored.append((at[mine], *_score_modes(sys, half, vecs.compress(mine, axis=1), ends)))
+        del vecs
+    at, ws, s_norm, theta, zero = zip(*scored)
+    sizes = tuple(map(len, at))
+    # owner rows half after half; own[i] is the row of mode i's owner
     slot = np.empty(lams.size, dtype=int)
-    slot[np.concatenate(owners)] = np.arange(lams.size - np.count_nonzero(twin))
+    slot[np.concatenate(at)] = np.arange(sum(sizes))
     own = slot[np.maximum.accumulate(np.where(twin, 0, np.arange(lams.size)))]
-    ws, s_norm, theta, zero = zip(*scored)
     s_norm, theta, zero = (np.concatenate(x) for x in (s_norm, theta, zero))
+    owners = np.empty((sum(sizes), comp.n), dtype=complex)
+    for half, w, cols in zip(comp.halves, ws, _slices(sizes)):
+        _embed(half.basis, w, owners[cols].T)
     order = np.lexsort((np.abs(lams.real), np.abs(lams.imag), theta[own]))
     rows = own[order]
-    # each owner's w lifted once, then one sorted copy with the twins
-    # conjugated in place: a masked copy would raise the peak memory
-    modes = comp._lift(ws).T[rows]
-    np.negative(modes.imag, out=modes.imag, where=twin[order][:, None])
 
     labels = dict(sys.labels or {})
     meta = {
@@ -434,7 +465,8 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> 
     }
     return QualityReport(
         lambdas=lams[order],
-        modes=modes,
+        owners=owners,
+        rows=rows,
         s_norm=s_norm[rows],
         theta=theta[rows],
         zero_mode=zero[rows],

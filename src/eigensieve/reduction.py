@@ -185,8 +185,13 @@ def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndar
     if cached is not None:
         return cached
     lams = report.lambdas.copy()
-    # C-ordered columns: GEMM rounds a transposed operand differently
-    shapes = np.ascontiguousarray(report.modes.T)
+    # the C-ordered columns of modes.T (GEMM rounds a transposed operand
+    # differently), gathered without building modes; a twin shares its
+    # owner's row, right after it, and a product with -1 conjugates it
+    # exactly, faster than a negation masked column by column
+    rows = report.rows
+    shapes = np.take(report.owners.T, rows, axis=1)
+    shapes.imag[:, 1:] *= np.where(rows[1:] == rows[:-1], -1.0, 1.0)
     own = np.arange(lams.size)
     # second[i]: mode i is the second half of a pair; second[m] stays False
     second = np.zeros(lams.size + 1, dtype=bool)
@@ -248,7 +253,7 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
         r = operator.index(r)
     except TypeError:
         raise TypeError(f"retained count must be an integer, got r={r!r}") from None
-    nmodes = len(report.modes)
+    nmodes = report.lambdas.size
     if not 1 <= r <= nmodes:
         raise ValueError(f"retained count must be in 1..{nmodes}, got r={r}")
     sizes, full, bound = _retention(report)

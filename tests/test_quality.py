@@ -536,23 +536,14 @@ def _mirror_matrix(n, signs):
     return np.kron(np.diag(signs), np.eye(n // len(signs))[::-1])
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    size=st.integers(2, 6),
-    signs=st.sampled_from([None, (1,), (-1,), (1, 1), (1, -1)]),
-    q=st.integers(1, 3),
-    k=st.integers(1, 3),
-    complex_entries=st.booleans(),
-    mass=st.booleans(),
-)
-def test_derivative_score_is_the_defect_of_an_independent_basis(
-    seed, size, signs, q, k, complex_entries, mass
-):
-    # random real and complex systems, with and without a mass operator
-    # and a mirror: s_norm is |(I - Q Q*) A w| for Q an orthonormal basis
-    # of E M_k from its own QR, within S_NORM_FLOOR eps |A|_2 |w|, and never
-    # above |A|_2 |w|
+def _random_symmetric_system(seed, size, signs, q, complex_entries, mass):
+    """``(a, c, e)`` of a random system that commutes with the mirror ``signs``.
+
+    Each field has ``size`` points, two fields without a mirror
+    (``signs`` None).  E, when ``mass`` is set, is I plus a symmetric
+    perturbation of norm 0.1; with a mirror, C's rows are of one parity
+    each, then mixed.
+    """
     rng = np.random.default_rng(seed)
     n = size * (2 if signs is None else len(signs))
 
@@ -572,12 +563,33 @@ def test_derivative_score_is_the_defect_of_an_independent_basis(
         e = np.eye(n) + 0.1 * g / np.linalg.norm(g, 2)
     c = draw(min(q, n - 1), n)
     if signs is not None:
-        # rows of one parity each, then mixed
         parity = np.where(rng.integers(0, 2, size=c.shape[0]), -1, 1)[:, None]
         c = draw(c.shape[0], c.shape[0]) @ (c + parity * (c @ mirror)) / 2
+    return a, c, e
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 6),
+    signs=st.sampled_from([None, (1,), (-1,), (1, 1), (1, -1)]),
+    q=st.integers(1, 3),
+    k=st.integers(1, 3),
+    complex_entries=st.booleans(),
+    mass=st.booleans(),
+)
+def test_derivative_score_is_the_defect_of_an_independent_basis(
+    seed, size, signs, q, k, complex_entries, mass
+):
+    # random real and complex systems, with and without a mass operator
+    # and a mirror: s_norm is |(I - Q Q*) A w| for Q an orthonormal basis
+    # of E M_k from its own QR, within S_NORM_FLOOR eps |A|_2 |w|, and never
+    # above |A|_2 |w|
+    a, c, e = _random_symmetric_system(seed, size, signs, q, complex_entries, mass)
     try:
         sys = ConstrainedSystem(a=a, c=c, e=e, mirror=signs)
         comp = compress(sys, k)
+        lams, blocks = eigenpairs(comp)
         report = quality_report(sys, k)
     except (EigensieveError, ValueError):
         return
@@ -586,6 +598,41 @@ def test_derivative_score_is_the_defect_of_an_independent_basis(
     defect = _defect(_feasible_image(sys, comp), aw)
     assert np.all(np.abs(report.s_norm - defect) <= S_NORM_FLOOR * EPS * bounds)
     assert np.all(report.s_norm <= (1 + 1e-12) * bounds)
+
+    # each w is stored once, as an owner row: the w of one eigenvector
+    # of each conjugate pair (the one with Im lam > 0) and of each real
+    # mode of a real system, of every mode of a complex one.  modes is
+    # bit for bit those owners lifted by CompressedSystem._lift and
+    # gathered by rows, with the second mode of each pair (its twin,
+    # the only mode that shares its owner's row, right after it)
+    # conjugated, and it is built once, read-only
+    lams_of, ws = [], []
+    for half, (at, vecs) in zip(comp.halves, blocks):
+        pairs = np.zeros(at.size, dtype=bool)
+        if not complex_entries:
+            pairs[1:] = (np.diff(at) == 1) & np.all(vecs[:, 1:] == vecs[:, :-1].conj(), axis=0)
+        lams_of.append(lams[at[~pairs]])
+        ws.append(quality._times(half.m, vecs[:, ~pairs]))
+    lifted = comp._lift(ws).T
+    lams_of = np.concatenate(lams_of)
+    rows = report.rows
+    twin = np.r_[False, rows[1:] == rows[:-1]]
+    assert np.array_equal(np.unique(rows), np.arange(len(lifted)))
+    assert np.count_nonzero(twin) == rows.size - len(lifted)
+    assert report.owners.shape == lifted.shape and report.owners.flags.c_contiguous
+    assert report.owners.tobytes() == lifted.tobytes()
+    expected = lifted[rows]
+    expected.imag[twin] *= -1
+    assert report.modes is report.modes and not report.modes.flags.writeable
+    assert report.modes.shape == expected.shape and report.modes.flags.c_contiguous
+    assert report.modes.tobytes() == expected.tobytes()
+    assert np.all(report.lambdas[~twin] == lams_of[rows[~twin]])
+    assert np.all(report.lambdas[twin] == lams_of[rows[twin]].conj())
+    assert np.all(report.lambdas.imag[twin] < 0)
+    if complex_entries:
+        assert not twin.any()
+    else:
+        assert np.count_nonzero(twin) == np.count_nonzero(report.lambdas.imag < 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -610,26 +657,7 @@ def test_mirrored_scores_match_the_unmirrored_operators(
     # one-dimensional half scores an exact 0 and the whole-space kernel
     # rounds by up to 5.2 eps.  Over 15000 random systems the largest
     # gaps were 2.56 f, 1.96 eps |A|_2 |w| and 1.5 eps |w|.
-    rng = np.random.default_rng(seed)
-    n = size * len(signs)
-
-    def draw(*shape):
-        x = rng.standard_normal(shape)
-        return x + 1j * rng.standard_normal(shape) if complex_entries else x
-
-    mirror = _mirror_matrix(n, signs)
-
-    def symmetric(b):
-        return (b + mirror @ b @ mirror) / 2
-
-    a = symmetric(draw(n, n))
-    e = None
-    if mass:
-        g = symmetric(draw(n, n))
-        e = np.eye(n) + 0.1 * g / np.linalg.norm(g, 2)
-    c = draw(min(q, n - 1), n)
-    parity = np.where(rng.integers(0, 2, size=c.shape[0]), -1, 1)[:, None]
-    c = draw(c.shape[0], c.shape[0]) @ (c + parity * (c @ mirror)) / 2
+    a, c, e = _random_symmetric_system(seed, size, signs, q, complex_entries, mass)
     try:
         sys = ConstrainedSystem(a=a, c=c, e=e, mirror=signs)
         comp = compress(sys, k)

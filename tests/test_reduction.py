@@ -46,10 +46,12 @@ def canuto_report():
 
 def _hand_report(lams, lifted, real_system=True):
     # mode i has eigenvalue lams[i], lifted vector lifted[:, i] and theta i
+    # and is its own owner: no mode is a twin
     lams = np.asarray(lams, dtype=complex)
     return QualityReport(
         lambdas=lams,
-        modes=np.asarray(lifted, dtype=complex).T,
+        owners=np.asarray(lifted, dtype=complex).T.copy(),
+        rows=np.arange(lams.size),
         s_norm=np.zeros(lams.size),
         theta=np.arange(lams.size, dtype=float),
         zero_mode=np.zeros(lams.size, dtype=bool),
@@ -192,6 +194,25 @@ class TestRetentionCache:
             assert cli.main(["analyze", "--problem", "acoustic", "--n", "32"]) == 0
             assert cli.main(["sweep-k", "--problem", "canuto", "--n", "8", "--k-max", "3"]) == 0
         assert calls == []
+
+    def test_truncation_and_the_cli_never_build_modes(self, monkeypatch):
+        # the lifted mode vectors are gathered from the report's owners:
+        # QualityReport.modes is built only for a caller that reads it
+        def unread(report):
+            raise AssertionError("QualityReport.modes was read")
+
+        monkeypatch.setattr(QualityReport, "modes", property(unread))
+        report = quality_report(acoustic_wave(32))
+        for r in (1, 7, 20, 62):
+            truncate(report, r)
+        assert len(reduction_sweep(32, "bump", (12, 2, 62, 5), t_end=0.5)) == 4
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["analyze", "--problem", "acoustic", "--n", "32"]) == 0
+            grid = ["sweep-k", "--problem", "canuto", "--n", "8", "--k-max", "3", "--grid"]
+            assert cli.main(grid) == 0
+            assert cli.main(["reduce", "--n", "16", "--ic", "bump", "--r-list", "3,30"]) == 0
+        with pytest.raises(AssertionError, match="modes was read"):
+            report.modes
 
     def test_models_share_read_only_arrays(self):
         report = quality_report(canuto_hyperbolic(16))
@@ -775,7 +796,7 @@ class TestReductionSweep:
         assert np.array_equal(report.lambdas[pairs + 1], np.conj(report.lambdas[pairs]))
         modes = report.modes.copy()
         modes[late : late + 2] = modes[first : first + 2]
-        broken = dataclasses.replace(report, modes=modes)
+        broken = dataclasses.replace(report, owners=modes, rows=np.arange(len(modes)))
         monkeypatch.setattr(reduction, "quality_report", lambda *args, **kwargs: broken)
         with pytest.raises(RankDeficientBasisError) as info:
             truncate(broken, 40)
