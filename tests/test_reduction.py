@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import gc
 import io
+import re
 import weakref
 
 import numpy as np
@@ -642,6 +643,18 @@ class TestSimulateRk4:
         with pytest.raises(ValueError):
             simulate_rk4(np.eye(2), np.ones(2), 1.0, -0.1)
 
+    @pytest.mark.parametrize("a, x0", [
+        (np.ones((2, 3)), np.ones(3)),
+        (np.ones(2), np.ones(2)),
+        (np.eye(2), np.ones(3)),
+        (np.eye(2), np.ones((2, 1))),
+        (np.eye(2), np.float64(1.0)),
+    ], ids=["non-square", "vector-drift", "wrong-length", "column-state", "scalar-state"])
+    def test_shapes_are_checked_before_anything_is_formed(self, a, x0):
+        message = f"got a of shape {np.shape(a)} and x0 of shape {np.shape(x0)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_rk4(a, x0, 1.0, 0.1)
+
     @pytest.mark.parametrize("t_end, dt", [
         (np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (1.0, np.nan), (-np.inf, 0.1),
     ])
@@ -694,6 +707,69 @@ class TestSimulateRk4:
             expected.extend(np.array(expected[start - 32 : min(start, 101 - 32)]) @ prop.T)
         assert np.array_equal(result.states, np.array(expected))
 
+    def test_each_block_matches_the_block_alone(self):
+        # the mirrored drift of acoustic n=64 is two uncoupled 63-state
+        # halves; each runs the whole scheme on its own columns
+        sys = acoustic_wave(64)
+        comp = compress(sys, 1)
+        x0 = comp.m_left @ np.concatenate([bump_ic(sys.labels["grid"]), np.zeros(64)])
+        dt = 2.5 / np.abs(np.linalg.eigvals(comp.a_k)).max()
+        blocks = reduction._blocks(comp.a_k)
+        assert blocks == [slice(0, 63), slice(63, 126)]
+        states = simulate_rk4(comp.a_k, x0, 1.0, dt).states
+        for cols in blocks:
+            alone = simulate_rk4(comp.a_k[cols, cols], x0[cols], 1.0, dt).states
+            # bit for bit with OpenBLAS, whose products pack their operands
+            assert np.abs(states[:, cols] - alone).max() <= 1e-15 * np.abs(alone).max()
+
+    def test_divergence_in_a_later_diagonal_block_fires_at_the_four_stage_loop_time(self):
+        # a damped block and one that grows past 1e6 at step 48, inside
+        # the second step block, where the whole state crosses the limit
+        rng = np.random.default_rng(0)
+        skew = rng.standard_normal((40, 40))
+        skew = 0.05 * (skew - skew.T)
+        a = np.zeros((80, 80))
+        a[:40, :40] = skew - 0.5 * np.eye(40)
+        a[40:, 40:] = skew + 0.3 * np.eye(40)
+        assert reduction._blocks(a) == [slice(0, 40), slice(40, 80)]
+        x0 = np.ones(80)
+        with pytest.raises(DivergenceError) as expected:
+            _four_stage_rk4(a, x0, 100.0, 1.0)
+        with pytest.raises(DivergenceError, match="unstable") as got:
+            simulate_rk4(a, x0, 100.0, 1.0)
+        assert str(got.value).startswith(str(expected.value))
+        assert "at t=48;" in str(got.value)
+
+    def test_one_coupling_entry_keeps_one_block(self):
+        # without a[0, -1] the diagonal would split in two blocks of 32;
+        # with it the states are those of the dense propagator, bit for bit
+        a = np.diag(np.linspace(-2.0, -1.0, 64))
+        a[0, -1] = 0.5
+        assert reduction._blocks(a) == [slice(0, 64)]
+        x0 = np.linspace(1.0, 2.0, 64)
+        result = simulate_rk4(a, x0, 1.0, 0.01)
+        ha = 0.01 * a
+        prop = ha / 4.0
+        for divisor in (3.0, 2.0, 1.0):
+            prop = ha @ (prop + np.eye(64)) / divisor
+        prop += np.eye(64)
+        expected = [x0]
+        for _ in range(32):
+            expected.append(prop @ expected[-1])
+        for _ in range(5):
+            prop = prop @ prop
+        for start in range(33, 101, 32):
+            expected.extend(np.array(expected[start - 32 : min(start, 101 - 32)]) @ prop.T)
+        assert np.array_equal(result.states, np.array(expected))
+
+    @pytest.mark.parametrize("diagonal", [np.arange(1.0, 101.0), np.zeros(100)], ids=["distinct", "zero"])
+    def test_diagonal_drift_splits_into_blocks_of_at_least_block_states(self, diagonal):
+        blocks = reduction._blocks(np.diag(diagonal))
+        assert len(blocks) > 1
+        assert blocks[0].start == 0 and blocks[-1].stop == 100
+        assert all(lo.stop == hi.start for lo, hi in zip(blocks, blocks[1:]))
+        assert all(cols.stop - cols.start >= reduction._BLOCK for cols in blocks)
+
     def test_agrees_with_exact_modal_evolution(self):
         sys = acoustic_wave(32)
         report = quality_report(sys)
@@ -731,6 +807,38 @@ class TestRelativeL2Error:
         fields[side][2] = bad
         with pytest.raises(ValueError, match="fields must be finite"):
             relative_l2_error(fields["approx"], fields["reference"], w)
+
+
+    @pytest.mark.parametrize("approx, reference, weights", [
+        (np.ones(4), 2 * np.ones(4), np.ones(1)),
+        (np.ones(4), 2 * np.ones(1), np.ones(4)),
+        (np.ones(4), 2 * np.ones((3, 4)), np.ones(4)),
+        (np.ones((4, 3)), 2 * np.ones(4), np.ones(4)),
+    ], ids=["short-weights", "short-reference", "stacked-reference", "wrong-last-axis"])
+    def test_mismatched_shapes_raise_instead_of_broadcasting(self, approx, reference, weights):
+        with pytest.raises(ValueError, match="last axis of approx"):
+            relative_l2_error(approx, reference, weights)
+
+    def test_stacked_fields_give_one_error_each(self):
+        # the rows differ from the reference by 0, 1/2 and 2 of it
+        reference, w = 2 * np.ones(4), clenshaw_curtis(4)
+        errors = relative_l2_error(np.array([[2.0] * 4, [1.0] * 4, [6.0] * 4]), reference, w)
+        assert errors.shape == (3,)
+        np.testing.assert_allclose(errors, [0.0, 0.5, 2.0], rtol=1e-15)
+        assert isinstance(relative_l2_error(np.ones(4), reference, w), float)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_call_equals_the_per_row_calls_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(5)
+        n = 129
+        fields = rng.standard_normal((64, 2 * n)).astype(dtype)
+        if dtype is complex:
+            fields.imag = rng.standard_normal((64, 2 * n))
+        reference, w = rng.standard_normal(n), clenshaw_curtis(n)
+        # a strided view, as reduction_sweep passes its pressures
+        stacked = relative_l2_error(fields[:, :n], reference, w)
+        rows = [relative_l2_error(row, reference, w) for row in fields[:, :n]]
+        assert stacked.tolist() == rows
 
 
 class TestReductionSweep:
