@@ -642,18 +642,18 @@ class TestSimulateRk4:
             simulate_rk4(np.eye(2), np.ones(2), 0.0, 0.1)
         with pytest.raises(ValueError):
             simulate_rk4(np.eye(2), np.ones(2), 1.0, -0.1)
-
-    @pytest.mark.parametrize("a, x0", [
-        (np.ones((2, 3)), np.ones(3)),
-        (np.ones(2), np.ones(2)),
-        (np.eye(2), np.ones(3)),
-        (np.eye(2), np.ones((2, 1))),
-        (np.eye(2), np.float64(1.0)),
-    ], ids=["non-square", "vector-drift", "wrong-length", "column-state", "scalar-state"])
-    def test_shapes_are_checked_before_anything_is_formed(self, a, x0):
-        message = f"got a of shape {np.shape(a)} and x0 of shape {np.shape(x0)}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            simulate_rk4(a, x0, 1.0, 0.1)
+        # a non-square drift, a vector drift, an initial state of the
+        # wrong length, a column and a scalar: named before anything is formed
+        for a, x0 in [
+            (np.ones((2, 3)), np.ones(3)),
+            (np.ones(2), np.ones(2)),
+            (np.eye(2), np.ones(3)),
+            (np.eye(2), np.ones((2, 1))),
+            (np.eye(2), np.float64(1.0)),
+        ]:
+            message = f"got a of shape {np.shape(a)} and x0 of shape {np.shape(x0)}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                simulate_rk4(a, x0, 1.0, 0.1)
 
     @pytest.mark.parametrize("t_end, dt", [
         (np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (1.0, np.nan), (-np.inf, 0.1),
@@ -740,11 +740,13 @@ class TestSimulateRk4:
         assert str(got.value).startswith(str(expected.value))
         assert "at t=48;" in str(got.value)
 
-    def test_one_coupling_entry_keeps_one_block(self):
-        # without a[0, -1] the diagonal would split in two blocks of 32;
-        # with it the states are those of the dense propagator, bit for bit
+    @pytest.mark.parametrize("corner", [(0, -1), (-1, 0)], ids=["upper", "lower"])
+    def test_one_coupling_entry_keeps_one_block(self, corner):
+        # without the corner entry the diagonal would split in two blocks
+        # of 32; with it the states are those of the dense propagator,
+        # bit for bit
         a = np.diag(np.linspace(-2.0, -1.0, 64))
-        a[0, -1] = 0.5
+        a[corner] = 0.5
         assert reduction._blocks(a) == [slice(0, 64)]
         x0 = np.linspace(1.0, 2.0, 64)
         result = simulate_rk4(a, x0, 1.0, 0.01)
