@@ -48,10 +48,11 @@ def cheb_diff(n: int) -> np.ndarray:
     Off-diagonal entries follow the barycentric form
     ``(c_i / c_j) (-1)^(i+j) / (x_i - x_j)`` with endpoint weights
     ``c = (2, 1, ..., 1, 2)``.  Node differences are formed through the
-    half-angle identity, with the lower half mirrored from the upper
-    half so they stay accurate near the boundary; the diagonal is the
-    negated off-diagonal row sum, which makes the matrix exact on
-    constants by construction.
+    half-angle identity on the upper ceil(n/2) rows only, and the lower
+    rows are their negated mirror, so they stay accurate near the
+    boundary and take half the sines; the diagonal is the negated
+    off-diagonal row sum, which makes the matrix exact on constants by
+    construction.
     """
     _check_size(n)
     cs = np.ones(n)
@@ -60,10 +61,10 @@ def cheb_diff(n: int) -> np.ndarray:
 
     # dx[i, j] = x_i - x_j = 2 sin((t_i + t_j)/2) sin((t_j - t_i)/2), t = j pi/(n-1)
     half_th = (np.pi / (2 * (n - 1))) * np.arange(n)
-    dx = 2.0 * np.sin(half_th[:, None] + half_th[None, :]) * np.sin(
-        half_th[None, :] - half_th[:, None]
-    )
-    dx[n // 2 :, :] = -dx[: (n + 1) // 2, :][::-1, ::-1]
+    top = half_th[: (n + 1) // 2, None]
+    dx = np.empty((n, n))
+    dx[: top.size] = 2.0 * np.sin(top + half_th) * np.sin(half_th - top)
+    dx[n // 2 :] = -dx[: top.size][::-1, ::-1]
     np.fill_diagonal(dx, 1.0)
 
     d = np.outer(cs, 1.0 / cs) / dx

@@ -227,6 +227,9 @@ def _write_output(args: argparse.Namespace, header: list[str], rows: list[dict])
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the builder would raise on a grid below its minimum, but that is a usage error
+    if args.n is not None and args.n < (least := problems.REGISTRY[args.problem].min_n):
+        parser.error(f"--n must be at least {least} for {args.problem}, got {args.n}")
     # C is two unit rows, so at k = 1 an acoustic report has 2n - 2 modes
     if args.command == "reduce" and max(args.r_list) > 2 * args.n - 2:
         parser.error(f"retained counts must be at most 2n - 2 = {2 * args.n - 2}, the mode count")

@@ -57,8 +57,7 @@ def heat_dirichlet(n: int) -> ConstrainedSystem:
     ``-(m pi / 2)^2``.  The system is symmetric under x -> -x on the
     symmetric grid, so it declares ``mirror=(1,)``.
     """
-    if n < 4:
-        raise ValueError(f"need at least 4 grid points, got n={n}")
+    _check_points("heat", n)
     a = diff_power(cheb_diff(n), 2)
     c = np.zeros((2, n))
     c[0, 0] = 1.0
@@ -85,8 +84,7 @@ def canuto_hyperbolic(n: int) -> ConstrainedSystem:
     flips the sign of a diagonal block whatever the signs), so the
     system declares no mirror.
     """
-    if n < 4:
-        raise ValueError(f"need at least 4 grid points per field, got n={n}")
+    _check_points("canuto", n)
     d = cheb_diff(n)
     a = -np.kron(np.array([[0.5, 1.0], [1.0, 0.5]]), d)
     c = np.zeros((2, 2 * n))
@@ -118,8 +116,7 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
     A pair of parameters for which one of these coefficients overflows
     is rejected with ``ValueError``.
     """
-    if n < 10:
-        raise ValueError(f"need at least 10 grid points, got n={n}")
+    _check_points("orr-sommerfeld", n)
     if alpha <= 0 or reynolds <= 0:
         raise ValueError("alpha and reynolds must be positive")
     # alpha**k of a Python float raises OverflowError instead of giving inf
@@ -166,8 +163,7 @@ def acoustic_wave(n: int) -> ConstrainedSystem:
     even fields to odd ones, so the system declares ``mirror=(1, -1)``:
     p even with u odd is one half, p odd with u even the other.
     """
-    if n < 4:
-        raise ValueError(f"need at least 4 grid points per field, got n={n}")
+    _check_points("acoustic", n)
     d = cheb_diff(n)
     zero = np.zeros((n, n))
     a = np.block([[zero, d], [d, zero]])
@@ -301,12 +297,15 @@ class BenchmarkProblem:
     ``reference_cover(radius)`` returns every analytic eigenvalue out to
     at least the given modulus, with margin, so nearest-reference
     matching always has candidates beyond the computed spectrum.
+    ``min_n`` is the fewest grid points the builder accepts: the one
+    statement of it, read by the builder and by the command line.
     """
 
     name: str
     build: Callable[..., ConstrainedSystem]
     params: tuple[str, ...]
     reference_cover: Callable[[float], np.ndarray] | None = None
+    min_n: int = 4
 
 
 def _heat_cover(radius: float) -> np.ndarray:
@@ -325,10 +324,17 @@ REGISTRY: dict[str, BenchmarkProblem] = {
     "heat": BenchmarkProblem("heat", heat_dirichlet, ("n",), _heat_cover),
     "canuto": BenchmarkProblem("canuto", canuto_hyperbolic, ("n",), _canuto_cover),
     "orr-sommerfeld": BenchmarkProblem(
-        "orr-sommerfeld", orr_sommerfeld, ("n", "alpha", "reynolds"), None
+        "orr-sommerfeld", orr_sommerfeld, ("n", "alpha", "reynolds"), None, min_n=10
     ),
     "acoustic": BenchmarkProblem("acoustic", acoustic_wave, ("n",), _acoustic_cover),
 }
+
+
+def _check_points(name: str, n: int) -> None:
+    """Reject a grid of fewer points than the registered problem's ``min_n``."""
+    least = REGISTRY[name].min_n
+    if n < least:
+        raise ValueError(f"{name} needs at least {least} grid points, got n={n}")
 
 
 def get_problem(name: str) -> BenchmarkProblem:

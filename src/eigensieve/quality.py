@@ -47,10 +47,13 @@ count change how products round, so they move scores within their
 floors and can reorder modes whose angles lie within each other's
 floors; see the README.
 
-Scoring does no work twice.  For a real system, an eigenvector that is
-the exact conjugate of its neighbour spans the same real plane, so it
-takes the neighbour's conjugated ``w`` and its scores without a
-product or an SVD of its own.  The spectral norm ``|A|_2`` of the
+Scoring does no work twice.  For a real system, the eigen solve hands
+each conjugate pair over side by side as exact conjugates, the
+positive imaginary part first, so the mode with Im lam < 0 (the twin)
+spans the same real plane as the one before it: it takes that mode's
+conjugated ``w`` and its scores without a product or an SVD of its
+own.  The pairing is read off that layout once, and no vector is
+compared to decide it.  The spectral norm ``|A|_2`` of the
 zero-floor test is bracketed by two numbers taken once per report: the
 largest column norm and the norm of the column norms (the Frobenius
 norm), both overflow-safe, so a drift with entries past 1e154 still
@@ -81,6 +84,8 @@ system, to the state space by the slicing that assembles
 of ``QualityReport.owners``.  ``QualityReport.modes``, one row per
 mode with each twin's row conjugated, is gathered from them on its
 first read; ``reduction`` reads the owners and never builds it.
+``QualityReport.rows`` is the one record of the pairing: a twin
+repeats its owner's row, and ``reduction`` reads its pairs from there.
 
 Scoring is a few matrix products.  ``eigenpairs`` hands over each
 block's eigenvectors in the block's coordinates, and per half
@@ -363,11 +368,14 @@ class QualityReport:
     flags.  Each lifted eigenvector ``w = M v`` is stored once: row j of
     ``owners`` (o, N) complex128 is the ``w`` of one scored column, one
     per conjugate pair and per real mode of a real system, one per mode
-    of a complex one.  ``rows`` (m,) int holds the owner row of mode i.
-    Only the two modes of a conjugate pair share a row, side by side:
-    the second (the twin) has its owner's ``w`` conjugated.  ``modes``
-    (m, N), whose row i is the ``w`` of mode i, is built from them on
-    its first read and kept, read-only.
+    of a complex one.  ``rows`` (m,) int holds the owner row of mode i
+    and is the one record of conjugate pairing.  Only the two modes of
+    a conjugate pair share a row, side by side: the second (the twin)
+    has its owner's ``w`` conjugated and, in a report that
+    ``quality_report`` builds, Im lam < 0.  A hand-built report of a
+    real system must mark each pair so, or ``reduction.truncate``
+    rejects it.  ``modes`` (m, N), whose row i is the ``w`` of mode i,
+    is built from them on its first read and kept, read-only.
     """
 
     lambdas: np.ndarray
@@ -410,9 +418,11 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> 
 
     Each half is scored in its own coordinates (``_score_modes``), and
     its block of eigenvectors is dropped as soon as it is scored.  A
-    system is real when A, C and E are.  Then an eigenvector that is
-    the exact conjugate of the one before it (a twin) spans the same
-    real plane: it takes its owner's scores through one index map, so
+    system is real when A, C and E are.  Then ``eigenpairs`` hands each
+    conjugate pair over side by side in one block, Im > 0 first, with
+    exact conjugate eigenvectors, so a mode with Im lam < 0 (a twin)
+    spans the same real plane as the mode before it, read from the
+    layout alone: it takes its owner's scores through one index map, so
     ``W_h = M_h V_h`` and everything after it see one column per pair.
     Each scored column's ``w`` is lifted to the state space once,
     straight into its row of ``owners`` through a transposed view of the
@@ -431,13 +441,11 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> 
     real = all(np.isrealobj(op) for op in (sys.a, sys.c, sys.e) if op is not None)
     columns = _norms(sys.a)
     ends = columns.max() * (1 - 1e-10), _norms(columns[:, None])[0] * (1 + 1e-10)
-    twin = np.zeros(lams.size, dtype=bool)
+    # the second of each pair, right after its owner in lams and in its block
+    twin = real & (lams.imag < 0)
     scored = []
     for half in comp.halves:
         at, vecs = blocks.pop(0)
-        if real:
-            # a twin is the exact conjugate of the mode right before it in lams
-            twin[at[1:]] = (np.diff(at) == 1) & np.all(vecs[:, 1:] == np.conj(vecs[:, :-1]), axis=0)
         mine = ~twin[at]
         scored.append((at[mine], *_score_modes(sys, half, vecs.compress(mine, axis=1), ends)))
         del vecs

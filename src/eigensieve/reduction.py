@@ -3,11 +3,13 @@
 Reduced models keep the r best-scored modes of a quality report, close
 them under complex conjugation so real dynamics stay real, and evolve
 the retained modal coefficients exactly.  A real system's report holds
-each conjugate pair side by side (``quality.eigenpairs``), so closure
-takes at most the one mode after the cut.  Every model of a report is a
-leading block of one factorised basis, so a sweep over retained counts
-evolves all of its models in one pass: one projection, one prefix sum
-of the triangular inverse, one product (``_evolve``).  A real system is
+each conjugate pair side by side (``quality.eigenpairs``), the second
+mode marked by repeating its owner's entry of ``QualityReport.rows``,
+so closure reads the pairs from ``rows`` and takes at most the one
+mode after the cut.  Every model of a report is a leading block of
+one factorised basis, so a sweep over retained counts evolves all of
+its models in one pass: one projection, one prefix sum of the
+triangular inverse, one product (``_evolve``).  A real system is
 reduced in real arithmetic: each exact conjugate pair (w, conj(w)) is
 held as the real columns sqrt(2) [Re w, Im w] and evolved as a 2 x 2
 rotation-scaling block, so the factorisation, the projection and the
@@ -162,15 +164,20 @@ def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndar
     ``sizes[r - 1]`` for r retained modes.  Its arrays are read-only,
     since every model of the report shares them.
 
-    In a real system mode i is the second half of a pair when
-    Im lam_i < 0 and lam_i and w_i are the exact conjugates of
-    lam_(i-1) and w_(i-1), the same bits up to the sign of the
-    imaginary parts, as ``eigenpairs`` and scoring hand them over.
-    Every other mode must be the first half of a pair or have an
-    exactly real lam and w, or the report is malformed and raises
-    ``ValueError``.  A cut before a second half takes it in, so
-    ``sizes[r - 1]`` is r, or r + 1 when mode r is one.  The basis is
-    then real (see ``ReducedModel``).  A complex system pairs nothing:
+    The report records its pairs in ``rows``: mode i is the second
+    half of a pair (a twin) when ``rows[i] == rows[i - 1]``, and its w
+    is then its owner's conjugated, so no vector is compared.  In a
+    real system a twin must also have Im lam_i < 0 and lam_i the exact
+    conjugate of lam_(i-1), the same bits up to the sign of the
+    imaginary part, as ``quality._report`` hands them over.  Every
+    other mode must be the first half of a pair or have an exactly real
+    lam and w, or the report is malformed and raises ``ValueError``
+    naming the first such mode: a hand-built report of a real system
+    must mark each pair's second mode by repeating its owner's row, and
+    an exact conjugate pair that ``rows`` does not mark is no pair.  A
+    cut before a second half takes it in, so ``sizes[r - 1]`` is r, or
+    r + 1 when mode r is one.  The basis is then real (see
+    ``ReducedModel``).  A complex system pairs nothing:
     ``sizes[r - 1]`` is r and the basis is complex.
 
     Only the leading N columns are factorised: more modes than state
@@ -192,18 +199,15 @@ def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndar
     # owner's row, right after it, and a product with -1 conjugates it
     # exactly, faster than a negation masked column by column
     rows = report.rows
+    twin = rows[1:] == rows[:-1]
     shapes = np.take(report.owners.T, rows, axis=1)
-    shapes.imag[:, 1:] *= np.where(rows[1:] == rows[:-1], -1.0, 1.0)
+    shapes.imag[:, 1:] *= np.where(twin, -1.0, 1.0)
     own = np.arange(lams.size)
     # second[i]: mode i is the second half of a pair; second[m] stays False
     second = np.zeros(lams.size + 1, dtype=bool)
     basis, mates = shapes, None
     if report.meta.get("real_system", True):
-        second[1:-1] = (
-            (lams.imag[1:] < 0)
-            & (lams[1:] == lams[:-1].conj())
-            & np.all(shapes[:, 1:] == shapes[:, :-1].conj(), axis=0)
-        )
+        second[1:-1] = twin & (lams.imag[1:] < 0) & (lams[1:] == lams[:-1].conj())
         first = second[1:]
         real = (lams.imag == 0) & ~np.any(shapes.imag, axis=0)
         placed = second[:-1] | first | real
@@ -235,12 +239,13 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
 
     The report is already sorted best-first with zero modes leading, so
     selection is positional.  A real system's report holds each
-    conjugate pair side by side, so a cut between the two halves of a
-    pair takes in the second, and the size may exceed r by one.  The
-    model's column j is mode j of the report (see ``ReducedModel``):
-    its arrays are read-only views into arrays that the first
-    ``truncate`` of a report computes and every later one shares, so a
-    report must not change once it has been truncated.  Scores stay on
+    conjugate pair side by side, its second mode marked by repeating
+    its owner's entry of ``report.rows``, so a cut between the two
+    halves of a pair takes in the second, and the size may exceed r by
+    one.  The model's column j is mode j of the report (see
+    ``ReducedModel``): its arrays are read-only views into arrays that
+    the first ``truncate`` of a report computes and every later one
+    shares, so a report must not change once it has been truncated.  Scores stay on
     the report: the theta of column j is ``report.theta[j]``.
 
     |R|_F |R^-1|_F bounds the condition number of the retained columns
@@ -249,7 +254,7 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
     would drop a direction of the retained span.  A retained count
     that is not an integer raises ``TypeError``, one outside 1..m
     ``ValueError``, and so does a real system's report with a complex
-    mode that is not half of an exact conjugate pair.
+    mode that ``rows`` does not pair with its exact conjugate.
     """
     try:
         r = operator.index(r)

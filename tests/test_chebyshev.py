@@ -60,6 +60,28 @@ def test_diff_three_points_closed_form():
     )
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 128, 129])
+def test_diff_equals_the_full_grid_formula_bit_for_bit(n):
+    # reference: the half-angle differences of every row, then the lower
+    # half overwritten with the negated mirror of the upper one; only the
+    # upper ceil(n/2) rows need the sines
+    cs = np.ones(n)
+    cs[0] = cs[-1] = 2.0
+    cs *= (-1.0) ** np.arange(n)
+    half_th = (np.pi / (2 * (n - 1))) * np.arange(n)
+    dx = 2.0 * np.sin(half_th[:, None] + half_th[None, :]) * np.sin(
+        half_th[None, :] - half_th[:, None]
+    )
+    dx[n // 2 :, :] = -dx[: (n + 1) // 2, :][::-1, ::-1]
+    np.fill_diagonal(dx, 1.0)
+    expected = np.outer(cs, 1.0 / cs) / dx
+    np.fill_diagonal(expected, 0.0)
+    np.fill_diagonal(expected, -expected.sum(axis=1))
+    d = cheb_diff(n)
+    assert d.shape == (n, n) and d.dtype == np.float64
+    assert d.tobytes() == expected.tobytes()
+
+
 def test_diff_is_exact_on_monomials():
     n = 12
     d = cheb_diff(n)

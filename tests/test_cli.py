@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from eigensieve import cli
+from eigensieve import cli, problems
 from eigensieve.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from eigensieve.problems import canuto_hyperbolic
 from eigensieve.quality import quality_report
@@ -277,6 +277,33 @@ class TestExitCodes:
         assert exc.value.code == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+    @pytest.mark.parametrize(
+        "args, problem",
+        [
+            (("analyze", "--problem", "acoustic", "--n", "3"), "acoustic"),
+            (("analyze", "--problem", "orr-sommerfeld", "--n", "9"), "orr-sommerfeld"),
+            (("analyze", "--problem", "heat", "--n", "3"), "heat"),
+            (("sweep-k", "--problem", "canuto", "--n", "2", "--k-max", "1"), "canuto"),
+            (("reduce", "--n", "3", "--ic", "bump", "--r-list", "1"), "acoustic"),
+        ],
+        ids=["analyze-acoustic", "analyze-orr-sommerfeld", "analyze-heat", "sweep-k-canuto",
+             "reduce"],
+    )
+    def test_usage_error_grid_below_the_problem_minimum(self, capsys, monkeypatch, args, problem):
+        # each problem states its minimum grid once, and its builder and
+        # the command line both read it: below it the builder raises,
+        # and the command line exits 2 before any work
+        prob = problems.REGISTRY[problem]
+        with pytest.raises(ValueError, match=f"at least {prob.min_n} grid points"):
+            prob.build(n=prob.min_n - 1)
+        assert prob.build(n=prob.min_n).labels["n"] == prob.min_n
+        monkeypatch.setattr(cli, "_COMMANDS", {})  # any work would raise KeyError
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and f"--n must be at least {prob.min_n} for {problem}" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize(

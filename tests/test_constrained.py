@@ -11,6 +11,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
 from eigensieve.constrained import (
+    DEFAULT_NULL_TOL,
     ConstrainedSystem,
     _embed,
     _project,
@@ -27,7 +28,7 @@ from eigensieve.problems import (
     heat_dirichlet,
     orr_sommerfeld,
 )
-from eigensieve.quality import eigenpairs
+from eigensieve.quality import _report, eigenpairs
 
 
 def _random_system(seed, n=8, q=2):
@@ -522,12 +523,18 @@ def test_depths_nest_and_their_spectra_are_well_formed(
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
         if not complex_entries:
             # a real problem's eigenpairs come as exact conjugates side by
-            # side, Im > 0 first, also where pairs tie on (Re, |Im|)
+            # side, Im > 0 first, also where pairs tie on (Re, |Im|), so
+            # the modes with Im < 0 are exactly the second halves, and the
+            # report marks exactly those by repeating their owner's row
             upper = np.flatnonzero(lams.imag > 0)
             lower = upper + 1
             assert np.array_equal(np.sort(np.r_[upper, lower]), np.flatnonzero(lams.imag != 0))
+            assert np.array_equal(lower, np.flatnonzero(lams.imag < 0))
             assert np.array_equal(lams[lower], np.conj(lams[upper]))
             assert np.array_equal(vecs[:, lower], np.conj(vecs[:, upper]))
+            report = _report(sys, comp, DEFAULT_NULL_TOL)
+            repeats = np.r_[False, report.rows[1:] == report.rows[:-1]]
+            assert np.array_equal(repeats, report.lambdas.imag < 0)
 
 
 def _reflect(x, mirror):

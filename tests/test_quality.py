@@ -484,6 +484,47 @@ def test_conjugate_partners_score_the_same_by_construction(build, n, k):
 
 @pytest.mark.parametrize(
     "build, n, k",
+    [
+        (acoustic_wave, 17, 1),
+        (acoustic_wave, 64, 1),
+        (canuto_hyperbolic, 16, 1),
+        (canuto_hyperbolic, 16, 2),
+        (canuto_hyperbolic, 16, 3),
+        (heat_dirichlet, 9, 1),
+        (heat_dirichlet, 16, 1),
+    ],
+    ids=["acoustic-17", "acoustic-64", "canuto-16-k1", "canuto-16-k2", "canuto-16-k3",
+         "heat-9", "heat-16"],
+)
+def test_rows_pair_exactly_the_modes_below_the_real_axis(build, n, k):
+    # a real system's pairing is read off the eigen solve's layout: each
+    # mode with Im lam < 0 sits in its block right after its owner, as
+    # the exact conjugate of its eigenvalue and its eigenvector, and the
+    # report's rows repeat exactly at those modes
+    sys = build(n)
+    comp = compress(sys, k)
+    lams, blocks = eigenpairs(comp)
+    below = np.flatnonzero(lams.imag < 0)
+    placed = []
+    for at, vecs in blocks:
+        twin = np.flatnonzero(lams[at].imag < 0)
+        assert np.all(twin > 0) and np.all(at[twin] - at[twin - 1] == 1)
+        assert np.array_equal(lams[at[twin]], np.conj(lams[at[twin - 1]]))
+        assert np.array_equal(vecs[:, twin], np.conj(vecs[:, twin - 1]))
+        placed.append(at[twin])
+    assert np.array_equal(np.sort(np.concatenate(placed)), below)
+    assert np.count_nonzero(lams.imag > 0) == below.size
+    report = quality_report(sys, k)
+    repeats = np.r_[False, report.rows[1:] == report.rows[:-1]]
+    np.testing.assert_array_equal(repeats, report.lambdas.imag < 0)
+    owner = np.flatnonzero(repeats) - 1
+    assert np.array_equal(report.lambdas[repeats], np.conj(report.lambdas[owner]))
+    if build is not heat_dirichlet:
+        assert below.size > 0
+
+
+@pytest.mark.parametrize(
+    "build, n, k",
     [(acoustic_wave, 64, 1), (canuto_hyperbolic, 16, 3)],
     ids=["acoustic", "canuto-k3"],
 )

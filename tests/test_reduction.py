@@ -45,14 +45,18 @@ def canuto_report():
     return quality_report(canuto_hyperbolic(16))
 
 
-def _hand_report(lams, lifted, real_system=True):
-    # mode i has eigenvalue lams[i], lifted vector lifted[:, i] and theta i
-    # and is its own owner: no mode is a twin
+def _hand_report(lams, lifted, real_system=True, rows=None):
+    # mode i has eigenvalue lams[i] and theta i, and rows[i] is its owner
+    # row, arange by default: no mode is a twin.  Owner row j is
+    # lifted[:, i] of the first mode i with rows[i] == j; a twin, which
+    # repeats the row before it, reads that row conjugated
     lams = np.asarray(lams, dtype=complex)
+    rows = np.arange(lams.size) if rows is None else np.asarray(rows)
+    first = np.unique(rows, return_index=True)[1]
     return QualityReport(
         lambdas=lams,
-        owners=np.asarray(lifted, dtype=complex).T.copy(),
-        rows=np.arange(lams.size),
+        owners=np.asarray(lifted, dtype=complex).T[first].copy(),
+        rows=rows,
         s_norm=np.zeros(lams.size),
         theta=np.arange(lams.size, dtype=float),
         zero_mode=np.zeros(lams.size, dtype=bool),
@@ -109,7 +113,7 @@ class TestTruncate:
             assert np.abs(lams - np.conj(lam)).min() < 1e-12
 
     def test_partner_of_an_added_partner_is_pulled_in(self):
-        # a real system pairs by position and exact bits, not by nearest
+        # a real system pairs by rows and exact bits, not by nearest
         # conjugate: modes whose eigenvalues are only near conjugates of
         # each other are no pair, and the report is rejected at the
         # first of them, whatever the retained count
@@ -117,6 +121,33 @@ class TestTruncate:
         for r in range(1, 5):
             with pytest.raises(ValueError, match="mode 0 of a real system"):
                 truncate(report, r)
+
+    @pytest.mark.parametrize(
+        "lams, rows",
+        [
+            ([-1.0, 2j, -2j], [0, 1, 2]),
+            ([-1.0, 2j, -2j * (1 + 2.0**-52)], [0, 1, 1]),
+            ([-1.0, -2j, 2j], [0, 1, 1]),
+        ],
+        ids=["unmarked-exact-pair", "twin-not-the-exact-conjugate", "twin-above-the-axis"],
+    )
+    def test_real_report_pairs_only_what_rows_marks(self, lams, rows):
+        # rows is the one record of a real report's pairs: an exact
+        # conjugate pair that it does not mark is no pair, and a mode
+        # that repeats its owner's row must have Im lam < 0 and the
+        # exact conjugate of its owner's eigenvalue, or the report is
+        # rejected at the first mode left unpaired
+        q = np.array([1.0 + 0j, 1j, 0.0, 0.0]) / np.sqrt(2.0)
+        lifted = np.column_stack([np.eye(4)[3], q, np.conj(q)])
+        report = _hand_report(lams, lifted, rows=rows)
+        for r in range(1, 4):
+            with pytest.raises(ValueError, match="mode 1 of a real system"):
+                truncate(report, r)
+        # the same vectors with the pair marked make a well-formed report
+        model = truncate(_hand_report([-1.0, 2j, -2j], lifted, rows=[0, 1, 1]), 2)
+        assert model.size == 3
+        np.testing.assert_array_equal(model.mates, [0, 2, 1])
+        np.testing.assert_array_equal(model.shapes, lifted)
 
     @pytest.mark.parametrize(
         "build, n",
@@ -326,7 +357,8 @@ class TestSimulateModal:
         rng = np.random.default_rng(41)
         q = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         omega = 2.4
-        report = _hand_report([1j * omega, -1j * omega], np.column_stack([q, np.conj(q)]))
+        # the report marks the pair: the second mode repeats its owner's row
+        report = _hand_report([1j * omega, -1j * omega], q[:, None], rows=[0, 0])
         model = truncate(report, 1)
         assert model.size == 2
         x0 = (q + np.conj(q)).real
@@ -369,8 +401,8 @@ class TestSimulateModal:
         # to it cannot take a real basis: the report is malformed
         with pytest.raises(ValueError, match="mode 0 of a real system"):
             truncate(_hand_report([2j], q[:, None]), 1)
-        # a pair with a conjugate eigenvalue but a vector that is not the
-        # exact conjugate is no pair either
+        # nor is a pair with a conjugate eigenvalue that rows does not
+        # mark, whatever its vectors
         lifted = np.column_stack([q, np.conj(q) * (1 + 1e-15)])
         with pytest.raises(ValueError, match="mode 0 of a real system"):
             truncate(_hand_report([2j, -2j], lifted), 2)
@@ -896,17 +928,19 @@ class TestReductionSweep:
             assert abs(row.rel_error - err) <= 1e-12 * err + 4 * np.finfo(float).eps
 
     def test_rank_guard_raises_at_the_first_failing_count_in_list_order(self, monkeypatch):
-        # the pair that starts at mode 20 or 21 takes the lifted vectors
-        # of the first pair, so every model that keeps it is rank
+        # the pair that starts at mode 20 or 21 takes the owner row of
+        # the first pair, and its twin, which repeats that row, the
+        # first twin's vector, so every model that keeps it is rank
         # deficient: 40 fails before 30 and before the models are evolved
         report = quality_report(acoustic_wave(32))
         upper = np.flatnonzero(report.lambdas.imag > 0)
         first, late = upper[0], upper[(upper == 20) | (upper == 21)][0]
         pairs = np.array([first, late])
         assert np.array_equal(report.lambdas[pairs + 1], np.conj(report.lambdas[pairs]))
-        modes = report.modes.copy()
-        modes[late : late + 2] = modes[first : first + 2]
-        broken = dataclasses.replace(report, owners=modes, rows=np.arange(len(modes)))
+        assert np.array_equal(report.rows[pairs + 1], report.rows[pairs])
+        owners = report.owners.copy()
+        owners[report.rows[late]] = owners[report.rows[first]]
+        broken = dataclasses.replace(report, owners=owners)
         monkeypatch.setattr(reduction, "quality_report", lambda *args, **kwargs: broken)
         with pytest.raises(RankDeficientBasisError) as info:
             truncate(broken, 40)

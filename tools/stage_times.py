@@ -22,16 +22,18 @@ pipeline:
 * ``score``: per-mode scoring (``quality._score_modes``);
 * ``sort``: the rest of the report, the mode order and the lift of
   each scored eigenvector to the state space;
-* ``reference``: the analytic time-domain reference of ``reduce``;
+* ``reference``: the analytic reference, the time-domain solution of
+  ``reduce`` or, in the depth sweep, each depth's reference cover and
+  nearest-reference match (``experiments.match_to_reference``);
 * ``retain``: truncation and simulation, the rest of ``reduce``.
 
 The cases are acoustic n=256, Orr-Sommerfeld n=110 and canuto n=64 at
 depth 1; canuto n=64 at every depth 1..25 from one pass, the work of
-``sweep-k --grid`` without its reference matching; and ``reduce`` on
-acoustic n=128 with the benchmark's retained counts (seed 1).  A stage
-is timed by wrapping the module attribute that the package looks up
-at call time, as the benchmark's tracer does, and a wrapper's time
-excludes that of the wrappers it calls.  The file also records the
+``sweep-k --grid`` up to its output rows, reference matching included;
+and ``reduce`` on acoustic n=128 with the benchmark's retained counts
+(seed 1).  A stage is timed by wrapping the module attribute that the
+package looks up at call time, as the benchmark's tracer does, and a
+wrapper's time excludes that of the wrappers it calls.  The file also records the
 measured tree, ``git rev-parse HEAD`` of the checkout the script runs
 from and whether that checkout had uncommitted changes, and the
 environment: Python, numpy, the BLAS, the thread variables and
@@ -68,7 +70,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from eigensieve import constrained, problems, quality, reduction  # noqa: E402
+from eigensieve import constrained, experiments, problems, quality, reduction  # noqa: E402
 
 STAGES = ("build", "compress", "eig", "score", "sort", "reference", "retain")
 
@@ -125,12 +127,13 @@ def _report_stages(build, n):
 
 
 def _sweep_stages(n=64, k_max=25):
-    """canuto at every depth 1..k_max from one ``compress_depths`` pass."""
+    """canuto at every depth 1..k_max from one ``compress_depths`` pass, matched as ``sweep-k``."""
     clock = Clock()
+    prob = problems.get_problem("canuto")
     with clock.patched([(quality, "eigenpairs", "eig"), (quality, "_score_modes", "score")]):
         start = perf_counter()
-        sys_ = problems.canuto_hyperbolic(n)
-        times = {"build": perf_counter() - start, "compress": 0.0, "sort": 0.0}
+        sys_ = prob.build(n=n)
+        times = {"build": perf_counter() - start, "compress": 0.0, "sort": 0.0, "reference": 0.0}
         depths = constrained.compress_depths(sys_, k_max)
         while True:
             mark = perf_counter()
@@ -139,8 +142,11 @@ def _sweep_stages(n=64, k_max=25):
             if comp is None:
                 break
             mark = perf_counter()
-            quality._report(sys_, comp, constrained.DEFAULT_NULL_TOL)
+            lams = quality._report(sys_, comp, constrained.DEFAULT_NULL_TOL).lambdas
             times["sort"] += perf_counter() - mark
+            mark = perf_counter()
+            experiments.match_to_reference(lams, prob.reference_cover(float(np.abs(lams).max())))
+            times["reference"] += perf_counter() - mark
         end = perf_counter()
     times["eig"], times["score"] = clock.times["eig"], clock.times["score"]
     times["sort"] -= times["eig"] + times["score"]
