@@ -1,14 +1,40 @@
 """Depth sweeps and nearest-reference spectrum matching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigensieve.constrained import compress
-from eigensieve.experiments import k_quality_sweep, k_sweep, match_to_reference
+from eigensieve.chebyshev import cheb_diff, diff_power
+from eigensieve.constrained import ConstrainedSystem, compress
+from eigensieve.experiments import (
+    _MATCH_ENTRIES,
+    k_quality_sweep,
+    k_sweep,
+    match_to_reference,
+)
 from eigensieve.problems import canuto_hyperbolic, get_problem
 from eigensieve.quality import quality_report
+
+
+def _whole_matrix_match(computed, reference):
+    """Nearest reference from the whole m x R distance matrix at once."""
+    computed = np.asarray(computed, dtype=complex).ravel()
+    reference = np.asarray(reference, dtype=complex).ravel()
+    dist = np.abs(computed[:, None] - reference[None, :])
+    idx = dist.argmin(axis=1)
+    abs_err = dist[np.arange(computed.size), idx]
+    denom = np.abs(reference[idx])
+    rel_err = abs_err.copy()
+    nz = denom > 0.0
+    rel_err[nz] /= denom[nz]
+    return idx, abs_err, rel_err
+
+
+def _random_complex(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
 class TestMatchToReference:
@@ -19,10 +45,11 @@ class TestMatchToReference:
         np.testing.assert_allclose(match.rel_errors, [0.0, 0.02], atol=1e-14)
 
     def test_zero_reference_falls_back_to_absolute(self):
-        match = match_to_reference(np.array([0.3 + 0.4j]), np.array([0.0, 10.0]))
-        assert match.indices[0] == 0
+        match = match_to_reference(np.array([0.3 + 0.4j, 9.0]), np.array([0.0, 10.0]))
+        np.testing.assert_array_equal(match.indices, [0, 1])
         assert match.abs_errors[0] == pytest.approx(0.5)
-        assert match.rel_errors[0] == pytest.approx(0.5)
+        assert match.rel_errors[0] == match.abs_errors[0]
+        assert match.rel_errors[1] == pytest.approx(0.1)
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -37,6 +64,102 @@ class TestMatchToReference:
             dists = np.abs(c - reference)
             assert dists[match.indices[i]] == dists.min()
             assert match.abs_errors[i] == pytest.approx(dists.min())
+
+    @pytest.mark.parametrize("m, r", [
+        (37, 1000),  # 16 rows a block: two whole blocks and one of 5
+        (1, 7),
+        (5, _MATCH_ENTRIES + 3),  # one row a block
+        (3, _MATCH_ENTRIES),
+    ])
+    def test_blocks_keep_the_whole_matrix_bits(self, m, r):
+        rng = np.random.default_rng(m + r)
+        computed, reference = _random_complex(rng, m), _random_complex(rng, r)
+        match = match_to_reference(computed, reference)
+        idx, abs_err, rel_err = _whole_matrix_match(computed, reference)
+        assert np.array_equal(match.indices, idx)
+        assert np.array_equal(match.abs_errors, abs_err)
+        assert np.array_equal(match.rel_errors, rel_err)
+
+    @pytest.mark.parametrize("r", [3, _MATCH_ENTRIES + 1])
+    def test_ties_go_to_the_lowest_reference_index(self, r):
+        # duplicate reference points, in the first block row and past it
+        reference = np.full(r, 5.0 + 0j)
+        reference[0] = 100.0
+        computed = np.full(40, 4.0 + 1j)
+        match = match_to_reference(computed, reference)
+        np.testing.assert_array_equal(match.indices, np.ones(40))
+        # halfway between two points
+        match = match_to_reference(np.array([0.5 + 0j]), np.array([0.0, 1.0]))
+        assert match.indices[0] == 0
+        assert match.abs_errors[0] == 0.5
+
+    def test_empty_computed_gives_empty_arrays(self):
+        match = match_to_reference(np.array([], dtype=complex), np.array([1.0, 2.0]))
+        for values in (match.indices, match.abs_errors, match.rel_errors):
+            assert values.shape == (0,)
+        assert match.indices.dtype == np.intp
+
+    def test_memory_is_bounded_by_blocks(self):
+        # the whole 100 x 1e4 matrix is 16 MB of differences and 8 MB of moduli
+        rng = np.random.default_rng(4)
+        computed, reference = _random_complex(rng, 100), _random_complex(rng, 10_000)
+        tracemalloc.start()
+        try:
+            match_to_reference(computed, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+
+def clamped_fourth_order(n):
+    """u'''' = lam u'' on [-1, 1] with u = u' = 0 at both walls.
+
+    A = D^4 and E = D^2 with Orr-Sommerfeld's four clamped rows; the
+    operators commute with x -> -x, so the system declares mirror (1,).
+    """
+    d = cheb_diff(n)
+    c = np.zeros((4, n))
+    c[0, 0] = 1.0
+    c[1, n - 1] = 1.0
+    c[2] = d[0]
+    c[3] = d[n - 1]
+    return ConstrainedSystem(a=diff_power(d, 4), c=c, e=diff_power(d, 2), mirror=(1,))
+
+
+def clamped_cover(radius):
+    """Exact eigenvalues -mu^2 of ``clamped_fourth_order`` out past modulus ``radius``.
+
+    The even modes cos(mu x) - (-1)^j have mu = j pi; the odd modes
+    sin(mu x) - x sin(mu) have mu at the positive roots of tan mu = mu,
+    found by Newton from (j + 1/2) pi - 1 / ((j + 1/2) pi).
+    """
+    j = np.arange(1, int(np.ceil(np.sqrt(max(radius, 0.0)) / np.pi)) + 3)
+    odd = (j + 0.5) * np.pi - 1.0 / ((j + 0.5) * np.pi)
+    for _ in range(8):
+        odd -= (np.tan(odd) - odd) / np.tan(odd) ** 2
+    return -np.concatenate([j * np.pi, odd]) ** 2
+
+
+class TestClampedFourthOrder:
+    def test_cover_holds_the_first_roots(self):
+        mu = np.sort(np.sqrt(-clamped_cover(100.0)))[:4]
+        np.testing.assert_allclose(
+            mu, [np.pi, 4.493409457909064, 2 * np.pi, 7.725251836937707], rtol=1e-15
+        )
+
+    @pytest.mark.parametrize("n", [24, 32, 48, 64])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_spectrum_is_real_negative_and_theta_flags_accurate_modes(self, n, k):
+        report = quality_report(clamped_fourth_order(n), k)
+        lams = report.lambdas
+        assert np.all(lams.imag == 0.0)
+        assert np.all(lams.real < 0.0)
+        assert lams.real.max() == pytest.approx(-np.pi**2, rel=1e-9)
+        rel = match_to_reference(lams, clamped_cover(float(np.abs(lams).max()))).rel_errors
+        sharp = report.theta < 1e-6
+        assert sharp.sum() >= 4
+        assert np.all(rel[sharp] < 1e-8)
 
 
 class TestKSweep:

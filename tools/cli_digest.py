@@ -9,10 +9,13 @@ problem, CSV and JSON, a numerical failure (exit 3: a depth that
 leaves no state), a depth of 300 past the underflow of C A^299, whose
 derivative scores must stay finite, four usage errors (exit 2) and a
 ``reduce`` with an unsorted, repeated retained count list, so a change
-of exit code shows in the diff, and five mirrored problems on grids of
-odd length, whose halves hold the centre point of each field; after
-it come the commands of every benchmark workload,
-built by ``perfbench/workloads.py`` with seed ``SEED``.
+of exit code shows in the diff, five mirrored problems on grids of
+odd length, whose halves hold the centre point of each field, and
+``sweep-k`` on acoustic n=256 to depth 2, summary and grid, whose
+reference covers (18025 and 13401 points) exceed the distances that
+``experiments.match_to_reference`` holds at a time, so it matches one
+eigenvalue per block; after it come the commands of every benchmark
+workload, built by ``perfbench/workloads.py`` with seed ``SEED``.
 
 Each line ``<exit code> <sha256> <command>`` digests a command's whole
 stdout.  After the line of a command that printed CSV come indented
@@ -105,6 +108,8 @@ COMMANDS = [
     "analyze --problem orr-sommerfeld --n 31",
     "reduce --n 17 --ic sine --r-list 4,9,32",
     "sweep-k --problem acoustic --n 17 --k-max 3 --grid",
+    "sweep-k --problem acoustic --n 256 --k-max 2",
+    "sweep-k --problem acoustic --n 256 --k-max 2 --grid",
 ]
 
 

@@ -28,12 +28,14 @@ pipeline:
 * ``retain``: truncation and simulation, the rest of ``reduce``.
 
 The cases are acoustic n=256, Orr-Sommerfeld n=110 and canuto n=64 at
-depth 1; canuto n=64 at every depth 1..25 from one pass, the work of
-``sweep-k --grid`` up to its output rows, reference matching included;
-and ``reduce`` on acoustic n=128 with the benchmark's retained counts
-(seed 1).  A stage is timed by wrapping the module attribute that the
-package looks up at call time, as the benchmark's tracer does, and a
-wrapper's time excludes that of the wrappers it calls.  The file also records the
+depth 1; two depth sweeps from one pass each, the work of
+``sweep-k --grid`` up to its output rows, reference matching included:
+canuto n=64 at every depth 1..25, many short covers, and acoustic
+n=256 at depths 1..3, whose covers run to 18025 points; and ``reduce``
+on acoustic n=128 with the benchmark's retained counts (seed 1).  A
+stage is timed by wrapping the module attribute that the package looks
+up at call time, as the benchmark's tracer does, and a wrapper's time
+excludes that of the wrappers it calls.  The file also records the
 measured tree, ``git rev-parse HEAD`` of the checkout the script runs
 from and whether that checkout had uncommitted changes, and the
 environment: Python, numpy, the BLAS, the thread variables and
@@ -126,10 +128,10 @@ def _report_stages(build, n):
     return times, end - start
 
 
-def _sweep_stages(n=64, k_max=25):
-    """canuto at every depth 1..k_max from one ``compress_depths`` pass, matched as ``sweep-k``."""
+def _sweep_stages(problem, n, k_max):
+    """A problem at every depth 1..k_max from one ``compress_depths`` pass, matched as ``sweep-k``."""
     clock = Clock()
-    prob = problems.get_problem("canuto")
+    prob = problems.get_problem(problem)
     with clock.patched([(quality, "eigenpairs", "eig"), (quality, "_score_modes", "score")]):
         start = perf_counter()
         sys_ = prob.build(n=n)
@@ -178,7 +180,8 @@ CASES = {
     "acoustic n=256, k=1": lambda: _report_stages(problems.acoustic_wave, 256),
     "orr-sommerfeld n=110, k=1": lambda: _report_stages(problems.orr_sommerfeld, 110),
     "canuto n=64, k=1": lambda: _report_stages(problems.canuto_hyperbolic, 64),
-    "canuto n=64, k=1..25": _sweep_stages,
+    "canuto n=64, k=1..25": lambda: _sweep_stages("canuto", 64, 25),
+    "acoustic n=256, k=1..3": lambda: _sweep_stages("acoustic", 256, 3),
     "reduce acoustic n=128": _reduce_stages,
 }
 
