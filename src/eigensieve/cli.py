@@ -42,15 +42,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number strictly between 0 and 1, got {text}"
-        )
-    return value
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -59,11 +50,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not values or any(v <= 0 for v in values):
         raise argparse.ArgumentTypeError("retained counts must be positive integers")
     return values
-
-
-def _add_null_tol(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--null-tol", type=_fraction,
-                        help="relative singular-value cutoff for nullspace rank, in (0, 1)")
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -96,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int)
     p.add_argument("--alpha", type=_positive_float)
     p.add_argument("--reynolds", type=_positive_float)
-    _add_null_tol(p)
     _add_output(p)
 
     p = add_parser("sweep-k", help="spectral error against constraint depth")
@@ -105,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=_positive_int, required=True)
     p.add_argument("--grid", action="store_true",
                    help="emit the full per-mode grid instead of per-depth summaries")
-    _add_null_tol(p)
     _add_output(p)
 
     p = add_parser("reduce", help="reduction error against retained mode count")
@@ -116,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-list", type=_int_list, required=True,
                    help="comma-separated retained mode counts")
     p.add_argument("--t-end", type=_positive_float)
-    _add_null_tol(p)
     _add_output(p)
 
     p = add_parser("problems", help="list registered problems")
@@ -152,7 +135,7 @@ def _split_lam(row: dict) -> dict:
 def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     prob = problems.get_problem(args.problem)
     system = prob.build(**{name: getattr(args, name) for name in prob.params})
-    report = quality.quality_report(system, args.k, null_tol=args.null_tol)
+    report = quality.quality_report(system, args.k)
     columns = {
         "rank": range(report.lambdas.size),
         "re_lambda": report.lambdas.real.tolist(),
@@ -166,20 +149,16 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
 
 def _cmd_sweep_k(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     if args.grid:
-        grid_rows = experiments.k_quality_sweep(
-            args.problem, args.n, args.k_max, null_tol=args.null_tol
-        )
+        grid_rows = experiments.k_quality_sweep(args.problem, args.n, args.k_max)
         header = ["k", "rank", "re_lambda", "im_lambda", "abs_error", "rel_error",
                   "s_norm", "theta", "zero_mode"]
         return header, [_split_lam(vars(row)) for row in grid_rows]
-    sweep_rows = experiments.k_sweep(args.problem, args.n, args.k_max, null_tol=args.null_tol)
+    sweep_rows = experiments.k_sweep(args.problem, args.n, args.k_max)
     return [f.name for f in fields(experiments.KSweepRow)], [vars(row) for row in sweep_rows]
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
-    sweep_rows = reduction.reduction_sweep(
-        args.n, args.ic, args.r_list, args.t_end, null_tol=args.null_tol
-    )
+    sweep_rows = reduction.reduction_sweep(args.n, args.ic, args.r_list, args.t_end)
     return [f.name for f in fields(reduction.ReductionRow)], [vars(row) for row in sweep_rows]
 
 

@@ -10,12 +10,12 @@ V_1 = null(C) and V_{k+1} = {z in V_k : A z in E V_k}, with E = I
 without a mass operator.  Each depth is one orthogonal step from the
 one before, as in the staircase form (Van Dooren 1981), never a stack
 of powers of A, whose late blocks lose rank to rounding.  The rank cut
-is ``null_tol`` times the largest singular value of C at depth 1, and
-``null_tol |A|_2`` below it.  The operators are restricted to an
-orthonormal basis of V_k, which removes the constraints from the
-model.  Each depth also keeps the orthonormal complement P_k of
-E V_k that its next step reads, so the next depth's constraint
-violation of a state is one product with P_k*.
+is the one constant ``DEFAULT_NULL_TOL`` times the largest singular
+value of C at depth 1, and ``DEFAULT_NULL_TOL |A|_2`` below it.  The
+operators are restricted to an orthonormal basis of V_k, which removes
+the constraints from the model.  Each depth also keeps the
+orthonormal complement P_k of E V_k that its next step reads, so the
+next depth's constraint violation of a state is one product with P_k*.
 
 A system may declare a mirror symmetry: one sign s_f per field, for
 Q = blockdiag(s_f J) with J the reversal of a field's grid.  When Q
@@ -385,17 +385,18 @@ def _slices(blocks: tuple[int, ...]) -> list[slice]:
 
 
 def _walk(
-    sys: ConstrainedSystem, sigma: np.ndarray | None, c: np.ndarray, tol: float, scale: float
+    sys: ConstrainedSystem, sigma: np.ndarray | None, c: np.ndarray, scale: float
 ) -> Iterator[_HalfSystem]:
     """Yield the ``_HalfSystem`` of each depth on one half, in the half's coordinates.
 
-    Depth 1 is the nullspace of ``c U``, cut at ``tol`` times ``scale``;
-    each later depth is one step of the recursion on the operators
-    restricted to the half (see ``compress_depths``).  ``P_k`` is the
-    orthonormal complement of ``E M_k`` that the step from depth k
-    reads; a depth that leaves the half no state has the whole half.
+    Depth 1 is the nullspace of ``c U``, cut at ``DEFAULT_NULL_TOL``
+    times ``scale``; each later depth is one step of the recursion on
+    the operators restricted to the half (see ``compress_depths``).
+    ``P_k`` is the orthonormal complement of ``E M_k`` that the step
+    from depth k reads; a depth that leaves the half no state has the
+    whole half.
     """
-    p, m = _split(_project(sigma, c.T).T, tol, scale)
+    p, m = _split(_project(sigma, c.T).T, DEFAULT_NULL_TOL, scale)
     a, e = (
         None if op is None else _project(sigma, _project(sigma, op.T).T) for op in (sys.a, sys.e)
     )
@@ -403,10 +404,10 @@ def _walk(
     e_k = None if e is None else m.conj().T @ e @ m
     while True:
         if e is not None:
-            p = nullspace_basis((e @ m).conj().T, tol) if m.shape[1] else np.eye(len(a))
+            p = nullspace_basis((e @ m).conj().T) if m.shape[1] else np.eye(len(a))
         yield _HalfSystem(sigma, a, e, m, p, a_k, e_k)
         _, s, vh = np.linalg.svd((p.conj().T @ a) @ m)
-        cut = int(np.count_nonzero(s > tol * sys.drift_norm))
+        cut = int(np.count_nonzero(s > DEFAULT_NULL_TOL * sys.drift_norm))
         if e is None:
             p = np.hstack([p, m @ vh[:cut].conj().T])
         n_k = _fix_signs(vh[cut:].conj().T)
@@ -415,18 +416,16 @@ def _walk(
         e_k = None if e_k is None else n_k.conj().T @ e_k @ n_k
 
 
-def compress_depths(
-    sys: ConstrainedSystem, k_max: int, tol: float = DEFAULT_NULL_TOL
-) -> Iterator[CompressedSystem]:
+def compress_depths(sys: ConstrainedSystem, k_max: int) -> Iterator[CompressedSystem]:
     """Yield the compressed system of each depth k = 1 .. k_max, each from the one before.
 
     Depth 1 is the nullspace of ``C / |C|_F`` at relative cutoff
-    ``tol``.  Depth k+1 keeps the states z of depth k whose derivative
-    stays feasible: ``A z`` in ``E V_k``, with ``E = I`` without a mass
-    operator.  With P an orthonormal complement of ``E V_k``, that is
-    the nullspace N_k of the defect ``(P* A) M_k``, cut at
-    ``tol |A|_2``: a relative cut would count rounding as rank once
-    V_k is invariant.  N_k's columns are sign-fixed as in
+    ``DEFAULT_NULL_TOL``.  Depth k+1 keeps the states z of depth k
+    whose derivative stays feasible: ``A z`` in ``E V_k``, with
+    ``E = I`` without a mass operator.  With P an orthonormal complement
+    of ``E V_k``, that is the nullspace N_k of the defect
+    ``(P* A) M_k``, cut at ``DEFAULT_NULL_TOL |A|_2``: a relative cut
+    would count rounding as rank once V_k is invariant.  N_k's columns are sign-fixed as in
     ``nullspace_basis``; then ``M_{k+1} = M_k N_k`` and
     ``A_{k+1} = N_k* A_k N_k``.  Without E, P is the row space of C plus
     the directions each step removed, so the defect has only
@@ -438,9 +437,10 @@ def compress_depths(
 
     A mirrored system walks its even and odd halves side by side, each
     on the operators restricted to it, with the rank cuts of the
-    unsplit system: ``tol`` times the largest singular value of
-    ``C / |C|_F`` at depth 1 and ``tol |A|_2`` for the defect.  With E,
-    each half's P is the nullspace of its own block of ``(E M_k)*``.
+    unsplit system: ``DEFAULT_NULL_TOL`` times the largest singular
+    value of ``C / |C|_F`` at depth 1 and ``DEFAULT_NULL_TOL |A|_2`` for
+    the defect.  With E, each half's P is the nullspace of its own block
+    of ``(E M_k)*``.
     Each depth keeps both halves' pieces in their own coordinates; its
     M is ``[U_+ M_+, U_- M_-]`` and its operators are block diagonal,
     assembled only when read (``CompressedSystem``).
@@ -449,14 +449,14 @@ def compress_depths(
         raise ValueError(f"depth must be >= 1, got k={k_max}")
     c = sys.c / np.linalg.norm(sys.c)
     scale = np.linalg.norm(c, 2)
-    walks = zip(*(_walk(sys, sigma, c, tol, scale) for sigma in _halves(sys.n, sys.mirror)))
+    walks = zip(*(_walk(sys, sigma, c, scale) for sigma in _halves(sys.n, sys.mirror)))
     for k, parts in zip(range(1, k_max + 1), walks):
         if not any(part.m.shape[1] for part in parts):
             return
         yield CompressedSystem(halves=parts, k=k)
 
 
-def compress(sys: ConstrainedSystem, k: int, tol: float = DEFAULT_NULL_TOL) -> CompressedSystem:
+def compress(sys: ConstrainedSystem, k: int) -> CompressedSystem:
     """Restrict drift (and mass) to the depth-k feasible subspace (``compress_depths``).
 
     The basis M is orthonormal, so the left inverse is just the
@@ -464,7 +464,7 @@ def compress(sys: ConstrainedSystem, k: int, tol: float = DEFAULT_NULL_TOL) -> C
     boundary bordering (deleting constrained rows and columns) up to an
     orthogonal change of basis.
     """
-    for comp in compress_depths(sys, k, tol):
+    for comp in compress_depths(sys, k):
         if comp.k == k:
             return comp
     raise TrivialNullspaceError(
@@ -478,21 +478,18 @@ class DecompositionReport:
     """Residuals of the subspace split induced by a compression basis.
 
     ``invariant`` is True when the image of M fails to be mapped
-    outside itself by the drift only at the ``tol * |A|`` level; in
-    that case the compressed spectrum is a subset of the drift
-    spectrum.
+    outside itself by the drift only below ``DEFAULT_NULL_TOL |A|_2``,
+    the cut the recursion applies to its defect; in that case the
+    compressed spectrum is a subset of the drift spectrum.
     """
 
     constraint_residual: float
     invariance_residual: float
     drift_norm: float
-    tol: float
     invariant: bool
 
 
-def verify_decomposition(
-    sys: ConstrainedSystem, comp: CompressedSystem, tol: float = 1e-10
-) -> DecompositionReport:
+def verify_decomposition(sys: ConstrainedSystem, comp: CompressedSystem) -> DecompositionReport:
     """Measure ``|C M|`` and ``|N* A M|`` for an orthonormal complement N of M."""
     m = comp.m
     u, _, _ = np.linalg.svd(m, full_matrices=True)
@@ -503,6 +500,5 @@ def verify_decomposition(
         constraint_residual=c_res,
         invariance_residual=inv_res,
         drift_norm=sys.drift_norm,
-        tol=tol,
-        invariant=bool(inv_res < tol * sys.drift_norm),
+        invariant=bool(inv_res < DEFAULT_NULL_TOL * sys.drift_norm),
     )

@@ -16,7 +16,7 @@ from numpy.linalg import eigvals
 
 # ``compress`` and ``quality_report`` are not called here, but
 # perfbench/spans.py patches both names on this module to time its spans.
-from .constrained import DEFAULT_NULL_TOL, compress, compress_depths  # noqa: F401
+from .constrained import compress, compress_depths  # noqa: F401
 from .problems import get_problem
 from .quality import _report, quality_report  # noqa: F401
 
@@ -80,7 +80,7 @@ def match_to_reference(computed: np.ndarray, reference: np.ndarray) -> MatchResu
     return MatchResult(indices=idx, abs_errors=abs_err, rel_errors=rel_err)
 
 
-def _depths(problem: str, n: int, k_max: int, null_tol: float, solve: Callable) -> Iterator[tuple]:
+def _depths(problem: str, n: int, k_max: int, solve: Callable) -> Iterator[tuple]:
     """Walk depths 1 .. k_max of a problem with an analytic reference, in one pass.
 
     ``solve(sys, comp)`` returns a depth's result and its computed
@@ -94,7 +94,7 @@ def _depths(problem: str, n: int, k_max: int, null_tol: float, solve: Callable) 
     if prob.reference_cover is None:
         raise ValueError(f"problem {problem!r} has no analytic reference spectrum")
     sys = prob.build(n=n)
-    for comp in compress_depths(sys, k_max, null_tol):
+    for comp in compress_depths(sys, k_max):
         result, lams = solve(sys, comp)
         reference = prob.reference_cover(float(np.abs(lams).max()))
         yield comp.k, result, lams, reference, match_to_reference(lams, reference)
@@ -119,13 +119,7 @@ class KSweepRow:
     max_abs_real: float
 
 
-def k_sweep(
-    problem: str = "canuto",
-    n: int = 32,
-    k_max: int = 25,
-    *,
-    null_tol: float = DEFAULT_NULL_TOL,
-) -> list[KSweepRow]:
+def k_sweep(problem: str = "canuto", n: int = 32, k_max: int = 25) -> list[KSweepRow]:
     """Sweep the constraint depth and summarise spectral errors.
 
     Stops early, with the rows collected so far, if some depth leaves
@@ -140,7 +134,7 @@ def k_sweep(
         return comp, np.concatenate(lams).astype(complex, copy=False)
 
     rows: list[KSweepRow] = []
-    for k, comp, lams, reference, match in _depths(problem, n, k_max, null_tol, solve):
+    for k, comp, lams, reference, match in _depths(problem, n, k_max, solve):
         errors = match.abs_errors
         worst = int(errors.argmax())
         proxy = abs((reference[match.indices[worst]] - lams[worst]).real)
@@ -166,13 +160,7 @@ class KQualityRow:
     zero_mode: bool
 
 
-def k_quality_sweep(
-    problem: str = "canuto",
-    n: int = 32,
-    k_max: int = 10,
-    *,
-    null_tol: float = DEFAULT_NULL_TOL,
-) -> list[KQualityRow]:
+def k_quality_sweep(problem: str = "canuto", n: int = 32, k_max: int = 10) -> list[KQualityRow]:
     """Full per-mode quality grid across constraint depths 1 .. k_max.
 
     Each depth contributes one row per computed mode, in the report's
@@ -181,11 +169,11 @@ def k_quality_sweep(
     """
 
     def solve(sys, comp):
-        report = _report(sys, comp, null_tol)
+        report = _report(sys, comp)
         return report, report.lambdas
 
     rows = []
-    for k, report, lams, _, match in _depths(problem, n, k_max, null_tol, solve):
+    for k, report, lams, _, match in _depths(problem, n, k_max, solve):
         columns = zip(
             lams.tolist(), match.abs_errors.tolist(), match.rel_errors.tolist(),
             report.s_norm.tolist(), report.theta.tolist(), report.zero_mode.tolist(),

@@ -397,12 +397,7 @@ class QualityReport:
         return modes
 
 
-def quality_report(
-    sys: ConstrainedSystem,
-    k: int = 1,
-    *,
-    null_tol: float = DEFAULT_NULL_TOL,
-) -> QualityReport:
+def quality_report(sys: ConstrainedSystem, k: int = 1) -> QualityReport:
     """Compress at depth k, solve for the full spectrum, score every mode.
 
     Modes are sorted by ascending angle score, ties broken by ascending
@@ -410,10 +405,10 @@ def quality_report(
     ``|P_k* A M v|`` (see the module docstring).  A mode is a zero mode when
     ``|A M v| < DEFAULT_ZERO_FLOOR |A|_2 |M v|`` or ``A M v`` is exactly 0.
     """
-    return _report(sys, compress(sys, k, null_tol), null_tol)
+    return _report(sys, compress(sys, k))
 
 
-def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> QualityReport:
+def _report(sys: ConstrainedSystem, comp: CompressedSystem) -> QualityReport:
     """The ``quality_report`` of one compressed system, whatever produced it.
 
     Each half is scored in its own coordinates (``_score_modes``), and
@@ -468,7 +463,7 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem, null_tol: float) -> 
         "n": labels.get("n", sys.n),
         "k": comp.k,
         "r": comp.r,
-        "null_tol": null_tol,
+        "null_tol": DEFAULT_NULL_TOL,
         "real_system": real,
     }
     return QualityReport(

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import clenshaw_curtis
-from .constrained import DEFAULT_NULL_TOL
 from .errors import DivergenceError, RankDeficientBasisError, ZeroReferenceError
 from .problems import _IC_PROFILES, acoustic_reference, acoustic_wave
 from .quality import QualityReport, quality_report
@@ -544,8 +543,6 @@ def reduction_sweep(
     ic: str,
     r_values: tuple[int, ...] | list[int],
     t_end: float = 1.0,
-    *,
-    null_tol: float = DEFAULT_NULL_TOL,
 ) -> list[ReductionRow]:
     """Error at ``t_end`` of quality-ranked reduced models of one wave run.
 
@@ -570,7 +567,7 @@ def reduction_sweep(
     p_ref, _ = acoustic_reference(grid, ic, t_end)
     x0 = np.concatenate([_IC_PROFILES[ic](grid), np.zeros(n)])
     weights = clenshaw_curtis(n)
-    report = quality_report(sys, 1, null_tol=null_tol)
+    report = quality_report(sys, 1)
 
     models = [truncate(report, int(r)) for r in r_values]
     if not models:

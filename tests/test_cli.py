@@ -256,6 +256,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments: --zero-floor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", SUBCOMMANDS)
+    def test_usage_error_null_tol_on_every_subcommand(self, capsys, args):
+        # every depth cuts its rank at DEFAULT_NULL_TOL, not at an option
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--null-tol", "1e-10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --null-tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -263,9 +271,8 @@ class TestExitCodes:
              "invalid choice"),
             (("sweep-k", "--problem", "orr-sommerfeld", "--n", "16", "--k-max", "2"),
              "invalid choice"),
-            # 2n - 2 = 30 modes at k = 1, at any null-tol
-            (("reduce", "--n", "16", "--ic", "sine", "--r-list", "2,31", "--null-tol", "0.5"),
-             "at most 2n - 2 = 30"),
+            # 2n - 2 = 30 modes at k = 1
+            (("reduce", "--n", "16", "--ic", "sine", "--r-list", "2,31"), "at most 2n - 2 = 30"),
         ],
         ids=["reduce-non-wave-problem", "sweep-k-problem-without-reference",
              "reduce-count-past-the-modes"],
@@ -309,26 +316,17 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args, option",
         [
-            (("analyze", "--problem", "heat", "--n", "8"), "--null-tol"),
             (("reduce", "--n", "16", "--ic", "sine", "--r-list", "2"), "--t-end"),
             (("analyze", "--problem", "orr-sommerfeld", "--n", "16"), "--alpha"),
             (("analyze", "--problem", "orr-sommerfeld", "--n", "16"), "--reynolds"),
         ],
-        ids=["null-tol", "t-end", "alpha", "reynolds"],
+        ids=["t-end", "alpha", "reynolds"],
     )
     def test_usage_error_non_finite_number(self, capsys, args, option, value):
         with pytest.raises(SystemExit) as exc:
             main([*args, f"{option}={value}"])
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0", "1", "2", "1e300", "-0.5"])
-    def test_usage_error_null_tol_outside_unit_interval(self, capsys, value):
-        # a relative cutoff of 1 or more keeps no constraint at all
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--problem", "heat", "--n", "8", f"--null-tol={value}"])
-        assert exc.value.code == 2
-        assert "between 0 and 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "target, reason",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
+from conftest import stacked_vectors
 from eigensieve.constrained import (
     DEFAULT_NULL_TOL,
     ConstrainedSystem,
@@ -239,22 +240,6 @@ class TestCompression:
         )
 
 
-def _stacked(comp, blocks):
-    """``eigenpairs``' vectors as one r x r matrix in sorted order, zero outside each block.
-
-    Checks on the way that each block holds complex128 columns for its
-    ascending positions, and that the blocks cover every position once.
-    """
-    ats = np.concatenate([at for at, _ in blocks])
-    assert np.array_equal(np.sort(ats), np.arange(comp.r))
-    vecs = np.zeros((comp.r, comp.r), dtype=complex)
-    for part, (at, block) in zip(comp.slices, blocks):
-        assert block.dtype == np.complex128 and block.shape == (part.stop - part.start, at.size)
-        assert np.all(np.diff(at) > 0)
-        vecs[part, at] = block
-    return vecs
-
-
 def _mass_system(seed, n=9, q=2):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -426,6 +411,34 @@ class TestDepthRecursion:
         for comp in comps:
             assert np.linalg.norm(zero_mode - comp.m @ (comp.m_left @ zero_mode)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "build, n, k_max",
+        [
+            (canuto_hyperbolic, 32, 25),
+            (canuto_hyperbolic, 64, 25),
+            (heat_dirichlet, 48, 12),
+            (acoustic_wave, 48, 12),
+            (orr_sommerfeld, 110, 3),
+        ],
+        ids=["canuto-32", "canuto-64", "heat-48", "acoustic-48", "orr-sommerfeld-110"],
+    )
+    def test_rank_cuts_sit_in_a_wide_gap_around_the_constant(self, build, n, k_max):
+        # one constant cut serves every problem because no singular value
+        # the recursion decides on lies near it: the defects it keeps are
+        # at most 6.8e-16 |A|_2 here and those it cuts at least 8.0e-7 |A|_2,
+        # and with E the smallest of (E_h M_h)* is 1.46e-6 of its largest
+        low, high = 1e-14, 1e-7
+        assert low < DEFAULT_NULL_TOL < high
+        sys = build(n)
+        for comp in compress_depths(sys, k_max):
+            for half in comp.halves:
+                defect = (half.p.conj().T @ half.a) @ half.m
+                ratios = np.linalg.svd(defect, compute_uv=False) / sys.drift_norm
+                assert not np.any((ratios >= low) & (ratios <= high)), (comp.k, ratios)
+                if half.e is not None:
+                    s = np.linalg.svd((half.e @ half.m).conj().T, compute_uv=False)
+                    assert s[-1] > high * s[0], (comp.k, s[-1] / s[0])
+
     def test_rejects_nonpositive_depth(self):
         with pytest.raises(ValueError, match="depth"):
             compress(_random_system(13), 0)
@@ -500,7 +513,7 @@ def test_depths_nest_and_their_spectra_are_well_formed(
         assert comp.r <= prev.r
         assert np.linalg.norm(comp.m - prev.m @ (prev.m_left @ comp.m)) < 1e-10
     for comp, (lams, blocks) in zip(comps, spectra):
-        vecs = _stacked(comp, blocks)
+        vecs = stacked_vectors(comp, blocks)
         # every depth keeps C z = 0 to the depth-1 rank cut; without a
         # mass operator, a depth that A leaves invariant is the last to cut
         decomposition = verify_decomposition(sys, comp)
@@ -532,7 +545,7 @@ def test_depths_nest_and_their_spectra_are_well_formed(
             assert np.array_equal(lower, np.flatnonzero(lams.imag < 0))
             assert np.array_equal(lams[lower], np.conj(lams[upper]))
             assert np.array_equal(vecs[:, lower], np.conj(vecs[:, upper]))
-            report = _report(sys, comp, DEFAULT_NULL_TOL)
+            report = _report(sys, comp)
             repeats = np.r_[False, report.rows[1:] == report.rows[:-1]]
             assert np.array_equal(repeats, report.lambdas.imag < 0)
 
@@ -643,7 +656,7 @@ def test_mirrored_depths_match_the_unsplit_system(
             (lams_one, _), (lams_two, blocks) = eigenpairs(one), eigenpairs(two)
         except EigensieveError:
             continue
-        vecs = _stacked(two, blocks)
+        vecs = stacked_vectors(two, blocks)
         rows_, cols_ = linear_sum_assignment(np.abs(lams_one[:, None] - lams_two[None, :]))
         assert np.abs(lams_one[rows_] - lams_two[cols_]).max() <= 1e-10 * scale
         # each eigenvector lives in one block, and a real system's pairs

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stacked_vectors
 from eigensieve import quality
 from eigensieve.constrained import (
-    DEFAULT_NULL_TOL,
     CompressedSystem,
     ConstrainedSystem,
     _HalfSystem,
@@ -37,14 +37,6 @@ MAX_DIST = np.sqrt(2.0) * np.pi / 2.0
 
 def _random_complex(rng, n=9):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def _stacked(comp, blocks):
-    """``eigenpairs``' vectors as one r x r matrix in sorted order, zero outside each block."""
-    vecs = np.zeros((comp.r, comp.r), dtype=complex)
-    for part, (at, block) in zip(comp.slices, blocks):
-        vecs[part, at] = block
-    return vecs
 
 
 def _diag_zero_system():
@@ -219,7 +211,7 @@ class TestEigenpairs:
     def test_real_spectrum_is_complex_with_unit_columns(self):
         comp = compress(heat_dirichlet(16), 1)
         lams, blocks = eigenpairs(comp)
-        vecs = _stacked(comp, blocks)
+        vecs = stacked_vectors(comp, blocks)
         assert lams.dtype == np.complex128
         assert all(block.dtype == np.complex128 for _, block in blocks)
         assert lams.shape == (14,) and np.all(lams.imag == 0.0)
@@ -229,7 +221,7 @@ class TestEigenpairs:
         comp = compress(canuto_hyperbolic(32), 1)
         scale = np.linalg.norm(comp.a_k, 2)
         lams, blocks = eigenpairs(comp)
-        vecs = _stacked(comp, blocks)
+        vecs = stacked_vectors(comp, blocks)
         residuals = np.linalg.norm(comp.a_k @ vecs - vecs * lams, axis=0)
         assert np.all(residuals < 1e-8 * scale)
 
@@ -373,7 +365,7 @@ def _per_mode_scores(sys, comp):
     rows = []
     lams, blocks = eigenpairs(comp)
     q = _feasible_image(sys, comp)
-    for lam, v in zip(lams.tolist(), _stacked(comp, blocks).T):
+    for lam, v in zip(lams.tolist(), stacked_vectors(comp, blocks).T):
         w = comp.m @ v
         aw = sys.a @ w
         s_norm = float(_defect(q, aw[:, None])[0])
@@ -465,7 +457,7 @@ def test_conjugate_partners_score_the_same_by_construction(build, n, k):
     sys = build(n)
     comp = compress(sys, k)
     lams, blocks = eigenpairs(comp)
-    vecs = _stacked(comp, blocks)
+    vecs = stacked_vectors(comp, blocks)
     twins = [
         (lams[i - 1], lams[i])
         for i in range(1, len(lams))
@@ -707,14 +699,14 @@ def test_mirrored_scores_match_the_unmirrored_operators(
         return
     if np.unique(lams).size < lams.size:
         return
-    split = quality._report(sys, comp, DEFAULT_NULL_TOL)
+    split = quality._report(sys, comp)
     plain = ConstrainedSystem(a=a, c=c, e=e)
     whole = CompressedSystem(
         halves=(_HalfSystem(None, a, e, comp.m, comp.p, comp.a_k, comp.e_k),), k=k
     )
-    one_block = lams, [(np.arange(comp.r), _stacked(comp, blocks))]
+    one_block = lams, [(np.arange(comp.r), stacked_vectors(comp, blocks))]
     with mock.patch.object(quality, "eigenpairs", lambda _: one_block):
-        flat = quality._report(plain, whole, DEFAULT_NULL_TOL)
+        flat = quality._report(plain, whole)
     at = {lam: i for i, lam in enumerate(split.lambdas.tolist())}
     norm_a = np.linalg.norm(a, 2)
     norm_e = 1.0 if e is None else np.linalg.norm(e, 2)

@@ -7,7 +7,8 @@ checkouts and diffing the output checks a claim that a change keeps
 the CLI's bytes.  The fixed list covers every subcommand and every
 problem, CSV and JSON, a numerical failure (exit 3: a depth that
 leaves no state), a depth of 300 past the underflow of C A^299, whose
-derivative scores must stay finite, four usage errors (exit 2) and a
+derivative scores must stay finite, six usage errors (exit 2), two of
+them the ``--null-tol`` option that no subcommand takes, and a
 ``reduce`` with an unsorted, repeated retained count list, so a change
 of exit code shows in the diff, five mirrored problems on grids of
 odd length, whose halves hold the centre point of each field, and

@@ -41,9 +41,7 @@ from and whether that checkout had uncommitted changes, and the
 environment: Python, numpy, the BLAS, the thread variables and
 ``PYTHONDONTWRITEBYTECODE``.  Stdlib and numpy only.
 
-Each case also records the minor page faults of each repeat
-(``resource.getrusage(RUSAGE_SELF).ru_minflt`` around it; median and
-quartiles in ``minflt``) and, from one more untimed run under
+Each case also records, from one more untimed run under
 ``tracemalloc``, the peak of the memory it traced
 (``tracemalloc_peak_mb``, counted in MB of 1e6 bytes).
 """
@@ -52,7 +50,6 @@ import argparse
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
 import tracemalloc
@@ -144,7 +141,7 @@ def _sweep_stages(problem, n, k_max):
             if comp is None:
                 break
             mark = perf_counter()
-            lams = quality._report(sys_, comp, constrained.DEFAULT_NULL_TOL).lambdas
+            lams = quality._report(sys_, comp).lambdas
             times["sort"] += perf_counter() - mark
             mark = perf_counter()
             experiments.match_to_reference(lams, prob.reference_cover(float(np.abs(lams).max())))
@@ -192,10 +189,6 @@ def _calibrate():
     start = perf_counter()
     np.linalg.eigvals(a)
     return perf_counter() - start
-
-
-def _minflt():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _traced_peak_mb(case):
@@ -254,12 +247,10 @@ def main() -> int:
     cases = {}
     for name, case in CASES.items():
         case()
-        runs, calibration, faults = [], [], []
+        runs, calibration = [], []
         for _ in range(args.repeats):
             calibration.append(_calibrate())
-            before = _minflt()
             runs.append(case())
-            faults.append(_minflt() - before)
         stages = {
             stage: _summary([times.get(stage, 0.0) for times, _ in runs])
             for stage in STAGES
@@ -275,14 +266,12 @@ def main() -> int:
                 for stage, summary in stages.items()
             },
             "total_rel": total["median"] / calibration["median"],
-            "minflt": _summary(faults),
             "tracemalloc_peak_mb": _traced_peak_mb(case),
         }
         print(f"{name}: total {cases[name]['total_s']['median']:.4f} s, "
               + ", ".join(f"{s} {v['median']:.4f}" for s, v in stages.items())
               + f"; calibration {cases[name]['calibration_s']['median']:.4f} s"
-              + f"; minflt {cases[name]['minflt']['median']:.0f}"
-              + f", traced peak {cases[name]['tracemalloc_peak_mb']:.1f} MB", flush=True)
+              + f"; traced peak {cases[name]['tracemalloc_peak_mb']:.1f} MB", flush=True)
     record = {
         "tree": tree["commit"],
         "dirty": tree["dirty"],
