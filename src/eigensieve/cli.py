@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Every setting a run echoes in its JSON meta, in meta order, with its
     # default.  Subcommand options default to SUPPRESS (only the --problem
     # of sweep-k and reduce states its own), so an option left out, or one
-    # the subcommand does not take, keeps the value given here.
+    # the subcommand does not take, keeps the value given here.  null_tol is
+    # no option: it records the rank cut of every depth, DEFAULT_NULL_TOL.
     parser.set_defaults(
         problem=None, n=None, k=1, k_max=None, alpha=1.0, reynolds=10000.0,
         null_tol=constrained.DEFAULT_NULL_TOL, ic=None, r_list=None, t_end=1.0,

@@ -400,8 +400,10 @@ class QualityReport:
 def quality_report(sys: ConstrainedSystem, k: int = 1) -> QualityReport:
     """Compress at depth k, solve for the full spectrum, score every mode.
 
-    Modes are sorted by ascending angle score, ties broken by ascending
-    ``|Im lam|`` then ``|Re lam|``.  The derivative score is
+    Every depth's rank is cut at ``DEFAULT_NULL_TOL`` (``compress_depths``),
+    and ``meta["null_tol"]`` records that constant.  Modes are sorted by
+    ascending angle score, ties broken by ascending ``|Im lam|`` then
+    ``|Re lam|``.  The derivative score is
     ``|P_k* A M v|`` (see the module docstring).  A mode is a zero mode when
     ``|A M v| < DEFAULT_ZERO_FLOOR |A|_2 |M v|`` or ``A M v`` is exactly 0.
     """
