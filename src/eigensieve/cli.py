@@ -122,17 +122,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _split_lam(row: dict) -> dict:
-    """Copy of a row with its complex ``lam`` split into ``re_lambda`` and ``im_lambda``."""
-    out = {}
-    for name, value in row.items():
-        if name == "lam":
-            out["re_lambda"], out["im_lambda"] = value.real, value.imag
-        else:
-            out[name] = value
-    return out
-
-
 def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     prob = problems.get_problem(args.problem)
     system = prob.build(**{name: getattr(args, name) for name in prob.params})
@@ -150,12 +139,11 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
 
 def _cmd_sweep_k(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     if args.grid:
-        grid_rows = experiments.k_quality_sweep(args.problem, args.n, args.k_max)
-        header = ["k", "rank", "re_lambda", "im_lambda", "abs_error", "rel_error",
-                  "s_norm", "theta", "zero_mode"]
-        return header, [_split_lam(vars(row)) for row in grid_rows]
-    sweep_rows = experiments.k_sweep(args.problem, args.n, args.k_max)
-    return [f.name for f in fields(experiments.KSweepRow)], [vars(row) for row in sweep_rows]
+        sweep, row_type = experiments.k_quality_sweep, experiments.KQualityRow
+    else:
+        sweep, row_type = experiments.k_sweep, experiments.KSweepRow
+    sweep_rows = sweep(args.problem, args.n, args.k_max)
+    return [f.name for f in fields(row_type)], [vars(row) for row in sweep_rows]
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[list[str], list[dict]]:

@@ -307,8 +307,8 @@ class CompressedSystem:
     the whole state space are assembled from them on every read and
     not stored, so a depth holds no second copy of its pieces; a caller
     that reads one many times keeps it in a variable.  ``m`` is
-    ``[U_+ M_+, U_- M_-]``, whose columns have their parity exactly,
-    and ``m_left`` is ``m*``.  ``a_k = m* A m`` and
+    ``[U_+ M_+, U_- M_-]``, F-ordered, whose columns have their parity
+    exactly, and ``m_left`` is ``m*``.  ``a_k = m* A m`` and
     ``e_k = m* E m`` are block diagonal, with the diagonal blocks of
     sizes ``blocks`` (``slices``).  ``p``, n x (n - r), is the
     orthonormal complement of ``E m`` (``E = I`` without a mass
@@ -363,11 +363,12 @@ class CompressedSystem:
     def _lift(self, parts: Sequence[np.ndarray]) -> np.ndarray:
         """``[U_+ X_+, U_- X_-]``: each half's ``X`` lifted to the n-dimensional state space.
 
-        ``m`` and ``p`` are lifted here; a quality report writes its
-        owner rows through ``_embed`` itself.
+        ``m``, ``p`` and a quality report's owner rows are lifted here.
+        The result is F-ordered, so its transpose, one lifted column per
+        row, is C-ordered without a copy.
         """
         sizes = tuple(x.shape[1] for x in parts)
-        out = np.empty((self.n, sum(sizes)), dtype=np.result_type(*parts))
+        out = np.empty((sum(sizes), self.n), dtype=np.result_type(*parts)).T
         for half, x, cols in zip(self.halves, parts, _slices(sizes)):
             _embed(half.basis, x, out[:, cols])
         return out

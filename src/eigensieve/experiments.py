@@ -148,11 +148,16 @@ def k_sweep(problem: str = "canuto", n: int = 32, k_max: int = 25) -> list[KSwee
 
 @dataclass(eq=False)
 class KQualityRow:
-    """Quality scores and matched error of one mode at one constraint depth."""
+    """Quality scores and matched error of one mode at one constraint depth.
+
+    The fields are the columns of ``sweep-k --grid``, in order; the
+    eigenvalue is split into its real and imaginary parts.
+    """
 
     k: int
     rank: int
-    lam: complex
+    re_lambda: float
+    im_lambda: float
     abs_error: float
     rel_error: float
     s_norm: float
@@ -175,7 +180,8 @@ def k_quality_sweep(problem: str = "canuto", n: int = 32, k_max: int = 10) -> li
     rows = []
     for k, report, lams, _, match in _depths(problem, n, k_max, solve):
         columns = zip(
-            lams.tolist(), match.abs_errors.tolist(), match.rel_errors.tolist(),
+            lams.real.tolist(), lams.imag.tolist(),
+            match.abs_errors.tolist(), match.rel_errors.tolist(),
             report.s_norm.tolist(), report.theta.tolist(), report.zero_mode.tolist(),
         )
         rows.extend(KQualityRow(k, rank, *values) for rank, values in enumerate(columns))

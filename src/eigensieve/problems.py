@@ -256,6 +256,8 @@ def acoustic_reference(
         raise ValueError(f"unknown initial condition {ic!r}; pick one of {sorted(_IC_PROFILES)}")
     if n_modes < 1:
         raise ValueError(f"need at least one mode, got n_modes={n_modes}")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got t={t}")
     xq, wq = _gauss_rule()
     fq = wq * _IC_PROFILES[ic](xq)
     # nodes where the weighted profile is exactly 0 add nothing to any coefficient

@@ -53,13 +53,10 @@ positive imaginary part first, so the mode with Im lam < 0 (the twin)
 spans the same real plane as the one before it: it takes that mode's
 conjugated ``w`` and its scores without a product or an SVD of its
 own.  The pairing is read off that layout once, and no vector is
-compared to decide it.  The spectral norm ``|A|_2`` of the
-zero-floor test is bracketed by two numbers taken once per report: the
-largest column norm and the norm of the column norms (the Frobenius
-norm), both overflow-safe, so a drift with entries past 1e154 still
-has finite ends.  The SVD of A is computed only when some mode falls
-inside the bracket, and then the comparison is the same floating-point
-expression as without it.
+compared to decide it.  The zero-floor test reads one number of the
+drift, its largest column norm, taken once per report and
+overflow-safe, so a drift with entries past 1e154 still has a finite
+floor; ``|A|_2`` itself is never computed.
 
 The eigen solve and scoring take each diagonal block of the
 compressed system on its own: a mirrored system
@@ -74,16 +71,17 @@ and ``E U = U E_h`` with ``A_h = U^T A U``: for ``w = U w_h``, ``|A w|``,
 in its own coordinates, on half as many rows.  Only the rounding
 differs from scoring the lifted vectors with the whole A: each score
 lies within a few times its rounding floor of that one.  The
-zero-floor bracket is still taken on the whole A.  A system without a
+zero floor is still taken on the whole A.  A system without a
 mirror is the one-half case: U is the identity and ``A_h`` is A itself.
 
 Each mode vector is stored once.  A report lifts the ``w`` of each
 scored column, one per conjugate pair and per real mode of a real
-system, to the state space by the slicing that assembles
-``CompressedSystem.m`` (``constrained._embed``), straight into its row
-of ``QualityReport.owners``.  ``QualityReport.modes``, one row per
-mode with each twin's row conjugated, is gathered from them on its
-first read; ``reduction`` reads the owners and never builds it.
+system, to the state space by the call that assembles
+``CompressedSystem.m`` (``CompressedSystem._lift``), whose transpose
+is ``QualityReport.owners``, one row per scored column.
+``QualityReport.modes``, one row per mode with each twin's row
+conjugated, is gathered from them on its first read; ``reduction``
+reads the owners and never builds it.
 ``QualityReport.rows`` is the one record of the pairing: a twin
 repeats its owner's row, and ``reduction`` reads its pairs from there.
 
@@ -110,9 +108,7 @@ from .constrained import (
     DEFAULT_NULL_TOL,
     CompressedSystem,
     ConstrainedSystem,
-    _embed,
     _HalfSystem,
-    _slices,
     compress,
 )
 from .errors import IllConditionedMassError, UndefinedSubspaceError
@@ -132,7 +128,8 @@ __all__ = [
 DEFAULT_THETA_THRESHOLD = 1e-3
 
 #: Relative floor under which |A M v| is treated as an exact zero mode:
-#: a fixed multiple of rounding, about 450 eps.
+#: a fixed multiple of rounding, about 450 eps, times the largest column
+#: norm of A, a lower bound on |A|_2 that is at least |A|_2 / sqrt(n).
 DEFAULT_ZERO_FLOOR = 1e-13
 
 #: Condition-number guard before inverting a compressed mass operator.
@@ -145,8 +142,8 @@ DEFAULT_MASS_COND_LIMIT = 1e12
 _CHUNK = 32
 
 
-def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Full spectrum of the compressed system: ``(lams, blocks)``.
+def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Full spectrum of the compressed system, sorted within each block: ``(lams, vecs)``.
 
     Each diagonal block of the compressed system (``comp.halves``) is
     solved on its own: one block without a mirror, the even and the odd
@@ -155,18 +152,17 @@ def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, list[tuple[np.ndarra
     problem for ``E_k^(-1) A_k`` behind the guard
     ``DEFAULT_MASS_COND_LIMIT`` on the condition number of ``E_k``,
     read from the singular values of all its blocks.  ``lams`` holds
-    all r eigenvalues, complex128 also for a real spectrum, sorted by
-    real part, then by ``|Im|``.  ``blocks`` holds one ``(at, vecs)``
-    per diagonal block: ``at`` the ascending positions in ``lams`` of
-    the block's eigenvalues, and column j of the complex128 matrix
-    ``vecs`` the eigenvector of ``lams[at[j]]`` in the block's own
+    all r eigenvalues, complex128 also for a real spectrum, the blocks'
+    spectra one after another, so block i's are ``lams[comp.slices[i]]``;
+    each block's are sorted by real part, then by ``|Im|``.  ``vecs``
+    holds one complex128 matrix per block, whose column j is the
+    eigenvector of the block's eigenvalue j in the block's own
     coordinates, a unit column as LAPACK's geev returns it.  For a real
     operator geev returns each conjugate pair side by side, its
     eigenvectors exact conjugates and the positive imaginary part
     first, and the sort moves each pair as one unit, so they stay so:
-    pairs that tie on (Re, |Im|) keep geev's order of pairs, the even
-    half's before the odd half's.  For a complex operator ties put
-    Im >= 0 first.
+    pairs that tie on (Re, |Im|) keep geev's order of pairs.  For a
+    complex operator ties put Im >= 0 first.
     """
     drifts = [half.a_k for half in comp.halves]
     if comp.halves[0].e_k is not None:
@@ -179,21 +175,20 @@ def eigenpairs(comp: CompressedSystem) -> tuple[np.ndarray, list[tuple[np.ndarra
                 f"exceeds limit {DEFAULT_MASS_COND_LIMIT:.1e}"
             )
         drifts = [np.linalg.solve(mass, drift) for mass, drift in zip(masses, drifts)]
-    lams, vecs = zip(*(np.linalg.eig(drift) for drift in drifts))
-    # numpy returns real arrays when the whole spectrum is real
-    lams = np.concatenate(lams).astype(complex, copy=False)
-    below = lams.imag < 0
-    # a pair's second half takes the position of its first
-    real = all(np.isrealobj(drift) for drift in drifts)
-    lead = np.arange(lams.size) - below if real else np.zeros(lams.size)
-    order = np.lexsort((below, lead, np.abs(lams.imag), lams.real))
-    vecs, blocks = list(vecs), []
-    for i, part in enumerate(comp.slices):
-        at = np.flatnonzero((order >= part.start) & (order < part.stop))
-        blocks.append((at, vecs[i][:, order[at] - part.start].astype(complex, copy=False)))
-        # the unsorted block goes as soon as its sorted copy exists
-        vecs[i] = None
-    return lams[order], blocks
+    lams, vecs = [], []
+    for drift in drifts:
+        lam, vec = np.linalg.eig(drift)
+        # numpy returns real arrays when the whole spectrum is real
+        lam = lam.astype(complex, copy=False)
+        below = lam.imag < 0
+        # a pair's second half takes the position of its first
+        lead = np.arange(lam.size) - below if np.isrealobj(drift) else np.zeros(lam.size)
+        order = np.lexsort((below, lead, np.abs(lam.imag), lam.real))
+        lams.append(lam[order])
+        vecs.append(vec[:, order].astype(complex, copy=False))
+        # the unsorted block goes before the next block's solve
+        del vec
+    return np.concatenate(lams), vecs
 
 
 def _times(op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -210,7 +205,7 @@ def _times(op: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _score_modes(
-    sys: ConstrainedSystem, half: _HalfSystem, vecs: np.ndarray, ends: tuple[float, float]
+    half: _HalfSystem, vecs: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(ws, s_norm, theta, zero_mode)`` of the columns of ``vecs``, in the half's coordinates.
 
@@ -222,7 +217,7 @@ def _score_modes(
     ws = _times(half.m, vecs)
     p_adj = half.p.conj().T
     chunks = [
-        _score_chunk(sys, half, p_adj, chunk, ends)
+        _score_chunk(half, p_adj, chunk, floor)
         for chunk in np.split(ws, range(_CHUNK, ws.shape[1], _CHUNK), axis=1)
     ]
     s_norm, theta, zero = (np.concatenate(part) for part in zip(*chunks))
@@ -230,31 +225,21 @@ def _score_modes(
 
 
 def _score_chunk(
-    sys: ConstrainedSystem,
-    half: _HalfSystem,
-    p_adj: np.ndarray,
-    ws: np.ndarray,
-    ends: tuple[float, float],
+    half: _HalfSystem, p_adj: np.ndarray, ws: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(s_norm, theta, zero_mode)`` arrays of the columns of ``ws``, one product per operator.
 
     ``ws`` and the operators are the half's: ``A_h = U^T A U``,
     ``E_h`` and ``p_adj = P_h*``, so ``s_norm`` is ``|P_h* (A_h w)|``.
-    A zero mode has ``|A w| < DEFAULT_ZERO_FLOOR |A|_2 |w|``: ``ends``
-    bracket ``|A|_2`` of the whole drift, and ``sys.drift_norm`` is
-    computed only for a chunk that they leave undecided, in the same
-    floating-point expression.  An exactly zero ``A w`` is a zero mode
-    also where that floor is 0, as for a zero drift: it spans no
+    A zero mode has ``|A w| < floor |w|``, with ``floor`` the zero floor
+    of the whole drift (``_report``).  An exactly zero ``A w`` is a zero
+    mode also where that floor is 0, as for a zero drift: it spans no
     subspace to take an angle to.
     """
     aws = _times(half.a, ws)
     s_norm = _norms(_times(p_adj, aws))
-    aw_norms, w_norms = _norms(aws), np.linalg.norm(ws, axis=0)
-    lo, hi = (DEFAULT_ZERO_FLOOR * end * w_norms for end in ends)
-    exact = aw_norms == 0.0
-    zero = exact | (aw_norms < lo)
-    if not np.all(zero | (aw_norms >= hi)):
-        zero = exact | (aw_norms < DEFAULT_ZERO_FLOOR * sys.drift_norm * w_norms)
+    aw_norms = _norms(aws)
+    zero = (aw_norms == 0.0) | (aw_norms < floor * np.linalg.norm(ws, axis=0))
     theta = np.zeros(ws.shape[1])
     live = np.flatnonzero(~zero)
     lhs = ws[:, live] if half.e is None else _times(half.e, ws[:, live])
@@ -353,9 +338,16 @@ def grassmann_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     sqrt(k eps).  Scaling either vector by any nonzero complex number
     leaves the result unchanged.  This is a one-pair call of the kernel
     that scores whole reports.
+
+    Two vectors of different lengths, or a nan or infinite entry, raise
+    ``ValueError``.
     """
-    u1, u2 = (np.asarray(u, dtype=complex).reshape(1, -1) for u in (u1, u2))
-    return float(_grassmann_distances(u1, u2)[0])
+    u1, u2 = (np.asarray(u, dtype=complex) for u in (u1, u2))
+    if u1.size != u2.size:
+        raise ValueError(f"vectors must have the same length, got shapes {u1.shape} and {u2.shape}")
+    if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
+        raise ValueError("vectors must have finite entries")
+    return float(_grassmann_distances(u1.reshape(1, -1), u2.reshape(1, -1))[0])
 
 
 @dataclass(eq=False)
@@ -403,9 +395,10 @@ def quality_report(sys: ConstrainedSystem, k: int = 1) -> QualityReport:
     Every depth's rank is cut at ``DEFAULT_NULL_TOL`` (``compress_depths``),
     and ``meta["null_tol"]`` records that constant.  Modes are sorted by
     ascending angle score, ties broken by ascending ``|Im lam|`` then
-    ``|Re lam|``.  The derivative score is
+    ``|Re lam|``, then ``Re lam``.  The derivative score is
     ``|P_k* A M v|`` (see the module docstring).  A mode is a zero mode when
-    ``|A M v| < DEFAULT_ZERO_FLOOR |A|_2 |M v|`` or ``A M v`` is exactly 0.
+    ``|A M v| < DEFAULT_ZERO_FLOOR a |M v|``, with a the largest column
+    norm of A, or ``A M v`` is exactly 0.
     """
     return _report(sys, compress(sys, k))
 
@@ -421,42 +414,34 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem) -> QualityReport:
     spans the same real plane as the mode before it, read from the
     layout alone: it takes its owner's scores through one index map, so
     ``W_h = M_h V_h`` and everything after it see one column per pair.
-    Each scored column's ``w`` is lifted to the state space once,
-    straight into its row of ``owners`` through a transposed view of the
-    rows (``constrained._embed``); a twin's entry of ``rows`` points at
-    its owner's row, and ``QualityReport.modes`` conjugates it there.
-    ``eigenpairs`` hands every pair over side by side, so each complex
-    mode is an owner or a twin, and a twin ties with its owner on every
-    sort key: the stable sort keeps it right after its owner, which is
-    where ``reduction`` reads the pairs from.  ``|A|_2`` of the
-    zero-floor test lies between the largest column norm of A and the
-    norm of its column norms; both are overflow-safe (``_norms``),
-    taken once per report on the whole drift, and widened by 1e-10
-    against rounding.
+    The owners are the other modes, in the order of ``lams``, block
+    after block, so the owner row of mode i is the count of owners up
+    to it, less one.  Each owner's ``w`` is lifted to the state space
+    once (``CompressedSystem._lift``); a twin's entry of ``rows`` points
+    at its owner's row, and ``QualityReport.modes`` conjugates it there.
+    Each complex mode is an owner or a twin, and a twin ties with its
+    owner on every sort key: the stable sort keeps it right after its
+    owner, which is where ``reduction`` reads the pairs from.  Modes of
+    different blocks that tie on theta, ``|Im lam|`` and ``|Re lam|``
+    are ordered by ``Re lam``, as in one sort of the whole spectrum,
+    and then by block.  The zero floor is ``DEFAULT_ZERO_FLOOR`` times
+    the largest column norm of A, overflow-safe (``_norms``) and taken
+    once per report on the whole drift.
     """
     lams, blocks = eigenpairs(comp)
     real = all(np.isrealobj(op) for op in (sys.a, sys.c, sys.e) if op is not None)
-    columns = _norms(sys.a)
-    ends = columns.max() * (1 - 1e-10), _norms(columns[:, None])[0] * (1 + 1e-10)
-    # the second of each pair, right after its owner in lams and in its block
+    floor = DEFAULT_ZERO_FLOOR * _norms(sys.a).max()
+    # the second of each pair, right after its owner in its block
     twin = real & (lams.imag < 0)
     scored = []
-    for half in comp.halves:
-        at, vecs = blocks.pop(0)
-        mine = ~twin[at]
-        scored.append((at[mine], *_score_modes(sys, half, vecs.compress(mine, axis=1), ends)))
-        del vecs
-    at, ws, s_norm, theta, zero = zip(*scored)
-    sizes = tuple(map(len, at))
-    # owner rows half after half; own[i] is the row of mode i's owner
-    slot = np.empty(lams.size, dtype=int)
-    slot[np.concatenate(at)] = np.arange(sum(sizes))
-    own = slot[np.maximum.accumulate(np.where(twin, 0, np.arange(lams.size)))]
+    for half, part in zip(comp.halves, comp.slices):
+        scored.append(_score_modes(half, blocks.pop(0)[:, ~twin[part]], floor))
+    ws, s_norm, theta, zero = zip(*scored)
     s_norm, theta, zero = (np.concatenate(x) for x in (s_norm, theta, zero))
-    owners = np.empty((sum(sizes), comp.n), dtype=complex)
-    for half, w, cols in zip(comp.halves, ws, _slices(sizes)):
-        _embed(half.basis, w, owners[cols].T)
-    order = np.lexsort((np.abs(lams.real), np.abs(lams.imag), theta[own]))
+    owners = comp._lift(ws).T
+    # owner rows follow lams; own[i] is the row of mode i's owner
+    own = np.cumsum(~twin) - 1
+    order = np.lexsort((lams.real, np.abs(lams.real), np.abs(lams.imag), theta[own]))
     rows = own[order]
 
     labels = dict(sys.labels or {})

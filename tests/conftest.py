@@ -48,17 +48,16 @@ def child_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=path)
 
 
-def stacked_vectors(comp, blocks):
-    """``eigenpairs``' vectors as one r x r matrix in sorted order, zero outside each block.
+def stacked_vectors(comp, vecs):
+    """``eigenpairs``' vectors as one block-diagonal r x r matrix, column i that of ``lams[i]``.
 
-    Checks on the way that each block holds complex128 columns for its
-    ascending positions, and that the blocks cover every position once.
+    Block i of ``vecs`` fills rows and columns ``comp.slices[i]``.
+    Checks on the way that there is one square complex128 block per
+    diagonal block of ``comp``, so the blocks cover every position once.
     """
-    ats = np.concatenate([at for at, _ in blocks])
-    assert np.array_equal(np.sort(ats), np.arange(comp.r))
-    vecs = np.zeros((comp.r, comp.r), dtype=complex)
-    for part, (at, block) in zip(comp.slices, blocks):
-        assert block.dtype == np.complex128 and block.shape == (part.stop - part.start, at.size)
-        assert np.all(np.diff(at) > 0)
-        vecs[part, at] = block
-    return vecs
+    assert len(vecs) == len(comp.slices)
+    stacked = np.zeros((comp.r, comp.r), dtype=complex)
+    for part, block in zip(comp.slices, vecs):
+        assert block.dtype == np.complex128 and block.shape == (part.stop - part.start,) * 2
+        stacked[part, part] = block
+    return stacked

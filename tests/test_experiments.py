@@ -215,9 +215,11 @@ class TestKQualitySweep:
         for k in range(1, 5):
             report = quality_report(sys, k)
             got = [row for row in rows if row.k == k]
-            assert [(r.lam, r.s_norm, r.theta, r.zero_mode) for r in got] == list(zip(
-                report.lambdas.tolist(), report.s_norm.tolist(), report.theta.tolist(),
-                report.zero_mode.tolist(),
+            assert [
+                (r.re_lambda, r.im_lambda, r.s_norm, r.theta, r.zero_mode) for r in got
+            ] == list(zip(
+                report.lambdas.real.tolist(), report.lambdas.imag.tolist(),
+                report.s_norm.tolist(), report.theta.tolist(), report.zero_mode.tolist(),
             ))
 
     def test_best_mode_is_spectrally_accurate(self):
@@ -253,5 +255,5 @@ def test_sweeps_agree_with_each_depth_alone(problem, n, k_max):
         assert [cell.rank for cell in depth] == list(range(row.r))
         thetas = [cell.theta for cell in depth]
         assert thetas == sorted(thetas)
-        lams = np.array([cell.lam for cell in depth])
+        lams = np.array([complex(cell.re_lambda, cell.im_lambda) for cell in depth])
         assert lams.tobytes() == quality_report(sys, row.k).lambdas.tobytes()

@@ -1,5 +1,7 @@
 """Benchmark system builders against their analytic references."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,14 @@ class TestAcousticReference:
             acoustic_reference(grid, "boxcar", 0.0)
         with pytest.raises(ValueError, match="mode"):
             acoustic_reference(grid, "sine", 0.0, n_modes=0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_raises_before_any_table(self, t):
+        # a non-finite time made all-nan fields, with RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="time must be finite"):
+                acoustic_reference(cheb_points(8), "bump", t)
 
 
 class TestGaussRule:

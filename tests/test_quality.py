@@ -1,5 +1,6 @@
 """Spectral quality scores: derivative violations and Grassmann angles."""
 
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -117,6 +118,22 @@ class TestGrassmannDistance:
         with pytest.raises(UndefinedSubspaceError):
             grassmann_distance(np.zeros(4), np.array([1.0, 0, 0, 0]))
 
+    def test_different_lengths_name_both_shapes(self):
+        # numpy's broadcast error named the stacked (1, 1, 1) shapes instead
+        message = "vectors must have the same length, got shapes (4,) and (3,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grassmann_distance(np.ones(4), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_entry_rejected_before_any_svd(self, monkeypatch, bad, side):
+        # the SVD of a nan entry raised LinAlgError: SVD did not converge
+        monkeypatch.setattr(quality, "_grassmann_distances", None)
+        vectors = [np.ones(4, dtype=complex), np.arange(4.0) + 1j]
+        vectors[side][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            grassmann_distance(*vectors)
+
     @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12])
     def test_small_angles_are_resolved(self, delta):
         # arccos alone returns 0 at 1e-8 and sqrt(eps)-sized noise below
@@ -186,9 +203,9 @@ class TestBatchedDistances:
 class TestEigenpairs:
     def test_unit_vectors_and_conjugate_adjacency(self):
         comp = compress(canuto_hyperbolic(16), 1)
-        lams, [(at, vecs)] = eigenpairs(comp)
+        lams, [vecs] = eigenpairs(comp)
         assert lams.shape == (30,) and vecs.shape == (comp.r, 30)
-        assert np.array_equal(at, np.arange(30))
+        assert comp.slices == [slice(0, 30)]
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-13)
         assert np.all(lams[0::2].imag > 0)
         np.testing.assert_allclose(lams[1::2], np.conj(lams[0::2]), rtol=0, atol=1e-12)
@@ -201,7 +218,7 @@ class TestEigenpairs:
         a = np.diag([0.0] * 6 + [-1.0])
         a[:6, :6] = np.kron(np.eye(3), rot)
         sys = ConstrainedSystem(a=a, c=np.eye(7)[6:])
-        lams, [(_, vecs)] = eigenpairs(compress(sys, 1))
+        lams, [vecs] = eigenpairs(compress(sys, 1))
         np.testing.assert_array_equal(lams, [1j, -1j] * 3)
         np.testing.assert_array_equal(vecs[:, 1::2], np.conj(vecs[:, 0::2]))
         report = quality_report(sys)
@@ -213,7 +230,7 @@ class TestEigenpairs:
         lams, blocks = eigenpairs(comp)
         vecs = stacked_vectors(comp, blocks)
         assert lams.dtype == np.complex128
-        assert all(block.dtype == np.complex128 for _, block in blocks)
+        assert all(block.dtype == np.complex128 for block in blocks)
         assert lams.shape == (14,) and np.all(lams.imag == 0.0)
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-14)
 
@@ -302,6 +319,19 @@ class TestQualityReport:
         assert meta["n"] == 16 and meta["k"] == 1 and meta["r"] == 30
         assert meta["real_system"] is True
 
+    def test_modes_tied_across_halves_are_ordered_by_real_part(self):
+        # J4, the 4 x 4 reversal, keeps +1 in its even half and -1 twice
+        # in its odd half, each an exact eigenvector with theta 0: the
+        # modes tie on theta, |Im| and |Re| (all three read 1 + 2^-52),
+        # and Re puts the odd half's -1s first, although the even half
+        # is solved and scored first
+        sys = ConstrainedSystem(a=np.eye(4)[::-1], c=[[1.0, 0.0, 0.0, 1.0]], mirror=(1,))
+        report = quality_report(sys)
+        lams = report.lambdas
+        np.testing.assert_allclose(lams, [-1, -1, 1], rtol=0, atol=1e-15)
+        assert np.all(lams.imag == 0) and np.all(np.abs(lams) == np.abs(lams[0]))
+        np.testing.assert_array_equal(report.theta, 0.0)
+
     def test_best_modes_match_the_exact_ladder(self):
         report = quality_report(canuto_hyperbolic(16))
         good = report.lambdas[report.theta < 1e-6]
@@ -365,11 +395,12 @@ def _per_mode_scores(sys, comp):
     rows = []
     lams, blocks = eigenpairs(comp)
     q = _feasible_image(sys, comp)
+    floor = DEFAULT_ZERO_FLOOR * np.linalg.norm(sys.a, axis=0).max()
     for lam, v in zip(lams.tolist(), stacked_vectors(comp, blocks).T):
         w = comp.m @ v
         aw = sys.a @ w
         s_norm = float(_defect(q, aw[:, None])[0])
-        if np.linalg.norm(aw) < DEFAULT_ZERO_FLOOR * sys.drift_norm * np.linalg.norm(w):
+        if np.linalg.norm(aw) < floor * np.linalg.norm(w):
             theta, zero = 0.0, True
         else:
             lhs = w if sys.e is None else sys.e @ w
@@ -498,7 +529,8 @@ def test_rows_pair_exactly_the_modes_below_the_real_axis(build, n, k):
     lams, blocks = eigenpairs(comp)
     below = np.flatnonzero(lams.imag < 0)
     placed = []
-    for at, vecs in blocks:
+    for part, vecs in zip(comp.slices, blocks):
+        at = np.arange(part.start, part.stop)
         twin = np.flatnonzero(lams[at].imag < 0)
         assert np.all(twin > 0) and np.all(at[twin] - at[twin - 1] == 1)
         assert np.array_equal(lams[at[twin]], np.conj(lams[at[twin - 1]]))
@@ -640,11 +672,11 @@ def test_derivative_score_is_the_defect_of_an_independent_basis(
     # the only mode that shares its owner's row, right after it)
     # conjugated, and it is built once, read-only
     lams_of, ws = [], []
-    for half, (at, vecs) in zip(comp.halves, blocks):
-        pairs = np.zeros(at.size, dtype=bool)
+    for half, part, vecs in zip(comp.halves, comp.slices, blocks):
+        pairs = np.zeros(part.stop - part.start, dtype=bool)
         if not complex_entries:
-            pairs[1:] = (np.diff(at) == 1) & np.all(vecs[:, 1:] == vecs[:, :-1].conj(), axis=0)
-        lams_of.append(lams[at[~pairs]])
+            pairs[1:] = np.all(vecs[:, 1:] == vecs[:, :-1].conj(), axis=0)
+        lams_of.append(lams[part][~pairs])
         ws.append(quality._times(half.m, vecs[:, ~pairs]))
     lifted = comp._lift(ws).T
     lams_of = np.concatenate(lams_of)
@@ -704,7 +736,7 @@ def test_mirrored_scores_match_the_unmirrored_operators(
     whole = CompressedSystem(
         halves=(_HalfSystem(None, a, e, comp.m, comp.p, comp.a_k, comp.e_k),), k=k
     )
-    one_block = lams, [(np.arange(comp.r), stacked_vectors(comp, blocks))]
+    one_block = lams, [stacked_vectors(comp, blocks)]
     with mock.patch.object(quality, "eigenpairs", lambda _: one_block):
         flat = quality._report(plain, whole)
     at = {lam: i for i, lam in enumerate(split.lambdas.tolist())}
@@ -808,28 +840,26 @@ def test_spectral_norms_are_skipped_when_their_bounds_decide():
 
 
 @pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
-def test_zero_floor_between_the_norm_bounds_uses_the_exact_norm(side):
-    # A diagonal drift's largest column norm is its 2-norm, which would
-    # close the bracket, so the large modes sit in a triangular block:
-    # |B|_2 = sqrt(3 + sqrt(5)) lies strictly between its largest column
-    # norm 2 and its Frobenius norm sqrt(6).  The third diagonal entry is
-    # the eigenvalue of an exact unit eigenvector, placed at side times
-    # the cut of the fixed floor.
+def test_zero_floor_is_the_largest_column_norm(side):
+    # The floor is DEFAULT_ZERO_FLOOR times the largest column norm of A,
+    # not times |A|_2, which is never computed.  The large modes sit in
+    # a triangular block whose largest column norm 2 lies below
+    # |B|_2 = sqrt(3 + sqrt(5)), so the two floors differ by 14 %.  The
+    # third diagonal entry is the eigenvalue of an exact unit
+    # eigenvector, placed at side times the floor.
     b = np.array([[2.0, 1.0], [0.0, 1.0]])
-    cut = DEFAULT_ZERO_FLOOR * np.linalg.norm(b, 2)
+    assert np.linalg.norm(b, axis=0).max() == 2.0 < np.linalg.norm(b, 2) / 1.1
+    floor = DEFAULT_ZERO_FLOOR * 2.0
     a = np.zeros((4, 4))
     a[:2, :2] = b
-    a[2, 2] = side * cut
-    lower = np.linalg.norm(a, axis=0).max() * (1.0 - 1e-10)
-    upper = np.linalg.norm(a) * (1.0 + 1e-10)
-    assert DEFAULT_ZERO_FLOOR * lower <= side * cut < DEFAULT_ZERO_FLOOR * upper
+    a[2, 2] = side * floor
 
     sys = ConstrainedSystem(a=a, c=np.eye(4)[3:])
     report = quality_report(sys)
     (mode,) = np.flatnonzero(np.abs(report.lambdas) < 1.0)
-    assert report.lambdas[mode] == side * cut
+    assert report.lambdas[mode] == side * floor
     np.testing.assert_array_equal(np.abs(report.modes[mode]), np.eye(4)[2])
-    assert "drift_norm" in sys.__dict__
+    assert "drift_norm" not in sys.__dict__
     assert report.zero_mode[mode] == (side < 1.0)
 
 

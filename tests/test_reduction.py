@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import io
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -956,3 +957,13 @@ class TestReductionSweep:
         monkeypatch.setattr(reduction, "quality_report", None)
         with pytest.raises(ValueError, match="initial condition"):
             reduction_sweep(32, "boxcar", (2,))
+
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf])
+    def test_non_finite_time_rejected_before_the_reference(self, monkeypatch, t_end):
+        # the reference tables were built as all-nan fields, with
+        # RuntimeWarnings, before the evolution rejected the time
+        monkeypatch.setattr(reduction, "quality_report", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="time must be finite"):
+                reduction_sweep(16, "bump", [4], t_end=t_end)
