@@ -11,9 +11,16 @@ without a mass operator.  Each depth is one orthogonal step from the
 one before, as in the staircase form (Van Dooren 1981), never a stack
 of powers of A, whose late blocks lose rank to rounding.  The rank cut
 is the one constant ``DEFAULT_NULL_TOL`` times the largest singular
-value of C at depth 1, and ``DEFAULT_NULL_TOL |A|_2`` below it.  The
-operators are restricted to an orthonormal basis of V_k, which removes
-the constraints from the model.  Each depth also keeps the
+value of C at depth 1, and below it ``DEFAULT_NULL_TOL`` times a, the
+largest column norm of A, the number the zero-mode floor of ``quality``
+reads.  a lies in [|A|_2 / sqrt(n), |A|_2], so the cut sits at most
+sqrt(n) (22.6 at n = 512) below ``DEFAULT_NULL_TOL |A|_2``, and it
+costs O(n^2) where |A|_2 costs an SVD.  That move stays inside the gap
+the cut falls in: on the registered problems, at the grids and depths
+``tests/test_constrained.py`` checks, every defect singular value the
+recursion keeps is at most 6.73e-16 |A|_2 and every one it cuts at
+least 8.05e-7 |A|_2.  The operators are restricted to an orthonormal
+basis of V_k, which removes the constraints from the model.  Each depth also keeps the
 orthonormal complement P_k of E V_k that its next step reads, so the
 next depth's constraint violation of a state is one product with P_k*.
 
@@ -154,7 +161,11 @@ class ConstrainedSystem:
 
     @cached_property
     def drift_norm(self) -> float:
-        """Spectral norm of the drift matrix, computed once on demand."""
+        """Spectral norm of the drift matrix, computed once on demand.
+
+        Compression and scoring never read it; ``verify_decomposition``
+        reports it.
+        """
         return float(np.linalg.norm(self.a, 2))
 
 
@@ -213,6 +224,35 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
         return basis
     pivots = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
     return basis * (np.conj(pivots) / np.abs(pivots))[None, :]
+
+
+#: Column norms outside [_SQUARES_UNDERFLOW, _SQUARES_OVERFLOW) may have
+#: lost digits, or all of them, to squares below the smallest normal
+#: number or above the largest finite one.
+_SQUARES_UNDERFLOW = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_SQUARES_OVERFLOW = np.sqrt(np.finfo(float).max)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Column norms of x, rescaled where their squares may have left the range.
+
+    Columns whose plain norm lies in [``_SQUARES_UNDERFLOW``,
+    ``_SQUARES_OVERFLOW``) keep its bits; the others are taken again as
+    ``m |x / m|`` with m their largest magnitude, so a tiny nonzero
+    column never reads 0 and a finite one reads infinite only when its
+    norm is.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=0)
+    redo = np.flatnonzero(~((norms >= _SQUARES_UNDERFLOW) & (norms < _SQUARES_OVERFLOW)))
+    if redo.size:
+        # a column of no entries (a half without constraint rows) has norm 0
+        peak = np.abs(x[:, redo]).max(axis=0, initial=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rescaled = peak * np.linalg.norm(x[:, redo] / np.where(peak > 0, peak, 1.0), axis=0)
+        # a column holding inf or nan keeps its plain norm
+        norms[redo] = np.where(np.isfinite(peak), rescaled, norms[redo])
+    return norms
 
 
 def _halves(n: int, mirror: tuple[int, ...] | None) -> list[np.ndarray | None]:
@@ -386,18 +426,19 @@ def _slices(blocks: tuple[int, ...]) -> list[slice]:
 
 
 def _walk(
-    sys: ConstrainedSystem, sigma: np.ndarray | None, c: np.ndarray, scale: float
+    sys: ConstrainedSystem, sigma: np.ndarray | None, c: np.ndarray, c_norm: float, a_norm: float
 ) -> Iterator[_HalfSystem]:
     """Yield the ``_HalfSystem`` of each depth on one half, in the half's coordinates.
 
     Depth 1 is the nullspace of ``c U``, cut at ``DEFAULT_NULL_TOL``
-    times ``scale``; each later depth is one step of the recursion on
-    the operators restricted to the half (see ``compress_depths``).
+    times ``c_norm``; each later depth is one step of the recursion on
+    the operators restricted to the half, its defect cut at
+    ``DEFAULT_NULL_TOL`` times ``a_norm`` (see ``compress_depths``).
     ``P_k`` is the orthonormal complement of ``E M_k`` that the step
     from depth k reads; a depth that leaves the half no state has the
     whole half.
     """
-    p, m = _split(_project(sigma, c.T).T, DEFAULT_NULL_TOL, scale)
+    p, m = _split(_project(sigma, c.T).T, DEFAULT_NULL_TOL, c_norm)
     a, e = (
         None if op is None else _project(sigma, _project(sigma, op.T).T) for op in (sys.a, sys.e)
     )
@@ -408,7 +449,7 @@ def _walk(
             p = nullspace_basis((e @ m).conj().T) if m.shape[1] else np.eye(len(a))
         yield _HalfSystem(sigma, a, e, m, p, a_k, e_k)
         _, s, vh = np.linalg.svd((p.conj().T @ a) @ m)
-        cut = int(np.count_nonzero(s > DEFAULT_NULL_TOL * sys.drift_norm))
+        cut = int(np.count_nonzero(s > DEFAULT_NULL_TOL * a_norm))
         if e is None:
             p = np.hstack([p, m @ vh[:cut].conj().T])
         n_k = _fix_signs(vh[cut:].conj().T)
@@ -425,23 +466,25 @@ def compress_depths(sys: ConstrainedSystem, k_max: int) -> Iterator[CompressedSy
     whose derivative stays feasible: ``A z`` in ``E V_k``, with
     ``E = I`` without a mass operator.  With P an orthonormal complement
     of ``E V_k``, that is the nullspace N_k of the defect
-    ``(P* A) M_k``, cut at ``DEFAULT_NULL_TOL |A|_2``: a relative cut
-    would count rounding as rank once V_k is invariant.  N_k's columns are sign-fixed as in
-    ``nullspace_basis``; then ``M_{k+1} = M_k N_k`` and
-    ``A_{k+1} = N_k* A_k N_k``.  Without E, P is the row space of C plus
-    the directions each step removed, so the defect has only
-    ``n - r_k`` rows; with E, P is the nullspace of ``(E M_k)*``.  Each
-    depth carries its P (``CompressedSystem.p``), from which
-    ``quality`` takes the derivative score.  Nothing past depth k is
+    ``(P* A) M_k``, cut at ``DEFAULT_NULL_TOL`` times the largest column
+    norm of A (overflow-safe, taken once per call), which lies within a
+    factor sqrt(n) below ``|A|_2`` (see the module docstring): a cut
+    relative to the defect would count rounding as rank once V_k is
+    invariant.  N_k's columns are sign-fixed as in ``nullspace_basis``;
+    then ``M_{k+1} = M_k N_k`` and ``A_{k+1} = N_k* A_k N_k``.  Without
+    E, P is the row space of C plus the directions each step removed,
+    so the defect has only ``n - r_k`` rows; with E, P is the nullspace
+    of ``(E M_k)*``.  Each depth carries its P (``CompressedSystem.p``),
+    from which ``quality`` takes the derivative score.  Nothing past depth k is
     computed before depth k+1 is asked for, and the walk stops early
     once a depth leaves no state.
 
     A mirrored system walks its even and odd halves side by side, each
     on the operators restricted to it, with the rank cuts of the
     unsplit system: ``DEFAULT_NULL_TOL`` times the largest singular
-    value of ``C / |C|_F`` at depth 1 and ``DEFAULT_NULL_TOL |A|_2`` for
-    the defect.  With E, each half's P is the nullspace of its own block
-    of ``(E M_k)*``.
+    value of ``C / |C|_F`` at depth 1 and ``DEFAULT_NULL_TOL`` times the
+    largest column norm of A for the defect.  With E, each half's P is
+    the nullspace of its own block of ``(E M_k)*``.
     Each depth keeps both halves' pieces in their own coordinates; its
     M is ``[U_+ M_+, U_- M_-]`` and its operators are block diagonal,
     assembled only when read (``CompressedSystem``).
@@ -449,8 +492,8 @@ def compress_depths(sys: ConstrainedSystem, k_max: int) -> Iterator[CompressedSy
     if k_max < 1:
         raise ValueError(f"depth must be >= 1, got k={k_max}")
     c = sys.c / np.linalg.norm(sys.c)
-    scale = np.linalg.norm(c, 2)
-    walks = zip(*(_walk(sys, sigma, c, scale) for sigma in _halves(sys.n, sys.mirror)))
+    c_norm, a_norm = np.linalg.norm(c, 2), _norms(sys.a).max()
+    walks = zip(*(_walk(sys, sigma, c, c_norm, a_norm) for sigma in _halves(sys.n, sys.mirror)))
     for k, parts in zip(range(1, k_max + 1), walks):
         if not any(part.m.shape[1] for part in parts):
             return
@@ -479,9 +522,10 @@ class DecompositionReport:
     """Residuals of the subspace split induced by a compression basis.
 
     ``invariant`` is True when the image of M fails to be mapped
-    outside itself by the drift only below ``DEFAULT_NULL_TOL |A|_2``,
-    the cut the recursion applies to its defect; in that case the
-    compressed spectrum is a subset of the drift spectrum.
+    outside itself by the drift only below ``DEFAULT_NULL_TOL`` times
+    the largest column norm of A, the cut the recursion applies to its
+    defect; in that case the compressed spectrum is a subset of the
+    drift spectrum.  ``drift_norm`` is the exact ``|A|_2``.
     """
 
     constraint_residual: float
@@ -491,15 +535,18 @@ class DecompositionReport:
 
 
 def verify_decomposition(sys: ConstrainedSystem, comp: CompressedSystem) -> DecompositionReport:
-    """Measure ``|C M|`` and ``|N* A M|`` for an orthonormal complement N of M."""
+    """Measure ``|C M|`` and ``|N* A M|`` for an orthonormal complement N of M.
+
+    ``invariant`` compares ``|N* A M|`` with the recursion's cut,
+    ``DEFAULT_NULL_TOL`` times the largest column norm of A, which lies
+    in [|A|_2 / sqrt(n), |A|_2]; ``drift_norm`` reports ``|A|_2`` itself.
+    """
     m = comp.m
-    u, _, _ = np.linalg.svd(m, full_matrices=True)
-    n_comp = u[:, comp.r :]
-    c_res = float(np.linalg.norm(sys.c @ m, 2))
+    n_comp = np.linalg.svd(m, full_matrices=True)[0][:, comp.r :]
     inv_res = float(np.linalg.norm(n_comp.conj().T @ (sys.a @ m), 2))
     return DecompositionReport(
-        constraint_residual=c_res,
+        constraint_residual=float(np.linalg.norm(sys.c @ m, 2)),
         invariance_residual=inv_res,
         drift_norm=sys.drift_norm,
-        invariant=bool(inv_res < DEFAULT_NULL_TOL * sys.drift_norm),
+        invariant=bool(inv_res < DEFAULT_NULL_TOL * _norms(sys.a).max()),
     )

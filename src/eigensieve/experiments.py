@@ -35,9 +35,10 @@ class MatchResult:
     """Nearest-reference pairing of a computed spectrum.
 
     ``indices[i]`` is the reference eigenvalue closest to computed
-    eigenvalue i in absolute distance.  Relative errors divide by the
-    reference modulus, except against a zero reference where the
-    absolute error is reported unchanged.
+    eigenvalue i in absolute distance, the reference lying on the real
+    or the imaginary axis (``match_to_reference``).  Relative errors
+    divide by the reference modulus, except against a zero reference
+    where the absolute error is reported unchanged.
     """
 
     indices: np.ndarray
@@ -45,38 +46,37 @@ class MatchResult:
     rel_errors: np.ndarray
 
 
-#: Most distances ``match_to_reference`` holds at a time (256 KB of
-#: complex differences).  The m x R matrix of a long cover is far larger:
-#: 147 MB on acoustic n=256 at depth 1.
-_MATCH_ENTRIES = 2**14
-
-
 def match_to_reference(computed: np.ndarray, reference: np.ndarray) -> MatchResult:
     """Match each computed eigenvalue to its nearest analytic reference.
 
-    The distances are taken for ``max(1, _MATCH_ENTRIES // R)`` computed
-    eigenvalues at a time against all R reference points, so at most
-    ``_MATCH_ENTRIES`` of them are held at once, or one row of R when R
-    is larger.  Each distance is ``np.abs(c - r)`` whatever the block,
-    so the result does not depend on the block size, and ties go to the
-    lowest reference index.
+    The reference must be nonempty and lie on the real or the imaginary
+    axis (every entry's imaginary part, or every real part, is 0); any
+    other reference raises ``ValueError``.  Along the axis the distance
+    ``np.abs(c - r)`` never falls as r moves away from the projection
+    of c, rounding included, so a nearest point is one of the two cover
+    points on either side of it.  Each computed eigenvalue is projected
+    (exactly: one of its parts), placed among the cover's sorted
+    distinct values by ``searchsorted`` and compared with the lowest
+    index of each of those two neighbours; each distance is
+    ``np.abs(c - r)``, as against the whole cover.  Ties go to the
+    lower reference index.  The work is one sort of the cover
+    (``np.unique``) and a few operations per computed eigenvalue.
     """
     computed = np.asarray(computed, dtype=complex).ravel()
     reference = np.asarray(reference, dtype=complex).ravel()
-    if reference.size == 0:
-        raise ValueError("reference spectrum is empty")
-    idx = np.empty(computed.size, dtype=np.intp)
-    abs_err = np.empty(computed.size)
-    rows = max(1, _MATCH_ENTRIES // reference.size)
-    for start in range(0, computed.size, rows):
-        block = slice(start, start + rows)
-        dist = np.abs(computed[block, None] - reference[None, :])
-        idx[block] = dist.argmin(axis=1)
-        abs_err[block] = dist.min(axis=1)
+    on_real = np.all(reference.imag == 0.0)
+    if not (reference.size and (on_real or np.all(reference.real == 0.0))):
+        raise ValueError("reference spectrum must be nonempty, on the real or the imaginary axis")
+    keys, points = (x.real if on_real else x.imag for x in (reference, computed))
+    values, first = np.unique(keys, return_index=True)
+    above = np.minimum(np.searchsorted(values, points), values.size - 1)
+    # the lowest index of each of the nearest distinct values at or above
+    # and below each projection; a tie keeps the lower of the two indices
+    lo, hi = np.sort([first[above], first[np.maximum(above - 1, 0)]], axis=0)
+    lo_err, hi_err = (np.abs(computed - reference[i]) for i in (lo, hi))
+    idx, abs_err = np.where(hi_err < lo_err, hi, lo), np.minimum(lo_err, hi_err)
     denom = np.abs(reference[idx])
-    rel_err = abs_err.copy()
-    nz = denom > 0.0
-    rel_err[nz] /= denom[nz]
+    rel_err = np.divide(abs_err, denom, out=abs_err.copy(), where=denom > 0.0)
     return MatchResult(indices=idx, abs_errors=abs_err, rel_errors=rel_err)
 
 

@@ -208,6 +208,9 @@ _IC_PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 #: ``acoustic_reference``.
 _BASE_ROWS = 8
 
+#: Sine modes of ``acoustic_reference``'s series by default.
+_REFERENCE_MODES = 1500
+
 
 @lru_cache(maxsize=1)
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +221,7 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def acoustic_reference(
-    grid: np.ndarray, ic: str, t: float, n_modes: int = 1500
+    grid: np.ndarray, ic: str, t: float, n_modes: int = _REFERENCE_MODES
 ) -> tuple[np.ndarray, np.ndarray]:
     """Modal-series solution of the pressure-pinned wave system at the grid nodes.
 
@@ -298,7 +301,9 @@ class BenchmarkProblem:
 
     ``reference_cover(radius)`` returns every analytic eigenvalue out to
     at least the given modulus, with margin, so nearest-reference
-    matching always has candidates beyond the computed spectrum.
+    matching always has candidates beyond the computed spectrum.  The
+    cover lies on the real or the imaginary axis, the contract that
+    ``experiments.match_to_reference`` searches along and enforces.
     ``min_n`` is the fewest grid points the builder accepts: the one
     statement of it, read by the builder and by the command line.
     """

@@ -109,6 +109,7 @@ from .constrained import (
     CompressedSystem,
     ConstrainedSystem,
     _HalfSystem,
+    _norms,
     compress,
 )
 from .errors import IllConditionedMassError, UndefinedSubspaceError
@@ -245,35 +246,6 @@ def _score_chunk(
     lhs = ws[:, live] if half.e is None else _times(half.e, ws[:, live])
     theta[live] = _grassmann_distances(lhs.T, aws[:, live].T)
     return s_norm, theta, zero
-
-
-#: Column norms outside [_SQUARES_UNDERFLOW, _SQUARES_OVERFLOW) may have
-#: lost digits, or all of them, to squares below the smallest normal
-#: number or above the largest finite one.
-_SQUARES_UNDERFLOW = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
-_SQUARES_OVERFLOW = np.sqrt(np.finfo(float).max)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Column norms of x, rescaled where their squares may have left the range.
-
-    Columns whose plain norm lies in [``_SQUARES_UNDERFLOW``,
-    ``_SQUARES_OVERFLOW``) keep its bits; the others are taken again as
-    ``m |x / m|`` with m their largest magnitude, so a tiny nonzero
-    column never reads 0 and a finite one reads infinite only when its
-    norm is.
-    """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(x, axis=0)
-    redo = np.flatnonzero(~((norms >= _SQUARES_UNDERFLOW) & (norms < _SQUARES_OVERFLOW)))
-    if redo.size:
-        # a column of no entries (a half without constraint rows) has norm 0
-        peak = np.abs(x[:, redo]).max(axis=0, initial=0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rescaled = peak * np.linalg.norm(x[:, redo] / np.where(peak > 0, peak, 1.0), axis=0)
-        # a column holding inf or nan keeps its plain norm
-        norms[redo] = np.where(np.isfinite(peak), rescaled, norms[redo])
-    return norms
 
 
 def _span_bases(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .chebyshev import clenshaw_curtis
 from .errors import DivergenceError, RankDeficientBasisError, ZeroReferenceError
-from .problems import _IC_PROFILES, acoustic_reference, acoustic_wave
+from .problems import _IC_PROFILES, _REFERENCE_MODES, acoustic_reference, acoustic_wave
 from .quality import QualityReport, quality_report
 
 __all__ = [
@@ -553,6 +553,13 @@ def reduction_sweep(
     counts may repeat and come in any order.  The wave problem is the
     only one with a time-domain reference.
 
+    A reference pressure whose weighted norm is at or below the
+    series' stated accuracy, ``2 eps (n_modes + 2)`` times the initial
+    pressure's (``acoustic_reference``), is rounding, not a field, and
+    raises ``ZeroReferenceError`` before the report is scored: the
+    ``sine`` profile at t = 0.5, where its one mode's ``cos(pi t)``
+    vanishes, would give relative errors near 1e11.
+
     Every count is truncated first, in list order, so the rank guard
     raises at the first failing count before anything is evolved.  The
     models are then leading blocks of the largest one and are evolved
@@ -564,9 +571,12 @@ def reduction_sweep(
     sys = acoustic_wave(n)
     grid = sys.labels["grid"]
     # the reference rejects an unknown profile before the report is scored
-    p_ref, _ = acoustic_reference(grid, ic, t_end)
+    p_ref, _ = acoustic_reference(grid, ic, t_end, _REFERENCE_MODES)
     x0 = np.concatenate([_IC_PROFILES[ic](grid), np.zeros(n)])
     weights = clenshaw_curtis(n)
+    ref_norm, start_norm = (np.sqrt(weights @ p**2) for p in (p_ref, x0[:n]))
+    if ref_norm <= 2 * np.finfo(float).eps * (_REFERENCE_MODES + 2) * start_norm:
+        raise ZeroReferenceError(f"the reference pressure at t={t_end:g} is zero to rounding")
     report = quality_report(sys, 1)
 
     models = [truncate(report, int(r)) for r in r_values]

@@ -338,6 +338,12 @@ def test_state_space_arrays_are_assembled_on_demand(build, n, k):
 
 
 class TestDepthRecursion:
+    def test_rank_cuts_leave_the_spectral_norm_uncomputed(self):
+        # each depth's defect is cut at the largest column norm of A, not |A|_2
+        sys = acoustic_wave(32)
+        assert len(list(compress_depths(sys, 3))) == 3
+        assert "drift_norm" not in sys.__dict__
+
     @pytest.mark.parametrize(
         "sys", [canuto_hyperbolic(16), _mass_system(0)], ids=["canuto", "random-mass"]
     )
@@ -428,8 +434,11 @@ class TestDepthRecursion:
         # at most 6.8e-16 |A|_2 here and those it cuts at least 8.0e-7 |A|_2,
         # and with E the smallest of (E_h M_h)* is 1.46e-6 of its largest
         low, high = 1e-14, 1e-7
-        assert low < DEFAULT_NULL_TOL < high
         sys = build(n)
+        # the cut, DEFAULT_NULL_TOL times the largest column norm of A,
+        # lies within a factor sqrt(n) below DEFAULT_NULL_TOL |A|_2
+        cut = DEFAULT_NULL_TOL * np.linalg.norm(sys.a, axis=0).max() / sys.drift_norm
+        assert low < DEFAULT_NULL_TOL / np.sqrt(sys.n) <= cut <= DEFAULT_NULL_TOL < high
         for comp in compress_depths(sys, k_max):
             for half in comp.halves:
                 defect = (half.p.conj().T @ half.a) @ half.m

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from eigensieve.chebyshev import cheb_diff, diff_power
 from eigensieve.constrained import ConstrainedSystem, compress
 from eigensieve.experiments import (
-    _MATCH_ENTRIES,
     k_quality_sweep,
     k_sweep,
     match_to_reference,
@@ -37,6 +36,13 @@ def _random_complex(rng, size):
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
+def _axis_covers(rng, size):
+    """An unsorted real-axis and imaginary-axis cover of ``size`` points, with duplicates."""
+    values = rng.standard_normal(size)
+    values[::3] = rng.choice(values, values[::3].size)
+    return [values + 0j, 1j * values]
+
+
 class TestMatchToReference:
     def test_hand_case(self):
         match = match_to_reference(np.array([1.0 + 0j, 5.1]), np.array([1.0, 5.0]))
@@ -55,43 +61,61 @@ class TestMatchToReference:
         with pytest.raises(ValueError, match="empty"):
             match_to_reference(np.array([1.0 + 0j]), np.array([]))
 
+    @pytest.mark.parametrize("reference", [[1.0, 1j], [1.0 + 1e-300j], [1.0 + 1j, 2.0 + 2j]])
+    def test_off_axis_reference_rejected(self, reference):
+        with pytest.raises(ValueError, match="real or the imaginary axis"):
+            match_to_reference(np.array([1.0 + 0j]), np.array(reference))
+
     def test_matches_are_nearest(self):
         rng = np.random.default_rng(30)
         computed = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        reference = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        match = match_to_reference(computed, reference)
-        for i, c in enumerate(computed):
-            dists = np.abs(c - reference)
-            assert dists[match.indices[i]] == dists.min()
-            assert match.abs_errors[i] == pytest.approx(dists.min())
+        for reference in _axis_covers(rng, 7):
+            match = match_to_reference(computed, reference)
+            for i, c in enumerate(computed):
+                dists = np.abs(c - reference)
+                assert dists[match.indices[i]] == dists.min()
+                assert match.abs_errors[i] == pytest.approx(dists.min())
 
     @pytest.mark.parametrize("m, r", [
-        (37, 1000),  # 16 rows a block: two whole blocks and one of 5
+        (37, 1000),
         (1, 7),
-        (5, _MATCH_ENTRIES + 3),  # one row a block
-        (3, _MATCH_ENTRIES),
+        (5, 2**14 + 3),
+        (3, 2**14),
     ])
     def test_blocks_keep_the_whole_matrix_bits(self, m, r):
         rng = np.random.default_rng(m + r)
-        computed, reference = _random_complex(rng, m), _random_complex(rng, r)
-        match = match_to_reference(computed, reference)
-        idx, abs_err, rel_err = _whole_matrix_match(computed, reference)
-        assert np.array_equal(match.indices, idx)
-        assert np.array_equal(match.abs_errors, abs_err)
-        assert np.array_equal(match.rel_errors, rel_err)
+        computed = _random_complex(rng, m)
+        # computed points on top of cover points, and past both ends
+        computed[0] = 100.0 + 1j
+        if m > 2:
+            computed[1] = -100.0 - 1j
+        for reference in _axis_covers(rng, r):
+            if m > 2:
+                computed[2] = reference[r // 2] + 1e-3
+            match = match_to_reference(computed, reference)
+            idx, abs_err, rel_err = _whole_matrix_match(computed, reference)
+            assert np.array_equal(match.indices, idx)
+            assert np.array_equal(match.abs_errors, abs_err)
+            assert np.array_equal(match.rel_errors, rel_err)
 
-    @pytest.mark.parametrize("r", [3, _MATCH_ENTRIES + 1])
+    @pytest.mark.parametrize("r", [3, 2**14 + 1])
     def test_ties_go_to_the_lowest_reference_index(self, r):
-        # duplicate reference points, in the first block row and past it
-        reference = np.full(r, 5.0 + 0j)
-        reference[0] = 100.0
-        computed = np.full(40, 4.0 + 1j)
-        match = match_to_reference(computed, reference)
-        np.testing.assert_array_equal(match.indices, np.ones(40))
-        # halfway between two points
-        match = match_to_reference(np.array([0.5 + 0j]), np.array([0.0, 1.0]))
-        assert match.indices[0] == 0
-        assert match.abs_errors[0] == 0.5
+        # a run of duplicate reference points, on either axis
+        for axis in (1.0, 1j):
+            reference = np.full(r, 5.0 * axis)
+            reference[0] = 100.0 * axis
+            computed = np.full(40, (4.0 + 1j) * axis)
+            match = match_to_reference(computed, reference)
+            np.testing.assert_array_equal(match.indices, np.ones(40))
+            # past the top of the cover, the first of its run of largest points
+            reference[0] = -100.0 * axis
+            match = match_to_reference(np.array([200.0 * axis]), reference)
+            assert match.indices[0] == 1
+        # halfway between two points, the lower index above or below
+        for reference, index in (([0.0, 1.0], 0), ([1.0, 0.0], 0), ([2.0, 1.0, 0.0], 1)):
+            match = match_to_reference(np.array([0.5 + 0j]), np.array(reference))
+            assert match.indices[0] == index
+            assert match.abs_errors[0] == 0.5
 
     def test_empty_computed_gives_empty_arrays(self):
         match = match_to_reference(np.array([], dtype=complex), np.array([1.0, 2.0]))
@@ -102,14 +126,15 @@ class TestMatchToReference:
     def test_memory_is_bounded_by_blocks(self):
         # the whole 100 x 1e4 matrix is 16 MB of differences and 8 MB of moduli
         rng = np.random.default_rng(4)
-        computed, reference = _random_complex(rng, 100), _random_complex(rng, 10_000)
-        tracemalloc.start()
-        try:
-            match_to_reference(computed, reference)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2e6
+        computed = _random_complex(rng, 100)
+        for reference in _axis_covers(rng, 10_000):
+            tracemalloc.start()
+            try:
+                match_to_reference(computed, reference)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2e6
 
 
 def clamped_fourth_order(n):

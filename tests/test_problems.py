@@ -345,3 +345,12 @@ class TestRegistry:
             for radius in (1.0, 50.0, 400.0):
                 assert np.abs(cover(radius)).max() >= radius
         assert get_problem("orr-sommerfeld").reference_cover is None
+
+    def test_reference_covers_lie_on_an_axis(self):
+        # the contract experiments.match_to_reference searches along
+        for problem in REGISTRY.values():
+            if problem.reference_cover is None:
+                continue
+            for radius in (0.0, 1.0, 50.0, 400.0, 1.5e4):
+                cover = problem.reference_cover(radius)
+                assert np.all(cover.imag == 0.0) or np.all(cover.real == 0.0), problem.name

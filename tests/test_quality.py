@@ -16,6 +16,7 @@ from eigensieve.constrained import (
     CompressedSystem,
     ConstrainedSystem,
     _HalfSystem,
+    _norms,
     compress,
 )
 from eigensieve.errors import EigensieveError, IllConditionedMassError, UndefinedSubspaceError
@@ -814,7 +815,7 @@ class TestDerivativeBlockRange:
         scales = [1.0, 1e-140, 1e150, 1e-150, 1e-300, 1e-320, 1e160, 1e307, 0.0]
         x = rng.standard_normal((5, len(scales))) * np.array(scales)
         x[0, -1] = np.inf
-        norms = quality._norms(x)
+        norms = _norms(x)
         np.testing.assert_array_equal(norms[:3], np.linalg.norm(x[:, :3], axis=0))
         for j in range(3, 8):
             assert norms[j] == pytest.approx(_scaled_norm(x[:, j]), rel=1e-9)

@@ -958,6 +958,21 @@ class TestReductionSweep:
         with pytest.raises(ValueError, match="initial condition"):
             reduction_sweep(32, "boxcar", (2,))
 
+    def test_vanishing_reference_rejected_before_the_report(self, monkeypatch, capsys):
+        # the sine profile is one mode, whose cos(pi t) vanishes at t = 0.5;
+        # against the series' rounding the errors read 1.9e11 and 3.1e11
+        monkeypatch.setattr(reduction, "quality_report", None)
+        with pytest.raises(ZeroReferenceError, match="t=0.5"):
+            reduction_sweep(64, "sine", [4, 8, 126], t_end=0.5)
+        argv = ["reduce", "--n", "64", "--ic", "sine", "--t-end", "0.5", "--r-list", "4,8,126"]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().out == ""
+
+    def test_small_reference_is_still_compared(self):
+        # cos(pi t) = 3.1e-2 at t = 0.49, far above the series' accuracy
+        (row,) = reduction_sweep(16, "sine", [14], t_end=0.49)
+        assert row.rel_error < 1e-6
+
     @pytest.mark.parametrize("t_end", [np.nan, np.inf])
     def test_non_finite_time_rejected_before_the_reference(self, monkeypatch, t_end):
         # the reference tables were built as all-nan fields, with

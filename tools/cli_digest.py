@@ -13,15 +13,17 @@ them the ``--null-tol`` option that no subcommand takes, and a
 of exit code shows in the diff, five mirrored problems on grids of
 odd length, whose halves hold the centre point of each field, and
 ``sweep-k`` on acoustic n=256 to depth 2, summary and grid, whose
-reference covers (18025 and 13401 points) exceed the distances that
-``experiments.match_to_reference`` holds at a time, so it matches one
-eigenvalue per block.  Then come ``sweep-k`` on heat n=16 to depth 6 as
-a grid, a real mirrored spectrum whose even and odd halves interleave
-in the report, so it shows a change to the report's mode order, and
-``analyze`` on Orr-Sommerfeld n=110 at depth 3, which runs the mass
-operator's recursion past depth 2.  After them come the commands of
-every benchmark workload, built by ``perfbench/workloads.py`` with seed
-``SEED``.
+reference covers hold 18025 and 13401 points.  Then come ``sweep-k`` on
+heat n=16 to depth 6 as a grid, a real mirrored spectrum whose even and
+odd halves interleave in the report, so it shows a change to the
+report's mode order, and ``analyze`` on Orr-Sommerfeld n=110 at depth
+3, which runs the mass operator's recursion past depth 2.  The last
+three are ``sweep-k`` on acoustic n=256 to depth 3, summary and grid,
+the depth sweep whose rank cuts and reference matching cost most
+outside the eigen solve, and a ``reduce`` of the ``sine`` profile at
+t = 0.5, where its one mode's cosine vanishes, a numerical failure
+(exit 3).  After them come the commands of every benchmark workload,
+built by ``perfbench/workloads.py`` with seed ``SEED``.
 
 Each line ``<exit code> <sha256> <command>`` digests a command's whole
 stdout.  After the line of a command that printed CSV come indented
@@ -118,6 +120,9 @@ COMMANDS = [
     "sweep-k --problem acoustic --n 256 --k-max 2 --grid",
     "sweep-k --problem heat --n 16 --k-max 6 --grid",
     "analyze --problem orr-sommerfeld --n 110 --k 3",
+    "sweep-k --problem acoustic --n 256 --k-max 3",
+    "sweep-k --problem acoustic --n 256 --k-max 3 --grid",
+    "reduce --n 64 --ic sine --t-end 0.5 --r-list 4,8,126",
 ]
 
 
