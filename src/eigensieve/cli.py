@@ -6,16 +6,23 @@ depth, ``reduce`` runs the quality-ranked reduction error sweep, and
 ``problems`` lists what is registered.  Output is CSV or JSON on stdout
 or to a file; runs are deterministic, with no environment dependence.
 
-Exit codes: 0 on success, 2 on usage errors, 3 on numerical failure.
+Exit codes: 0 on success, 2 on usage errors, 3 on numerical failure,
+including arrays too large to allocate (``MemoryError``).
+
+Every command builds one table, a dict that maps each column name, in
+header order, to one 1-D array, and ``_write_output`` writes it: JSON
+rows hold each cell as its Python value, CSV cells are ``true`` or
+``false`` for a bool, ``.17g`` for a float, ``;``-joined for a list
+and ``str`` otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys as _sys
-from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -108,56 +115,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _g17(value)
-    if isinstance(value, (list, tuple)):
-        return ";".join(str(v) for v in value)
-    return str(value)
-
-
-def _cmd_analyze(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+def _cmd_analyze(args: argparse.Namespace) -> dict:
     prob = problems.get_problem(args.problem)
     system = prob.build(**{name: getattr(args, name) for name in prob.params})
     report = quality.quality_report(system, args.k)
-    columns = {
-        "rank": range(report.lambdas.size),
-        "re_lambda": report.lambdas.real.tolist(),
-        "im_lambda": report.lambdas.imag.tolist(),
-        "s_norm": report.s_norm.tolist(),
-        "theta": report.theta.tolist(),
-        "zero_mode": report.zero_mode.tolist(),
+    return {
+        "rank": np.arange(report.lambdas.size),
+        "re_lambda": report.lambdas.real,
+        "im_lambda": report.lambdas.imag,
+        "s_norm": report.s_norm,
+        "theta": report.theta,
+        "zero_mode": report.zero_mode,
     }
-    return list(columns), [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
-def _cmd_sweep_k(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
-    if args.grid:
-        sweep, row_type = experiments.k_quality_sweep, experiments.KQualityRow
-    else:
-        sweep, row_type = experiments.k_sweep, experiments.KSweepRow
-    sweep_rows = sweep(args.problem, args.n, args.k_max)
-    return [f.name for f in fields(row_type)], [vars(row) for row in sweep_rows]
+def _cmd_sweep_k(args: argparse.Namespace) -> dict:
+    sweep = experiments.k_quality_sweep if args.grid else experiments.k_sweep
+    return sweep(args.problem, args.n, args.k_max)
 
 
-def _cmd_reduce(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
-    sweep_rows = reduction.reduction_sweep(args.n, args.ic, args.r_list, args.t_end)
-    return [f.name for f in fields(reduction.ReductionRow)], [vars(row) for row in sweep_rows]
+def _cmd_reduce(args: argparse.Namespace) -> dict:
+    return reduction.reduction_sweep(args.n, args.ic, args.r_list, args.t_end)
 
 
-def _cmd_problems(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
-    header = ["name", "params"]
-    rows = [
-        {"name": prob.name, "params": list(prob.params)}
-        for prob in problems.REGISTRY.values()
-    ]
-    return header, rows
+def _cmd_problems(args: argparse.Namespace) -> dict:
+    return {
+        "name": np.array([prob.name for prob in problems.REGISTRY.values()]),
+        "params": [list(prob.params) for prob in problems.REGISTRY.values()],
+    }
 
 
 _COMMANDS = {
@@ -168,17 +153,30 @@ _COMMANDS = {
 }
 
 
-def _write_output(args: argparse.Namespace, header: list[str], rows: list[dict]) -> int:
+def _csv_formatter(values: list):
+    """The writer of a CSV column's cells, chosen from the type of its elements."""
+    kind = type(values[0]) if values else str
+    if kind is bool:
+        return lambda v: "true" if v else "false"
+    if kind is float:
+        return lambda v: format(v, ".17g")
+    if kind is list:
+        return lambda v: ";".join(map(str, v))
+    return str
+
+
+def _write_output(args: argparse.Namespace, table: dict) -> int:
+    # a column is a 1-D array, or a plain list of lists; tolist() gives
+    # every cell its Python type, hence its JSON bytes
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
     if args.format == "json":
+        rows = [dict(zip(table, row)) for row in zip(*columns)]
         text = json.dumps({"meta": vars(args), "rows": rows}, indent=2) + "\n"
     else:
-        import io
-
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(row[name]) for name in header])
+        writer.writerow(table)
+        writer.writerows(zip(*(map(_csv_formatter(values), values) for values in columns)))
         text = buffer.getvalue()
     if not args.out:
         _sys.stdout.write(text)
@@ -202,11 +200,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "reduce" and max(args.r_list) > 2 * args.n - 2:
         parser.error(f"retained counts must be at most 2n - 2 = {2 * args.n - 2}, the mode count")
     try:
-        header, rows = _COMMANDS[args.command](args)
-    except (EigensieveError, np.linalg.LinAlgError, ValueError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        table = _COMMANDS[args.command](args)
+    except (EigensieveError, np.linalg.LinAlgError, ValueError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=_sys.stderr)
         return EXIT_NUMERICAL
-    return _write_output(args, header, rows)
+    return _write_output(args, table)
 
 
 def run() -> None:

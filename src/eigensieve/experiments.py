@@ -2,13 +2,14 @@
 
 Reproducible experiment drivers: match computed spectra to analytic
 ladders, summarise the error per constraint depth k, and tabulate the
-per-mode quality scores across depths.  All outputs are plain rows of
-floats so they serialize to CSV or JSON without further processing.
+per-mode quality scores across depths.  Each sweep returns a table:
+a dict that maps each column name, in CSV header order, to one 1-D
+array, which the CLI writes as CSV or JSON without further processing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,6 @@ from .quality import _report, quality_report  # noqa: F401
 
 __all__ = [
     "MatchResult",
-    "KSweepRow",
-    "KQualityRow",
     "match_to_reference",
     "k_sweep",
     "k_quality_sweep",
@@ -100,30 +99,28 @@ def _depths(problem: str, n: int, k_max: int, solve: Callable) -> Iterator[tuple
         yield comp.k, result, lams, reference, match_to_reference(lams, reference)
 
 
-@dataclass(eq=False)
-class KSweepRow:
-    """Error summary of one constraint depth.
+def _table(names: tuple[str, ...], depths: Iterable[tuple]) -> dict[str, np.ndarray]:
+    """A table of ``names`` from each depth's pieces, given in that order, end to end.
 
-    ``proxy_real_error`` is the real-part error of the worst-matched
-    mode, the quantity whose collapse signals that the spurious branch
-    is gone; ``max_abs_real`` is the largest ``|Re lam|`` over all
-    computed modes and feeds the spurious-free verdict
-    ``max_abs_real < 1e-8 |A|``.
+    A piece is a scalar or a 1-D array; without depths every column is empty.
     """
-
-    k: int
-    r: int
-    proxy_real_error: float
-    max_abs_error: float
-    min_abs_error: float
-    max_abs_real: float
+    columns = list(zip(*depths)) or [[np.empty(0)]] * len(names)
+    return {name: np.hstack(column) for name, column in zip(names, columns)}
 
 
-def k_sweep(problem: str = "canuto", n: int = 32, k_max: int = 25) -> list[KSweepRow]:
+def k_sweep(problem: str = "canuto", n: int = 32, k_max: int = 25) -> dict[str, np.ndarray]:
     """Sweep the constraint depth and summarise spectral errors.
 
-    Stops early, with the rows collected so far, if some depth leaves
-    no feasible subspace at all.  Requires a problem with an analytic
+    Returns the table of ``sweep-k``, one entry per depth: ``k``, the
+    depth's dimension ``r``, then ``proxy_real_error``, the real-part
+    error of the worst-matched mode, the quantity whose collapse
+    signals that the spurious branch is gone, ``max_abs_error`` and
+    ``min_abs_error`` over the matched modes, and ``max_abs_real``, the
+    largest ``|Re lam|`` over all computed modes, which feeds the
+    spurious-free verdict ``max_abs_real < 1e-8 |A|``.
+
+    Stops early, with the depths done so far, if some depth leaves no
+    feasible subspace at all.  Requires a problem with an analytic
     reference spectrum.  Each diagonal block of a depth's compressed
     drift (one, or the two parity halves of a mirrored system) is solved
     on its own.
@@ -133,56 +130,35 @@ def k_sweep(problem: str = "canuto", n: int = 32, k_max: int = 25) -> list[KSwee
         lams = [eigvals(half.a_k) for half in comp.halves]
         return comp, np.concatenate(lams).astype(complex, copy=False)
 
-    rows: list[KSweepRow] = []
-    for k, comp, lams, reference, match in _depths(problem, n, k_max, solve):
+    def summary(k, comp, lams, reference, match):
         errors = match.abs_errors
-        worst = int(errors.argmax())
+        worst = errors.argmax()
         proxy = abs((reference[match.indices[worst]] - lams[worst]).real)
-        rows.append(KSweepRow(
-            k=k, r=comp.r, proxy_real_error=float(proxy),
-            max_abs_error=float(errors.max()), min_abs_error=float(errors.min()),
-            max_abs_real=float(np.abs(lams.real).max()),
-        ))
-    return rows
+        return k, comp.r, proxy, errors.max(), errors.min(), np.abs(lams.real).max()
+
+    names = ("k", "r", "proxy_real_error", "max_abs_error", "min_abs_error", "max_abs_real")
+    return _table(names, (summary(*depth) for depth in _depths(problem, n, k_max, solve)))
 
 
-@dataclass(eq=False)
-class KQualityRow:
-    """Quality scores and matched error of one mode at one constraint depth.
-
-    The fields are the columns of ``sweep-k --grid``, in order; the
-    eigenvalue is split into its real and imaginary parts.
-    """
-
-    k: int
-    rank: int
-    re_lambda: float
-    im_lambda: float
-    abs_error: float
-    rel_error: float
-    s_norm: float
-    theta: float
-    zero_mode: bool
-
-
-def k_quality_sweep(problem: str = "canuto", n: int = 32, k_max: int = 10) -> list[KQualityRow]:
+def k_quality_sweep(problem: str = "canuto", n: int = 32, k_max: int = 10) -> dict[str, np.ndarray]:
     """Full per-mode quality grid across constraint depths 1 .. k_max.
 
-    Each depth contributes one row per computed mode, in the report's
-    best-first order, with the eigenvalue error from nearest-reference
-    matching alongside both quality scores.
+    Returns the table of ``sweep-k --grid``: each depth contributes one
+    entry per computed mode, in the report's best-first order, with its
+    depth ``k`` and ``rank``, the eigenvalue split into ``re_lambda``
+    and ``im_lambda``, the ``abs_error`` and ``rel_error`` of
+    nearest-reference matching, and the quality scores ``s_norm``,
+    ``theta`` and ``zero_mode``.
     """
 
     def solve(sys, comp):
         report = _report(sys, comp)
         return report, report.lambdas
 
-    rows = []
-    for k, report, lams, _, match in _depths(problem, n, k_max, solve):
-        columns = zip(
-            lams.real.tolist(), lams.imag.tolist(),
-            match.abs_errors.tolist(), match.rel_errors.tolist(),
-            report.s_norm.tolist(), report.theta.tolist(), report.zero_mode.tolist(),
-        )
-        rows.extend(KQualityRow(k, rank, *values) for rank, values in enumerate(columns))
-    return rows
+    names = ("k", "rank", "re_lambda", "im_lambda", "abs_error", "rel_error",
+             "s_norm", "theta", "zero_mode")
+    return _table(names, (
+        (np.full(lams.size, k), np.arange(lams.size), lams.real, lams.imag,
+         match.abs_errors, match.rel_errors, report.s_norm, report.theta, report.zero_mode)
+        for k, report, lams, _, match in _depths(problem, n, k_max, solve)
+    ))

@@ -36,7 +36,6 @@ from .quality import QualityReport, quality_report
 __all__ = [
     "ReducedModel",
     "SimulationResult",
-    "ReductionRow",
     "truncate",
     "simulate_modal",
     "simulate_rk4",
@@ -528,30 +527,23 @@ def relative_l2_error(
     return float(error) if error.ndim == 0 else error
 
 
-@dataclass(eq=False)
-class ReductionRow:
-    """One retained-count sample of a reduction sweep."""
-
-    r: int
-    size: int
-    rel_error: float
-    theta_r: float
-
-
 def reduction_sweep(
     n: int,
     ic: str,
     r_values: tuple[int, ...] | list[int],
     t_end: float = 1.0,
-) -> list[ReductionRow]:
+) -> dict[str, np.ndarray]:
     """Error at ``t_end`` of quality-ranked reduced models of one wave run.
 
     Builds the pressure-pinned wave system, ranks its modes, and for
     each requested size compares the reduced pressure field against the
     modal-series solution in the quadrature-weighted relative L2 norm.
-    Returns one ``ReductionRow`` per entry of ``r_values``, in order;
-    counts may repeat and come in any order.  The wave problem is the
-    only one with a time-domain reference.
+    Returns the table of ``reduce``, one entry per entry of
+    ``r_values``, in order: the count ``r``, the conjugate-closed model
+    ``size``, its ``rel_error`` and ``theta_r``, the angle of mode r.
+    Counts may repeat and come in any order; no counts give the empty
+    table, without scoring the report.  The wave problem is the only
+    one with a time-domain reference.
 
     A reference pressure whose weighted norm is at or below the
     series' stated accuracy, ``2 eps (n_modes + 2)`` times the initial
@@ -577,21 +569,14 @@ def reduction_sweep(
     ref_norm, start_norm = (np.sqrt(weights @ p**2) for p in (p_ref, x0[:n]))
     if ref_norm <= 2 * np.finfo(float).eps * (_REFERENCE_MODES + 2) * start_norm:
         raise ZeroReferenceError(f"the reference pressure at t={t_end:g} is zero to rounding")
+    counts = np.array(r_values, dtype=int)
+    if not counts.size:
+        return {"r": counts, "size": counts, "rel_error": np.empty(0), "theta_r": np.empty(0)}
     report = quality_report(sys, 1)
 
-    models = [truncate(report, int(r)) for r in r_values]
-    if not models:
-        return []
-    sizes = [model.size for model in models]
-    largest = models[int(np.argmax(sizes))]
+    models = [truncate(report, r) for r in counts.tolist()]
+    sizes = np.array([model.size for model in models])
+    largest = models[int(sizes.argmax())]
     states, _ = _evolve(largest, x0, sizes, np.array([t_end], dtype=float))
     errors = relative_l2_error(states[-1, :, :n], p_ref, weights)
-    return [
-        ReductionRow(
-            r=int(r),
-            size=size,
-            rel_error=error,
-            theta_r=report.theta[int(r) - 1].item(),
-        )
-        for r, size, error in zip(r_values, sizes, errors.tolist())
-    ]
+    return {"r": counts, "size": sizes, "rel_error": errors, "theta_r": report.theta[counts - 1]}

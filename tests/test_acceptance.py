@@ -109,16 +109,14 @@ def test_criterion_2_spurious_elimination_by_depth():
     summary = []
     checks = []
     for n, k_bound in ((32, 12), (64, 20)):
-        rows = _canuto_sweep(n)
+        table = _canuto_sweep(n)
+        ks, min_errors = table["k"], table["min_abs_error"]
         gate = 1e-8 * canuto_hyperbolic(n).drift_norm
-        free = [row.k for row in rows if row.max_abs_real < gate]
+        free = ks[table["max_abs_real"] < gate].tolist()
         first = min(free) if free else None
-        min_err = next(row.min_abs_error for row in rows if row.k == first) if first else np.inf
-        tail = [row for row in rows if 12 <= row.k <= 25]
-        slope = float(np.polyfit(
-            [row.k for row in tail],
-            np.log10([row.min_abs_error for row in tail]), 1,
-        )[0])
+        min_err = min_errors[ks == first][0] if first else np.inf
+        tail = (12 <= ks) & (ks <= 25)
+        slope = float(np.polyfit(ks[tail], np.log10(min_errors[tail]), 1)[0])
         summary.append(f"n={n}: clean at k={first} (<= {k_bound}), "
                        f"min err {min_err:.2e}, tail slope {slope:+.3f}")
         checks.append(first is not None and first <= k_bound

@@ -1,5 +1,8 @@
 """Command-line interface: arguments, formats, schemas, exit codes."""
 
+import csv
+import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -9,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from eigensieve import cli, problems
+from eigensieve import cli, experiments, problems
 from eigensieve.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from eigensieve.problems import canuto_hyperbolic
 from eigensieve.quality import quality_report
@@ -123,6 +126,15 @@ class TestSweepK:
         )
         assert len(lines) == 1 + 14 + 12
 
+    def test_no_depth_prints_the_header_alone(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "compress_depths", lambda sys, k_max: iter(()))
+        _, summary, _ = run_cli(capsys, "sweep-k", "--n", "8", "--k-max", "2")
+        assert summary == "k,r,proxy_real_error,max_abs_error,min_abs_error,max_abs_real\n"
+        _, grid, _ = run_cli(capsys, "sweep-k", "--n", "8", "--k-max", "2", "--grid")
+        assert grid == "k,rank,re_lambda,im_lambda,abs_error,rel_error,s_norm,theta,zero_mode\n"
+        _, json_out, _ = run_cli(capsys, "sweep-k", "--n", "8", "--k-max", "2", "--format", "json")
+        assert json.loads(json_out)["rows"] == []
+
     def test_json_matches_schema_both_layouts(self, capsys):
         schema = load_schema("sweep_k.schema.json")
         _, out, _ = run_cli(
@@ -180,6 +192,42 @@ class TestProblems:
     def test_json_matches_schema(self, capsys):
         _, out, _ = run_cli(capsys, "problems", "--format", "json")
         jsonschema.validate(json.loads(out), load_schema("problems.schema.json"))
+
+
+def _csv_cell(value):
+    """The CSV cell of a JSON value, by the writer's rule for its type."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, list):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "--problem", "canuto", "--n", "8"),
+        ("analyze", "--problem", "orr-sommerfeld", "--n", "16"),
+        ("sweep-k", "--n", "8", "--k-max", "3"),
+        ("sweep-k", "--n", "8", "--k-max", "3", "--grid"),
+        ("reduce", "--n", "16", "--ic", "bump", "--r-list", "6,2,30,2"),
+        ("problems",),
+    ],
+    ids=["analyze-canuto", "analyze-orr-sommerfeld", "sweep-k", "sweep-k-grid", "reduce",
+         "problems"],
+)
+def test_csv_and_json_hold_the_same_cells(capsys, args):
+    code, csv_out, _ = run_cli(capsys, *args)
+    code2, json_out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == code2 == EXIT_OK
+    header, *lines = csv.reader(io.StringIO(csv_out))
+    rows = json.loads(json_out)["rows"]
+    assert rows and len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert list(row) == header
+        assert line == [_csv_cell(value) for value in row.values()]
 
 
 META_KEYS = [
@@ -378,6 +426,28 @@ class TestExitCodes:
         scores = [float(line.split(",")[3]) for line in out.strip().split("\n")[1:]]
         assert len(scores) == bounds.size
         assert all(0.0 <= score <= (1 + 1e-12) * bound for score, bound in zip(scores, bounds))
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB for an array"),
+             "error: Unable to allocate 74.5 GiB for an array\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_is_a_numerical_failure(self, capsys, monkeypatch, error, message):
+        # a grid too large to allocate; the builder raises instead, since
+        # a real allocation may succeed under overcommit and exhaust memory
+        def build(**params):
+            raise error
+
+        prob = problems.REGISTRY["canuto"]
+        monkeypatch.setitem(problems.REGISTRY, "canuto", dataclasses.replace(prob, build=build))
+        code, out, err = run_cli(capsys, "analyze", "--problem", "canuto", "--n", "100000")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err == message
 
     def test_numerical_error_trivial_subspace(self, capsys):
         code, _, err = run_cli(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigensieve import experiments
 from eigensieve.chebyshev import cheb_diff, diff_power
 from eigensieve.constrained import ConstrainedSystem, compress
 from eigensieve.experiments import (
@@ -189,33 +190,33 @@ class TestClampedFourthOrder:
 
 class TestKSweep:
     def test_small_case_runs_to_exhaustion(self):
-        rows = k_sweep("heat", n=8, k_max=25)
-        assert [row.k for row in rows] == [1, 2, 3]
-        assert [row.r for row in rows] == [6, 4, 2]
-        for row in rows:
-            assert 0.0 <= row.min_abs_error <= row.max_abs_error
-            assert row.proxy_real_error >= 0.0
+        table = k_sweep("heat", n=8, k_max=25)
+        assert table["k"].tolist() == [1, 2, 3]
+        assert table["r"].tolist() == [6, 4, 2]
+        assert np.all(0.0 <= table["min_abs_error"])
+        assert np.all(table["min_abs_error"] <= table["max_abs_error"])
+        assert np.all(table["proxy_real_error"] >= 0.0)
 
     def test_rows_match_each_depth_compressed_alone(self):
         sys = canuto_hyperbolic(16)
-        rows = k_sweep("canuto", n=16, k_max=6)
-        assert [row.k for row in rows] == list(range(1, 7))
-        for row in rows:
-            comp = compress(sys, row.k)
+        table = k_sweep("canuto", n=16, k_max=6)
+        assert table["k"].tolist() == list(range(1, 7))
+        for k, r, max_abs_real in zip(table["k"], table["r"], table["max_abs_real"]):
+            comp = compress(sys, int(k))
             lams = np.linalg.eigvals(comp.a_k)
-            assert row.r == comp.r
-            assert row.max_abs_real == np.abs(lams.real).max()
+            assert r == comp.r
+            assert max_abs_real == np.abs(lams.real).max()
 
     def test_k_max_truncates(self):
-        rows = k_sweep("canuto", n=8, k_max=3)
-        assert [row.k for row in rows] == [1, 2, 3]
+        table = k_sweep("canuto", n=8, k_max=3)
+        assert table["k"].tolist() == [1, 2, 3]
 
     def test_deeper_stacks_clear_the_spurious_branch(self):
         sys = canuto_hyperbolic(32)
-        rows = k_sweep("canuto", n=32, k_max=12)
+        table = k_sweep("canuto", n=32, k_max=12)
         gate = 1e-8 * sys.drift_norm
-        assert rows[0].max_abs_real > gate  # depth 1 keeps off-axis artifacts
-        assert any(row.max_abs_real < gate for row in rows)
+        assert table["max_abs_real"][0] > gate  # depth 1 keeps off-axis artifacts
+        assert np.any(table["max_abs_real"] < gate)
 
     def test_problem_without_reference_rejected(self):
         with pytest.raises(ValueError, match="reference"):
@@ -224,40 +225,61 @@ class TestKSweep:
 
 class TestKQualitySweep:
     def test_grid_shape_and_ordering(self):
-        rows = k_quality_sweep("canuto", n=16, k_max=2)
-        ks = sorted({row.k for row in rows})
-        assert ks == [1, 2]
-        depth_one = [row for row in rows if row.k == 1]
-        assert [row.rank for row in depth_one] == list(range(30))
-        thetas = [row.theta for row in depth_one]
+        table = k_quality_sweep("canuto", n=16, k_max=2)
+        assert np.unique(table["k"]).tolist() == [1, 2]
+        depth_one = table["k"] == 1
+        assert table["rank"][depth_one].tolist() == list(range(30))
+        thetas = table["theta"][depth_one].tolist()
         assert thetas == sorted(thetas)
-        depth_two = [row for row in rows if row.k == 2]
-        assert len(depth_two) == compress(canuto_hyperbolic(16), 2).r
+        assert np.count_nonzero(table["k"] == 2) == compress(canuto_hyperbolic(16), 2).r
 
     def test_rows_match_each_depth_reported_alone(self):
         sys = canuto_hyperbolic(16)
-        rows = k_quality_sweep("canuto", n=16, k_max=4)
+        table = k_quality_sweep("canuto", n=16, k_max=4)
         for k in range(1, 5):
             report = quality_report(sys, k)
-            got = [row for row in rows if row.k == k]
+            got = table["k"] == k
             assert [
-                (r.re_lambda, r.im_lambda, r.s_norm, r.theta, r.zero_mode) for r in got
-            ] == list(zip(
+                table[name][got].tolist()
+                for name in ("re_lambda", "im_lambda", "s_norm", "theta", "zero_mode")
+            ] == [
                 report.lambdas.real.tolist(), report.lambdas.imag.tolist(),
                 report.s_norm.tolist(), report.theta.tolist(), report.zero_mode.tolist(),
-            ))
+            ]
 
     def test_best_mode_is_spectrally_accurate(self):
-        rows = k_quality_sweep("canuto", n=16, k_max=1)
-        best = rows[0]
-        assert best.rank == 0
-        assert best.rel_error < 1e-10
-        assert best.s_norm is not None
-        assert not best.zero_mode
+        table = k_quality_sweep("canuto", n=16, k_max=1)
+        assert table["rank"][0] == 0
+        assert table["rel_error"][0] < 1e-10
+        assert table["s_norm"][0] is not None
+        assert not table["zero_mode"][0]
 
     def test_problem_without_reference_rejected(self):
         with pytest.raises(ValueError, match="reference"):
             k_quality_sweep("orr-sommerfeld", n=32)
+
+
+@pytest.mark.parametrize(
+    "sweep, names, kinds",
+    [
+        (k_sweep, ["k", "r", "proxy_real_error", "max_abs_error", "min_abs_error",
+                   "max_abs_real"], "iiffff"),
+        (k_quality_sweep, ["k", "rank", "re_lambda", "im_lambda", "abs_error", "rel_error",
+                           "s_norm", "theta", "zero_mode"], "iiffffffb"),
+    ],
+    ids=["k_sweep", "k_quality_sweep"],
+)
+def test_sweeps_return_columns_in_header_order(monkeypatch, sweep, names, kinds):
+    table = sweep("canuto", 8, 3)
+    assert list(table) == names
+    assert "".join(column.dtype.kind for column in table.values()) == kinds
+    (shape,) = {column.shape for column in table.values()}
+    assert len(shape) == 1 and shape[0] > 0
+    # a walk that yields no depth gives the same columns, empty
+    monkeypatch.setattr(experiments, "compress_depths", lambda sys, k_max: iter(()))
+    empty = sweep("canuto", 8, 3)
+    assert list(empty) == names
+    assert all(column.shape == (0,) for column in empty.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,13 +294,14 @@ def test_sweeps_agree_with_each_depth_alone(problem, n, k_max):
     summary = k_sweep(problem, n, k_max)
     grid = k_quality_sweep(problem, n, k_max)
     sys = get_problem(problem).build(n=n)
-    assert [row.k for row in summary] == list(range(1, len(summary) + 1))
-    assert len(grid) == sum(row.r for row in summary)
-    for row in summary:
-        depth = [cell for cell in grid if cell.k == row.k]
-        assert row.r == compress(sys, row.k).r == len(depth)
-        assert [cell.rank for cell in depth] == list(range(row.r))
-        thetas = [cell.theta for cell in depth]
+    assert summary["k"].tolist() == list(range(1, summary["k"].size + 1))
+    assert grid["k"].size == summary["r"].sum()
+    for k, r in zip(summary["k"].tolist(), summary["r"].tolist()):
+        depth = grid["k"] == k
+        assert r == compress(sys, k).r == np.count_nonzero(depth)
+        assert grid["rank"][depth].tolist() == list(range(r))
+        thetas = grid["theta"][depth].tolist()
         assert thetas == sorted(thetas)
-        lams = np.array([complex(cell.re_lambda, cell.im_lambda) for cell in depth])
-        assert lams.tobytes() == quality_report(sys, row.k).lambdas.tobytes()
+        lams = grid["re_lambda"][depth].astype(complex)
+        lams.imag = grid["im_lambda"][depth]
+        assert lams.tobytes() == quality_report(sys, k).lambdas.tobytes()

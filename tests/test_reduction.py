@@ -216,8 +216,8 @@ class TestRetentionCache:
         calls = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda a, *args: calls.append(a.shape) or qr(a, *args))
-        rows = reduction_sweep(32, "bump", (1, 5, 20, 62), t_end=0.5)
-        assert len(rows) == 4
+        table = reduction_sweep(32, "bump", (1, 5, 20, 62), t_end=0.5)
+        assert table["r"].size == 4
         assert calls == [(64, 62)]
 
     def test_analyze_and_sweep_k_never_factor(self, monkeypatch):
@@ -238,7 +238,7 @@ class TestRetentionCache:
         report = quality_report(acoustic_wave(32))
         for r in (1, 7, 20, 62):
             truncate(report, r)
-        assert len(reduction_sweep(32, "bump", (12, 2, 62, 5), t_end=0.5)) == 4
+        assert reduction_sweep(32, "bump", (12, 2, 62, 5), t_end=0.5)["r"].size == 4
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["analyze", "--problem", "acoustic", "--n", "32"]) == 0
             grid = ["sweep-k", "--problem", "canuto", "--n", "8", "--k-max", "3", "--grid"]
@@ -888,22 +888,22 @@ class TestReductionSweep:
                 int(np.abs(lams + 1j * np.pi).argmin()))
         # the last count keeps every mode: the full model
         r_values = [p + 1, p + 5, p + 9, len(report.modes)]
-        rows = reduction_sweep(64, "sine", r_values, t_end=1.0)
-        assert [row.r for row in rows] == r_values
-        for row in rows:
-            assert row.size >= row.r
-            assert row.rel_error < 1e-9
-            assert row.theta_r == report.theta[row.r - 1]
-        thetas = [row.theta_r for row in rows]
+        table = reduction_sweep(64, "sine", r_values, t_end=1.0)
+        assert table["r"].tolist() == r_values
+        assert np.all(table["size"] >= table["r"])
+        assert np.all(table["rel_error"] < 1e-9)
+        assert np.array_equal(table["theta_r"], report.theta[table["r"] - 1])
+        thetas = table["theta_r"].tolist()
         assert thetas == sorted(thetas)
 
     def test_discontinuous_initial_condition_keeps_series_floor(self, acoustic64):
         # 40 modes, then every mode: the full model
         _, report = acoustic64
-        row, full = reduction_sweep(64, "bump", (40, len(report.modes)), t_end=1.0)
-        assert 1e-2 < full.rel_error < 1.0
-        assert row.size >= 40
-        assert 1e-2 < row.rel_error < 1.0
+        table = reduction_sweep(64, "bump", (40, len(report.modes)), t_end=1.0)
+        (row_error, full_error), (row_size, _) = table["rel_error"], table["size"]
+        assert 1e-2 < full_error < 1.0
+        assert row_size >= 40
+        assert 1e-2 < row_error < 1.0
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("ic", ["bump", "sine"])
@@ -913,20 +913,22 @@ class TestReductionSweep:
         # level (about 2e-13), so they are held to 4 eps absolute
         nmodes = 2 * n - 2
         r_values = [n // 2, 2, nmodes, n // 2, 1, n + 3, 2]
-        rows = reduction_sweep(n, ic, r_values, t_end=1.0)
+        table = reduction_sweep(n, ic, r_values, t_end=1.0)
         sys = acoustic_wave(n)
         grid = sys.labels["grid"]
         p_ref, _ = acoustic_reference(grid, ic, 1.0)
         x0 = np.concatenate([reduction._IC_PROFILES[ic](grid), np.zeros(n)])
         report = quality_report(sys)
-        assert [row.r for row in rows] == r_values
-        for r, row in zip(r_values, rows):
+        assert table["r"].tolist() == r_values
+        for r, size, theta_r, rel_error in zip(
+            r_values, table["size"], table["theta_r"], table["rel_error"]
+        ):
             model = truncate(report, r)
             p_r = simulate_modal(model, x0, 1.0).states[-1][:n]
             err = relative_l2_error(p_r, p_ref, clenshaw_curtis(n))
-            assert row.size == model.size
-            assert row.theta_r == report.theta[r - 1]
-            assert abs(row.rel_error - err) <= 1e-12 * err + 4 * np.finfo(float).eps
+            assert size == model.size
+            assert theta_r == report.theta[r - 1]
+            assert abs(rel_error - err) <= 1e-12 * err + 4 * np.finfo(float).eps
 
     def test_rank_guard_raises_at_the_first_failing_count_in_list_order(self, monkeypatch):
         # the pair that starts at mode 20 or 21 takes the owner row of
@@ -952,6 +954,26 @@ class TestReductionSweep:
             reduction_sweep(32, "bump", [12, 40, 2, 30])
         assert str(got.value) == expected
 
+    def test_no_counts_give_the_empty_table_without_scoring(self, monkeypatch):
+        def unscored(*args, **kwargs):
+            raise AssertionError("the report was scored")
+
+        monkeypatch.setattr(reduction, "quality_report", unscored)
+        table = reduction_sweep(32, "bump", [])
+        assert list(table) == ["r", "size", "rel_error", "theta_r"]
+        assert all(column.shape == (0,) for column in table.values())
+        # the reference checks still run first
+        with pytest.raises(ValueError, match="initial condition"):
+            reduction_sweep(32, "boxcar", [])
+        with pytest.raises(ZeroReferenceError, match="t=0.5"):
+            reduction_sweep(64, "sine", [], t_end=0.5)
+
+    def test_table_columns_in_header_order(self):
+        table = reduction_sweep(16, "bump", (6, 2, 30, 2), t_end=0.5)
+        assert list(table) == ["r", "size", "rel_error", "theta_r"]
+        assert [column.dtype.kind for column in table.values()] == ["i", "i", "f", "f"]
+        assert all(column.shape == (4,) for column in table.values())
+
     def test_unknown_profile_rejected(self, monkeypatch):
         # rejected before the report is built and scored
         monkeypatch.setattr(reduction, "quality_report", None)
@@ -970,8 +992,8 @@ class TestReductionSweep:
 
     def test_small_reference_is_still_compared(self):
         # cos(pi t) = 3.1e-2 at t = 0.49, far above the series' accuracy
-        (row,) = reduction_sweep(16, "sine", [14], t_end=0.49)
-        assert row.rel_error < 1e-6
+        (rel_error,) = reduction_sweep(16, "sine", [14], t_end=0.49)["rel_error"]
+        assert rel_error < 1e-6
 
     @pytest.mark.parametrize("t_end", [np.nan, np.inf])
     def test_non_finite_time_rejected_before_the_reference(self, monkeypatch, t_end):

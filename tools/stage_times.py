@@ -11,9 +11,13 @@ its repeats, and so does the whole case.  Before each repeat a fixed
 kernel (``_calibrate``) is timed, and its median and quartiles go
 with the case: on a shared host they say how fast the host ran.  Each
 stage's median and the case's total are also written divided by the
-case's calibration median (``stages_rel``, ``total_rel``), the numbers
-to compare between two files.  The stages are those of the
-pipeline:
+case's calibration median (``stages_rel``, ``total_rel``).  Dividing
+does not cancel the host's speed: the kernels of the stages and of the
+calibration slow down by different factors when the host changes
+state, so an untouched stage can read 14 calibrations in one state and
+17 in another.  Only runs alternated back to back (parent, change,
+parent, ...) in one host state, whose calibration medians agree,
+compare.  The stages are those of the pipeline:
 
 * ``build``: the problem's operators and constraint rows;
 * ``compress``: the feasible subspace of each depth and the restricted
