@@ -153,16 +153,20 @@ _COMMANDS = {
 }
 
 
-def _csv_formatter(values: list):
-    """The writer of a CSV column's cells, chosen from the type of its elements."""
+def _csv_column(values: list) -> tuple[str | None, list]:
+    """A CSV column's ``%`` conversion and its cells, chosen from the type of its elements.
+
+    Bools become ``true`` or ``false`` and lists their ``;``-joined
+    items first, so each cell takes ``%s``; floats take ``%.17g``,
+    whose bytes are those of ``format(v, ".17g")``, inf, nan and -0
+    included.  A str column has no conversion: the csv module writes it.
+    """
     kind = type(values[0]) if values else str
     if kind is bool:
-        return lambda v: "true" if v else "false"
-    if kind is float:
-        return lambda v: format(v, ".17g")
+        return "%s", ["true" if v else "false" for v in values]
     if kind is list:
-        return lambda v: ";".join(map(str, v))
-    return str
+        return "%s", [";".join(map(str, v)) for v in values]
+    return {float: "%.17g", int: "%d"}.get(kind), values
 
 
 def _write_output(args: argparse.Namespace, table: dict) -> int:
@@ -176,7 +180,14 @@ def _write_output(args: argparse.Namespace, table: dict) -> int:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(table)
-        writer.writerows(zip(*(map(_csv_formatter(values), values) for values in columns)))
+        specs, cells = zip(*map(_csv_column, columns))
+        if None in specs:
+            # str cells, which only ``problems`` has, keep the csv module's quoting
+            cells = [c if spec is None else [spec % v for v in c] for spec, c in zip(specs, cells)]
+            writer.writerows(zip(*cells))
+        else:
+            # one template per row formats every cell of it in one call
+            buffer.writelines(map((",".join(specs) + "\n").__mod__, zip(*cells)))
         text = buffer.getvalue()
     if not args.out:
         _sys.stdout.write(text)

@@ -27,10 +27,11 @@ squares underflow or overflow is taken again on a rescaled vector, so
 a tiny score never reads 0 and a finite one never reads infinite.
 
 The angle is computed from sines as well as cosines of the principal
-angles, so it resolves angles down to about machine precision: a
-nonzero angle is not rounded to 0.  A mode whose ``A w`` is exactly
-parallel to ``w`` still scores exactly 0 without being a zero mode, as
-an eigenvector that is exact in floating point can.
+angles, as an ``arctan2`` of both, so it resolves angles down to about
+machine precision: a nonzero angle is not rounded to 0.  A mode whose
+``A w`` is exactly parallel to ``w`` still scores exactly 0 without
+being a zero mode, as an eigenvector that is exact in floating point
+can.
 
 Scores carry the rounding error of the products that form them, so a
 score means something only down to its rounding floor.  For the angle
@@ -38,14 +39,14 @@ that floor is about ``eps (|A|_2 |w| / sigma_min(A w) + |E|_2 |w| /
 sigma_min(E w))``, with ``E w = w`` and ``|E|_2 = 1`` without a mass
 operator, where sigma_min(u) is the smallest singular value of
 ``[Re u, Im u]`` that the span's rank rule keeps: a nearly
-one-dimensional span magnifies rounding.  The angle kernel adds a few
-eps of its own rounding to that: where span{w} and span{A w} coincide
-exactly, the first term reads 2 eps, and over 15000 random mirrored
-systems the angle of such a mode rounded to up to 5.2 eps, so the
-floor is the first term plus about 4 eps.  The BLAS build and thread
-count change how products round, so they move scores within their
-floors and can reorder modes whose angles lie within each other's
-floors; see the README.
+one-dimensional span magnifies rounding.  The angle kernel's own
+rounding stays within that floor where it is least: over 15000 random
+mirrored systems, each scored once per half and once unsplit, modes
+whose floor reads 2 eps (both spans lines, ``|A w| = |A|_2 |w|``)
+differed by at most 2.0 eps, and every angle by at most 1.35 f.  The
+BLAS build and thread count change how products round, so they move
+scores within their floors and can reorder modes whose angles lie
+within each other's floors; see the README.
 
 Scoring does no work twice.  For a real system, the eigen solve hands
 each conjugate pair over side by side as exact conjugates, the
@@ -89,12 +90,15 @@ Scoring is a few matrix products.  ``eigenpairs`` hands over each
 block's eigenvectors in the block's coordinates, and per half
 ``W_h = M_h V_h`` is one product over one column per conjugate pair;
 then, for each chunk of ``_CHUNK`` of those columns, ``A_h W_h``,
-``P_h* (A_h W_h)`` and ``E_h W_h`` are one product each, and the norms,
-the zero-floor test and the angles are stacked numpy calls.  A real
-operator multiplies a complex block as one float64 product on the
-block's interleaved real view (``_times``), not as a complex product
-with an operator cast to complex128.  ``grassmann_distance``
-is a one-pair call of the same angle kernel.
+``P_h* (A_h W_h)`` and ``E_h W_h`` are one product each, and the norms
+and the zero-floor test are stacked numpy calls.  No angle takes an
+N-row SVD: one stacked QR per chunk maps the two real spans of each
+pair into R^4 (``_r4``), and one pass of 2 x 2 arithmetic over every
+pair of the report takes the angles (``_angles``).  A real operator multiplies a
+complex block as one float64 product on the block's interleaved real
+view (``_times``), not as a complex product with an operator cast to
+complex128.  ``grassmann_distance`` is a one-pair call of the same
+angle kernel.
 """
 
 from __future__ import annotations
@@ -108,7 +112,6 @@ from .constrained import (
     DEFAULT_NULL_TOL,
     CompressedSystem,
     ConstrainedSystem,
-    _HalfSystem,
     _norms,
     compress,
 )
@@ -136,10 +139,11 @@ DEFAULT_ZERO_FLOOR = 1e-13
 #: Condition-number guard before inverting a compressed mass operator.
 DEFAULT_MASS_COND_LIMIT = 1e12
 
-#: Columns scored per stacked call: enough to amortise the per-call
-#: overhead, few enough that the stacked copies stay small.  Scoring
-#: every column of acoustic n=256 in one stack lifts the peak RSS of
-#: that ``analyze`` from about 96 to 112 MB.
+#: Columns scored per stacked call, so that the stacked copies stay
+#: small and in cache.  Scoring each half of acoustic n=256 in one
+#: pass lifts the peak RSS of that ``analyze`` by about 0.5 MB, and
+#: one QR of all 128 pairs of a half takes about twice as long as four
+#: of 32.
 _CHUNK = 32
 
 
@@ -205,111 +209,135 @@ def _times(op: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (op @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
-def _score_modes(
-    half: _HalfSystem, vecs: np.ndarray, floor: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(ws, s_norm, theta, zero_mode)`` of the columns of ``vecs``, in the half's coordinates.
+def _score_modes(comp: CompressedSystem, blocks: list, twin: np.ndarray, floor: float) -> tuple:
+    """``(ws, s_norm, theta, zero_mode)`` of every half's scored columns.
 
-    Column i of ``ws`` is ``M_h v`` of column i, and entry i of each
-    score array is its score.  The columns are scored ``_CHUNK`` at a
-    time (``_score_chunk``), which bounds the stacked copies; a half
-    without a column to score makes one empty chunk.
+    ``blocks`` holds each half's eigenvectors (``eigenpairs``), and a
+    half's are popped and dropped once its products are taken; the
+    columns of the twins (``twin``, over all modes) are not scored.
+    ``ws`` holds each half's ``W_h = M_h V_h``, and entry i of each
+    score array is the score of scored column i, half after half.  The
+    operators are the half's: ``A_h = U^T A U``, ``E_h`` and ``P_h``,
+    so ``s_norm`` is ``|P_h* (A_h w)|``.  A zero mode has ``|A w| <
+    floor |w|``, with ``floor`` the zero floor of the whole drift
+    (``_report``).  An exactly zero ``A w`` is a zero mode also where
+    that floor is 0, as for a zero drift: it spans no subspace to take
+    an angle to.  ``W_h`` is one product per half; the products after
+    it and the map of each angle pair into R^4 (``_r4``) take
+    ``_CHUNK`` columns at a time, and one ``_angles`` call takes the
+    angles of every pair of the report.
     """
-    ws = _times(half.m, vecs)
-    p_adj = half.p.conj().T
-    chunks = [
-        _score_chunk(half, p_adj, chunk, floor)
-        for chunk in np.split(ws, range(_CHUNK, ws.shape[1], _CHUNK), axis=1)
-    ]
-    s_norm, theta, zero = (np.concatenate(part) for part in zip(*chunks))
+    ws, s_norm, zero, rs = [], [], [], []
+    for half, part in zip(comp.halves, comp.slices):
+        ws.append(_times(half.m, blocks.pop(0)[:, ~twin[part]]))
+        # a half without a column to score makes one empty chunk
+        for w in np.split(ws[-1], range(_CHUNK, ws[-1].shape[1], _CHUNK), axis=1):
+            aw = _times(half.a, w)
+            s_norm.append(_norms(_times(half.p.conj().T, aw)))
+            aw_norms = _norms(aw)
+            zero.append((aw_norms == 0.0) | (aw_norms < floor * np.linalg.norm(w, axis=0)))
+            # a slice takes no copy
+            live = ~zero[-1] if zero[-1].any() else slice(None)
+            lhs = w[:, live] if half.e is None else _times(half.e, w[:, live])
+            rs.append(_r4(lhs.T, aw[:, live].T))
+    s_norm, zero = np.concatenate(s_norm), np.concatenate(zero)
+    theta = np.zeros(zero.size)
+    theta[~zero] = _angles(np.concatenate(rs, axis=-1))
     return ws, s_norm, theta, zero
 
 
-def _score_chunk(
-    half: _HalfSystem, p_adj: np.ndarray, ws: np.ndarray, floor: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(s_norm, theta, zero_mode)`` arrays of the columns of ``ws``, one product per operator.
+def _sv2(p, q, r, s):
+    """``(s1, s2, rank2, u)`` of the stacked 2 x 2 matrices ``[[p, q], [r, s]]``.
 
-    ``ws`` and the operators are the half's: ``A_h = U^T A U``,
-    ``E_h`` and ``p_adj = P_h*``, so ``s_norm`` is ``|P_h* (A_h w)|``.
-    A zero mode has ``|A w| < floor |w|``, with ``floor`` the zero floor
-    of the whole drift (``_report``).  An exactly zero ``A w`` is a zero
-    mode also where that floor is 0, as for a zero drift: it spans no
-    subspace to take an angle to.
+    ``s1 >= s2`` are the singular values, ``rank2`` the rank rule
+    ``s2 > 1e-13 s1`` and u the unit left singular vector of s1, stored
+    as the complex number ``x + iy`` of the vector ``(x, y)``; the
+    transposed matrix gives the right one.  The closed form takes the
+    polar angles of ``(p - s, r + q)`` and ``(p + s, r - q)`` (Blinn
+    1996) as complex square roots, so a diagonal matrix gets an exact
+    axis vector; a matrix whose singular vectors are not unique gets
+    ``(1, 0)``.  Nothing is squared: entries up to 1 cannot overflow.
     """
-    aws = _times(half.a, ws)
-    s_norm = _norms(_times(p_adj, aws))
-    aw_norms = _norms(aws)
-    zero = (aw_norms == 0.0) | (aw_norms < floor * np.linalg.norm(ws, axis=0))
-    theta = np.zeros(ws.shape[1])
-    live = np.flatnonzero(~zero)
-    lhs = ws[:, live] if half.e is None else _times(half.e, ws[:, live])
-    theta[live] = _grassmann_distances(lhs.T, aws[:, live].T)
-    return s_norm, theta, zero
+    z1, z2 = (p - s) + 1j * (r + q), (p + s) + 1j * (r - q)
+    u = np.sqrt(z1) * np.sqrt(z2)
+    u = np.divide(u, np.abs(u), out=np.ones_like(u), where=u != 0)
+    s1 = (np.abs(z1) + np.abs(z2)) / 2
+    s2 = np.divide(np.abs(p * s - q * r), s1, out=np.zeros_like(s1), where=s1 > 0)
+    return s1, s2, s2 > 1e-13 * s1, u
 
 
-def _span_bases(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked SVD bases of span{Re u, Im u} for each row of u, and their ranks.
+def _r4(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """``(4, 4, B)`` stack of the R of ``[Re u1, Im u1, Re u2, Im u2]``, one per row pair.
 
-    Each span is one- or two-dimensional: the rank counts singular
-    values above 1e-13 times the largest, so a row with negligible
-    imaginary part spans a line.  The basis of a row is the leading
-    rank columns of its ``(N, 2)`` block.
+    u1 and u2 are ``(B, N)`` stacks.  One stacked QR (zero rows pad N
+    up to 4) maps both real spans of a pair into R^4 by one orthogonal
+    map, which keeps their principal angles; there the span of u1 lies
+    in span{e1, e2}.
     """
-    if not np.all(np.any(u, axis=-1)):
+    b, n = u1.shape
+    x = np.zeros((b, 4, max(n, 4)))
+    for k, part in enumerate((u1.real, u1.imag, u2.real, u2.imag)):
+        x[:, k, :n] = part
+    return np.linalg.qr(x.swapaxes(1, 2), mode="r").transpose(1, 2, 0)
+
+
+def _angles(r: np.ndarray) -> np.ndarray:
+    """Grassmann distance between the spans of columns 0, 1 and 2, 3 of each ``R`` of ``_r4``.
+
+    All of it is 2 x 2 arithmetic (``_sv2``), the same for every pair:
+    the rank rule on each span's 2 x 2 triangle, a turn of e1 and e2
+    that makes a one-dimensional span1 the line of e1, an orthonormal
+    basis ``Q2`` of span2 (its second column 0 if span2 is a line), and
+    the principal vectors ``Q2 W``, W the right singular vectors of the
+    rows of ``Q2`` inside span1.  Each principal vector's angle is the
+    ``arctan2`` of its parts outside and inside span1, which resolves
+    small and large angles alike.  A pair has two angles only if both
+    spans are planes; otherwise only the first, that of the largest
+    cosine, counts.
+    """
+    # each span's coordinates scaled to at most 1, where _sv2 cannot
+    # overflow; a zero vector has zero coordinates
+    scales = np.abs(r[:2, :2]).max(axis=(0, 1)), np.abs(r[:, 2:]).max(axis=(0, 1))
+    if not (scales[0].all() and scales[1].all()):
         raise UndefinedSubspaceError("zero vector spans no subspace")
-    q, s, _ = np.linalg.svd(np.stack([u.real, u.imag], -1), full_matrices=False)
-    return q, np.count_nonzero(s > 1e-13 * s[:, :1], axis=-1)
+    l, y = r[:2, :2] / scales[0], r[:, 2:] / scales[1]
+    _, _, plane1, u = _sv2(l[0, 0], l[0, 1], 0.0, l[1, 1])
+    y[0], y[1] = u.real * y[0] + u.imag * y[1], u.real * y[1] - u.imag * y[0]
+    # Gram-Schmidt gives span2's triangle [[t11, t12], [0, t22]]
+    t11 = np.hypot.reduce(y[:, 0])
+    e = np.divide(y[:, 0], t11, out=np.zeros_like(y[:, 0]), where=t11 > 0)
+    t12 = (e * y[:, 1]).sum(axis=0)
+    g1, g2, plane2, v = _sv2(t11, 0.0, t12, np.hypot.reduce(y[:, 1] - e * t12))
+    qa = (v.real * y[:, 0] + v.imag * y[:, 1]) / g1
+    qb = (v.real * y[:, 1] - v.imag * y[:, 0]) * np.divide(1.0, g2, out=0.0 * g2, where=plane2)
+    *_, w = _sv2(qa[0], qa[1] * plane1, qb[0], qb[1] * plane1)
+    p = np.stack([w.real * qa + w.imag * qb, w.real * qb - w.imag * qa], axis=1)
+    inside = np.hypot(p[0], p[1] * plane1)
+    angles = np.arctan2(np.hypot(np.hypot(p[1] * ~plane1, p[2]), p[3]), inside)
+    return np.hypot(angles[0], angles[1] * (plane1 & plane2))
 
 
 def _grassmann_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """``grassmann_distance`` of each row pair of two ``(B, N)`` stacks.
-
-    Pairs are grouped by the dimensions of their two spans, (1, 1),
-    (1, 2) or (2, 2), the smaller span taken as B_small whichever side
-    it is on, because a stacked SVD takes one block shape.  Each group
-    makes one stacked product, one stacked SVD for the cosines and one
-    for the sines.
-    """
-    q1, r1 = _span_bases(np.asarray(u1, dtype=complex))
-    q2, r2 = _span_bases(np.asarray(u2, dtype=complex))
-    swap = (r1 > r2)[:, None, None]
-    small_q, big_q = np.where(swap, q2, q1), np.where(swap, q1, q2)
-    r_small, r_big = np.minimum(r1, r2), np.maximum(r1, r2)
-    dist = np.full(len(r_small), np.nan)
-    for rs, rb in ((1, 1), (1, 2), (2, 2)):
-        idx = np.flatnonzero((r_small == rs) & (r_big == rb))
-        if idx.size == 0:
-            continue
-        small, big = small_q[idx][..., :rs], big_q[idx][..., :rb]
-        proj = big.swapaxes(-1, -2) @ small
-        cos = np.linalg.svd(proj, compute_uv=False)
-        # both come sorted descending; reversed, the sines pair with the cosines
-        sin = np.linalg.svd(small - big @ proj, compute_uv=False)[:, ::-1]
-        # singular values are never negative, but may round above 1
-        angles = np.where(
-            cos * cos >= 0.5, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0))
-        )
-        dist[idx] = np.linalg.norm(angles, axis=-1)
-    return dist
+    """``grassmann_distance`` of each row pair of two ``(B, N)`` stacks."""
+    return _angles(_r4(u1, u2))
 
 
 def grassmann_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     """Distance between the real spans of two complex vectors.
 
     Each vector u spans the real subspace span{Re u, Im u} of dimension
-    one or two; the distance is the root sum square of the principal
-    angles between the two spans.  With orthonormal bases B_small (the
-    span of lower or equal dimension) and B_big, the cosines of the
-    angles are the singular values of ``B_big^T B_small`` and their
-    sines those of the residual ``B_small - B_big B_big^T B_small``.
-    Angles below pi/4 are taken as arcsines of the sines, the rest as
-    arccosines of the cosines (Bjorck & Golub 1973; Knyazev & Argentati
-    2002), so every angle is resolved to about machine precision; an
-    arccosine alone rounds angles below about 1.5e-8 to 0 or to
-    sqrt(k eps).  Scaling either vector by any nonzero complex number
-    leaves the result unchanged.  This is a one-pair call of the kernel
-    that scores whole reports.
+    one or two: two when the second singular value of ``[Re u, Im u]``
+    exceeds 1e-13 times the first.  The distance is the root sum square
+    of the principal angles between the two spans.  One QR of ``[Re u1,
+    Im u1, Re u2, Im u2]`` maps both spans into R^4 by one orthogonal
+    map, which keeps the angles (Bjorck & Golub 1973); there each angle
+    is the ``arctan2`` of the parts of a principal vector of one span
+    outside and inside the other, so every angle is resolved to about
+    machine precision, where an arccosine alone rounds angles below
+    about 1.5e-8 to 0 or to sqrt(k eps) (Knyazev & Argentati 2002).
+    Scaling either vector by any nonzero complex number leaves the
+    result unchanged.  This is a one-pair call of the kernel that
+    scores whole reports (``_r4``, ``_angles``).
 
     Two vectors of different lengths, or a nan or infinite entry, raise
     ``ValueError``.
@@ -405,11 +433,7 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem) -> QualityReport:
     floor = DEFAULT_ZERO_FLOOR * _norms(sys.a).max()
     # the second of each pair, right after its owner in its block
     twin = real & (lams.imag < 0)
-    scored = []
-    for half, part in zip(comp.halves, comp.slices):
-        scored.append(_score_modes(half, blocks.pop(0)[:, ~twin[part]], floor))
-    ws, s_norm, theta, zero = zip(*scored)
-    s_norm, theta, zero = (np.concatenate(x) for x in (s_norm, theta, zero))
+    ws, s_norm, theta, zero = _score_modes(comp, blocks, twin, floor)
     owners = comp._lift(ws).T
     # owner rows follow lams; own[i] is the row of mode i's owner
     own = np.cumsum(~twin) - 1

@@ -1,6 +1,7 @@
 """Spectral quality scores: derivative violations and Grassmann angles."""
 
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -119,6 +120,16 @@ class TestGrassmannDistance:
         with pytest.raises(UndefinedSubspaceError):
             grassmann_distance(np.zeros(4), np.array([1.0, 0, 0, 0]))
 
+    def test_rank_rule_keeps_a_second_dimension_above_1e_13(self):
+        # span{Re u, Im u} is a plane when its second singular value
+        # exceeds 1e-13 times the first, and then it holds y; below
+        # that it is the line of x, at a right angle to y
+        x, y = np.random.default_rng(32).standard_normal((2, 9))
+        y -= x * (x @ y) / (x @ x)
+        y *= np.linalg.norm(x) / np.linalg.norm(y)
+        assert grassmann_distance(x + 1e-12j * y, y) < 1e-3
+        assert grassmann_distance(x + 1e-14j * y, y) == pytest.approx(np.pi / 2, abs=1e-12)
+
     def test_different_lengths_name_both_shapes(self):
         # numpy's broadcast error named the stacked (1, 1, 1) shapes instead
         message = "vectors must have the same length, got shapes (4,) and (3,)"
@@ -147,7 +158,7 @@ class TestGrassmannDistance:
 
 
 def _column_stack_distance(u1, u2):
-    """The one-pair angle algorithm, written out with one SVD per span."""
+    """The angle algorithm of an SVD per span, written out for one pair."""
     bases = []
     for u in (u1, u2):
         u = np.asarray(u, dtype=complex).ravel()
@@ -161,6 +172,50 @@ def _column_stack_distance(u1, u2):
         cos * cos >= 0.5, np.arcsin(np.minimum(sin, 1.0)), np.arccos(np.minimum(cos, 1.0))
     )
     return float(np.sqrt(np.dot(angles, angles)))
+
+
+def _top(p, q, r, s):
+    """``quality._sv2`` of the one matrix [[p, q], [r, s]]: s1, s2 and the vector (x, y)."""
+    s1, s2, _, u = quality._sv2(*(np.array([v], dtype=float) for v in (p, q, r, s)))
+    return s1[0], s2[0], (u[0].real, u[0].imag)
+
+
+def _r4_distance(u1, u2):
+    """The angle kernel written out for one pair: one QR into R^4, then 2 x 2 arithmetic."""
+    u1, u2 = (np.asarray(u, dtype=complex).ravel() for u in (u1, u2))
+    x = np.zeros((max(u1.size, 4), 4))
+    x[: u1.size] = np.column_stack([u1.real, u1.imag, u2.real, u2.imag])
+    r = np.linalg.qr(x, mode="r")
+    lhs, y = r[:2, :2] / np.abs(r[:2, :2]).max(), r[:, 2:] / np.abs(r[:, 2:]).max()
+    s1, s2, (c, t) = _top(lhs[0, 0], lhs[0, 1], 0.0, lhs[1, 1])
+    plane1 = s2 > 1e-13 * s1
+    # turn e1, e2 so that a line span{Re u1, Im u1} is e1; span1 is then
+    # the first one or two coordinates
+    y[:2] = [c * y[0] + t * y[1], c * y[1] - t * y[0]]
+    inside = 2 if plane1 else 1
+    hyp = lambda v: np.hypot(np.hypot(np.hypot(v[0], v[1]), v[2]), v[3])  # noqa: E731
+    # an orthonormal basis of span{Re u2, Im u2} from its Gram-Schmidt triangle
+    t11 = hyp(y[:, 0])
+    e = y[:, 0] / t11 if t11 else np.zeros(4)
+    t12 = ((e[0] * y[0, 1] + e[1] * y[1, 1]) + e[2] * y[2, 1]) + e[3] * y[3, 1]
+    g1, g2, (c, t) = _top(t11, 0.0, t12, hyp(y[:, 1] - e * t12))
+    plane2 = g2 > 1e-13 * g1
+    basis = [(c * y[:, 0] + t * y[:, 1]) / g1]
+    basis.append((c * y[:, 1] - t * y[:, 0]) * (1.0 / g2 if plane2 else 0.0))
+    # principal vectors: the right singular vectors of the basis rows inside span1
+    k = np.array([b[:2] for b in basis]).T * [[1.0], [float(plane1)]]
+    _, _, (c, t) = _top(k[0, 0], k[1, 0], k[0, 1], k[1, 1])
+    angles = []
+    for vec in (c * basis[0] + t * basis[1], c * basis[1] - t * basis[0]):
+        out = np.concatenate([np.zeros(inside), vec[inside:]])
+        angles.append(np.arctan2(hyp(out), np.hypot(vec[0], vec[1] * plane1)))
+    return float(np.hypot(angles[0], angles[1] if plane1 and plane2 else 0.0))
+
+
+def _rank(u):
+    """Dimension of span{Re u, Im u} under the kernel's rank rule."""
+    s = np.linalg.svd(np.column_stack([u.real, u.imag]), compute_uv=False)
+    return int(np.count_nonzero(s > 1e-13 * s[0]))
 
 
 def _mixed_rank_batch(rng, n=11, per_kind=6):
@@ -181,15 +236,42 @@ def _mixed_rank_batch(rng, n=11, per_kind=6):
 
 
 class TestBatchedDistances:
+    def _check(self, u1, u2):
+        """Batched = one-pair calls exactly, 4 ulp from the written-out kernel, f from the SVDs."""
+        got = quality._grassmann_distances(u1, u2)
+        assert got.tolist() == [grassmann_distance(a, b) for a, b in zip(u1, u2)]
+        expected = [_r4_distance(a, b) for a, b in zip(u1, u2)]
+        np.testing.assert_array_max_ulp(got, expected, maxulp=4)
+        # the SVD-per-span algorithm rounds differently: within the floor
+        # f = eps (|u1| / sigma_min(u1) + |u2| / sigma_min(u2))
+        svd = np.array([_column_stack_distance(a, b) for a, b in zip(u1, u2)])
+        floor = [
+            EPS * (np.linalg.norm(a) / _sigma_min(a) + np.linalg.norm(b) / _sigma_min(b))
+            for a, b in zip(u1, u2)
+        ]
+        assert np.all(np.abs(got - svd) <= floor)
+        return got
+
     def test_mixed_span_dimensions_match_one_pair_calls_exactly(self):
         u1, u2 = _mixed_rank_batch(np.random.default_rng(29))
-        (_, r1), (_, r2) = quality._span_bases(u1), quality._span_bases(u2)
-        assert set(zip(r1.tolist(), r2.tolist())) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-        got = quality._grassmann_distances(u1, u2)
+        ranks = {(_rank(a), _rank(b)) for a, b in zip(u1, u2)}
+        assert ranks == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        got = self._check(u1, u2)
         assert np.count_nonzero(got < 1e-6) == len(got) // 2
-        assert got.tolist() == [grassmann_distance(a, b) for a, b in zip(u1, u2)]
-        expected = [_column_stack_distance(a, b) for a, b in zip(u1, u2)]
-        np.testing.assert_array_max_ulp(got, expected, maxulp=4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewer_rows_than_four_are_padded(self, n):
+        # the QR into R^4 pads the rows with zeros; in R^1 every span is
+        # the whole line, and in R^2 a plane is the whole plane, so those
+        # distances are 0 within their floors
+        u1, u2 = _mixed_rank_batch(np.random.default_rng(30 + n), n=n)
+        got = self._check(u1, u2)
+        planes = np.array([(_rank(a), _rank(b)) for a, b in zip(u1, u2)])
+        if n == 1:
+            assert np.all(got <= EPS)
+        if n == 2:
+            # two lines of the plane still lie apart
+            assert np.any(got[(planes == 1).all(axis=1)] > 0.1)
 
     @pytest.mark.parametrize("row", [0, 3, 6])
     @pytest.mark.parametrize("side", [0, 1])
@@ -199,6 +281,22 @@ class TestBatchedDistances:
         stacks[side, row] = 0.0
         with pytest.raises(UndefinedSubspaceError):
             quality._grassmann_distances(*stacks)
+
+    def test_scoring_memory_stays_bounded(self):
+        # the products after W = M V and the QR into R^4 take _CHUNK
+        # columns at a time, and the angles one pass over 4 x 4
+        # triangles.  The SVD kernel this one replaced peaked at
+        # 7.34 MB here (9.44 MB with the build, as tools/stage_times.py
+        # traces it), a peak reached outside scoring; scoring each half
+        # in one pass, one QR of all its pairs, reached 8.9 MB
+        sys = acoustic_wave(256)
+        tracemalloc.start()
+        try:
+            quality_report(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.4e6
 
 
 class TestEigenpairs:
@@ -415,7 +513,7 @@ EPS = np.finfo(float).eps
 
 
 def _sigma_min(u):
-    """Smallest singular value of [Re u, Im u] that ``_span_bases``' rank rule keeps."""
+    """Smallest singular value of [Re u, Im u] that the kernel's rank rule keeps."""
     u = np.asarray(u, dtype=complex)
     s = np.linalg.svd(np.column_stack([u.real, u.imag]), compute_uv=False)
     return s[np.count_nonzero(s > 1e-13 * s[0]) - 1]
