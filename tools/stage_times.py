@@ -47,13 +47,20 @@ environment: Python, numpy, the BLAS, the thread variables and
 
 Each case also records, from one more untimed run under
 ``tracemalloc``, the peak of the memory it traced
-(``tracemalloc_peak_mb``, counted in MB of 1e6 bytes).
+(``tracemalloc_peak_mb``, counted in MB of 1e6 bytes), and the minor
+page faults of each timed repeat (``resource.getrusage``'s
+``ru_minflt``), median and quartiles in ``minflt``.  The fault count
+hangs on the heap that earlier cases leave behind, which decides
+whether the allocator maps a large array fresh, so it can move with
+code a case never runs: read it beside the traced peak, and compare it
+only between runs alternated back to back.
 """
 
 import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -251,10 +258,12 @@ def main() -> int:
     cases = {}
     for name, case in CASES.items():
         case()
-        runs, calibration = [], []
+        runs, calibration, faults = [], [], []
         for _ in range(args.repeats):
             calibration.append(_calibrate())
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             runs.append(case())
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         stages = {
             stage: _summary([times.get(stage, 0.0) for times, _ in runs])
             for stage in STAGES
@@ -271,11 +280,13 @@ def main() -> int:
             },
             "total_rel": total["median"] / calibration["median"],
             "tracemalloc_peak_mb": _traced_peak_mb(case),
+            "minflt": _summary(faults),
         }
         print(f"{name}: total {cases[name]['total_s']['median']:.4f} s, "
               + ", ".join(f"{s} {v['median']:.4f}" for s, v in stages.items())
               + f"; calibration {cases[name]['calibration_s']['median']:.4f} s"
-              + f"; traced peak {cases[name]['tracemalloc_peak_mb']:.1f} MB", flush=True)
+              + f"; traced peak {cases[name]['tracemalloc_peak_mb']:.2f} MB"
+              + f"; minflt {cases[name]['minflt']['median']:.0f}", flush=True)
     record = {
         "tree": tree["commit"],
         "dirty": tree["dirty"],
