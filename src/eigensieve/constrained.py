@@ -12,10 +12,12 @@ one before, as in the staircase form (Van Dooren 1981), never a stack
 of powers of A, whose late blocks lose rank to rounding.  The rank cut
 is the one constant ``DEFAULT_NULL_TOL`` times the largest singular
 value of C at depth 1, and below it ``DEFAULT_NULL_TOL`` times a, the
-largest column norm of A, the number the zero-mode floor of ``quality``
-reads.  a lies in [|A|_2 / sqrt(n), |A|_2], so the cut sits at most
-sqrt(n) (22.6 at n = 512) below ``DEFAULT_NULL_TOL |A|_2``, and it
-costs O(n^2) where |A|_2 costs an SVD.  That move stays inside the gap
+largest column norm of A, taken once per system
+(``ConstrainedSystem.drift_column_norm``), the number the zero-mode
+floor of ``quality`` reads.  a lies in [|A|_2 / sqrt(n), |A|_2], so
+the cut sits at most sqrt(n) (22.6 at n = 512) below
+``DEFAULT_NULL_TOL |A|_2``, and it costs O(n^2) where |A|_2 costs an
+SVD.  That move stays inside the gap
 the cut falls in: on the registered problems, at the grids and depths
 ``tests/test_constrained.py`` checks, every defect singular value the
 recursion keeps is at most 6.73e-16 |A|_2 and every one it cuts at
@@ -64,6 +66,9 @@ _EPS = np.finfo(float).eps
 
 #: Relative singular-value cutoff that sets the rank of every depth.
 DEFAULT_NULL_TOL = 1e-10
+
+#: Columns of the drift per slice of ``ConstrainedSystem.drift_column_norm``.
+_COLUMNS = 64
 
 
 @dataclass(eq=False)
@@ -132,13 +137,20 @@ class ConstrainedSystem:
                 f"got {self.mirror} for n={self.n}"
             )
         shape = (fields, self.n // fields) * 2
-        # block (f, g) of Q op Q is s_f s_g J op_fg J
-        signs = np.multiply.outer(self.mirror, self.mirror)[:, None, :, None]
         for name, op in (("drift", self.a), ("mass", self.e)):
-            if op is not None and not (
-                np.linalg.norm(signs * op.reshape(shape)[:, ::-1, :, ::-1] - op.reshape(shape))
-                <= DEFAULT_NULL_TOL * np.linalg.norm(op)
-            ):
+            if op is None:
+                continue
+            # block (f, g) of Q op Q - op is s_f s_g J op_fg J - op_fg, whose
+            # norm is that of J op_fg J -+ op_fg; one block at a time
+            op_fg = op.reshape(shape)
+            gap = np.linalg.norm([
+                np.linalg.norm(
+                    (np.subtract if s_f == s_g else np.add)(op_fg[f, ::-1, g, ::-1], op_fg[f, :, g])
+                )
+                for f, s_f in enumerate(self.mirror)
+                for g, s_g in enumerate(self.mirror)
+            ])
+            if not gap <= DEFAULT_NULL_TOL * np.linalg.norm(op):
                 raise ValueError(f"the {name} matrix is not symmetric under mirror {self.mirror}")
         cut = DEFAULT_NULL_TOL * c_norm
         ranks = sum(
@@ -167,6 +179,22 @@ class ConstrainedSystem:
         reports it.
         """
         return float(np.linalg.norm(self.a, 2))
+
+    @cached_property
+    def drift_column_norm(self) -> float:
+        """Largest column norm of the drift matrix, overflow-safe, taken once per system.
+
+        The rank cut of ``compress_depths``, the invariance test of
+        ``verify_decomposition`` and the zero floor of ``quality`` read
+        it.  It is ``_norms(a).max()`` bit for bit, taken ``_COLUMNS``
+        columns at a time, so no n x n temporary is made.  numpy sums
+        the squares of a slice of two or more columns in the same order
+        as those of the whole matrix, but those of one column alone in
+        another, so the last slice takes the remainder.
+        """
+        starts = range(0, self.n - 1, _COLUMNS)
+        ends = [*starts[1:], self.n]
+        return float(max(_norms(self.a[:, i:j]).max() for i, j in zip(starts, ends)))
 
 
 def observability(sys: ConstrainedSystem, k: int) -> np.ndarray:
@@ -296,8 +324,9 @@ def _embed(sigma: np.ndarray | None, y: np.ndarray, out: np.ndarray) -> None:
     """Write ``U y`` into ``out`` for the half of field signs ``sigma`` (see ``_project``).
 
     Each field's leading half takes the pair rows of y over sqrt(2)
-    and its reversed view adds sigma_f times them to zeros; the centre
-    of a field with sigma_f = 1 takes its row of y.  U is applied by
+    and its reversed view sigma_f times them, each product written
+    straight into ``out``; the centre of a field with sigma_f = 1
+    takes its row of y, that of the others 0.  U is applied by
     slicing, never as a dense product, so a lifted column has its
     parity exactly.  ``out`` may be any view of an n-row array:
     splitting its row axis into (field, position) is always a view.
@@ -308,10 +337,13 @@ def _embed(sigma: np.ndarray | None, y: np.ndarray, out: np.ndarray) -> None:
     fields = out.reshape(sigma.size, len(out) // sigma.size, y.shape[1])
     pairs = fields.shape[1] // 2
     lead = y[: sigma.size * pairs].reshape(sigma.size, pairs, y.shape[1])
-    out[...] = 0
-    fields[:, :pairs] = np.sqrt(0.5) * lead
-    fields[:, ::-1][:, :pairs] += (sigma * np.sqrt(0.5))[:, None, None] * lead
+    np.multiply(np.sqrt(0.5), lead, out=fields[:, :pairs])
+    tail = fields[:, ::-1][:, :pairs]
+    np.multiply((sigma * np.sqrt(0.5))[:, None, None], lead, out=tail)
+    # the bits of a sum onto zeros: + 0.0 turns a product's -0.0 into +0.0
+    tail += 0.0
     if fields.shape[1] % 2:
+        fields[sigma < 0, pairs] = 0
         fields[sigma > 0, pairs] = y[sigma.size * pairs :]
 
 
@@ -467,7 +499,7 @@ def compress_depths(sys: ConstrainedSystem, k_max: int) -> Iterator[CompressedSy
     ``E = I`` without a mass operator.  With P an orthonormal complement
     of ``E V_k``, that is the nullspace N_k of the defect
     ``(P* A) M_k``, cut at ``DEFAULT_NULL_TOL`` times the largest column
-    norm of A (overflow-safe, taken once per call), which lies within a
+    norm of A (overflow-safe, taken once per system), which lies within a
     factor sqrt(n) below ``|A|_2`` (see the module docstring): a cut
     relative to the defect would count rounding as rank once V_k is
     invariant.  N_k's columns are sign-fixed as in ``nullspace_basis``;
@@ -492,7 +524,7 @@ def compress_depths(sys: ConstrainedSystem, k_max: int) -> Iterator[CompressedSy
     if k_max < 1:
         raise ValueError(f"depth must be >= 1, got k={k_max}")
     c = sys.c / np.linalg.norm(sys.c)
-    c_norm, a_norm = np.linalg.norm(c, 2), _norms(sys.a).max()
+    c_norm, a_norm = np.linalg.norm(c, 2), sys.drift_column_norm
     walks = zip(*(_walk(sys, sigma, c, c_norm, a_norm) for sigma in _halves(sys.n, sys.mirror)))
     for k, parts in zip(range(1, k_max + 1), walks):
         if not any(part.m.shape[1] for part in parts):
@@ -538,8 +570,9 @@ def verify_decomposition(sys: ConstrainedSystem, comp: CompressedSystem) -> Deco
     """Measure ``|C M|`` and ``|N* A M|`` for an orthonormal complement N of M.
 
     ``invariant`` compares ``|N* A M|`` with the recursion's cut,
-    ``DEFAULT_NULL_TOL`` times the largest column norm of A, which lies
-    in [|A|_2 / sqrt(n), |A|_2]; ``drift_norm`` reports ``|A|_2`` itself.
+    ``DEFAULT_NULL_TOL`` times the largest column norm of A, taken once
+    per system, which lies in [|A|_2 / sqrt(n), |A|_2]; ``drift_norm``
+    reports ``|A|_2`` itself.
     """
     m = comp.m
     n_comp = np.linalg.svd(m, full_matrices=True)[0][:, comp.r :]
@@ -548,5 +581,5 @@ def verify_decomposition(sys: ConstrainedSystem, comp: CompressedSystem) -> Deco
         constraint_residual=float(np.linalg.norm(sys.c @ m, 2)),
         invariance_residual=inv_res,
         drift_norm=sys.drift_norm,
-        invariant=bool(inv_res < DEFAULT_NULL_TOL * _norms(sys.a).max()),
+        invariant=bool(inv_res < DEFAULT_NULL_TOL * sys.drift_column_norm),
     )

@@ -86,7 +86,7 @@ def canuto_hyperbolic(n: int) -> ConstrainedSystem:
     """
     _check_points("canuto", n)
     d = cheb_diff(n)
-    a = -np.kron(np.array([[0.5, 1.0], [1.0, 0.5]]), d)
+    a = np.kron(-np.array([[0.5, 1.0], [1.0, 0.5]]), d)
     c = np.zeros((2, 2 * n))
     c[0, n - 1] = 1.0  # psi1 at x = -1
     c[1, 0] = 1.0  # psi1 at x = +1
@@ -165,8 +165,9 @@ def acoustic_wave(n: int) -> ConstrainedSystem:
     """
     _check_points("acoustic", n)
     d = cheb_diff(n)
-    zero = np.zeros((n, n))
-    a = np.block([[zero, d], [d, zero]])
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = d
+    a[n:, :n] = d
     c = np.zeros((2, 2 * n))
     c[0, 0] = 1.0
     c[1, n - 1] = 1.0

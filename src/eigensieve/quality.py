@@ -55,9 +55,10 @@ spans the same real plane as the one before it: it takes that mode's
 conjugated ``w`` and its scores without a product or an SVD of its
 own.  The pairing is read off that layout once, and no vector is
 compared to decide it.  The zero-floor test reads one number of the
-drift, its largest column norm, taken once per report and
-overflow-safe, so a drift with entries past 1e154 still has a finite
-floor; ``|A|_2`` itself is never computed.
+drift, its largest column norm, taken once per system
+(``ConstrainedSystem.drift_column_norm``) and overflow-safe, so a drift
+with entries past 1e154 still has a finite floor; ``|A|_2`` itself is
+never computed.
 
 The eigen solve and scoring take each diagonal block of the
 compressed system on its own: a mirrored system
@@ -398,7 +399,7 @@ def quality_report(sys: ConstrainedSystem, k: int = 1) -> QualityReport:
     ``|Re lam|``, then ``Re lam``.  The derivative score is
     ``|P_k* A M v|`` (see the module docstring).  A mode is a zero mode when
     ``|A M v| < DEFAULT_ZERO_FLOOR a |M v|``, with a the largest column
-    norm of A, or ``A M v`` is exactly 0.
+    norm of A, taken once per system, or ``A M v`` is exactly 0.
     """
     return _report(sys, compress(sys, k))
 
@@ -425,12 +426,12 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem) -> QualityReport:
     different blocks that tie on theta, ``|Im lam|`` and ``|Re lam|``
     are ordered by ``Re lam``, as in one sort of the whole spectrum,
     and then by block.  The zero floor is ``DEFAULT_ZERO_FLOOR`` times
-    the largest column norm of A, overflow-safe (``_norms``) and taken
-    once per report on the whole drift.
+    the largest column norm of A, overflow-safe and taken once per
+    system on the whole drift (``ConstrainedSystem.drift_column_norm``).
     """
     lams, blocks = eigenpairs(comp)
     real = all(np.isrealobj(op) for op in (sys.a, sys.c, sys.e) if op is not None)
-    floor = DEFAULT_ZERO_FLOOR * _norms(sys.a).max()
+    floor = DEFAULT_ZERO_FLOOR * sys.drift_column_norm
     # the second of each pair, right after its owner in its block
     twin = real & (lams.imag < 0)
     ws, s_norm, theta, zero = _score_modes(comp, blocks, twin, floor)

@@ -11,10 +11,12 @@ from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
 from conftest import stacked_vectors
+from eigensieve import constrained
 from eigensieve.constrained import (
     DEFAULT_NULL_TOL,
     ConstrainedSystem,
     _embed,
+    _norms,
     _project,
     compress,
     compress_depths,
@@ -29,7 +31,7 @@ from eigensieve.problems import (
     heat_dirichlet,
     orr_sommerfeld,
 )
-from eigensieve.quality import _report, eigenpairs
+from eigensieve.quality import _report, eigenpairs, quality_report
 
 
 def _random_system(seed, n=8, q=2):
@@ -337,6 +339,86 @@ def test_state_space_arrays_are_assembled_on_demand(build, n, k):
     assert vars(comp).keys() == {"halves", "k"}
 
 
+def _embed_onto_zeros(sigma, y, out):
+    """``_embed`` as it was once written: the reversed half added to zeros."""
+    fields = out.reshape(sigma.size, len(out) // sigma.size, y.shape[1])
+    pairs = fields.shape[1] // 2
+    lead = y[: sigma.size * pairs].reshape(sigma.size, pairs, y.shape[1])
+    out[...] = 0
+    fields[:, :pairs] = np.sqrt(0.5) * lead
+    fields[:, ::-1][:, :pairs] += (sigma * np.sqrt(0.5))[:, None, None] * lead
+    if fields.shape[1] % 2:
+        fields[sigma > 0, pairs] = y[sigma.size * pairs :]
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 6])
+@pytest.mark.parametrize("fields", [1, 2])
+def test_embed_writes_the_sums_onto_zeros_bit_for_bit(fields, size):
+    # the products go straight into out, and 0.0 + -0.0 is +0.0: each
+    # entry must keep the bits of the sum, the sign of a zero included
+    rng = np.random.default_rng(11 * fields + size)
+    values = np.array([0.0, -0.0, 1.5, -2.25])
+    for signs in itertools.product((1.0, -1.0), repeat=fields):
+        sigma = np.array(signs)
+        rows = _dense_basis(sigma, size).shape[1]
+        for dtype in (float, complex):
+            y = rng.choice(values, (rows, 6)).astype(dtype)
+            if dtype is complex:
+                y.imag = rng.choice(values, y.shape)
+            if rows:
+                y[0, :2] = (0.0, -0.0) if dtype is float else (complex(0.0, -0.0), -0.0)
+            got, want = (np.full((6, fields * size), np.nan, dtype=dtype).T for _ in range(2))
+            _embed(sigma, y, got)
+            _embed_onto_zeros(sigma, y, want)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestDriftColumnNorm:
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 66, 129, 130])
+    @pytest.mark.parametrize(
+        "kind", ["real", "complex", "F-ordered", "huge", "tiny", "zero column", "zero"]
+    )
+    def test_is_the_largest_column_norm_bit_for_bit(self, n, kind):
+        # taken a slice of columns at a time, with no slice of one column,
+        # and for huge and tiny columns from the rescaled norms; the last
+        # column, the one a slice of its own would sum in another order,
+        # is the largest
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) * np.exp(rng.uniform(-3, 0, n))
+        a[:, -1] *= 100.0
+        if kind == "complex":
+            a = a + 1j * rng.standard_normal((n, n))
+        elif kind == "F-ordered":
+            a = np.asfortranarray(a)
+        elif kind in ("huge", "tiny"):
+            a *= 10.0 ** (rng.integers(195, 205, n) * (1 if kind == "huge" else -1))
+        elif kind == "zero column":
+            a[:, n // 2] = 0.0
+        elif kind == "zero":
+            a[...] = 0.0
+        sys = ConstrainedSystem(a=a, c=np.eye(n)[:1])
+        want = _norms(a).max()
+        assert np.isfinite(want) and (want > 0) == (kind != "zero")
+        assert sys.drift_column_norm == want
+
+    def test_is_taken_once_per_system(self, monkeypatch):
+        # compression, scoring and the invariance test share one pass
+        # over the drift, and no slice of it is the whole matrix
+        sys = acoustic_wave(64)
+        widths = []
+
+        def spy(x):
+            if np.shares_memory(x, sys.a):
+                widths.append(x.shape[1])
+            return _norms(x)
+
+        monkeypatch.setattr(constrained, "_norms", spy)
+        comps = list(compress_depths(sys, 3))
+        quality_report(sys, 2)
+        verify_decomposition(sys, comps[-1])
+        assert sum(widths) == sys.n and max(widths) < sys.n
+
+
 class TestDepthRecursion:
     def test_rank_cuts_leave_the_spectral_norm_uncomputed(self):
         # each depth's defect is cut at the largest column norm of A, not |A|_2
@@ -578,6 +660,29 @@ class TestMirror:
         sys = heat_dirichlet(8)
         with pytest.raises(ValueError, match="one sign"):
             ConstrainedSystem(a=sys.a, c=sys.c, mirror=mirror)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("name", ["drift", "mass"])
+    def test_symmetry_is_checked_at_the_cut(self, name, factor):
+        # P = -QPQ leaves |QXQ - X|_F = 2 |P|_F for X = op + P, which is
+        # factor times DEFAULT_NULL_TOL |X|_F since P is orthogonal to op
+        sys = acoustic_wave(12) if name == "drift" else orr_sommerfeld(12)
+        ops = {"a": sys.a, "c": sys.c, "e": sys.e}
+        key = "a" if name == "drift" else "e"
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal(ops[key].shape) * (1 + 1j * np.iscomplexobj(ops[key]))
+        anti = b - _reflect(_reflect(b, sys.mirror).T, sys.mirror).T
+        tol = factor * DEFAULT_NULL_TOL
+        size = tol * np.linalg.norm(ops[key]) / np.sqrt(4 - tol**2)
+        ops[key] = ops[key] + size * anti / np.linalg.norm(anti)
+        # the verdict of one norm over the whole matrix
+        gap = _reflect(_reflect(ops[key], sys.mirror).T, sys.mirror).T - ops[key]
+        assert (np.linalg.norm(gap) <= DEFAULT_NULL_TOL * np.linalg.norm(ops[key])) == (factor < 1)
+        if factor < 1:
+            assert ConstrainedSystem(**ops, mirror=sys.mirror).mirror == sys.mirror
+        else:
+            with pytest.raises(ValueError, match=f"the {name} matrix is not symmetric"):
+                ConstrainedSystem(**ops, mirror=sys.mirror)
 
     def test_constraint_rows_must_map_onto_themselves(self):
         # e_0 + 2 e_(n-1) is neither even nor odd, and Q moves its span

@@ -1,5 +1,6 @@
 """Benchmark system builders against their analytic references."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -65,7 +66,8 @@ class TestCanutoHyperbolic:
         sys = canuto_hyperbolic(n)
         d = cheb_diff(n)
         want = -np.kron(np.array([[0.5, 1.0], [1.0, 0.5]]), d)
-        assert np.array_equal(sys.a, want)
+        # bit for bit, signed zeros included
+        assert sys.a.tobytes() == want.tobytes()
 
     def test_constraints_pin_first_field_at_both_ends(self):
         n = 10
@@ -150,6 +152,21 @@ class TestAcoustic:
         assert np.array_equal(sys.a[n:, :n], d)
         assert not sys.a[:n, :n].any() and not sys.a[n:, n:].any()
         assert sys.c[0, 0] == 1.0 and sys.c[1, n - 1] == 1.0
+        zero = np.zeros((n, n))
+        assert sys.a.tobytes() == np.block([[zero, d], [d, zero]]).tobytes()
+
+    def test_build_memory_stays_bounded(self):
+        # the drift is filled into one zeroed array and its mirror is
+        # checked field block by field block: 3.29 MB traced, against
+        # 5.39 MB for np.block and a mirror check over the whole drift
+        acoustic_wave(256)
+        tracemalloc.start()
+        try:
+            acoustic_wave(256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.4e6
 
     def test_spectrum_reference_values(self):
         ref = acoustic_spectrum(2)

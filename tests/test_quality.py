@@ -285,10 +285,12 @@ class TestBatchedDistances:
     def test_scoring_memory_stays_bounded(self):
         # the products after W = M V and the QR into R^4 take _CHUNK
         # columns at a time, and the angles one pass over 4 x 4
-        # triangles.  The SVD kernel this one replaced peaked at
-        # 7.34 MB here (9.44 MB with the build, as tools/stage_times.py
-        # traces it), a peak reached outside scoring; scoring each half
-        # in one pass, one QR of all its pairs, reached 8.9 MB
+        # triangles; scoring each half in one pass, one QR of all its
+        # pairs, reached 8.9 MB.  The drift's largest column norm is
+        # taken once per system, 64 columns at a time, and the lift
+        # writes its products straight into its output: 6.57 MB, where
+        # two passes over the whole drift and a lift through
+        # temporaries reached 7.34 MB
         sys = acoustic_wave(256)
         tracemalloc.start()
         try:
@@ -296,7 +298,7 @@ class TestBatchedDistances:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7.4e6
+        assert peak <= 6.65e6
 
 
 class TestEigenpairs:
@@ -819,8 +821,8 @@ def test_mirrored_scores_match_the_unmirrored_operators(
     # of modes within 8 eps.  Each run's theta rounds within about its
     # floor f, so the two are held to 3 f: where f is least (2 eps) a
     # one-dimensional half scores an exact 0 and the whole-space kernel
-    # rounds by up to 5.2 eps.  Over 15000 random systems the largest
-    # gaps were 2.56 f, 1.96 eps |A|_2 |w| and 1.5 eps |w|.
+    # rounds by up to 2.0 eps.  Over 15000 random systems the largest
+    # gaps were 1.35 f, 2.05 eps |A|_2 |w| and 1.03 eps |w|.
     a, c, e = _random_symmetric_system(seed, size, signs, q, complex_entries, mass)
     try:
         sys = ConstrainedSystem(a=a, c=c, e=e, mirror=signs)
