@@ -340,7 +340,7 @@ def test_state_space_arrays_are_assembled_on_demand(build, n, k):
 
 
 def _embed_onto_zeros(sigma, y, out):
-    """``_embed`` as it was once written: the reversed half added to zeros."""
+    """The reference for ``_embed``: the reversed half's products added to zeros."""
     fields = out.reshape(sigma.size, len(out) // sigma.size, y.shape[1])
     pairs = fields.shape[1] // 2
     lead = y[: sigma.size * pairs].reshape(sigma.size, pairs, y.shape[1])
