@@ -4,7 +4,11 @@ Four subcommands: ``analyze`` scores every computed mode of one
 problem, ``sweep-k`` tabulates spectral error against constraint
 depth, ``reduce`` runs the quality-ranked reduction error sweep, and
 ``problems`` lists what is registered.  Output is CSV or JSON on stdout
-or to a file; runs are deterministic, with no environment dependence.
+or to a file.  A run reads no clock, seed or file, so its bytes repeat
+for a fixed BLAS build and thread count; the thread count changes how
+products round, which can move scores within their rounding floors and
+reorder modes whose angles lie within each other's floors (see the
+README's Reproducibility section).
 
 Exit codes: 0 on success, 2 on usage errors, 3 on numerical failure,
 including arrays too large to allocate (``MemoryError``).
@@ -13,14 +17,14 @@ Every command builds one table, a dict that maps each column name, in
 header order, to one 1-D array, and ``_write_output`` writes it: JSON
 rows hold each cell as its Python value, CSV cells are ``true`` or
 ``false`` for a bool, ``.17g`` for a float, ``;``-joined for a list
-and ``str`` otherwise.
+and ``str`` otherwise.  No CSV cell is quoted: headers are identifiers,
+and no registered problem name or parameter holds a comma, a quote or
+a newline.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys as _sys
 from functools import partial
@@ -153,20 +157,20 @@ _COMMANDS = {
 }
 
 
-def _csv_column(values: list) -> tuple[str | None, list]:
+def _csv_column(values: list) -> tuple[str, list]:
     """A CSV column's ``%`` conversion and its cells, chosen from the type of its elements.
 
     Bools become ``true`` or ``false`` and lists their ``;``-joined
-    items first, so each cell takes ``%s``; floats take ``%.17g``,
-    whose bytes are those of ``format(v, ".17g")``, inf, nan and -0
-    included.  A str column has no conversion: the csv module writes it.
+    items first, so each cell takes ``%s``, as a str does; floats take
+    ``%.17g``, whose bytes are those of ``format(v, ".17g")``, inf, nan
+    and -0 included.
     """
     kind = type(values[0]) if values else str
     if kind is bool:
         return "%s", ["true" if v else "false" for v in values]
     if kind is list:
         return "%s", [";".join(map(str, v)) for v in values]
-    return {float: "%.17g", int: "%d"}.get(kind), values
+    return {float: "%.17g", int: "%d"}.get(kind, "%s"), values
 
 
 def _write_output(args: argparse.Namespace, table: dict) -> int:
@@ -177,18 +181,10 @@ def _write_output(args: argparse.Namespace, table: dict) -> int:
         rows = [dict(zip(table, row)) for row in zip(*columns)]
         text = json.dumps({"meta": vars(args), "rows": rows}, indent=2) + "\n"
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(table)
         specs, cells = zip(*map(_csv_column, columns))
-        if None in specs:
-            # str cells, which only ``problems`` has, keep the csv module's quoting
-            cells = [c if spec is None else [spec % v for v in c] for spec, c in zip(specs, cells)]
-            writer.writerows(zip(*cells))
-        else:
-            # one template per row formats every cell of it in one call
-            buffer.writelines(map((",".join(specs) + "\n").__mod__, zip(*cells)))
-        text = buffer.getvalue()
+        # one template per row formats every cell of it in one call
+        rows = map((",".join(specs) + "\n").__mod__, zip(*cells))
+        text = "".join([",".join(table) + "\n", *rows])
     if not args.out:
         _sys.stdout.write(text)
         return EXIT_OK

@@ -210,38 +210,33 @@ def observability(sys: ConstrainedSystem, k: int) -> np.ndarray:
     return np.vstack(list(accumulate(repeat(sys.a, k - 1), np.matmul, initial=sys.c)))
 
 
-def nullspace_basis(mat: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
+def nullspace_basis(mat: np.ndarray) -> np.ndarray:
     """Orthonormal nullspace basis of ``mat`` via singular value decomposition.
 
-    Column count is the number of singular values below ``tol`` times
-    the largest one, including the trailing dimensions a wide matrix
-    cannot constrain.  Each column is rotated so its largest-magnitude
-    entry is real and positive, making the basis reproducible across
-    runs.  ``tol`` must lie strictly between 0 and 1; outside that
-    range the cut keeps every direction or none, whatever ``mat`` is.
+    Column count is the number of singular values below
+    ``DEFAULT_NULL_TOL`` times the largest one, including the trailing
+    dimensions a wide matrix cannot constrain.  Each column is rotated
+    so its largest-magnitude entry is real and positive, making the
+    basis reproducible across runs.
     """
-    return _split(mat, tol)[1]
+    return _split(mat)[1]
 
 
-def _split(
-    mat: np.ndarray, tol: float, scale: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _split(mat: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases ``(row, null)`` of the row space and nullspace of ``mat``.
 
-    ``null`` is ``nullspace_basis(mat, tol)``; ``row`` is its orthogonal
+    ``null`` is ``nullspace_basis(mat)``; ``row`` is its orthogonal
     complement, the leading right singular vectors, without sign fixing.
-    The rank counts the singular values above ``tol`` times ``scale``,
-    by default the largest singular value of ``mat``.
+    The rank counts the singular values above ``DEFAULT_NULL_TOL`` times
+    ``scale``, by default the largest singular value of ``mat``.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
     mat = np.asarray(mat)
     if mat.size == 0:
         raise ValueError("cannot take the nullspace of an empty matrix")
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
     if scale is None:
         scale = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * scale))
+    rank = int(np.count_nonzero(s > DEFAULT_NULL_TOL * scale))
     # a copy, not a view: a view of the rows would keep all of vh alive
     return vh[:rank].conj().T.copy(), _fix_signs(vh[rank:].conj().T)
 
@@ -380,14 +375,14 @@ class CompressedSystem:
     not stored, so a depth holds no second copy of its pieces; a caller
     that reads one many times keeps it in a variable.  ``m`` is
     ``[U_+ M_+, U_- M_-]``, F-ordered, whose columns have their parity
-    exactly, and ``m_left`` is ``m*``.  ``a_k = m* A m`` and
-    ``e_k = m* E m`` are block diagonal, with the diagonal blocks of
-    sizes ``blocks`` (``slices``).  ``p``, n x (n - r), is the
-    orthonormal complement of ``E m`` (``E = I`` without a mass
-    operator) that the recursion reads to cut the next depth, lifted
-    like ``m``: ``|p* A w|`` is the part of ``A w`` outside ``E V_k``,
-    how far a state w of this depth violates the next depth's
-    constraint.
+    exactly, and ``m_left`` is ``m*``.  ``a_k = m* A m`` is block
+    diagonal, with the diagonal blocks of sizes ``blocks``
+    (``slices``).  Each half's ``p`` is the orthonormal complement of
+    its ``E m`` (``E = I`` without a mass operator) that the recursion
+    reads to cut the next depth: ``|p* A w|`` is the part of ``A w``
+    outside ``E V_k``, how far a state w of the half violates the next
+    depth's constraint.  Each half's ``e_k`` is its block of ``m* E m``;
+    scoring and the eigen solve read only the halves' ``p`` and ``e_k``.
     """
 
     halves: tuple[_HalfSystem, ...]
@@ -419,23 +414,13 @@ class CompressedSystem:
         return self.m.conj().T
 
     @property
-    def p(self) -> np.ndarray:
-        return self._lift([half.p for half in self.halves])
-
-    @property
     def a_k(self) -> np.ndarray:
         return self._diagonal([half.a_k for half in self.halves])
-
-    @property
-    def e_k(self) -> np.ndarray | None:
-        if self.halves[0].e_k is None:
-            return None
-        return self._diagonal([half.e_k for half in self.halves])
 
     def _lift(self, parts: Sequence[np.ndarray]) -> np.ndarray:
         """``[U_+ X_+, U_- X_-]``: each half's ``X`` lifted to the n-dimensional state space.
 
-        ``m``, ``p`` and a quality report's owner rows are lifted here.
+        ``m`` and a quality report's owner rows are lifted here.
         The result is F-ordered, so its transpose, one lifted column per
         row, is C-ordered without a copy.
         """
@@ -470,7 +455,7 @@ def _walk(
     from depth k reads; a depth that leaves the half no state has the
     whole half.
     """
-    p, m = _split(_project(sigma, c.T).T, DEFAULT_NULL_TOL, c_norm)
+    p, m = _split(_project(sigma, c.T).T, c_norm)
     a, e = (
         None if op is None else _project(sigma, _project(sigma, op.T).T) for op in (sys.a, sys.e)
     )
@@ -506,10 +491,10 @@ def compress_depths(sys: ConstrainedSystem, k_max: int) -> Iterator[CompressedSy
     then ``M_{k+1} = M_k N_k`` and ``A_{k+1} = N_k* A_k N_k``.  Without
     E, P is the row space of C plus the directions each step removed,
     so the defect has only ``n - r_k`` rows; with E, P is the nullspace
-    of ``(E M_k)*``.  Each depth carries its P (``CompressedSystem.p``),
-    from which ``quality`` takes the derivative score.  Nothing past depth k is
-    computed before depth k+1 is asked for, and the walk stops early
-    once a depth leaves no state.
+    of ``(E M_k)*``.  Each depth carries each half's P
+    (``_HalfSystem.p``), from which ``quality`` takes the derivative
+    score.  Nothing past depth k is computed before depth k+1 is asked
+    for, and the walk stops early once a depth leaves no state.
 
     A mirrored system walks its even and odd halves side by side, each
     on the operators restricted to it, with the rank cuts of the

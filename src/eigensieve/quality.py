@@ -15,14 +15,15 @@ At depth k, M spans V_k, the states whose first k-1 derivatives keep
 ``C z = 0`` (``constrained.compress_depths``), and the next depth keeps
 those whose ``A z`` lies in ``E V_k`` (``E = I`` without a mass
 operator).  ``P_k`` is the orthonormal complement of ``E V_k`` that the
-recursion builds for that step (``CompressedSystem.p``), so
-``s_norm = |P_k* (A w)|`` is the part of the mode's derivative that
-leaves the feasible subspace: the next depth's constraint violation in
-the recursion's own coordinates (Wong 1974; Van Dooren 1981).  P_k is
-orthonormal, so ``s_norm <= |A|_2 |w|`` at every depth, and scores of
-different depths are comparable.  At k = 1 without a mass operator P_1
-spans the rows of C, and the score is ``|C A w|`` for orthonormal rows;
-with one, it is the part of ``A w`` outside ``E V_1``.  A score whose
+recursion builds for that step, kept per parity half (the ``p`` of each
+of ``CompressedSystem.halves``), so ``s_norm = |P_k* (A w)|`` is the
+part of the mode's derivative that leaves the feasible subspace: the
+next depth's constraint violation in the recursion's own coordinates
+(Wong 1974; Van Dooren 1981).  P_k is orthonormal, so
+``s_norm <= |A|_2 |w|`` at every depth, and scores of different depths
+are comparable.  At k = 1 without a mass operator P_1 spans the rows of
+C, and the score is ``|C A w|`` for orthonormal rows; with one, it is
+the part of ``A w`` outside ``E V_1``.  A score whose
 squares underflow or overflow is taken again on a rescaled vector, so
 a tiny score never reads 0 and a finite one never reads infinite.
 

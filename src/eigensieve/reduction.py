@@ -49,10 +49,9 @@ class ReducedModel:
     """Retained eigenmodes of a quality report, conjugate-closed.
 
     ``truncate`` makes every model.  Column j is mode j of the report,
-    so its theta is ``report.theta[j]``.  ``lambdas`` holds the
-    eigenvalue of each column and ``shapes`` the lifted mode vectors
-    w = M v as columns, so modal coefficients c lift to the state
-    ``shapes @ c``.
+    so its theta is ``report.theta[j]`` and its lifted mode vector
+    w = M v is ``report.modes[j]``; the model keeps no copy of the
+    vectors.  ``lambdas`` holds the eigenvalue of each column.
 
     ``basis`` holds the columns that the model factorises and evolves.
     For a real system, whose modes are exact conjugate pairs
@@ -61,9 +60,10 @@ class ReducedModel:
     vector of column j, and a real mode keeps its w.  ``mates[j]`` is
     the other column of j's pair, j itself for a real mode.  The
     sqrt(2) makes each pair block a unitary image of [w, conj(w)], so
-    every leading block of ``basis`` has the singular values of that of
-    ``shapes``.  For a complex system ``basis`` is ``shapes`` and
-    ``mates`` is None: a system is real exactly when ``mates`` is set.
+    every leading block of ``basis`` has the singular values of the
+    same columns of ``report.modes.T``.  For a complex system ``basis``
+    is those columns and ``mates`` is None: a system is real exactly
+    when ``mates`` is set.
     ``q`` and ``r_inv`` are a thin QR factorisation ``basis = q R`` and
     the inverse of its triangle, so restriction is a projection onto
     ``q`` and one triangular product.  The arrays are read-only leading
@@ -71,7 +71,6 @@ class ReducedModel:
     """
 
     lambdas: np.ndarray
-    shapes: np.ndarray
     q: np.ndarray
     r_inv: np.ndarray
     basis: np.ndarray
@@ -89,8 +88,9 @@ class ReducedModel:
         ``|q q^H x - x| / |x|``, at O(N size) per call.  A pair's real
         coefficients (a, b) are those of w and conj(w) as
         (a -+ ib) / sqrt(2), so ``coeffs`` are the complex128
-        coefficients of ``shapes``: on anything in the span of the
-        retained modes, ``shapes @ coeffs`` gives the state back.
+        coefficients of the retained modes ``report.modes[:size]``: on
+        anything in their span, ``report.modes[:size].T @ coeffs``
+        gives the state back.
         """
         b, residual = self._project(state)
         coeffs = (self.r_inv @ b).astype(complex)
@@ -193,21 +193,18 @@ def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndar
         return cached
     lams = report.lambdas.copy()
     # the C-ordered columns of modes.T (GEMM rounds a transposed operand
-    # differently), gathered without building modes; a twin shares its
-    # owner's row, right after it, and a product with -1 conjugates it
-    # exactly, faster than a negation masked column by column
-    rows = report.rows
+    # differently), gathered straight from the owners without building
+    # modes; a twin shares its owner's row, right after it
+    owners, rows = report.owners, report.rows
     twin = rows[1:] == rows[:-1]
-    shapes = np.take(report.owners.T, rows, axis=1)
-    shapes.imag[:, 1:] *= np.where(twin, -1.0, 1.0)
     own = np.arange(lams.size)
     # second[i]: mode i is the second half of a pair; second[m] stays False
     second = np.zeros(lams.size + 1, dtype=bool)
-    basis, mates = shapes, None
+    mates = None
     if report.meta.get("real_system", True):
         second[1:-1] = twin & (lams.imag[1:] < 0) & (lams[1:] == lams[:-1].conj())
         first = second[1:]
-        real = (lams.imag == 0) & ~np.any(shapes.imag, axis=0)
+        real = (lams.imag == 0) & ~np.any(owners.imag, axis=1)[rows]
         placed = second[:-1] | first | real
         if not placed.all():
             raise ValueError(
@@ -215,19 +212,27 @@ def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndar
                 "of a pair: each complex mode must sit next to its exact conjugate"
             )
         mates = own + first - second[:-1]
-        # the second column of a pair holds sqrt(2) Im w of the first: -Im of its own
-        basis = np.where(second[:-1], -shapes.imag, shapes.real)
+        # the second column of a pair holds sqrt(2) Im w of the first, the
+        # imaginary part of their shared owner row
+        basis = np.take(owners.real.T, rows, axis=1)
+        pairs = np.flatnonzero(second[:-1])
+        basis[:, pairs] = np.take(owners.imag.T, rows[pairs], axis=1)
         basis *= np.where(real, 1.0, np.sqrt(2.0))
+    else:
+        # a product with -1 conjugates a twin exactly, faster than a
+        # negation masked column by column
+        basis = np.take(owners.T, rows, axis=1)
+        basis.imag[:, 1:] *= np.where(twin, -1.0, 1.0)
     sizes = own + 1 + second[1:]
     lead = basis[:, : basis.shape[0]]
     q, r_inv = _factor(lead)
     frob = [np.sqrt(np.cumsum(np.linalg.norm(x, axis=0) ** 2)) for x in (lead, r_inv)]
     bound = np.full(lams.size, np.inf)
     bound[: lead.shape[1]] = frob[0] * frob[1]
-    for array in (lams, shapes, basis, q, r_inv, bound, mates):
+    for array in (lams, basis, q, r_inv, bound, mates):
         if array is not None:
             array.flags.writeable = False
-    model = ReducedModel(lambdas=lams, shapes=shapes, q=q, r_inv=r_inv, basis=basis, mates=mates)
+    model = ReducedModel(lambdas=lams, q=q, r_inv=r_inv, basis=basis, mates=mates)
     cached = _RETENTION[report] = (sizes, model, bound)
     return cached
 
@@ -271,7 +276,6 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
         )
     return ReducedModel(
         lambdas=full.lambdas[:s],
-        shapes=full.shapes[:, :s],
         q=full.q[:, :s],
         r_inv=full.r_inv[:s, :s],
         basis=full.basis[:, :s],

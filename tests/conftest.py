@@ -4,8 +4,10 @@ Per-test prints are swallowed by capture, so the acceptance tests
 register their verdicts here and a terminal-summary section emits one
 line per criterion where it cannot be hidden.  The ``child_env``
 fixture gives subprocess tests an environment that imports the package
-from this checkout's ``src`` tree, and ``stacked_vectors`` lays out the
-eigenvectors of ``quality.eigenpairs`` as one matrix.
+from this checkout's ``src`` tree, ``stacked_vectors`` lays out the
+eigenvectors of ``quality.eigenpairs`` as one matrix, and ``whole_p``
+and ``whole_e_k`` assemble a compressed system's P and E_k over the
+whole state space from its halves.
 """
 
 import os
@@ -61,3 +63,15 @@ def stacked_vectors(comp, vecs):
         assert block.dtype == np.complex128 and block.shape == (part.stop - part.start,) * 2
         stacked[part, part] = block
     return stacked
+
+
+def whole_p(comp):
+    """Each half's orthonormal complement P lifted to the state space, ``[U_+ P_+, U_- P_-]``."""
+    return comp._lift([half.p for half in comp.halves])
+
+
+def whole_e_k(comp):
+    """The block diagonal ``m* E m`` of the halves' ``e_k``, None without a mass operator."""
+    if comp.halves[0].e_k is None:
+        return None
+    return comp._diagonal([half.e_k for half in comp.halves])

@@ -205,7 +205,7 @@ def _csv_cell(value):
     return str(value)
 
 
-@pytest.mark.parametrize(
+TABLE_COMMANDS = pytest.mark.parametrize(
     "args",
     [
         ("analyze", "--problem", "canuto", "--n", "8"),
@@ -218,6 +218,9 @@ def _csv_cell(value):
     ids=["analyze-canuto", "analyze-orr-sommerfeld", "sweep-k", "sweep-k-grid", "reduce",
          "problems"],
 )
+
+
+@TABLE_COMMANDS
 def test_csv_and_json_hold_the_same_cells(capsys, args):
     code, csv_out, _ = run_cli(capsys, *args)
     code2, json_out, _ = run_cli(capsys, *args, "--format", "json")
@@ -228,6 +231,29 @@ def test_csv_and_json_hold_the_same_cells(capsys, args):
     for line, row in zip(lines, rows):
         assert list(row) == header
         assert line == [_csv_cell(value) for value in row.values()]
+
+
+@TABLE_COMMANDS
+def test_csv_bytes_are_the_csv_module_rendering(capsys, args):
+    # the one % template path writes what the csv module would, quoting
+    # included: the same header and cells through csv.writer
+    code, csv_out, _ = run_cli(capsys, *args)
+    _, json_out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == EXIT_OK
+    rows = json.loads(json_out)["rows"]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows([_csv_cell(value) for value in row.values()] for row in rows)
+    assert csv_out == buffer.getvalue()
+
+
+def test_registered_names_need_no_csv_quoting():
+    # the CSV writer quotes nothing, so no cell of ``problems`` may hold
+    # a character that CSV would quote
+    for prob in problems.REGISTRY.values():
+        for text in (prob.name, *prob.params):
+            assert text and not set(text) & set(',"\r\n'), text
 
 
 META_KEYS = [

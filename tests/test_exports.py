@@ -54,23 +54,18 @@ def test_package_exports_each_module_name_once():
     ids=lambda x: x if isinstance(x, str) else x.__name__,
 )
 def test_null_tolerance_defaults_read_the_one_constant(func, param):
-    # the primitive that counts a rank takes the cut and defaults to the
-    # constant; every caller above it reads the constant itself
-    params = inspect.signature(func).parameters
-    if func is nullspace_basis:
-        assert params[param].default is DEFAULT_NULL_TOL
-    else:
-        assert param not in params
+    # every rank cut, the primitive's included, reads the constant itself
+    assert param not in inspect.signature(func).parameters
 
 
-def test_only_nullspace_basis_takes_a_null_tolerance():
+def test_no_function_takes_a_null_tolerance():
     takers = [
         name
         for name in eigensieve.__all__
         if inspect.isfunction(func := getattr(eigensieve, name))
         and {"tol", "null_tol"} & set(inspect.signature(func).parameters)
     ]
-    assert takers == ["nullspace_basis"]
+    assert takers == []
 
 
 def test_cli_echoes_the_null_tolerance_default():

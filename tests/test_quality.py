@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import stacked_vectors
+from conftest import stacked_vectors, whole_e_k, whole_p
 from eigensieve import quality
 from eigensieve.constrained import (
     CompressedSystem,
@@ -402,7 +402,7 @@ class TestModeAngle:
         a[2:, :2] = rng.standard_normal((2, 2))
         sys = ConstrainedSystem(a=a, c=np.eye(1, 4))
         comp = compress(sys, 1)
-        w = comp.m @ (comp.m_left @ np.array([0.0, 1.0, 0.0, 0.0]))
+        w = comp.m @ (comp.m.conj().T @ np.array([0.0, 1.0, 0.0, 0.0]))
         aw = a @ w
         assert np.linalg.norm(aw) > DEFAULT_ZERO_FLOOR * sys.drift_norm * np.linalg.norm(w)
         assert grassmann_distance(w, aw) == pytest.approx(np.pi / 2, abs=1e-9)
@@ -835,7 +835,7 @@ def test_mirrored_scores_match_the_unmirrored_operators(
     split = quality._report(sys, comp)
     plain = ConstrainedSystem(a=a, c=c, e=e)
     whole = CompressedSystem(
-        halves=(_HalfSystem(None, a, e, comp.m, comp.p, comp.a_k, comp.e_k),), k=k
+        halves=(_HalfSystem(None, a, e, comp.m, whole_p(comp), comp.a_k, whole_e_k(comp)),), k=k
     )
     one_block = lams, [stacked_vectors(comp, blocks)]
     with mock.patch.object(quality, "eigenpairs", lambda _: one_block):

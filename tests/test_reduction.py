@@ -65,6 +65,22 @@ def _hand_report(lams, lifted, real_system=True, rows=None):
     )
 
 
+def _reference_basis(report):
+    # the basis of every mode of a report by the formula that built it
+    # from the complex lifted vectors modes.T while models kept them: for
+    # a real system, the pair (w, conj(w)) at columns j, j + 1 becomes
+    # sqrt(2) Re w and sqrt(2) Im w (minus Im of the conjugate), and a
+    # real mode keeps Re w; a complex system's basis is modes.T itself
+    shapes = np.ascontiguousarray(report.modes.T)
+    mates = reduction._retention(report)[1].mates
+    if mates is None:
+        return shapes
+    own = np.arange(mates.size)
+    basis = np.where(mates < own, -shapes.imag, shapes.real)
+    basis *= np.where(mates == own, 1.0, np.sqrt(2.0))
+    return basis
+
+
 def _multi_pass_closure(report, r):
     # reference selection: close the first r modes pass by pass under
     # the nearest-conjugate map, argmin_j |lam_j - conj(lam_i)|, then
@@ -145,10 +161,12 @@ class TestTruncate:
             with pytest.raises(ValueError, match="mode 1 of a real system"):
                 truncate(report, r)
         # the same vectors with the pair marked make a well-formed report
-        model = truncate(_hand_report([-1.0, 2j, -2j], lifted, rows=[0, 1, 1]), 2)
+        marked = _hand_report([-1.0, 2j, -2j], lifted, rows=[0, 1, 1])
+        model = truncate(marked, 2)
         assert model.size == 3
         np.testing.assert_array_equal(model.mates, [0, 2, 1])
-        np.testing.assert_array_equal(model.shapes, lifted)
+        np.testing.assert_array_equal(marked.modes.T, lifted)
+        assert model.basis.tobytes() == _reference_basis(marked).tobytes()
 
     @pytest.mark.parametrize(
         "build, n",
@@ -176,22 +194,17 @@ class TestTruncate:
         model = truncate(report, 1)
         assert model.size == 1
 
-    def test_shapes_are_lifted_report_vectors(self, canuto_report):
-        model = truncate(canuto_report, 2)
-        np.testing.assert_array_equal(model.shapes, canuto_report.modes[: model.size].T)
-        # every model slices the C-ordered columns of the full model
-        assert reduction._retention(canuto_report)[1].shapes.flags.c_contiguous
-
     def test_restrict_lift_roundtrip(self, canuto_report):
         model = truncate(canuto_report, 4)
         rng = np.random.default_rng(40)
         a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         coeffs = np.array([a, np.conj(a), b, np.conj(b)])
-        x0 = model.shapes @ coeffs
+        lifted = canuto_report.modes[: model.size].T
+        x0 = lifted @ coeffs
         assert np.abs(x0.imag).max() < 1e-12 * np.abs(x0.real).max()
         got, residual = model.restrict(x0.real)
         assert residual < 1e-10
-        np.testing.assert_allclose(model.shapes @ got, x0, atol=1e-10)
+        np.testing.assert_allclose(lifted @ got, x0, atol=1e-10)
 
     def test_restrict_matches_least_squares(self, acoustic64):
         sys, report = acoustic64
@@ -199,9 +212,10 @@ class TestTruncate:
         for r in (2, 17, 40, 101, len(report.modes)):
             model = truncate(report, r)
             got, residual = model.restrict(x0)
-            want, *_ = np.linalg.lstsq(model.shapes, x0.astype(complex), rcond=None)
+            lifted = report.modes[: model.size].T
+            want, *_ = np.linalg.lstsq(lifted, x0.astype(complex), rcond=None)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            expected = np.linalg.norm(model.shapes @ want - x0) / np.linalg.norm(x0)
+            expected = np.linalg.norm(lifted @ want - x0) / np.linalg.norm(x0)
             assert residual == pytest.approx(expected, rel=1e-8, abs=1e-14)
 
     def test_restrict_zero_state(self, canuto_report):
@@ -209,6 +223,51 @@ class TestTruncate:
         coeffs, residual = model.restrict(np.zeros(32))
         assert residual == 0.0
         np.testing.assert_allclose(coeffs, 0.0, atol=1e-12)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("build, n", [
+        (acoustic_wave, 32), (canuto_hyperbolic, 32), (orr_sommerfeld, 40),
+    ], ids=["acoustic-mirrored", "canuto-unmirrored", "orr-sommerfeld-complex"])
+    def test_basis_has_the_bytes_of_the_lifted_vectors_formula(self, build, n):
+        report = quality_report(build(n))
+        basis = reduction._retention(report)[1].basis
+        want = _reference_basis(report)
+        assert basis.dtype == want.dtype == (complex if build is orr_sommerfeld else float)
+        assert basis.flags.c_contiguous and want.flags.c_contiguous
+        assert basis.tobytes() == want.tobytes()
+        for r in (1, 5, len(report.lambdas)):
+            model = truncate(report, r)
+            assert model.basis.tobytes() == want[:, : model.size].tobytes()
+
+    def test_signed_zero_imaginary_parts_keep_their_bits(self):
+        # a real mode whose w holds +0.0 and -0.0 imaginary parts, and a
+        # pair whose w does too: Re w, Im w and their sqrt(2) multiples
+        # keep the sign of every zero
+        # (x + 1j * y would turn each -0.0 of y into +0.0)
+        real_w, pair_w = np.empty((2, 4), dtype=complex)
+        real_w.real, real_w.imag = [1.0, -2.0, 0.5, 3.0], [0.0, -0.0, -0.0, 0.0]
+        pair_w.real, pair_w.imag = [1.0, 0.5, -0.0, 0.0], [0.0, -0.0, 1.0, -2.0]
+        lifted = np.column_stack([real_w, pair_w, np.conj(pair_w)])
+        report = _hand_report([-1.0, 2j, -2j], lifted, rows=[0, 1, 1])
+        for row in report.owners.imag:
+            assert np.signbit(row).any() and not np.signbit(row).all()
+        basis = reduction._retention(report)[1].basis
+        want = _reference_basis(report)
+        assert basis.flags.c_contiguous
+        assert basis.tobytes() == want.tobytes()
+        for col, part in ((0, real_w.real), (1, pair_w.real), (2, pair_w.imag)):
+            np.testing.assert_array_equal(np.signbit(basis[:, col]), np.signbit(part))
+
+    def test_complex_twin_reads_its_owner_conjugated(self):
+        # a hand-built complex report may repeat a row: the second mode is
+        # its owner's w conjugated, as in report.modes, and pairs nothing
+        w = np.array([1.0 + 2j, -0.5 + 0.0j, 3.0 - 1j])
+        w.imag[1] = -0.0
+        report = _hand_report([-1.0 + 1j, -2.0 - 1j], w[:, None], real_system=False, rows=[0, 0])
+        basis = reduction._retention(report)[1].basis
+        assert basis.tobytes() == _reference_basis(report).tobytes()
+        np.testing.assert_array_equal(basis, np.column_stack([w, np.conj(w)]))
 
 
 class TestRetentionCache:
@@ -252,7 +311,7 @@ class TestRetentionCache:
     def test_models_share_read_only_arrays(self):
         report = quality_report(canuto_hyperbolic(16))
         small, large = truncate(report, 3), truncate(report, 9)
-        for name in ("lambdas", "shapes", "q", "r_inv", "basis", "mates"):
+        for name in ("lambdas", "q", "r_inv", "basis", "mates"):
             array = getattr(small, name)
             assert np.shares_memory(array, getattr(large, name))
             with pytest.raises(ValueError, match="read-only"):
@@ -294,19 +353,19 @@ class TestRankGuard:
         with pytest.raises(RankDeficientBasisError):
             truncate(report, 4)
 
-    @pytest.mark.parametrize("shapes, rank", [
+    @pytest.mark.parametrize("lifted, rank", [
         (np.column_stack([[1.0 + 1j, 2.0, -1j]] * 2), 1),
         (np.random.default_rng(43).standard_normal((3, 5)), 3),
     ], ids=["equal-columns", "more-modes-than-rows"])
-    def test_hand_built_model_is_guarded(self, shapes, rank):
+    def test_hand_built_model_is_guarded(self, lifted, rank):
         # models succeed up to the rank of the leading columns; with more
         # modes than state entries, every model past the N-th is dependent
-        size = shapes.shape[1]
-        report = _hand_report(-1.0 - np.arange(size), shapes, real_system=False)
+        size = lifted.shape[1]
+        report = _hand_report(-1.0 - np.arange(size), lifted, real_system=False)
         for r in range(1, rank + 1):
             model = truncate(report, r)
             assert model.size == r
-            coeffs, residual = model.restrict(shapes[:, :r].sum(axis=1))
+            coeffs, residual = model.restrict(lifted[:, :r].sum(axis=1))
             np.testing.assert_allclose(coeffs, np.ones(r), atol=1e-12)
             assert residual < 1e-12
         for r in range(rank + 1, size + 1):
@@ -325,7 +384,7 @@ class TestRankGuard:
             block = np.linalg.norm(full.basis[:, :s]) * np.linalg.norm(full.r_inv[:s, :s])
             assert bound[s - 1] == pytest.approx(block, rel=1e-12)
         for s in sorted(set(sizes))[::10]:
-            r = np.linalg.qr(full.shapes[:, :s], mode="r")
+            r = np.linalg.qr(report.modes[:s].T, mode="r")
             complex_bound = np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r))
             assert bound[s - 1] == pytest.approx(complex_bound, rel=1e-10)
 
@@ -437,8 +496,8 @@ class TestSimulateModal:
             # the model's span is M's span projected onto its retained modes
             coeffs, _ = model.restrict(x0)
             for row, ti in zip(result.states, t):
-                full = comp.m @ (expm(ti * comp.a_k) @ (comp.m_left @ x0))
-                kept = model.shapes @ (np.exp(lams * ti) * coeffs)
+                full = comp.m @ (expm(ti * comp.a_k) @ (comp.m.conj().T @ x0))
+                kept = report.modes[:size].T @ (np.exp(lams * ti) * coeffs)
                 np.testing.assert_allclose(row, kept.real, rtol=0, atol=1e-12)
                 assert np.abs(kept.imag).max() <= 1e-12
                 if size == 4:
@@ -449,18 +508,20 @@ class TestSimulateModal:
         from scipy.linalg import expm
 
         sys = orr_sommerfeld(40)
-        model = truncate(quality_report(sys), 5)
+        report = quality_report(sys)
+        model = truncate(report, 5)
         assert model.mates is None
         rng = np.random.default_rng(45)
-        x0 = model.shapes @ (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        x0 = report.modes[:5].T @ (rng.standard_normal(5) + 1j * rng.standard_normal(5))
         t = np.array([0.0, 0.5, 2.0])
         result = simulate_modal(model, x0, t)
         assert result.states.dtype == np.complex128
         assert result.warnings == ()
         comp = compress(sys, 1)
-        drift = np.linalg.solve(comp.e_k, comp.a_k)
+        e_k = comp._diagonal([half.e_k for half in comp.halves])
+        drift = np.linalg.solve(e_k, comp.a_k)
         for row, ti in zip(result.states, t):
-            expected = comp.m @ (expm(ti * drift) @ (comp.m_left @ x0))
+            expected = comp.m @ (expm(ti * drift) @ (comp.m.conj().T @ x0))
             assert np.linalg.norm(row - expected) <= 1e-12 * np.linalg.norm(expected)
         # a real initial state of a complex system still gives complex states
         assert simulate_modal(model, x0.real, 1.0).states.dtype == np.complex128
@@ -470,19 +531,20 @@ class TestSimulateModal:
         assert model.basis.dtype == np.float64
         first = np.flatnonzero(model.mates > np.arange(model.size))
         np.testing.assert_array_equal(model.mates[first], first + 1)
+        lifted = canuto_report.modes[: model.size].T
         for j in first:
-            w = model.shapes[:, j]
-            np.testing.assert_array_equal(model.shapes[:, j + 1], np.conj(w))
+            w = lifted[:, j]
+            np.testing.assert_array_equal(lifted[:, j + 1], np.conj(w))
             np.testing.assert_allclose(model.basis[:, j], np.sqrt(2.0) * w.real, rtol=0, atol=0)
             np.testing.assert_allclose(model.basis[:, j + 1], np.sqrt(2.0) * w.imag, rtol=0, atol=0)
         rng = np.random.default_rng(46)
-        x0 = rng.standard_normal(model.shapes.shape[0])
+        x0 = rng.standard_normal(lifted.shape[0])
         t = np.array([0.0, 0.7, 3.0])
         result = simulate_modal(model, x0, t)
         assert result.states.dtype == np.float64
         coeffs, _ = model.restrict(x0)
         for row, ti in zip(result.states, t):
-            expected = model.shapes @ (np.exp(model.lambdas * ti) * coeffs)
+            expected = lifted @ (np.exp(model.lambdas * ti) * coeffs)
             np.testing.assert_allclose(row, expected.real, rtol=0, atol=1e-12 * np.abs(x0).max())
             assert np.abs(expected.imag).max() <= 1e-12 * np.abs(x0).max()
 
@@ -498,7 +560,7 @@ class TestSimulateModal:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_initial_state_raises(self, canuto_report, bad):
         model = truncate(canuto_report, 4)
-        x0 = np.ones(model.shapes.shape[0])
+        x0 = np.ones(model.basis.shape[0])
         x0[3] = bad
         with pytest.raises(ValueError, match="finite"):
             simulate_modal(model, x0, 0.5)
@@ -506,7 +568,7 @@ class TestSimulateModal:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_raises(self, canuto_report, bad):
         model = truncate(canuto_report, 4)
-        x0 = np.ones(model.shapes.shape[0])
+        x0 = np.ones(model.basis.shape[0])
         for t in (bad, [0.0, 0.5, bad]):
             with pytest.raises(ValueError, match="times must be finite"):
                 simulate_modal(model, x0, t)
@@ -575,11 +637,12 @@ def test_reduce_kernel_matches_least_squares_and_exponentials(
     # least squares loses about kappa^2 eps on a state outside the span
     *_, bound = reduction._retention(report)
     tol = 1e-10 * max(1.0, bound[model.size - 1] ** 2 / 1e4)
-    want, *_ = np.linalg.lstsq(model.shapes, x0.astype(complex), rcond=None)
+    lifted = report.modes[: model.size].T
+    want, *_ = np.linalg.lstsq(lifted, x0.astype(complex), rcond=None)
     assert np.linalg.norm(coeffs - want) <= tol * np.linalg.norm(want)
     growth = np.exp(model.lambdas * t) * want
-    expected = model.shapes @ growth
-    scale = np.linalg.norm(model.shapes, axis=0) @ np.abs(growth)
+    expected = lifted @ growth
+    scale = np.linalg.norm(lifted, axis=0) @ np.abs(growth)
     assert np.linalg.norm(result.states[-1] - expected) <= tol * scale
 
 
@@ -607,7 +670,7 @@ class TestSimulateRk4:
     def test_propagator_matches_the_four_stage_loop(self):
         sys = acoustic_wave(32)
         comp = compress(sys, 1)
-        x0 = comp.m_left @ np.concatenate([bump_ic(sys.labels["grid"]), np.zeros(32)])
+        x0 = comp.m.conj().T @ np.concatenate([bump_ic(sys.labels["grid"]), np.zeros(32)])
         dt = 2.5 / np.abs(np.linalg.eigvals(comp.a_k)).max()
         result = simulate_rk4(comp.a_k, x0, 1.0, dt)
         expected = _four_stage_rk4(comp.a_k, x0, 1.0, dt)
@@ -620,7 +683,7 @@ class TestSimulateRk4:
         # of 32 steps and a last one of 26, each one product
         sys = acoustic_wave(64)
         comp = compress(sys, 1)
-        x0 = comp.m_left @ np.concatenate([bump_ic(sys.labels["grid"]), np.zeros(64)])
+        x0 = comp.m.conj().T @ np.concatenate([bump_ic(sys.labels["grid"]), np.zeros(64)])
         dt = 2.5 / np.abs(np.linalg.eigvals(comp.a_k)).max()
         result = simulate_rk4(comp.a_k, x0, 1.0, dt)
         expected = _four_stage_rk4(comp.a_k, x0, 1.0, dt)
@@ -747,7 +810,7 @@ class TestSimulateRk4:
         # halves; each runs the whole scheme on its own columns
         sys = acoustic_wave(64)
         comp = compress(sys, 1)
-        x0 = comp.m_left @ np.concatenate([bump_ic(sys.labels["grid"]), np.zeros(64)])
+        x0 = comp.m.conj().T @ np.concatenate([bump_ic(sys.labels["grid"]), np.zeros(64)])
         dt = 2.5 / np.abs(np.linalg.eigvals(comp.a_k)).max()
         blocks = reduction._blocks(comp.a_k)
         assert blocks == [slice(0, 63), slice(63, 126)]
@@ -813,7 +876,7 @@ class TestSimulateRk4:
         comp = compress(sys, 1)
         x0 = np.concatenate([sine_ic(sys.labels["grid"]), np.zeros(32)])
         modal = simulate_modal(truncate(report, len(report.modes)), x0, 0.5)
-        rk = simulate_rk4(comp.a_k, comp.m_left @ x0, 0.5, 1e-3)
+        rk = simulate_rk4(comp.a_k, comp.m.conj().T @ x0, 0.5, 1e-3)
         lifted = comp.m @ rk.states[-1]
         assert np.abs(lifted - modal.states[-1]).max() < 1e-9
 

@@ -44,7 +44,7 @@ summaries (the commands without ``--grid``), and the ``rank``,
 move only the ``rel_error`` digests of the ``reduce`` commands: the
 Gauss-Legendre table of the reference and the real arithmetic of a
 real system's factorisation and evolution are such changes, and so is
-the memory layout of the retained basis (``ReducedModel.shapes``, C
+the memory layout of the retained basis (``ReducedModel.basis``, C
 order today), because GEMM rounds a transposed operand differently.  A
 change to compression below depth 1 may move only the outputs of
 depth 2 and deeper: the ``analyze --k`` commands with k >= 2 (the
