@@ -193,10 +193,13 @@ def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndar
         return cached
     lams = report.lambdas.copy()
     # the C-ordered columns of modes.T (GEMM rounds a transposed operand
-    # differently), gathered straight from the owners without building
-    # modes; a twin shares its owner's row, right after it
-    owners, rows = report.owners, report.rows
+    # differently), gathered without building modes; a twin shares its
+    # owner's row, right after it, and a product with -1 conjugates it
+    # exactly, faster than a negation masked column by column
+    rows = report.rows
     twin = rows[1:] == rows[:-1]
+    basis = np.take(report.owners.T, rows, axis=1)
+    basis.imag[:, 1:] *= np.where(twin, -1.0, 1.0)
     own = np.arange(lams.size)
     # second[i]: mode i is the second half of a pair; second[m] stays False
     second = np.zeros(lams.size + 1, dtype=bool)
@@ -204,7 +207,7 @@ def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndar
     if report.meta.get("real_system", True):
         second[1:-1] = twin & (lams.imag[1:] < 0) & (lams[1:] == lams[:-1].conj())
         first = second[1:]
-        real = (lams.imag == 0) & ~np.any(owners.imag, axis=1)[rows]
+        real = (lams.imag == 0) & ~np.any(basis.imag, axis=0)
         placed = second[:-1] | first | real
         if not placed.all():
             raise ValueError(
@@ -212,17 +215,9 @@ def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndar
                 "of a pair: each complex mode must sit next to its exact conjugate"
             )
         mates = own + first - second[:-1]
-        # the second column of a pair holds sqrt(2) Im w of the first, the
-        # imaginary part of their shared owner row
-        basis = np.take(owners.real.T, rows, axis=1)
-        pairs = np.flatnonzero(second[:-1])
-        basis[:, pairs] = np.take(owners.imag.T, rows[pairs], axis=1)
+        # the second column of a pair holds sqrt(2) Im w of the first: -Im of its own
+        basis = np.where(second[:-1], -basis.imag, basis.real)
         basis *= np.where(real, 1.0, np.sqrt(2.0))
-    else:
-        # a product with -1 conjugates a twin exactly, faster than a
-        # negation masked column by column
-        basis = np.take(owners.T, rows, axis=1)
-        basis.imag[:, 1:] *= np.where(twin, -1.0, 1.0)
     sizes = own + 1 + second[1:]
     lead = basis[:, : basis.shape[0]]
     q, r_inv = _factor(lead)

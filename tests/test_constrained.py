@@ -179,6 +179,7 @@ class TestCompression:
         comp = compress(_random_system(8), 2)
         m = comp.m
         np.testing.assert_allclose(m.conj().T @ m, np.eye(comp.r), atol=1e-13)
+        assert np.array_equal(comp.m_left, m.conj().T)
 
     def test_rank_agrees_with_direct_stack_rank(self):
         for seed in range(4):
