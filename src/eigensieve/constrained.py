@@ -62,7 +62,6 @@ __all__ = [
     "verify_decomposition",
 ]
 
-_EPS = np.finfo(float).eps
 
 #: Relative singular-value cutoff that sets the rank of every depth.
 DEFAULT_NULL_TOL = 1e-10
@@ -93,6 +92,10 @@ class ConstrainedSystem:
 
     ``a``, ``c`` and ``e`` must be finite: a nan or an infinite entry
     raises ``ValueError`` naming its matrix before any factorisation.
+    C must have full row rank at the library's cut: a singular value of
+    C at or below ``DEFAULT_NULL_TOL`` times the largest raises
+    ``ValueError``, since depth 1 would count it as a free direction
+    and keep more than ``n - q`` states.
     """
 
     a: np.ndarray
@@ -122,8 +125,12 @@ class ConstrainedSystem:
             if op is not None and not np.isfinite(op).all():
                 raise ValueError(f"the {name} matrix has a non-finite entry")
         sv = np.linalg.svd(self.c, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= max(q, n) * _EPS * sv[0]:
-            raise ValueError("constraint matrix is row rank deficient")
+        # the rank cut of depth 1 and of the mirror check; a zero C fails it too
+        if not sv[-1] > DEFAULT_NULL_TOL * sv[0]:
+            raise ValueError(
+                f"constraint matrix is row rank deficient: a singular value is at most "
+                f"DEFAULT_NULL_TOL = {DEFAULT_NULL_TOL:g} times the largest"
+            )
         if self.mirror is not None:
             self.mirror = tuple(self.mirror)
             self._check_mirror(sv[0])

@@ -19,7 +19,7 @@ from numpy.linalg import eigvals
 # perfbench/spans.py patches both names on this module to time its spans.
 from .constrained import compress, compress_depths  # noqa: F401
 from .problems import get_problem
-from .quality import _report, quality_report  # noqa: F401
+from .quality import _report, eigenpairs, quality_report  # noqa: F401
 
 __all__ = [
     "MatchResult",
@@ -123,10 +123,13 @@ def k_sweep(problem: str = "canuto", n: int = 32, k_max: int = 25) -> dict[str, 
     feasible subspace at all.  Requires a problem with an analytic
     reference spectrum.  Each diagonal block of a depth's compressed
     drift (one, or the two parity halves of a mirrored system) is solved
-    on its own.
+    on its own; with a mass operator, each block's pencil is solved by
+    ``quality.eigenpairs``, behind its guard on the condition of E_k.
     """
 
     def solve(sys, comp):
+        if comp.halves[0].e_k is not None:
+            return comp, eigenpairs(comp)[0]
         lams = [eigvals(half.a_k) for half in comp.halves]
         return comp, np.concatenate(lams).astype(complex, copy=False)
 

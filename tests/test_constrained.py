@@ -59,6 +59,30 @@ class TestSystemValidation:
         with pytest.raises(ValueError, match="rank deficient"):
             ConstrainedSystem(a=np.eye(4), c=c)
 
+    @pytest.mark.parametrize("mirror", [None, (1,)])
+    @pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6])
+    def test_rank_is_cut_where_depth_one_cuts_it(self, factor, mirror):
+        # an even and an odd row, so C's row space is mirror symmetric; the
+        # odd row's length sets the singular-value ratio
+        n = 8
+        even, odd = np.eye(n)[0] + np.eye(n)[-1], np.eye(n)[0] - np.eye(n)[-1]
+        c = np.stack([even, factor * DEFAULT_NULL_TOL * odd])
+        a = np.diag(np.minimum(np.arange(n), np.arange(n)[::-1]) + 1.0)
+        if factor < 1:
+            with pytest.raises(ValueError, match="rank deficient"):
+                ConstrainedSystem(a=a, c=c, mirror=mirror)
+        else:
+            assert compress(ConstrainedSystem(a=a, c=c, mirror=mirror), 1).r == n - 2
+
+    def test_rejects_a_row_within_the_rank_cut_of_another(self):
+        # singular-value ratio 5.0e-13: depth 1 would keep r = 31, not n - q = 30
+        sys = canuto_hyperbolic(16)
+        c = sys.c.copy()
+        c[1] = c[0]
+        c[1, 5] += 1e-12
+        with pytest.raises(ValueError, match="rank deficient"):
+            ConstrainedSystem(a=sys.a, c=c)
+
     def test_rejects_mismatched_mass_shape(self):
         with pytest.raises(ValueError, match="mass"):
             ConstrainedSystem(a=np.eye(4), c=np.eye(1, 4), e=np.eye(3))

@@ -1,5 +1,6 @@
 """Depth sweeps and nearest-reference spectrum matching."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigensieve import experiments
+from eigensieve import experiments, problems
 from eigensieve.chebyshev import cheb_diff, diff_power
 from eigensieve.constrained import ConstrainedSystem, compress
 from eigensieve.experiments import (
@@ -221,6 +222,19 @@ class TestKSweep:
     def test_problem_without_reference_rejected(self):
         with pytest.raises(ValueError, match="reference"):
             k_sweep("orr-sommerfeld", n=32)
+
+    def test_mass_operator_solves_the_pencil(self, monkeypatch):
+        # eigvals(A_k) alone, without E_k, read max |Re lam| = 1.47e8 at depth
+        # 1 here, against 3.32 for the pencil
+        prob = problems.REGISTRY["orr-sommerfeld"]
+        cover = dataclasses.replace(prob, reference_cover=lambda radius: np.zeros(1))
+        monkeypatch.setitem(problems.REGISTRY, "orr-sommerfeld", cover)
+        summary = k_sweep("orr-sommerfeld", n=30, k_max=3)
+        grid = k_quality_sweep("orr-sommerfeld", n=30, k_max=3)
+        assert summary["k"].tolist() == [1, 2, 3]
+        for k, max_abs_real in zip(summary["k"], summary["max_abs_real"]):
+            assert max_abs_real == np.abs(grid["re_lambda"][grid["k"] == k]).max()
+        assert summary["max_abs_real"][0] < 10.0
 
 
 class TestKQualitySweep:

@@ -1,47 +1,64 @@
-"""Time the pipeline's stages on fixed problems and write ``BENCH_<sha>.json``.
+"""Time the stages of fixed CLI commands and write ``BENCH_<sha>.json``.
 
     python3 tools/stage_times.py                      # BENCH_<short sha of HEAD>.json
     python3 tools/stage_times.py --out BENCH_x.json --repeats 15
 
 The package is imported from the ``src`` tree next to this script, in
 process, with one BLAS thread unless the environment already sets the
-thread variables.  Each case runs once untimed, then ``--repeats``
-times (at least 9); every stage gets the median and the quartiles of
-its repeats, and so does the whole case.  Before each repeat a fixed
-kernel (``_calibrate``) is timed, and its median and quartiles go
-with the case: on a shared host they say how fast the host ran.  Each
-stage's median and the case's total are also written divided by the
-case's calibration median (``stages_rel``, ``total_rel``).  Dividing
-does not cancel the host's speed: the kernels of the stages and of the
-calibration slow down by different factors when the host changes
-state, so an untouched stage can read 14 calibrations in one state and
-17 in another.  Only runs alternated back to back (parent, change,
-parent, ...) in one host state, whose calibration medians agree,
-compare.  The stages are those of the pipeline:
+thread variables.  Each case is one CLI command: its argument list is
+run through ``eigensieve.cli.main`` with stdout captured and the exit
+code checked, as the benchmark's worker (``perfbench/worker.py``) runs
+an op, and its total is the whole command.  Each case runs once
+untimed, then ``--repeats`` times (at least 9); every stage gets the
+median and the quartiles of its repeats, and so does the total.
+Before each repeat a fixed kernel (``_calibrate``) is timed, and its
+median and quartiles go with the case: on a shared host they say how
+fast the host ran.  Each stage's median and the case's total are also
+written divided by the case's calibration median (``stages_rel``,
+``total_rel``).  Dividing does not cancel the host's speed: the
+kernels of the stages and of the calibration slow down by different
+factors when the host changes state, so an untouched stage can read 14
+calibrations in one state and 17 in another.  Only runs alternated
+back to back (parent, change, parent, ...) in one host state, whose
+calibration medians agree, compare.
 
-* ``build``: the problem's operators and constraint rows;
+A stage is the self time of the spans that the benchmark's tracer
+(``perfbench/spans.py``'s ``Tracer``) opens around the sites of
+``SITES``, module attributes that the package looks up at call time: a
+span's time excludes that of the spans it encloses.  The stages are
+those of the pipeline, plus the command around it:
+
+* ``build``: the problem's operators and constraint rows (the
+  registry's builders and ``reduction.acoustic_wave``);
 * ``compress``: the feasible subspace of each depth and the restricted
-  operators;
-* ``eig``: the eigen solve (``quality.eigenpairs``);
+  operators (``quality.compress``, and each depth of
+  ``experiments.compress_depths`` as it is produced);
+* ``eig``: the eigen solve (``quality.eigenpairs``, also where the
+  ``sweep-k`` summaries call it, or their ``experiments.eigvals``);
 * ``score``: per-mode scoring (``quality._score_modes``);
-* ``sort``: the rest of the report, the mode order and the lift of
-  each scored eigenvector to the state space;
-* ``reference``: the analytic reference, the time-domain solution of
-  ``reduce`` or, in the depth sweep, each depth's reference cover and
-  nearest-reference match (``experiments.match_to_reference``);
-* ``retain``: truncation and simulation, the rest of ``reduce``.
+* ``sort``: the rest of a report (``quality._report``), the mode order
+  and the lift of each scored eigenvector to the state space;
+* ``reference``: the analytic reference, the registry's covers and
+  nearest-reference matching (``experiments.match_to_reference``) of
+  ``sweep-k``, or the time-domain solution of ``reduce``
+  (``reduction.acoustic_reference``);
+* ``retain``: truncation and simulation, the rest of
+  ``reduction.reduction_sweep``;
+* ``write``: formatting and writing the output table
+  (``cli._write_output``);
+* ``other``: the rest of ``cli.main``, parsing the arguments and
+  assembling the table, and the capture of stdout around it.
 
-The cases are acoustic n=256, Orr-Sommerfeld n=110 and canuto n=64 at
-depth 1; two depth sweeps from one pass each, the work of
-``sweep-k --grid`` up to its output rows, reference matching included:
-canuto n=64 at every depth 1..25, many short covers, and acoustic
-n=256 at depths 1..3, whose covers run to 18025 points; and ``reduce``
-on acoustic n=128 with the benchmark's retained counts (seed 1).  A
-stage is timed by wrapping the module attribute that the package looks
-up at call time, as the benchmark's tracer does, and a wrapper's time
-excludes that of the wrappers it calls.  The file also records the
-measured tree, ``git rev-parse HEAD`` of the checkout the script runs
-from and whether that checkout had uncommitted changes, and the
+The cases are ``analyze`` of acoustic n=256, Orr-Sommerfeld n=110 and
+n=150 and canuto n=64 at depth 1; ``sweep-k`` of canuto n=64 to depth
+25, as the grid and as the summaries; the grid of acoustic n=256 to
+depth 3, whose covers run to 18025 points; and ``reduce`` on acoustic
+n=128 with the benchmark's retained counts (seed 1).  Every command of
+a benchmark workload is a case (``perfbench/workloads.py``), so the
+stages split each workload's op, but for the RK4 cross-check that
+``reduce-acoustic`` runs beside its command.  The file also records
+the measured tree, ``git rev-parse HEAD`` of the checkout the script
+runs from and whether that checkout had uncommitted changes, and the
 environment: Python, numpy, the BLAS, the thread variables and
 ``PYTHONDONTWRITEBYTECODE``.  Stdlib and numpy only.
 
@@ -57,6 +74,8 @@ only between runs alternated back to back.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -65,9 +84,9 @@ import subprocess
 import sys
 import tracemalloc
 from collections import defaultdict
-from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
+from unittest import mock
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in THREAD_VARS:
@@ -79,119 +98,76 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
+import spans  # noqa: E402
 import workloads  # noqa: E402
-from eigensieve import constrained, experiments, problems, quality, reduction  # noqa: E402
+from eigensieve import cli, experiments, quality, reduction  # noqa: E402
 
-STAGES = ("build", "compress", "eig", "score", "sort", "reference", "retain")
+STAGES = ("build", "compress", "eig", "score", "sort", "reference", "retain", "write", "other")
 
+# (module, attribute, stage, counter), the shape of spans.SITES.  The
+# tracer also wraps every registered problem's builder and cover.
+SITES = [
+    (cli, "main", "other", None),
+    (cli, "_write_output", "write", None),
+    (reduction, "acoustic_wave", "build", None),
+    (quality, "compress", "compress", None),
+    (quality, "eigenpairs", "eig", None),
+    (experiments, "eigenpairs", "eig", None),
+    (experiments, "eigvals", "eig", None),
+    (quality, "_score_modes", "score", None),
+    (quality, "_report", "sort", None),
+    (experiments, "_report", "sort", None),
+    (experiments, "match_to_reference", "reference", None),
+    (reduction, "acoustic_reference", "reference", None),
+    (reduction, "reduction_sweep", "retain", None),
+]
 
-class Clock:
-    """Self time per stage of the wrapped calls made inside ``patched``."""
+# the stages of the spans the tracer names itself: its root holds only
+# the capture of stdout around cli.main
+RENAMED = {spans.ROOT: "other", "problems.build": "build", "problems.reference": "reference"}
 
-    def __init__(self):
-        self.times = defaultdict(float)
-        self._children: list[float] = []
-
-    @contextmanager
-    def patched(self, sites):
-        saved = [(module, attr, getattr(module, attr)) for module, attr, _ in sites]
-        try:
-            for module, attr, stage in sites:
-                setattr(module, attr, self._wrap(getattr(module, attr), stage))
-            yield self
-        finally:
-            for module, attr, fn in saved:
-                setattr(module, attr, fn)
-
-    def _wrap(self, fn, stage):
-        def timed(*args, **kwargs):
-            self._children.append(0.0)
-            start = perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elapsed = perf_counter() - start
-                self.times[stage] += elapsed - self._children.pop()
-                if self._children:
-                    self._children[-1] += elapsed
-        return timed
-
-
-def _report_stages(build, n):
-    """Build, then ``quality_report`` at depth 1: compress, eig, score and sort."""
-    clock = Clock()
-    sites = [
-        (quality, "compress", "compress"),
-        (quality, "eigenpairs", "eig"),
-        (quality, "_score_modes", "score"),
-    ]
-    with clock.patched(sites):
-        start = perf_counter()
-        sys_ = build(n)
-        built = perf_counter()
-        quality.quality_report(sys_, 1)
-        end = perf_counter()
-    times = dict(clock.times, build=built - start)
-    times["sort"] = end - built - times["compress"] - times["eig"] - times["score"]
-    return times, end - start
-
-
-def _sweep_stages(problem, n, k_max):
-    """A problem at every depth 1..k_max from one ``compress_depths`` pass, matched as ``sweep-k``."""
-    clock = Clock()
-    prob = problems.get_problem(problem)
-    with clock.patched([(quality, "eigenpairs", "eig"), (quality, "_score_modes", "score")]):
-        start = perf_counter()
-        sys_ = prob.build(n=n)
-        times = {"build": perf_counter() - start, "compress": 0.0, "sort": 0.0, "reference": 0.0}
-        depths = constrained.compress_depths(sys_, k_max)
-        while True:
-            mark = perf_counter()
-            comp = next(depths, None)
-            times["compress"] += perf_counter() - mark
-            if comp is None:
-                break
-            mark = perf_counter()
-            lams = quality._report(sys_, comp).lambdas
-            times["sort"] += perf_counter() - mark
-            mark = perf_counter()
-            experiments.match_to_reference(lams, prob.reference_cover(float(np.abs(lams).max())))
-            times["reference"] += perf_counter() - mark
-        end = perf_counter()
-    times["eig"], times["score"] = clock.times["eig"], clock.times["score"]
-    times["sort"] -= times["eig"] + times["score"]
-    return times, end - start
-
-
-def _reduce_stages(n=workloads.REDUCE_N):
-    """``reduction_sweep`` of acoustic n with the benchmark's retained counts."""
-    clock = Clock()
-    sites = [
-        (reduction, "acoustic_wave", "build"),
-        (reduction, "acoustic_reference", "reference"),
-        (reduction, "quality_report", "sort"),
-        (quality, "compress", "compress"),
-        (quality, "eigenpairs", "eig"),
-        (quality, "_score_modes", "score"),
-    ]
-    counts = workloads.r_list(1)
-    with clock.patched(sites):
-        start = perf_counter()
-        reduction.reduction_sweep(n, "bump", counts, t_end=workloads.T_END)
-        total = perf_counter() - start
-    times = dict(clock.times)
-    times["retain"] = total - sum(times.values())
-    return times, total
-
-
+SEED = 1
+_GRID, _SUMMARY, _OS110, _OS150 = workloads.commands("small-spectra", SEED)
 CASES = {
-    "acoustic n=256, k=1": lambda: _report_stages(problems.acoustic_wave, 256),
-    "orr-sommerfeld n=110, k=1": lambda: _report_stages(problems.orr_sommerfeld, 110),
-    "canuto n=64, k=1": lambda: _report_stages(problems.canuto_hyperbolic, 64),
-    "canuto n=64, k=1..25": lambda: _sweep_stages("canuto", 64, 25),
-    "acoustic n=256, k=1..3": lambda: _sweep_stages("acoustic", 256, 3),
-    "reduce acoustic n=128": _reduce_stages,
+    "acoustic n=256, k=1": workloads.commands("analyze-acoustic", SEED)[0],
+    "orr-sommerfeld n=110, k=1": _OS110,
+    "canuto n=64, k=1": ["analyze", "--problem", "canuto", "--n", "64"],
+    "canuto n=64, k=1..25": _GRID,
+    "acoustic n=256, k=1..3": ["sweep-k", "--problem", "acoustic", "--n", "256", "--k-max", "3",
+                               "--grid"],
+    "reduce acoustic n=128": workloads.commands("reduce-acoustic", SEED)[0],
+    "canuto n=64, k=1..25, summary": _SUMMARY,
+    "orr-sommerfeld n=150, k=1": _OS150,
 }
+
+
+def run(argv: list[str]) -> tuple[dict[str, float], float]:
+    """Seconds of each stage and of the whole of one run of the command ``argv``."""
+    tracer = spans.Tracer()
+    depths = experiments.compress_depths
+
+    def each_depth(*args, **kwargs):
+        # a generator's work runs when the caller asks for the next depth
+        walk = depths(*args, **kwargs)
+        while True:
+            with tracer.span("compress"):
+                comp = next(walk, None)
+            if comp is None:
+                return
+            yield comp
+
+    # Tracer.op wraps the sites that spans.SITES names when it is entered
+    with mock.patch.object(spans, "SITES", SITES), \
+            mock.patch.object(experiments, "compress_depths", each_depth), \
+            tracer.op(), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited with code {code}")
+    times = defaultdict(float)
+    for name, seconds in tracer.self_times().items():
+        times[RENAMED.get(name, name)] += seconds
+    _, _, start, end, _ = tracer.spans[0]
+    return dict(times), end - start
 
 
 def _calibrate():
@@ -202,11 +178,11 @@ def _calibrate():
     return perf_counter() - start
 
 
-def _traced_peak_mb(case):
-    """Peak MB of the memory ``tracemalloc`` traces over one run of ``case``."""
+def _traced_peak_mb(argv):
+    """Peak MB of the memory ``tracemalloc`` traces over one run of ``argv``."""
     tracemalloc.start()
     try:
-        case()
+        run(argv)
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
@@ -256,13 +232,13 @@ def main() -> int:
     tree = _tree()
     out = args.out or ROOT / f"BENCH_{tree['commit'][:7]}.json"
     cases = {}
-    for name, case in CASES.items():
-        case()
+    for name, argv in CASES.items():
+        run(argv)
         runs, calibration, faults = [], [], []
         for _ in range(args.repeats):
             calibration.append(_calibrate())
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            runs.append(case())
+            runs.append(run(argv))
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         stages = {
             stage: _summary([times.get(stage, 0.0) for times, _ in runs])
@@ -279,7 +255,7 @@ def main() -> int:
                 for stage, summary in stages.items()
             },
             "total_rel": total["median"] / calibration["median"],
-            "tracemalloc_peak_mb": _traced_peak_mb(case),
+            "tracemalloc_peak_mb": _traced_peak_mb(argv),
             "minflt": _summary(faults),
         }
         print(f"{name}: total {cases[name]['total_s']['median']:.4f} s, "
