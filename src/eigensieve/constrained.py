@@ -75,8 +75,10 @@ class ConstrainedSystem:
     """Drift ``a`` with constraints ``c`` (q x n, q < n) and optional mass ``e``.
 
     Entries may be real or complex; real inputs are simply the special
-    case.  ``labels`` carries optional metadata (problem name, grid)
-    that reporting code passes through untouched.
+    case.  ``labels`` carries optional metadata (problem name, grid),
+    of which only ``labels["grid"]`` is read: by
+    ``reduction.reduction_sweep`` and by the benchmark's worker
+    (``perfbench/worker.py``).
 
     ``mirror`` optionally holds one sign (1 or -1) per field, the state
     being the fields' equal-length blocks one after another.  It
@@ -224,28 +226,27 @@ def nullspace_basis(mat: np.ndarray) -> np.ndarray:
     ``DEFAULT_NULL_TOL`` times the largest one, including the trailing
     dimensions a wide matrix cannot constrain.  Each column is rotated
     so its largest-magnitude entry is real and positive, making the
-    basis reproducible across runs.
+    basis reproducible across runs.  An empty matrix raises ``ValueError``.
     """
+    mat = np.asarray(mat)
+    if mat.size == 0:
+        raise ValueError("cannot take the nullspace of an empty matrix")
     return _split(mat)[1]
 
 
 def _split(mat: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases ``(row, null)`` of the row space and nullspace of ``mat``.
 
-    ``null`` is ``nullspace_basis(mat)``; ``row`` is its orthogonal
-    complement, the leading right singular vectors, without sign fixing.
+    The one rank cut of compression.  ``null`` is ``nullspace_basis(mat)``;
+    ``row`` is its orthogonal complement, the leading right singular
+    vectors, without sign fixing, as a view that keeps all of them alive.
     The rank counts the singular values above ``DEFAULT_NULL_TOL`` times
-    ``scale``, by default the largest singular value of ``mat``.
+    ``scale``, by default the largest singular value of ``mat``.  A matrix
+    with no rows or no columns has rank 0.
     """
-    mat = np.asarray(mat)
-    if mat.size == 0:
-        raise ValueError("cannot take the nullspace of an empty matrix")
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    if scale is None:
-        scale = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > DEFAULT_NULL_TOL * scale))
-    # a copy, not a view: a view of the rows would keep all of vh alive
-    return vh[:rank].conj().T.copy(), _fix_signs(vh[rank:].conj().T)
+    rank = int(np.count_nonzero(s > DEFAULT_NULL_TOL * (s[0] if scale is None else scale)))
+    return vh[:rank].conj().T, _fix_signs(vh[rank:].conj().T)
 
 
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
@@ -458,11 +459,14 @@ def _walk(
     times ``c_norm``; each later depth is one step of the recursion on
     the operators restricted to the half, its defect cut at
     ``DEFAULT_NULL_TOL`` times ``a_norm`` (see ``compress_depths``).
+    Every cut is ``_split``'s.
     ``P_k`` is the orthonormal complement of ``E M_k`` that the step
     from depth k reads; a depth that leaves the half no state has the
     whole half.
     """
     p, m = _split(_project(sigma, c.T).T, c_norm)
+    # a copy, not a view: a view of the rows would keep all of vh alive
+    p = p.copy()
     a, e = (
         None if op is None else _project(sigma, _project(sigma, op.T).T) for op in (sys.a, sys.e)
     )
@@ -472,11 +476,9 @@ def _walk(
         if e is not None:
             p = nullspace_basis((e @ m).conj().T) if m.shape[1] else np.eye(len(a))
         yield _HalfSystem(sigma, a, e, m, p, a_k, e_k)
-        _, s, vh = np.linalg.svd((p.conj().T @ a) @ m)
-        cut = int(np.count_nonzero(s > DEFAULT_NULL_TOL * a_norm))
+        row, n_k = _split((p.conj().T @ a) @ m, a_norm)
         if e is None:
-            p = np.hstack([p, m @ vh[:cut].conj().T])
-        n_k = _fix_signs(vh[cut:].conj().T)
+            p = np.hstack([p, m @ row])
         m = m @ n_k
         a_k = n_k.conj().T @ a_k @ n_k
         e_k = None if e_k is None else n_k.conj().T @ e_k @ n_k
@@ -561,14 +563,16 @@ class DecompositionReport:
 def verify_decomposition(sys: ConstrainedSystem, comp: CompressedSystem) -> DecompositionReport:
     """Measure ``|C M|`` and ``|N* A M|`` for an orthonormal complement N of M.
 
-    ``invariant`` compares ``|N* A M|`` with the recursion's cut,
-    ``DEFAULT_NULL_TOL`` times the largest column norm of A, taken once
-    per system, which lies in [|A|_2 / sqrt(n), |A|_2]; ``drift_norm``
-    reports ``|A|_2`` itself.
+    M is orthonormal, so ``A M - M (M* A M)`` is ``N N* A M``, whose
+    spectral norm is ``|N* A M|``: the invariance residual is taken from
+    it, with no basis of N.  ``invariant`` compares it with the
+    recursion's cut, ``DEFAULT_NULL_TOL`` times the largest column norm
+    of A, taken once per system, which lies in [|A|_2 / sqrt(n),
+    |A|_2]; ``drift_norm`` reports ``|A|_2`` itself.
     """
     m = comp.m
-    n_comp = np.linalg.svd(m, full_matrices=True)[0][:, comp.r :]
-    inv_res = float(np.linalg.norm(n_comp.conj().T @ (sys.a @ m), 2))
+    am = sys.a @ m
+    inv_res = float(np.linalg.norm(am - m @ (m.conj().T @ am), 2))
     return DecompositionReport(
         constraint_residual=float(np.linalg.norm(sys.c @ m, 2)),
         invariance_residual=inv_res,

@@ -79,12 +79,14 @@ def match_to_reference(computed: np.ndarray, reference: np.ndarray) -> MatchResu
     return MatchResult(indices=idx, abs_errors=abs_err, rel_errors=rel_err)
 
 
-def _depths(problem: str, n: int, k_max: int, solve: Callable) -> Iterator[tuple]:
+def _depths(problem: str, n: int, k_max: int, solve: Callable, row: Callable) -> Iterator:
     """Walk depths 1 .. k_max of a problem with an analytic reference, in one pass.
 
     ``solve(sys, comp)`` returns a depth's result and its computed
-    eigenvalues; each depth yields ``(k, result, lams, reference, match)``
-    with the eigenvalues matched to a reference cover of their modulus.
+    eigenvalues, which are matched to a reference cover of their
+    modulus; each depth yields ``row(k, result, lams, reference, match)``.
+    The result is dropped before the next depth is asked for, so no
+    depth's report is alive while the next one is compressed and scored.
     Each depth is compressed from the one before (``compress_depths``),
     and the walk stops early, with the depths done so far, once some
     depth leaves no feasible subspace at all.
@@ -96,7 +98,9 @@ def _depths(problem: str, n: int, k_max: int, solve: Callable) -> Iterator[tuple
     for comp in compress_depths(sys, k_max):
         result, lams = solve(sys, comp)
         reference = prob.reference_cover(float(np.abs(lams).max()))
-        yield comp.k, result, lams, reference, match_to_reference(lams, reference)
+        piece = row(comp.k, result, lams, reference, match_to_reference(lams, reference))
+        del result
+        yield piece
 
 
 def _table(names: tuple[str, ...], depths: Iterable[tuple]) -> dict[str, np.ndarray]:
@@ -140,7 +144,7 @@ def k_sweep(problem: str = "canuto", n: int = 32, k_max: int = 25) -> dict[str, 
         return k, comp.r, proxy, errors.max(), errors.min(), np.abs(lams.real).max()
 
     names = ("k", "r", "proxy_real_error", "max_abs_error", "min_abs_error", "max_abs_real")
-    return _table(names, (summary(*depth) for depth in _depths(problem, n, k_max, solve)))
+    return _table(names, _depths(problem, n, k_max, solve, summary))
 
 
 def k_quality_sweep(problem: str = "canuto", n: int = 32, k_max: int = 10) -> dict[str, np.ndarray]:
@@ -158,10 +162,10 @@ def k_quality_sweep(problem: str = "canuto", n: int = 32, k_max: int = 10) -> di
         report = _report(sys, comp)
         return report, report.lambdas
 
+    def grid(k, report, lams, reference, match):
+        return (np.full(lams.size, k), np.arange(lams.size), lams.real, lams.imag,
+                match.abs_errors, match.rel_errors, report.s_norm, report.theta, report.zero_mode)
+
     names = ("k", "rank", "re_lambda", "im_lambda", "abs_error", "rel_error",
              "s_norm", "theta", "zero_mode")
-    return _table(names, (
-        (np.full(lams.size, k), np.arange(lams.size), lams.real, lams.imag,
-         match.abs_errors, match.rel_errors, report.s_norm, report.theta, report.zero_mode)
-        for k, report, lams, _, match in _depths(problem, n, k_max, solve)
-    ))
+    return _table(names, _depths(problem, n, k_max, solve, grid))

@@ -110,13 +110,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constrained import (
-    DEFAULT_NULL_TOL,
-    CompressedSystem,
-    ConstrainedSystem,
-    _norms,
-    compress,
-)
+from .constrained import CompressedSystem, ConstrainedSystem, _norms, compress
 from .errors import IllConditionedMassError, UndefinedSubspaceError
 
 __all__ = [
@@ -354,7 +348,7 @@ def grassmann_distance(u1: np.ndarray, u2: np.ndarray) -> float:
 
 @dataclass(eq=False)
 class QualityReport:
-    """Scored modes sorted best-first by angle score, as arrays, plus run metadata.
+    """Scored modes sorted best-first by angle score, as arrays.
 
     Entry i of each array belongs to mode i of the report order:
     ``lambdas`` (m,) complex128 eigenvalues, ``s_norm`` (m,) derivative
@@ -368,8 +362,11 @@ class QualityReport:
     has its owner's ``w`` conjugated and, in a report that
     ``quality_report`` builds, Im lam < 0.  A hand-built report of a
     real system must mark each pair so, or ``reduction.truncate``
-    rejects it.  ``modes`` (m, N), whose row i is the ``w`` of mode i,
-    is built from them on its first read and kept, read-only.
+    rejects it.  ``real_system`` is True when A, C and E are real, and
+    only then does ``reduction.truncate`` read conjugate pairs; a
+    hand-built report states it.  ``modes`` (m, N), whose row i is the
+    ``w`` of mode i, is built from them on its first read and kept,
+    read-only.
     """
 
     lambdas: np.ndarray
@@ -378,7 +375,7 @@ class QualityReport:
     s_norm: np.ndarray
     theta: np.ndarray
     zero_mode: np.ndarray
-    meta: dict
+    real_system: bool
 
     @cached_property
     def modes(self) -> np.ndarray:
@@ -394,11 +391,10 @@ class QualityReport:
 def quality_report(sys: ConstrainedSystem, k: int = 1) -> QualityReport:
     """Compress at depth k, solve for the full spectrum, score every mode.
 
-    Every depth's rank is cut at ``DEFAULT_NULL_TOL`` (``compress_depths``),
-    and ``meta["null_tol"]`` records that constant.  Modes are sorted by
-    ascending angle score, ties broken by ascending ``|Im lam|`` then
-    ``|Re lam|``, then ``Re lam``.  The derivative score is
-    ``|P_k* A M v|`` (see the module docstring).  A mode is a zero mode when
+    Every depth's rank is cut at ``DEFAULT_NULL_TOL`` (``compress_depths``).
+    Modes are sorted by ascending angle score, ties broken by ascending
+    ``|Im lam|`` then ``|Re lam|``, then ``Re lam``.  The derivative score
+    is ``|P_k* A M v|`` (see the module docstring).  A mode is a zero mode when
     ``|A M v| < DEFAULT_ZERO_FLOOR a |M v|``, with a the largest column
     norm of A, taken once per system, or ``A M v`` is exactly 0.
     """
@@ -441,16 +437,6 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem) -> QualityReport:
     own = np.cumsum(~twin) - 1
     order = np.lexsort((lams.real, np.abs(lams.real), np.abs(lams.imag), theta[own]))
     rows = own[order]
-
-    labels = dict(sys.labels or {})
-    meta = {
-        "problem": labels.get("problem"),
-        "n": labels.get("n", sys.n),
-        "k": comp.k,
-        "r": comp.r,
-        "null_tol": DEFAULT_NULL_TOL,
-        "real_system": real,
-    }
     return QualityReport(
         lambdas=lams[order],
         owners=owners,
@@ -458,5 +444,5 @@ def _report(sys: ConstrainedSystem, comp: CompressedSystem) -> QualityReport:
         s_norm=s_norm[rows],
         theta=theta[rows],
         zero_mode=zero[rows],
-        meta=meta,
+        real_system=real,
     )

@@ -176,7 +176,9 @@ def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndar
     cut before a second half takes it in, so ``sizes[r - 1]`` is r, or
     r + 1 when mode r is one.  The basis is then real (see
     ``ReducedModel``).  A complex system pairs nothing:
-    ``sizes[r - 1]`` is r and the basis is complex.
+    ``sizes[r - 1]`` is r and the basis is complex.  Which of the two a
+    report is, ``report.real_system`` says; a hand-built report states
+    it.
 
     Only the leading N columns are factorised: more modes than state
     entries are dependent whatever they are.  ``bound[s - 1]`` is
@@ -204,7 +206,7 @@ def _retention(report: QualityReport) -> tuple[np.ndarray, ReducedModel, np.ndar
     # second[i]: mode i is the second half of a pair; second[m] stays False
     second = np.zeros(lams.size + 1, dtype=bool)
     mates = None
-    if report.meta.get("real_system", True):
+    if report.real_system:
         second[1:-1] = twin & (lams.imag[1:] < 0) & (lams[1:] == lams[:-1].conj())
         first = second[1:]
         real = (lams.imag == 0) & ~np.any(basis.imag, axis=0)
@@ -252,7 +254,9 @@ def truncate(report: QualityReport, r: int) -> ReducedModel:
     would drop a direction of the retained span.  A retained count
     that is not an integer raises ``TypeError``, one outside 1..m
     ``ValueError``, and so does a real system's report with a complex
-    mode that ``rows`` does not pair with its exact conjugate.
+    mode that ``rows`` does not pair with its exact conjugate.  A report
+    pairs modes only when ``report.real_system`` is True, so a
+    hand-built report states it.
     """
     try:
         r = operator.index(r)

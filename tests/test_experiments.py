@@ -272,6 +272,17 @@ class TestKQualitySweep:
         with pytest.raises(ValueError, match="reference"):
             k_quality_sweep("orr-sommerfeld", n=32)
 
+    def test_no_report_outlives_its_rows(self):
+        # a report held while the next depth is compressed and scored
+        # reads about 1.02 MB here; dropped with its rows, 0.89 MB
+        tracemalloc.start()
+        try:
+            k_quality_sweep("acoustic", 64, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.95e6
+
 
 @pytest.mark.parametrize(
     "sweep, names, kinds",

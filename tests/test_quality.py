@@ -415,10 +415,7 @@ class TestQualityReport:
         assert report.modes.shape == (30, 32)
         assert np.all(np.diff(report.theta) >= 0.0)
         assert report.s_norm is not None and report.s_norm.shape == (30,)
-        meta = report.meta
-        assert meta["problem"] == "canuto"
-        assert meta["n"] == 16 and meta["k"] == 1 and meta["r"] == 30
-        assert meta["real_system"] is True
+        assert report.real_system is True and report.lambdas.size == 30
 
     def test_modes_tied_across_halves_are_ordered_by_real_part(self):
         # J4, the 4 x 4 reversal, keeps +1 in its even half and -1 twice
@@ -446,8 +443,8 @@ class TestQualityReport:
         # a mass operator no longer drops the derivative score: it is the
         # part of A w outside E V_1, finite on every mode
         report = quality_report(orr_sommerfeld(50))
-        assert report.meta["real_system"] is False
-        assert report.meta["r"] == 46
+        assert report.real_system is False
+        assert report.lambdas.size == 46
         assert report.s_norm.shape == (46,) and np.all(np.isfinite(report.s_norm))
 
     def test_no_nonzero_mode_scores_exactly_zero(self):
@@ -669,7 +666,7 @@ def test_real_and_complex_products_agree_within_their_floors(build, n, k, monkey
     cast_comp = CompressedSystem(halves=halves, k=k)
     monkeypatch.setattr(quality, "compress", lambda s, *args: cast_comp if s is cast else comp)
     real, plain = (quality_report(s, k) for s in (sys, cast))
-    assert real.meta["real_system"] and not plain.meta["real_system"]
+    assert real.real_system and not plain.real_system
     at = {lam: i for i, lam in enumerate(real.lambdas.tolist())}
     assert len(at) == comp.r and at.keys() == set(plain.lambdas.tolist())
     norm_a = sys.drift_norm

@@ -62,7 +62,7 @@ def _hand_report(lams, lifted, real_system=True, rows=None):
         s_norm=np.zeros(lams.size),
         theta=np.arange(lams.size, dtype=float),
         zero_mode=np.zeros(lams.size, dtype=bool),
-        meta={"real_system": real_system},
+        real_system=real_system,
     )
 
 
@@ -88,7 +88,7 @@ def _multi_pass_closure(report, r):
     # list them in report order
     nmodes = len(report.modes)
     selected = np.arange(nmodes) < r
-    if report.meta.get("real_system", True):
+    if report.real_system:
         lams = report.lambdas
         added = np.arange(r)
         while added.size:
@@ -626,7 +626,7 @@ def test_reduce_kernel_matches_least_squares_and_exponentials(
         coeffs, residual = model.restrict(x0)
     except (RankDeficientBasisError, DivergenceError):
         return
-    real = report.meta["real_system"]
+    real = report.real_system
     assert real == (not complex_drift and not complex_constraint)
     if not real:
         assert model.size == r
