@@ -241,8 +241,8 @@ def _split(mat: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, np.
     ``row`` is its orthogonal complement, the leading right singular
     vectors, without sign fixing, as a view that keeps all of them alive.
     The rank counts the singular values above ``DEFAULT_NULL_TOL`` times
-    ``scale``, by default the largest singular value of ``mat``.  A matrix
-    with no rows or no columns has rank 0.
+    ``scale``, by default the largest singular value of ``mat``.  With
+    ``scale`` given, a matrix with no rows or no columns has rank 0.
     """
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
     rank = int(np.count_nonzero(s > DEFAULT_NULL_TOL * (s[0] if scale is None else scale)))
