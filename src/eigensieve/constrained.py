@@ -72,13 +72,13 @@ _COLUMNS = 64
 
 @dataclass(eq=False)
 class ConstrainedSystem:
-    """Drift ``a`` with constraints ``c`` (q x n, q < n) and optional mass ``e``.
+    """Drift ``a`` with constraints ``c`` (q x n, 0 < q < n) and optional mass ``e``.
 
     Entries may be real or complex; real inputs are simply the special
-    case.  ``labels`` carries optional metadata (problem name, grid),
-    of which only ``labels["grid"]`` is read: by
-    ``reduction.reduction_sweep`` and by the benchmark's worker
-    (``perfbench/worker.py``).
+    case.  ``labels`` optionally holds the node array of the grid,
+    ``labels["grid"]``, the only entry that the registered builders
+    write and the only one read: by ``reduction.reduction_sweep`` and
+    by the benchmark's worker (``perfbench/worker.py``).
 
     ``mirror`` optionally holds one sign (1 or -1) per field, the state
     being the fields' equal-length blocks one after another.  It
@@ -117,8 +117,9 @@ class ConstrainedSystem:
                 f"got shape {self.c.shape}"
             )
         q, n = self.c.shape
-        if q >= n:
-            raise ValueError(f"need fewer constraints than states, got q={q}, n={n}")
+        # no constraint row leaves nothing to compress, and C no norm to scale by
+        if not 0 < q < n:
+            raise ValueError(f"need 1 or more but fewer constraints than states, got q={q}, n={n}")
         if self.e is not None:
             self.e = np.asarray(self.e)
             if self.e.shape != self.a.shape:

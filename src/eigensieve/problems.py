@@ -62,8 +62,7 @@ def heat_dirichlet(n: int) -> ConstrainedSystem:
     c = np.zeros((2, n))
     c[0, 0] = 1.0
     c[1, n - 1] = 1.0
-    labels = {"problem": "heat", "n": n, "grid": cheb_points(n)}
-    return ConstrainedSystem(a=a, c=c, labels=labels, mirror=(1,))
+    return ConstrainedSystem(a=a, c=c, labels={"grid": cheb_points(n)}, mirror=(1,))
 
 
 def heat_reference(count: int) -> np.ndarray:
@@ -90,8 +89,7 @@ def canuto_hyperbolic(n: int) -> ConstrainedSystem:
     c = np.zeros((2, 2 * n))
     c[0, n - 1] = 1.0  # psi1 at x = -1
     c[1, 0] = 1.0  # psi1 at x = +1
-    labels = {"problem": "canuto", "n": n, "grid": cheb_points(n)}
-    return ConstrainedSystem(a=a, c=c, labels=labels)
+    return ConstrainedSystem(a=a, c=c, labels={"grid": cheb_points(n)})
 
 
 def canuto_reference(count: int) -> np.ndarray:
@@ -144,14 +142,7 @@ def orr_sommerfeld(n: int, alpha: float = 1.0, reynolds: float = 10000.0) -> Con
     c[1, n - 1] = 1.0
     c[2] = d[0]
     c[3] = d[n - 1]
-    labels = {
-        "problem": "orr-sommerfeld",
-        "n": n,
-        "alpha": alpha,
-        "reynolds": reynolds,
-        "grid": z,
-    }
-    return ConstrainedSystem(a=a, c=c, e=e, labels=labels, mirror=(1,))
+    return ConstrainedSystem(a=a, c=c, e=e, labels={"grid": z}, mirror=(1,))
 
 
 def acoustic_wave(n: int) -> ConstrainedSystem:
@@ -171,8 +162,7 @@ def acoustic_wave(n: int) -> ConstrainedSystem:
     c = np.zeros((2, 2 * n))
     c[0, 0] = 1.0
     c[1, n - 1] = 1.0
-    labels = {"problem": "acoustic", "n": n, "grid": cheb_points(n)}
-    return ConstrainedSystem(a=a, c=c, labels=labels, mirror=(1, -1))
+    return ConstrainedSystem(a=a, c=c, labels={"grid": cheb_points(n)}, mirror=(1, -1))
 
 
 def acoustic_spectrum(count: int) -> np.ndarray:

@@ -92,11 +92,13 @@ Scoring is a few matrix products.  ``eigenpairs`` hands over each
 block's eigenvectors in the block's coordinates, and per half
 ``W_h = M_h V_h`` is one product over one column per conjugate pair;
 then, for each chunk of ``_CHUNK`` of those columns, ``A_h W_h``,
-``P_h* (A_h W_h)`` and ``E_h W_h`` are one product each, and the norms
-and the zero-floor test are stacked numpy calls.  No angle takes an
-N-row SVD: one stacked QR per chunk maps the two real spans of each
-pair into R^4 (``_r4``), and one pass of 2 x 2 arithmetic over every
-pair of the report takes the angles (``_angles``).  A real operator multiplies a
+``P_h* (A_h W_h)`` and ``E_h W_h`` are one product each, and the
+``s_norm`` of the chunk is one stacked norm.  No angle takes an N-row
+SVD: one stacked QR per chunk maps the two real spans of each pair
+into R^4 (``_r4``).  Its R holds ``|A w|`` as the root sum square of
+the columns of ``Re A w`` and ``Im A w``, which is all the zero-floor
+test reads, and one pass of 2 x 2 arithmetic over every pair of the
+report that is not a zero mode takes the angles (``_angles``).  A real operator multiplies a
 complex block as one float64 product on the block's interleaved real
 view (``_times``), not as a complex product with an operator cast to
 complex128.  ``grassmann_distance`` is a one-pair call of the same
@@ -130,6 +132,8 @@ DEFAULT_THETA_THRESHOLD = 1e-3
 #: Relative floor under which |A M v| is treated as an exact zero mode:
 #: a fixed multiple of rounding, about 450 eps, times the largest column
 #: norm of A, a lower bound on |A|_2 that is at least |A|_2 / sqrt(n).
+#: v is a unit vector and M orthonormal, so |M v| = 1; |A M v| is read
+#: from the R of ``_r4``.
 DEFAULT_ZERO_FLOOR = 1e-13
 
 #: Condition-number guard before inverting a compressed mass operator.
@@ -215,31 +219,32 @@ def _score_modes(comp: CompressedSystem, blocks: list, twin: np.ndarray, floor: 
     score array is the score of scored column i, half after half.  The
     operators are the half's: ``A_h = U^T A U``, ``E_h`` and ``P_h``,
     so ``s_norm`` is ``|P_h* (A_h w)|``.  A zero mode has ``|A w| <
-    floor |w|``, with ``floor`` the zero floor of the whole drift
-    (``_report``).  An exactly zero ``A w`` is a zero mode also where
-    that floor is 0, as for a zero drift: it spans no subspace to take
-    an angle to.  ``W_h`` is one product per half; the products after
-    it and the map of each angle pair into R^4 (``_r4``) take
-    ``_CHUNK`` columns at a time, and one ``_angles`` call takes the
-    angles of every pair of the report.
+    floor``, with ``floor`` the zero floor of the whole drift
+    (``_report``): v is a unit column and ``M_h`` orthonormal, so
+    ``|w| = 1`` to rounding.  ``|A w|`` is read from the R of ``_r4``,
+    which every column goes through.  An exactly zero ``A w`` is a
+    zero mode also where that floor is 0, as for a zero drift: it spans
+    no subspace to take an angle to.  ``W_h`` is one product per half;
+    the products after it and the map of each angle pair into R^4
+    (``_r4``) take ``_CHUNK`` columns at a time, and one ``_angles``
+    call takes the angles of every non-zero mode of the report.
     """
-    ws, s_norm, zero, rs = [], [], [], []
+    ws, s_norm, rs = [], [], []
     for half, part in zip(comp.halves, comp.slices):
         ws.append(_times(half.m, blocks.pop(0)[:, ~twin[part]]))
         # a half without a column to score makes one empty chunk
         for w in np.split(ws[-1], range(_CHUNK, ws[-1].shape[1], _CHUNK), axis=1):
             aw = _times(half.a, w)
             s_norm.append(_norms(_times(half.p.conj().T, aw)))
-            aw_norms = _norms(aw)
-            zero.append((aw_norms == 0.0) | (aw_norms < floor * np.linalg.norm(w, axis=0)))
-            # a slice takes no copy
-            live = ~zero[-1] if zero[-1].any() else slice(None)
-            lhs = w[:, live] if half.e is None else _times(half.e, w[:, live])
-            rs.append(_r4(lhs.T, aw[:, live].T))
-    s_norm, zero = np.concatenate(s_norm), np.concatenate(zero)
+            lhs = w if half.e is None else _times(half.e, w)
+            rs.append(_r4(lhs.T, aw.T))
+    r = np.concatenate(rs, axis=-1)
+    # |A w| is the root sum square of R's columns of Re A w and Im A w
+    aw_norms = np.hypot.reduce(r[:, 2:].reshape(8, -1), axis=0)
+    zero = (aw_norms == 0.0) | (aw_norms < floor)
     theta = np.zeros(zero.size)
-    theta[~zero] = _angles(np.concatenate(rs, axis=-1))
-    return ws, s_norm, theta, zero
+    theta[~zero] = _angles(r[..., ~zero])
+    return ws, np.concatenate(s_norm), theta, zero
 
 
 def _sv2(p, q, r, s):
@@ -395,8 +400,9 @@ def quality_report(sys: ConstrainedSystem, k: int = 1) -> QualityReport:
     Modes are sorted by ascending angle score, ties broken by ascending
     ``|Im lam|`` then ``|Re lam|``, then ``Re lam``.  The derivative score
     is ``|P_k* A M v|`` (see the module docstring).  A mode is a zero mode when
-    ``|A M v| < DEFAULT_ZERO_FLOOR a |M v|``, with a the largest column
-    norm of A, taken once per system, or ``A M v`` is exactly 0.
+    ``|A M v| < DEFAULT_ZERO_FLOOR a``, with a the largest column norm
+    of A, taken once per system, or ``A M v`` is exactly 0.  v is a unit
+    vector and M orthonormal, so ``|M v| = 1``.
     """
     return _report(sys, compress(sys, k))
 

@@ -378,7 +378,7 @@ class TestExitCodes:
         prob = problems.REGISTRY[problem]
         with pytest.raises(ValueError, match=f"at least {prob.min_n} grid points"):
             prob.build(n=prob.min_n - 1)
-        assert prob.build(n=prob.min_n).labels["n"] == prob.min_n
+        assert prob.build(n=prob.min_n).labels["grid"].size == prob.min_n
         monkeypatch.setattr(cli, "_COMMANDS", {})  # any work would raise KeyError
         with pytest.raises(SystemExit) as exc:
             main(list(args))

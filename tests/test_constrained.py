@@ -54,6 +54,11 @@ class TestSystemValidation:
         with pytest.raises(ValueError, match="fewer constraints"):
             ConstrainedSystem(a=np.eye(3), c=np.eye(3))
 
+    def test_rejects_an_empty_constraint_matrix(self):
+        # no row to compress by, and no largest singular value to cut at
+        with pytest.raises(ValueError, match="fewer constraints"):
+            ConstrainedSystem(a=np.eye(3), c=np.zeros((0, 3)))
+
     def test_rejects_rank_deficient_constraints(self):
         c = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0]])
         with pytest.raises(ValueError, match="rank deficient"):

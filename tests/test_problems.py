@@ -38,11 +38,6 @@ class TestHeat:
         assert sys.c[0, 0] == 1.0 and sys.c[1, n - 1] == 1.0
         assert np.count_nonzero(sys.c) == 2
 
-    def test_labels(self):
-        sys = heat_dirichlet(8)
-        assert sys.labels["problem"] == "heat"
-        assert sys.labels["grid"].size == 8
-
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             heat_dirichlet(3)
@@ -128,11 +123,6 @@ class TestOrrSommerfeld:
     def test_overflowing_coefficients_rejected(self, alpha, reynolds):
         with pytest.raises(ValueError, match="non-finite"):
             orr_sommerfeld(16, alpha=alpha, reynolds=reynolds)
-
-    def test_labels_carry_parameters(self):
-        sys = orr_sommerfeld(16, alpha=0.9, reynolds=2000.0)
-        assert sys.labels["alpha"] == 0.9
-        assert sys.labels["reynolds"] == 2000.0
 
     def test_leading_instability_eigenvalue(self):
         # wall mode of plane Poiseuille flow at alpha=1, R=10000
@@ -351,6 +341,13 @@ class TestRegistry:
         assert get_problem("heat").build is heat_dirichlet
         assert get_problem("canuto").build is canuto_hyperbolic
         assert get_problem("orr-sommerfeld").params == ("n", "alpha", "reynolds")
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_labels_hold_the_grid_only(self, name):
+        # the grid is the one label anything reads
+        labels = REGISTRY[name].build(n=12).labels
+        assert labels.keys() == {"grid"}
+        np.testing.assert_array_equal(labels["grid"], cheb_points(12), strict=True)
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ValueError, match="acoustic"):

@@ -937,14 +937,16 @@ def test_spectral_norms_are_skipped_when_their_bounds_decide():
     assert "drift_norm" not in sys.__dict__
 
 
+@pytest.mark.parametrize("e", [None, np.eye(4)], ids=["no-mass", "mass"])
 @pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
-def test_zero_floor_is_the_largest_column_norm(side):
+def test_zero_floor_is_the_largest_column_norm(side, e):
     # The floor is DEFAULT_ZERO_FLOOR times the largest column norm of A,
     # not times |A|_2, which is never computed.  The large modes sit in
     # a triangular block whose largest column norm 2 lies below
     # |B|_2 = sqrt(3 + sqrt(5)), so the two floors differ by 14 %.  The
     # third diagonal entry is the eigenvalue of an exact unit
-    # eigenvector, placed at side times the floor.
+    # eigenvector, placed at side times the floor.  With E = I the solve
+    # takes the pencil and scoring the span of E w, and the floor holds.
     b = np.array([[2.0, 1.0], [0.0, 1.0]])
     assert np.linalg.norm(b, axis=0).max() == 2.0 < np.linalg.norm(b, 2) / 1.1
     floor = DEFAULT_ZERO_FLOOR * 2.0
@@ -952,7 +954,7 @@ def test_zero_floor_is_the_largest_column_norm(side):
     a[:2, :2] = b
     a[2, 2] = side * floor
 
-    sys = ConstrainedSystem(a=a, c=np.eye(4)[3:])
+    sys = ConstrainedSystem(a=a, c=np.eye(4)[3:], e=e)
     report = quality_report(sys)
     (mode,) = np.flatnonzero(np.abs(report.lambdas) < 1.0)
     assert report.lambdas[mode] == side * floor
